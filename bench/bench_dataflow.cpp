@@ -1,12 +1,10 @@
-// Dataflow-vs-interpreter executor benchmark: the same 16-node path-vector
-// workload (plus smaller/larger topologies for scaling) run under both
-// SimOptions::engine settings. The engines are operationally equivalent
-// (identical fixpoints and message streams — pinned by test_dataflow.cpp),
-// so this measures pure executor cost: per-delta join re-evaluation in the
-// interpreter vs one compiled element-strand walk in fvn::dataflow.
+// Dataflow executor benchmark: the simulator running the 16-node path-vector
+// line (plus smaller/larger lines for scaling) on the compiled element
+// strands of fvn::dataflow, cost-guided join ordering on a selective join,
+// and the incremental-aggregate ablation.
 //
-// The instrumented workload records tuples/sec for both engines and the
-// speedup into the BENCH_dataflow.json metrics document.
+// The instrumented workload records tuples/sec into the BENCH_dataflow.json
+// metrics document.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -22,7 +20,6 @@
 namespace {
 
 using namespace fvn;
-using runtime::EngineKind;
 
 struct EngineRun {
   runtime::SimStats stats;
@@ -30,10 +27,8 @@ struct EngineRun {
   double tuples_per_sec = 0;
 };
 
-EngineRun run_path_vector(EngineKind engine, std::size_t nodes,
-                          bool incremental_aggregates = true) {
+EngineRun run_path_vector(std::size_t nodes, bool incremental_aggregates = true) {
   runtime::SimOptions options;
-  options.engine = engine;
   options.incremental_aggregates = incremental_aggregates;
   const auto t0 = std::chrono::steady_clock::now();
   runtime::Simulator sim(core::path_vector_program(), options);
@@ -47,27 +42,18 @@ EngineRun run_path_vector(EngineKind engine, std::size_t nodes,
 }
 
 void PathVectorEngine(benchmark::State& state) {
-  const auto engine = state.range(0) == 0 ? EngineKind::Interpreter : EngineKind::Dataflow;
-  const auto nodes = static_cast<std::size_t>(state.range(1));
+  const auto nodes = static_cast<std::size_t>(state.range(0));
   EngineRun last;
   for (auto _ : state) {
-    last = run_path_vector(engine, nodes);
+    last = run_path_vector(nodes);
     benchmark::DoNotOptimize(last);
   }
-  state.SetLabel(engine == EngineKind::Dataflow ? "dataflow" : "interpreter");
   state.counters["nodes"] = static_cast<double>(nodes);
   state.counters["tuples"] = static_cast<double>(last.stats.tuples_derived);
   state.counters["tuples_per_sec"] = last.tuples_per_sec;
   state.counters["messages"] = static_cast<double>(last.stats.messages_sent);
 }
-BENCHMARK(PathVectorEngine)
-    ->Args({0, 8})
-    ->Args({1, 8})
-    ->Args({0, 16})
-    ->Args({1, 16})
-    ->Args({0, 32})
-    ->Args({1, 32})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(PathVectorEngine)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
 // Cost-guided join ordering (SimOptions::cost_order). The shipped protocol
 // plans are already optimal, so the planner's reorder is exercised on the
@@ -84,7 +70,6 @@ const char* kReorderProgram =
 
 EngineRun run_reorder(bool cost_order, int n) {
   runtime::SimOptions options;
-  options.engine = EngineKind::Dataflow;
   options.cost_order = cost_order;
   const auto program = ndlog::parse_program(kReorderProgram, "reorder");
   std::vector<ndlog::Tuple> facts;
@@ -131,7 +116,7 @@ void DataflowAggregateAblation(benchmark::State& state) {
   const bool incremental = state.range(0) != 0;
   EngineRun last;
   for (auto _ : state) {
-    last = run_path_vector(EngineKind::Dataflow, 16, incremental);
+    last = run_path_vector(16, incremental);
     benchmark::DoNotOptimize(last);
   }
   state.SetLabel(incremental ? "incremental" : "recompute");
@@ -146,30 +131,16 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 
-  // Instrumented workload: the 16-node path-vector comparison that the
+  // Instrumented workload: the 16-node path-vector line that the
   // BENCH_dataflow.json trajectory tracks (smaller in smoke mode).
   const std::size_t nodes = harness.smoke() ? 8 : 16;
-  const auto interp = run_path_vector(EngineKind::Interpreter, nodes);
-  const auto flow = run_path_vector(EngineKind::Dataflow, nodes);
-  const double speedup =
-      flow.seconds > 0 ? interp.seconds / flow.seconds : 0;
+  const auto flow = run_path_vector(nodes);
 
   auto& m = harness.metrics();
   m.counter("dataflow/bench/nodes").add(nodes);
-  m.counter("dataflow/bench/interpreter/tuples").add(interp.stats.tuples_derived);
-  m.counter("dataflow/bench/interpreter/tuples_per_sec")
-      .add(static_cast<std::uint64_t>(interp.tuples_per_sec));
   m.counter("dataflow/bench/dataflow/tuples").add(flow.stats.tuples_derived);
   m.counter("dataflow/bench/dataflow/tuples_per_sec")
       .add(static_cast<std::uint64_t>(flow.tuples_per_sec));
-  // Fixed-point: 100 = parity, 200 = dataflow twice as fast.
-  m.counter("dataflow/bench/speedup_x100")
-      .add(static_cast<std::uint64_t>(speedup * 100));
-  // Equivalence sanity for the trajectory: both engines did the same work.
-  m.counter("dataflow/bench/messages_delta")
-      .add(interp.stats.messages_sent > flow.stats.messages_sent
-               ? interp.stats.messages_sent - flow.stats.messages_sent
-               : flow.stats.messages_sent - interp.stats.messages_sent);
 
   // Cost-guided join ordering on the selective-join workload: written order
   // vs the analyzer's order, same fixpoint.
@@ -192,17 +163,10 @@ int main(int argc, char** argv) {
                : ordered.stats.tuples_derived - written.stats.tuples_derived);
 
   if (!harness.smoke()) {
-    std::cout << "\n=== dataflow executor vs interpreter (" << nodes
-              << "-node path-vector) ===\n"
-              << "interpreter: " << interp.stats.tuples_derived << " tuples in "
-              << interp.seconds * 1000 << " ms (" << interp.tuples_per_sec
-              << " tuples/s)\n"
+    std::cout << "\n=== dataflow executor (" << nodes << "-node path-vector) ===\n"
               << "dataflow:    " << flow.stats.tuples_derived << " tuples in "
               << flow.seconds * 1000 << " ms (" << flow.tuples_per_sec
-              << " tuples/s)\n"
-              << "speedup:     " << speedup << "x\n"
-              << "messages:    " << interp.stats.messages_sent << " vs "
-              << flow.stats.messages_sent << " (must match)\n"
+              << " tuples/s), " << flow.stats.messages_sent << " messages\n"
               << "\n=== cost-guided join order (n=" << reorder_n
               << " selective join) ===\n"
               << "written order: " << written.seconds * 1000 << " ms\n"

@@ -1,9 +1,15 @@
-// LTL runtime-monitor overhead benchmark: the 16-node path-vector line run
-// bare vs with SimOptions::tuple_events feeding an ltl::MonitorSet (the same
+// LTL runtime-monitor overhead benchmark: the path-vector line run bare vs
+// with SimOptions::tuple_events feeding an ltl::MonitorSet (the same
 // lowering `fvn_cli sim --monitor` uses). The monitor steps once per tuple
 // install/retract/expire, so this measures the full subset-construction cost
-// on the hot path. Acceptance (ISSUE 8): overhead <= 10% on this workload,
-// recorded as ltl/bench/overhead_pct_x100 in BENCH_ltl.json.
+// on the hot path. Gate: overhead <= 10%, recorded as
+// ltl/bench/overhead_pct_x100 in BENCH_ltl.json.
+//
+// The gated number is the median, over alternating bare/monitored pairs, of
+// each pair's relative overhead, on a 48-node line (about 100 ms a run): a
+// run of a few milliseconds sits at timer and scheduler noise, and best-of-N
+// over two separate batches lets a drift between the batches read as
+// overhead.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,7 +28,6 @@
 namespace {
 
 using namespace fvn;
-using runtime::EngineKind;
 
 // The monitored property set: a liveness witness on the far end of the line
 // plus convergence — the same shape the shipped examples/ndlog/*.ltl specs use.
@@ -77,15 +82,46 @@ MonitoredRun run_path_vector(std::size_t nodes, bool monitored) {
   return out;
 }
 
-// Best-of-N to damp scheduler noise: the overhead number gates a <=10% check,
-// so we compare the fastest observed run of each variant.
-MonitoredRun best_of(std::size_t nodes, bool monitored, int reps) {
-  MonitoredRun best = run_path_vector(nodes, monitored);
-  for (int i = 1; i < reps; ++i) {
-    auto next = run_path_vector(nodes, monitored);
-    if (next.seconds < best.seconds) best = next;
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2;
+}
+
+/// `pairs` bare/monitored pairs, alternating which one runs first so a slow
+/// drift of the machine weighs on both sides equally.
+struct PairedRuns {
+  double baseline_s = 0;   ///< median bare run
+  double monitored_s = 0;  ///< median monitored run
+  double overhead_pct = 0; ///< median of the per-pair relative overheads
+  MonitoredRun last_monitored;
+};
+
+PairedRuns paired_runs(std::size_t nodes, int pairs) {
+  run_path_vector(nodes, false);  // warm-up: allocator and caches
+  std::vector<double> bare;
+  std::vector<double> monitored;
+  std::vector<double> overhead;
+  PairedRuns out;
+  for (int i = 0; i < pairs; ++i) {
+    MonitoredRun b;
+    if (i % 2 == 0) {
+      b = run_path_vector(nodes, false);
+      out.last_monitored = run_path_vector(nodes, true);
+    } else {
+      out.last_monitored = run_path_vector(nodes, true);
+      b = run_path_vector(nodes, false);
+    }
+    bare.push_back(b.seconds);
+    monitored.push_back(out.last_monitored.seconds);
+    overhead.push_back(b.seconds > 0
+                           ? (out.last_monitored.seconds - b.seconds) / b.seconds * 100.0
+                           : 0);
   }
-  return best;
+  out.baseline_s = median(bare);
+  out.monitored_s = median(monitored);
+  out.overhead_pct = median(overhead);
+  return out;
 }
 
 void PathVectorMonitored(benchmark::State& state) {
@@ -115,23 +151,21 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 
-  // Instrumented workload: 16-node path-vector line, bare vs monitored (the
-  // acceptance workload; smaller in smoke mode but the same comparison).
-  const std::size_t nodes = harness.smoke() ? 8 : 16;
-  const int reps = harness.smoke() ? 3 : 5;
-  const auto baseline = best_of(nodes, false, reps);
-  const auto monitored = best_of(nodes, true, reps);
-  const double overhead_pct =
-      baseline.seconds > 0
-          ? (monitored.seconds - baseline.seconds) / baseline.seconds * 100.0
-          : 0;
+  // Instrumented workload: the 48-node path-vector line, bare vs monitored
+  // (fewer pairs in smoke mode, same comparison).
+  const std::size_t nodes = 48;
+  const int pairs = harness.smoke() ? 11 : 21;
+  const auto runs = paired_runs(nodes, pairs);
+  const auto& monitored = runs.last_monitored;
+  const double overhead_pct = runs.overhead_pct;
 
   auto& m = harness.metrics();
   m.counter("ltl/bench/nodes").add(nodes);
+  m.counter("ltl/bench/pairs").add(static_cast<std::uint64_t>(pairs));
   m.counter("ltl/bench/baseline_us")
-      .add(static_cast<std::uint64_t>(baseline.seconds * 1e6));
+      .add(static_cast<std::uint64_t>(runs.baseline_s * 1e6));
   m.counter("ltl/bench/monitored_us")
-      .add(static_cast<std::uint64_t>(monitored.seconds * 1e6));
+      .add(static_cast<std::uint64_t>(runs.monitored_s * 1e6));
   m.counter("ltl/bench/monitor_events").add(monitored.events);
   // Fixed-point percent: 1000 = 10.00% (clamped at 0 for noise-negative runs).
   m.counter("ltl/bench/overhead_pct_x100")
@@ -141,12 +175,12 @@ int main(int argc, char** argv) {
   m.counter("ltl/bench/monitors_satisfied").add(monitored.satisfied ? 1 : 0);
 
   if (!harness.smoke()) {
-    std::cout << "\n=== LTL monitor overhead (" << nodes
-              << "-node path-vector) ===\n"
-              << "baseline:  " << baseline.seconds * 1000 << " ms\n"
-              << "monitored: " << monitored.seconds * 1000 << " ms ("
+    std::cout << "\n=== LTL monitor overhead (" << nodes << "-node path-vector, "
+              << pairs << " alternating pairs) ===\n"
+              << "baseline:  " << runs.baseline_s * 1000 << " ms (median)\n"
+              << "monitored: " << runs.monitored_s * 1000 << " ms (median, "
               << monitored.events << " tuple events)\n"
-              << "overhead:  " << overhead_pct << "% (budget 10%)\n"
+              << "overhead:  " << overhead_pct << "% (median of pairs; budget 10%)\n"
               << "verdicts:  " << (monitored.satisfied ? "all satisfied" : "VIOLATION")
               << "\n";
   }

@@ -6,8 +6,8 @@
 // bench_dataflow's numbers is the cost of actual concurrency: encode/decode,
 // mailbox synchronization, and termination detection vs a virtual clock.
 //
-// The instrumented workload records tuples/sec and bytes/sec for both
-// engines plus the simulator reference into BENCH_net.json.
+// The instrumented workload records tuples/sec and bytes/sec plus the
+// simulator reference into BENCH_net.json.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -21,7 +21,6 @@
 namespace {
 
 using namespace fvn;
-using runtime::EngineKind;
 
 struct ClusterRun {
   net::ClusterStats stats;
@@ -30,10 +29,8 @@ struct ClusterRun {
   double bytes_per_sec = 0;
 };
 
-ClusterRun run_cluster(EngineKind engine, std::size_t nodes, double loss = 0.0,
-                       bool cost_order = false) {
+ClusterRun run_cluster(std::size_t nodes, double loss = 0.0, bool cost_order = false) {
   net::ClusterOptions options;
-  options.engine = engine;
   options.cost_order = cost_order;
   options.faults.drop_rate = loss;
   options.faults.seed = 7;
@@ -52,11 +49,9 @@ ClusterRun run_cluster(EngineKind engine, std::size_t nodes, double loss = 0.0,
   return out;
 }
 
-double run_simulator_reference(EngineKind engine, std::size_t nodes) {
-  runtime::SimOptions options;
-  options.engine = engine;
+double run_simulator_reference(std::size_t nodes) {
   const auto t0 = std::chrono::steady_clock::now();
-  runtime::Simulator sim(core::path_vector_program(), options);
+  runtime::Simulator sim(core::path_vector_program());
   sim.inject_all(core::link_facts(core::line_topology(nodes)));
   const auto stats = sim.run();
   const double seconds =
@@ -65,32 +60,25 @@ double run_simulator_reference(EngineKind engine, std::size_t nodes) {
 }
 
 void ClusterPathVector(benchmark::State& state) {
-  const auto engine = state.range(0) == 0 ? EngineKind::Interpreter : EngineKind::Dataflow;
-  const auto nodes = static_cast<std::size_t>(state.range(1));
+  const auto nodes = static_cast<std::size_t>(state.range(0));
   ClusterRun last;
   for (auto _ : state) {
-    last = run_cluster(engine, nodes);
+    last = run_cluster(nodes);
     benchmark::DoNotOptimize(last);
   }
-  state.SetLabel(engine == EngineKind::Dataflow ? "dataflow" : "interpreter");
   state.counters["nodes"] = static_cast<double>(nodes);
   state.counters["tuples_per_sec"] = last.tuples_per_sec;
   state.counters["bytes_per_sec"] = last.bytes_per_sec;
   state.counters["messages"] = static_cast<double>(last.stats.messages_sent);
 }
-BENCHMARK(ClusterPathVector)
-    ->Args({0, 8})
-    ->Args({1, 8})
-    ->Args({0, 16})
-    ->Args({1, 16})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(ClusterPathVector)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 void ClusterRetransmitOverhead(benchmark::State& state) {
   // Cost of masking 20% seeded loss with ack+retransmit on the 16-node run.
   const double loss = state.range(0) == 0 ? 0.0 : 0.2;
   ClusterRun last;
   for (auto _ : state) {
-    last = run_cluster(EngineKind::Dataflow, 16, loss);
+    last = run_cluster(16, loss);
     benchmark::DoNotOptimize(last);
   }
   state.SetLabel(loss > 0 ? "loss_0.2" : "lossless");
@@ -109,18 +97,12 @@ int main(int argc, char** argv) {
   // Instrumented workload: the 16-node path-vector comparison against the
   // simulator numbers that BENCH_dataflow.json tracks (smaller in smoke mode).
   const std::size_t nodes = harness.smoke() ? 8 : 16;
-  const auto interp = run_cluster(EngineKind::Interpreter, nodes);
-  const auto flow = run_cluster(EngineKind::Dataflow, nodes);
-  const double sim_reference = run_simulator_reference(EngineKind::Dataflow, nodes);
+  const auto flow = run_cluster(nodes);
+  const double sim_reference = run_simulator_reference(nodes);
 
   auto& m = harness.metrics();
   m.counter("net/bench/nodes").add(nodes);
-  m.counter("net/bench/quiesced").add((interp.stats.quiesced ? 1 : 0) +
-                                      (flow.stats.quiesced ? 1 : 0));
-  m.counter("net/bench/interpreter/tuples_per_sec")
-      .add(static_cast<std::uint64_t>(interp.tuples_per_sec));
-  m.counter("net/bench/interpreter/bytes_per_sec")
-      .add(static_cast<std::uint64_t>(interp.bytes_per_sec));
+  m.counter("net/bench/quiesced").add(flow.stats.quiesced ? 1 : 0);
   m.counter("net/bench/dataflow/tuples_per_sec")
       .add(static_cast<std::uint64_t>(flow.tuples_per_sec));
   m.counter("net/bench/dataflow/bytes_per_sec")
@@ -131,7 +113,7 @@ int main(int argc, char** argv) {
   // is already optimal (the one cheaper order the analyzer finds, on r4, is
   // unsafe to apply — ND0017 race), so this pins parity: same fixpoint work,
   // same message count, throughput within noise of the baseline.
-  const auto ordered = run_cluster(EngineKind::Dataflow, nodes, 0.0, true);
+  const auto ordered = run_cluster(nodes, 0.0, true);
   m.counter("net/bench/cost_order/tuples_per_sec")
       .add(static_cast<std::uint64_t>(ordered.tuples_per_sec));
   m.counter("net/bench/cost_order/messages_delta")
@@ -147,10 +129,6 @@ int main(int argc, char** argv) {
   if (!harness.smoke()) {
     std::cout << "\n=== net cluster vs simulator (" << nodes
               << "-node path-vector) ===\n"
-              << "cluster/interpreter: " << interp.stats.tuples_installed
-              << " tuples in " << interp.seconds * 1000 << " ms ("
-              << interp.tuples_per_sec << " tuples/s, " << interp.bytes_per_sec
-              << " B/s on the wire)\n"
               << "cluster/dataflow:    " << flow.stats.tuples_installed
               << " tuples in " << flow.seconds * 1000 << " ms ("
               << flow.tuples_per_sec << " tuples/s, " << flow.bytes_per_sec

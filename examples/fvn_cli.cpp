@@ -29,13 +29,9 @@
 //                                            baseline for batched channels)
 //                     --poll-ms=<ms>         coordinator quiescence-scan
 //                                            timeout (default 0.25)
-//                     --workers=<n>          shard-parallel node evaluation
-//                                            (certified programs only; serial
-//                                            fallback is reported on stderr)
-//                     --engine=<interpreter|dataflow>, --metrics, --trace
+//                     --cost-order, --metrics, --trace
 //   fvn_cli plan      <prog.ndlog> [--dot|--json]   compiled dataflow graph
-//                     --parallel  append the certified shard plan for the
-//                                 localized program (ND0022 key table)
+//                     --cost-order  cost-guided join order
 //   fvn_cli explain   <prog.ndlog> <facts.txt> <fact>   derivation tree
 //   fvn_cli serve     <prog.ndlog> <facts.txt> --serve-pred <pred>
 //                     run to fixpoint with the fvn::serve route-serving plane
@@ -53,7 +49,7 @@
 //                                            publishes epoch snapshots;
 //                                            verifies snapshot consistency
 //                     --churn-seconds <s>    churn duration (default 1.0)
-//                     --engine/--workers/--metrics/--trace as simulate
+//                     --metrics/--trace as simulate
 //   fvn_cli verify    <prog.ndlog> <facts.txt> --ltl <spec.ltl>
 //                     LTL model checking over every message interleaving
 //                     (fvn::mc x fvn::ltl product automaton, nested DFS):
@@ -91,14 +87,9 @@
 //                        chrome://tracing or Perfetto); the simulator stamps
 //                        events in virtual (protocol) time
 // simulate/sim additionally takes
-//   --engine=<interpreter|dataflow>  rule executor (default interpreter);
-//                        dataflow runs the compiled element strands and
-//                        exposes per-element counters under --metrics
-//   --workers=<n>        shard-parallel delta rounds (both engines): delivered
-//                        batches are evaluated by n workers when the static
-//                        certificate (analyze --parallel) admits it;
-//                        uncertified programs fall back to serial with a
-//                        stderr notice. Fixpoints are bit-identical either way.
+//   --cost-order         compile the rule strands with cost-guided join
+//                        order. Every node runs the compiled dataflow strands;
+//                        --metrics exposes their per-element counters.
 //
 // facts.txt: one ground fact per line, e.g. `link(@n0,n1,1)`; blank lines
 // and lines starting with `#` are ignored.
@@ -181,8 +172,8 @@ int usage() {
                "properties as online monitors (violation => exit 1)\n"
                "       fvn_cli dist <prog.ndlog> <facts.txt> [--nodes=<n>] "
                "[--transport=<inproc|udp>] [--loss=<p>] [--seed=<s>] "
-               "[--no-retransmit] [--no-batch] [--poll-ms=<ms>] [--workers=<n>] "
-               "[--engine=...] [--metrics] [--trace <out.json>]\n"
+               "[--no-retransmit] [--no-batch] [--poll-ms=<ms>] [--cost-order] "
+               "[--metrics] [--trace <out.json>]\n"
                "       fvn_cli lint [--json] <prog.ndlog>...   "
                "(exit 0 clean, 1 warnings, 2 errors)\n"
                "       fvn_cli analyze [--json|--dot|--metrics|--cost|--parallel] "
@@ -190,12 +181,10 @@ int usage() {
                "(semantic passes ND0014..ND0018; --cost adds the ND0019..ND0021 "
                "cost model; --parallel adds the ND0022..ND0025 shard-parallel "
                "certificate; same exit convention)\n"
-               "       fvn_cli plan <prog.ndlog> [--dot|--json] [--cost-order] "
-               "[--parallel]   (localize + compile to dataflow strands; "
-               "--parallel appends the certified shard plan)\n"
+               "       fvn_cli plan <prog.ndlog> [--dot|--json] [--cost-order]   "
+               "(localize + compile to dataflow strands)\n"
                "       eval = run, sim = simulate; both take --metrics and "
-               "--trace <out.json>; sim takes --engine=<interpreter|dataflow> "
-               "and --workers=<n>\n"
+               "--trace <out.json>; sim takes --cost-order\n"
                "       fvn_cli serve <prog.ndlog> <facts.txt> --serve-pred <pred> "
                "[--serve-cols dst,nexthop,cost] [--queries <file>] "
                "[--readers <n> --churn] [--churn-seconds <s>]   "
@@ -215,7 +204,6 @@ int cmd_plan(const std::vector<std::string>& args) {
   bool dot = false;
   bool json = false;
   bool cost_order = false;
-  bool parallel = false;
   std::vector<std::string> files;
   for (const auto& a : args) {
     if (a == "--dot") {
@@ -224,8 +212,6 @@ int cmd_plan(const std::vector<std::string>& args) {
       json = true;
     } else if (a == "--cost-order") {
       cost_order = true;
-    } else if (a == "--parallel") {
-      parallel = true;
     } else {
       files.push_back(a);
     }
@@ -236,27 +222,12 @@ int cmd_plan(const std::vector<std::string>& args) {
   fvn::dataflow::PlanOptions plan_options;
   plan_options.cost_order = cost_order;
   auto plan = fvn::dataflow::compile(localized, plan_options);
-  // --parallel: certify the *localized* program — the exact form the worker
-  // pools execute — and render the shard plan next to the strand plan.
-  std::optional<fvn::ndlog::parallel::Report> shard_plan;
-  if (parallel) {
-    fvn::ndlog::DiagnosticSink scratch;
-    shard_plan = fvn::ndlog::parallel::analyze(localized, scratch);
-  }
   if (dot) {
-    std::cout << (shard_plan ? fvn::ndlog::parallel::to_dot(localized, *shard_plan)
-                             : plan.to_dot());
+    std::cout << plan.to_dot();
   } else if (json) {
-    if (shard_plan) {
-      std::cout << "{\"plan\":" << plan.to_json()
-                << ",\"parallel\":" << fvn::ndlog::parallel::to_json(*shard_plan)
-                << "}\n";
-    } else {
-      std::cout << plan.to_json() << "\n";
-    }
+    std::cout << plan.to_json() << "\n";
   } else {
     std::cout << plan.summary();
-    if (shard_plan) std::cout << fvn::ndlog::parallel::to_human(*shard_plan);
   }
   return 0;
 }
@@ -649,11 +620,9 @@ int cmd_serve(const std::vector<std::string>& args) {
   std::string queries_path;
   std::string trace_path;
   std::string metrics_out;
-  std::string engine_name = "interpreter";
   bool want_metrics = false;
   bool churn = false;
   std::uint64_t readers = 0;
-  std::uint64_t workers = 0;
   double churn_seconds = 1.0;
   std::vector<std::string> positional;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -676,10 +645,6 @@ int cmd_serve(const std::vector<std::string>& args) {
     } else if (a == "--churn-seconds" || a.rfind("--churn-seconds=", 0) == 0) {
       churn_seconds =
           parse_double_flag("--churn-seconds", value_of("--churn-seconds"));
-    } else if (a == "--engine" || a.rfind("--engine=", 0) == 0) {
-      engine_name = value_of("--engine");
-    } else if (a == "--workers" || a.rfind("--workers=", 0) == 0) {
-      workers = parse_uint_flag("--workers", value_of("--workers"));
     } else if (a == "--metrics") {
       want_metrics = true;
     } else if (a == "--metrics-out" || a.rfind("--metrics-out=", 0) == 0) {
@@ -693,10 +658,6 @@ int cmd_serve(const std::vector<std::string>& args) {
     }
   }
   if (positional.size() != 2 || pred.empty()) return usage();
-  if (engine_name != "interpreter" && engine_name != "dataflow") {
-    throw UsageError("unknown engine '" + engine_name +
-                     "' (expected interpreter or dataflow)");
-  }
   if (churn && readers == 0) throw UsageError("--churn needs --readers >= 1");
   if (churn_seconds <= 0.0 || churn_seconds > 60.0) {
     throw UsageError("--churn-seconds must be in (0,60]");
@@ -733,10 +694,6 @@ int cmd_serve(const std::vector<std::string>& args) {
   };
   if (collect_metrics) sim_options.metrics = &registry;
   if (!trace_path.empty()) sim_options.obs_trace = &obs_trace;
-  if (engine_name == "dataflow") {
-    sim_options.engine = fvn::runtime::EngineKind::Dataflow;
-  }
-  sim_options.workers = static_cast<std::size_t>(workers);
 
   fvn::runtime::Simulator sim(program, sim_options);
   sim.inject_all(facts);
@@ -792,7 +749,6 @@ int cmd_dist(const std::vector<std::string>& args) {
   std::string metrics_out;
   std::string serve_spec_text;
   std::string monitor_path;
-  std::string engine_name = "interpreter";
   std::string transport_name = "inproc";
   bool cost_order = false;
   double loss = 0.0;
@@ -801,7 +757,6 @@ int cmd_dist(const std::vector<std::string>& args) {
   bool retransmit = true;
   bool batch = true;
   double poll_ms = -1.0;  // < 0 = keep the ClusterOptions default
-  std::uint64_t workers = 0;
   std::vector<std::string> positional;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
@@ -826,8 +781,6 @@ int cmd_dist(const std::vector<std::string>& args) {
       serve_spec_text = value_of("--serve");
     } else if (a == "--monitor" || a.rfind("--monitor=", 0) == 0) {
       monitor_path = value_of("--monitor");
-    } else if (a == "--engine" || a.rfind("--engine=", 0) == 0) {
-      engine_name = value_of("--engine");
     } else if (a == "--cost-order") {
       cost_order = true;
     } else if (a == "--transport" || a.rfind("--transport=", 0) == 0) {
@@ -839,8 +792,6 @@ int cmd_dist(const std::vector<std::string>& args) {
     } else if (a == "--nodes" || a.rfind("--nodes=", 0) == 0) {
       expected_nodes =
           static_cast<std::int64_t>(parse_uint_flag("--nodes", value_of("--nodes")));
-    } else if (a == "--workers" || a.rfind("--workers=", 0) == 0) {
-      workers = parse_uint_flag("--workers", value_of("--workers"));
     } else if (a.rfind("--", 0) == 0) {
       throw UsageError("unknown flag " + a);
     } else {
@@ -848,10 +799,6 @@ int cmd_dist(const std::vector<std::string>& args) {
     }
   }
   if (positional.size() != 2) return usage();
-  if (engine_name != "interpreter" && engine_name != "dataflow") {
-    throw UsageError("unknown engine '" + engine_name +
-                     "' (expected interpreter or dataflow)");
-  }
   if (transport_name != "inproc" && transport_name != "udp") {
     throw UsageError("unknown transport '" + transport_name +
                      "' (expected inproc or udp)");
@@ -887,8 +834,6 @@ int cmd_dist(const std::vector<std::string>& args) {
     serve_feed.emplace(*serve_plane, feed_options);
   }
   fvn::net::ClusterOptions options;
-  options.engine = engine_name == "dataflow" ? fvn::runtime::EngineKind::Dataflow
-                                             : fvn::runtime::EngineKind::Interpreter;
   options.cost_order = cost_order;
   options.transport = transport_name == "udp" ? fvn::net::TransportKind::Udp
                                               : fvn::net::TransportKind::InProc;
@@ -896,7 +841,6 @@ int cmd_dist(const std::vector<std::string>& args) {
   options.faults.seed = seed;
   options.reliability.enabled = retransmit;
   options.reliability.batch = batch;
-  options.workers = static_cast<std::size_t>(workers);
   if (poll_ms > 0.0) options.poll_interval_ms = poll_ms;
   if (collect_metrics) options.metrics = &registry;
   if (!trace_path.empty()) options.trace = &obs_trace;
@@ -924,15 +868,6 @@ int cmd_dist(const std::vector<std::string>& args) {
             << " acked=" << stats.acked << " bytes=" << stats.transport.bytes_sent
             << " wall_ms=" << stats.wall_ms
             << (stats.quiesced ? "" : " (no quiescence before budget)") << "\n";
-  if (workers >= 1) {
-    if (stats.parallel_active) {
-      std::cerr << "parallel: workers=" << workers
-                << " rounds=" << stats.parallel_rounds << "\n";
-    } else {
-      std::cerr << "parallel: serial fallback ("
-                << stats.parallel_fallback_reason << ")\n";
-    }
-  }
   if (serve_plane.has_value()) {
     print_serve_summary(*serve_plane);
     serve_plane->flush_metrics();
@@ -995,10 +930,8 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string metrics_out;
   std::string serve_spec_text;
-  std::string engine_name;
   std::string monitor_path;
   bool cost_order = false;
-  std::uint64_t workers = 0;
   std::vector<std::string> args;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
@@ -1024,37 +957,13 @@ int main(int argc, char** argv) {
       monitor_path = argv[++i];
     } else if (a.rfind("--monitor=", 0) == 0) {
       monitor_path = a.substr(10);
-    } else if (a == "--engine") {
-      if (i + 1 >= argc) return usage();
-      engine_name = argv[++i];
-    } else if (a.rfind("--engine=", 0) == 0) {
-      engine_name = a.substr(9);
     } else if (a == "--cost-order") {
       cost_order = true;
-    } else if (a == "--workers" || a.rfind("--workers=", 0) == 0) {
-      std::string value;
-      if (a.size() > 9) {
-        value = a.substr(10);
-      } else {
-        if (i + 1 >= argc) return usage();
-        value = argv[++i];
-      }
-      try {
-        workers = parse_uint_flag("--workers", value);
-      } catch (const UsageError& e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return 2;
-      }
     } else {
       args.push_back(a);
     }
   }
   if (args.empty()) return usage();
-  if (!engine_name.empty() && engine_name != "interpreter" && engine_name != "dataflow") {
-    std::cerr << "error: unknown engine '" << engine_name
-              << "' (expected interpreter or dataflow)\n";
-    return 2;
-  }
 
   try {
     require_writable(trace_path);
@@ -1122,9 +1031,7 @@ int main(int argc, char** argv) {
       runtime::SimOptions sim_options;
       if (collect_metrics) sim_options.metrics = &registry;
       if (!trace_path.empty()) sim_options.obs_trace = &obs_trace;
-      if (engine_name == "dataflow") sim_options.engine = runtime::EngineKind::Dataflow;
       sim_options.cost_order = cost_order;
-      sim_options.workers = static_cast<std::size_t>(workers);
       std::optional<ltl::MonitorSet> ltl_monitors;
       if (!monitor_path.empty()) {
         const auto spec = load_ltl_spec(monitor_path, program);
@@ -1185,16 +1092,6 @@ int main(int argc, char** argv) {
                 << " messages=" << stats.messages_sent
                 << " converged_at=" << stats.last_change_time << "s"
                 << (stats.quiesced ? "" : " (budget exhausted)") << "\n";
-      if (workers >= 1) {
-        if (stats.parallel_active) {
-          std::cerr << "parallel: workers=" << workers
-                    << " batches=" << stats.parallel_batches
-                    << " rounds=" << stats.parallel_rounds << "\n";
-        } else {
-          std::cerr << "parallel: serial fallback ("
-                    << stats.parallel_fallback_reason << ")\n";
-        }
-      }
       flush_obs();
       bool monitors_ok = true;
       if (ltl_monitors.has_value()) {

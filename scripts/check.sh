@@ -4,8 +4,8 @@
 # suites, the same tests again under ASan/UBSan, the concurrent
 # `net|ltl|parallel|serve` suites once more under TSan (build-tsan),
 # perf-smoke gates (bench_net cluster:simulator floor, bench_ltl
-# monitor-overhead ceiling, bench_parallel workers=1 overhead ceiling,
-# bench_serve lookup floor + churn ratio + publish-latency ceiling), and
+# monitor-overhead ceiling, bench_serve lookup floor + churn ratio +
+# publish-latency ceiling), and
 # (when available) clang-tidy over src/
 # with the checks pinned in .clang-tidy — the tidy stage is gating
 # (WarningsAsErrors: '*'), so any finding fails the script.
@@ -48,15 +48,13 @@ echo "== check: analyze-all sweep (ctest -L analyze) =="
 ctest --test-dir build --output-on-failure -L analyze
 
 # ltl: temporal-logic unit suite plus the mc ↔ runtime-monitor
-# cross-validation matrix (every example × its .ltl spec × both engines ×
-# inproc/udp). Focused re-run for the same reason as analyze-all.
+# cross-validation matrix (every example × its .ltl spec × simulator and
+# cluster, inproc/udp). Focused re-run for the same reason as analyze-all.
 echo "== check: ltl suite (ctest -L ltl) =="
 ctest --test-dir build --output-on-failure -L ltl
 
 # parallel: the shard-parallel certificate (fvn::ndlog::parallel units +
-# golden signatures) and the serial-vs-multi-worker differential matrix
-# (every example × workers ∈ {1,2,4} × both engines, simulator and cluster,
-# plus fuzzed monotone programs). Fixpoints must be bit-identical to serial.
+# golden signatures), a static analysis result behind `analyze --parallel`.
 echo "== check: parallel suite (ctest -L parallel) =="
 ctest --test-dir build --output-on-failure -L parallel
 
@@ -85,19 +83,18 @@ if [ "$run_sanitize" -eq 1 ]; then
   cmake --build build-san -j "$jobs"
   ctest --test-dir build-san --output-on-failure -j "$jobs"
 
-  # The fvn::net cluster and the shard-parallel worker pool are the genuinely
-  # concurrent subsystems; their labelled tests run again under TSan, which
-  # ASan cannot subsume. The ltl cross-validation suite joins them because
-  # its monitors consume the threaded cluster's tuple-event stream, and the
-  # parallel differential matrix drives the multi-worker round loop directly.
-  # Separate tree: TSan is incompatible with ASan in one binary.
+  # The fvn::net cluster is the genuinely concurrent subsystem; its labelled
+  # tests run again under TSan, which ASan cannot subsume. The ltl
+  # cross-validation suite joins them because its monitors consume the
+  # threaded cluster's tuple-event stream; the parallel label (certificate
+  # units) rides along. Separate tree: TSan is incompatible with ASan in one
+  # binary.
   # test_serve joins the TSan matrix: its churn test races wait-free readers
   # against epoch publication and deferred reclamation.
   echo "== check: TSan build + ctest -L 'net|ltl|parallel|serve' =="
   cmake -B build-tsan -S . -DFVN_SANITIZE="thread" >/dev/null
   cmake --build build-tsan -j "$jobs" --target test_net_wire test_net_cluster \
-    test_net_stats test_ltl test_ltl_crossval test_ndlog_parallel \
-    test_parallel_crossval test_serve
+    test_net_stats test_ltl test_ltl_crossval test_ndlog_parallel test_serve
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L 'net|ltl|parallel|serve'
 fi
 
@@ -117,35 +114,21 @@ sys.exit(0 if got >= floor else 1)
 EOF
 
 # LTL monitor overhead: the online MonitorSet attached to the path-vector
-# simulation must cost <= 10% wall time over the bare run (ISSUE 8
-# acceptance; measured ~2% — 10 is the hard ceiling, not the expectation).
+# simulation must cost <= 10% wall time over the bare run (five smoke runs
+# on a 4-vCPU guest read 0-3.8% — 10 is the hard ceiling, not the
+# expectation). The number is the median of
+# per-pair overheads over alternating bare/monitored runs of a 48-node line
+# (~100 ms each), and the monitored runs must satisfy their spec.
 echo "== check: perf smoke (bench_ltl monitor overhead ceiling) =="
 ./build/bench/bench_ltl --fvn-smoke --benchmark_filter='^$' >/dev/null
 python3 - <<'EOF'
 import json, sys
 ceiling = 1000  # overhead_pct_x100: 1000 = 10.00%
-got = json.load(open("BENCH_ltl.json"))["metrics"]["counters"]["ltl/bench/overhead_pct_x100"]
-print(f"overhead_pct_x100 = {got} (ceiling {ceiling})")
-sys.exit(0 if got <= ceiling else 1)
-EOF
-
-# Shard-parallel overhead: the workers=1 run pays for the full round
-# machinery (batching, shard routing, deterministic merge) with no extra
-# threads, so its gap to serial is pure bookkeeping — <= 10% on the
-# path-vector workload (ISSUE 9 acceptance; the gated aggregate pass makes
-# it measure *faster* than serial in practice, so the clamp usually reads 0).
-# derivations_match doubles as a correctness tripwire: the parallel runs
-# must replay the serial derivation count exactly.
-echo "== check: perf smoke (bench_parallel workers=1 overhead ceiling) =="
-./build/bench/bench_parallel --fvn-smoke --benchmark_filter='^$' >/dev/null
-python3 - <<'EOF'
-import json, sys
-ceiling = 1000  # overhead_pct_x100: 1000 = 10.00%
-counters = json.load(open("BENCH_parallel.json"))["metrics"]["counters"]
-got = counters["parallel/bench/overhead_pct_x100"]
-match = counters["parallel/bench/derivations_match"]
-print(f"overhead_pct_x100 = {got} (ceiling {ceiling}), derivations_match = {match}")
-sys.exit(0 if got <= ceiling and match == 1 else 1)
+c = json.load(open("BENCH_ltl.json"))["metrics"]["counters"]
+got = c["ltl/bench/overhead_pct_x100"]
+satisfied = c["ltl/bench/monitors_satisfied"]
+print(f"overhead_pct_x100 = {got} (ceiling {ceiling}), monitors_satisfied = {satisfied}")
+sys.exit(0 if got <= ceiling and satisfied == 1 else 1)
 EOF
 
 # Serve plane: a single reader on the idle 16-node path-vector fixpoint must

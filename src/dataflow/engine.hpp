@@ -1,9 +1,9 @@
 // Per-node execution of a compiled Plan: one tuple delta at a time through
 // the rule strands (true incremental semi-naive — no per-message
 // re-evaluation), plus incremental aggregate view maintenance driven by
-// database-mirror hooks. The executive (runtime::Simulator) owns message
-// routing, keyed overwrite, and soft-state expiry; the engine owns only the
-// compiled hot path.
+// database-mirror hooks. The executive (runtime::Simulator or net::Node)
+// owns message routing, keyed overwrite, and soft-state expiry; the engine
+// owns only the compiled hot path.
 #pragma once
 
 #include <cstdint>

@@ -32,12 +32,6 @@ class Database {
   const std::vector<const Tuple*>& lookup(const std::string& predicate,
                                           std::size_t position,
                                           const Value& value) const;
-  /// Build the (predicate, position) index now if it does not exist yet
-  /// (no-op otherwise). lookup() builds indexes lazily under const, which is
-  /// a data race for concurrent readers; the parallel worker pool pre-warms
-  /// every index its probes can touch before a round fans out, after which
-  /// concurrent lookup() calls are pure reads.
-  void ensure_index(const std::string& predicate, std::size_t position) const;
   /// True if an index exists for (predicate, position) — test/bench hook.
   bool has_index(const std::string& predicate, std::size_t position) const;
   /// All predicates with at least one tuple.
@@ -64,6 +58,9 @@ class Database {
   static const TupleSet kEmpty;
   static const std::vector<const Tuple*> kNoMatches;
 
+  /// Build the (predicate, position) index now if it does not exist yet
+  /// (no-op otherwise).
+  void ensure_index(const std::string& predicate, std::size_t position) const;
   void index_insert(const Tuple& stored);
   void index_erase(const Tuple& tuple);
 };

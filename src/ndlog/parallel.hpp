@@ -2,9 +2,8 @@
 // key per derived predicate such that hash-partitioned evaluation of a delta
 // round stays shard-local — every join probe against a same-stratum derived
 // predicate, every local head install, and every aggregate group lands in
-// the shard that owns the delta. The executable counterpart lives in
-// dataflow::WorkerPool; it is only allowed to fan a round across worker
-// threads when this analyzer produced a certificate.
+// the shard that owns the delta. The certificate is a static result (`fvn_cli
+// analyze --parallel`): no runtime executes shard-parallel rounds.
 //
 //   ND0022  certified shard plan   note: the chosen key per predicate
 //   ND0023  key-misaligned join    a body atom carries the wrong variable at
@@ -17,10 +16,9 @@
 //                                  stratum barriers; negation over a derived
 //                                  predicate revokes the certificate
 //
-// The certificate argument (why shard-local groups + serial barriers keep
-// fixpoints bit-identical to the serial engine) is spelled out in DESIGN.md
-// §16; tests/test_parallel_crossval.cpp pins it empirically across every
-// example × engine × worker count.
+// The certificate argument (why shard-local groups + serial barriers would
+// keep fixpoints bit-identical to the serial engine) is spelled out in
+// DESIGN.md §16, with the measurement that retired the executor.
 #pragma once
 
 #include <cstddef>

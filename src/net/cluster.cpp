@@ -6,7 +6,6 @@
 #include <chrono>
 #include <thread>
 
-#include "ndlog/parallel.hpp"
 #include "runtime/localize.hpp"
 
 namespace fvn::net {
@@ -14,21 +13,22 @@ namespace fvn::net {
 using ndlog::Tuple;
 using ndlog::Value;
 
-Cluster::Cluster(ndlog::Program program, ClusterOptions options,
-                 const ndlog::BuiltinRegistry& builtins)
-    : program_(runtime::localize(program)),
-      catalog_(ndlog::Catalog::from_program(program_)),
-      options_(options),
-      builtins_(&builtins) {
-  ndlog::check_arities(program_);
-  ndlog::check_safety(program_, builtins);
-  if (options_.require_stratified) ndlog::stratify(program_);
+namespace {
+
+/// The static checks and the hard-state restriction, then the compiled plan
+/// every node executes.
+dataflow::Plan checked_plan(const ndlog::Program& program, const ndlog::Catalog& catalog,
+                            const ClusterOptions& options,
+                            const ndlog::BuiltinRegistry& builtins) {
+  ndlog::check_arities(program);
+  ndlog::check_safety(program, builtins);
+  if (options.require_stratified) ndlog::stratify(program);
   // Hard-state programs only: soft-state expiry and periodic refresh need
   // per-node clocks and by design never quiesce (they keep re-firing), so
   // termination detection would be meaningless. The discrete-event Simulator
   // stays the executor for those; reject them up front with a clear error.
-  for (const auto& pred : catalog_.predicates()) {
-    const auto& info = catalog_.info(pred);
+  for (const auto& pred : catalog.predicates()) {
+    const auto& info = catalog.info(pred);
     if (info.lifetime_seconds.has_value() && *info.lifetime_seconds > 0.0) {
       throw ClusterError("cluster: predicate " + pred +
                          " has a finite lifetime (soft state); the distributed "
@@ -36,7 +36,7 @@ Cluster::Cluster(ndlog::Program program, ClusterOptions options,
                          "simulator");
     }
   }
-  for (const auto& rule : program_.rules) {
+  for (const auto& rule : program.rules) {
     for (const auto& elem : rule.body) {
       if (const auto* ba = std::get_if<ndlog::BodyAtom>(&elem)) {
         if (ba->atom.predicate == "periodic") {
@@ -47,27 +47,22 @@ Cluster::Cluster(ndlog::Program program, ClusterOptions options,
       }
     }
   }
-  if (options_.engine == runtime::EngineKind::Dataflow) {
-    dataflow::PlanOptions plan_options;
-    plan_options.incremental_aggregates = options_.incremental_aggregates;
-    plan_options.cost_order = options_.cost_order;
-    plan_.emplace(dataflow::compile(program_, plan_options));
-  }
-  if (options_.workers >= 1) {
-    // Shard-parallel mode needs the static certificate over the localized
-    // program (the form the per-node engines run). Taken once here; run()
-    // hands every node a private pool when it holds.
-    ndlog::DiagnosticSink parallel_sink;
-    const auto report = ndlog::parallel::analyze(program_, parallel_sink);
-    if (report.certified) {
-      parallel_certified_ = true;
-      router_ = dataflow::ShardRouter(report, catalog_);
-    } else {
-      parallel_fallback_ = report.fallback_reason.empty()
-                               ? "program not certified"
-                               : report.fallback_reason;
-    }
-  }
+  dataflow::PlanOptions plan_options;
+  plan_options.incremental_aggregates = options.incremental_aggregates;
+  plan_options.cost_order = options.cost_order;
+  return dataflow::compile(program, plan_options);
+}
+
+}  // namespace
+
+Cluster::Cluster(ndlog::Program program, ClusterOptions options,
+                 const ndlog::BuiltinRegistry& builtins)
+    : program_(runtime::localize(program)),
+      catalog_(ndlog::Catalog::from_program(program_)),
+      options_(options),
+      builtins_(&builtins),
+      plan_(checked_plan(program_, catalog_, options_, builtins)),
+      preds_(catalog_) {
   for (const auto& rule : program_.rules) {
     if (!rule.is_fact()) continue;
     ndlog::Bindings empty;
@@ -77,17 +72,6 @@ Cluster::Cluster(ndlog::Program program, ClusterOptions options,
     }
     inject(Tuple(rule.head.predicate, std::move(values)));
   }
-}
-
-std::string Cluster::location_of(const Tuple& tuple) const {
-  const std::size_t idx = catalog_.contains(tuple.predicate())
-                              ? catalog_.loc_index(tuple.predicate())
-                              : 0;
-  if (idx >= tuple.arity() || !tuple.at(idx).is_addr()) {
-    throw ndlog::AnalysisError("tuple " + tuple.to_string() +
-                               " has no address at its location attribute");
-  }
-  return tuple.at(idx).as_addr();
 }
 
 void Cluster::register_addrs(const Value& value) {
@@ -107,7 +91,7 @@ void Cluster::inject(const Tuple& fact) {
   // synthesized, so registering every Addr reachable from the seeds
   // enumerates every node a derived tuple could ever address.
   for (const auto& v : fact.values()) register_addrs(v);
-  seeds_[location_of(fact)].push_back(fact);
+  seeds_[preds_.location_of(fact)].push_back(fact);
 }
 
 void Cluster::inject_all(const std::vector<Tuple>& facts) {
@@ -159,23 +143,8 @@ ClusterStats Cluster::run() {
   // thread starts; afterwards node threads only touch their own state.
   for (const auto& [name, facts] : seeds_) transport_->add_node(name);
   for (const auto& [name, facts] : seeds_) {
-    dataflow::WorkerPool* pool = nullptr;
-    if (parallel_certified_) {
-      // One pool per node: worker engines keep per-round mutable state, so
-      // pools are never shared across node threads.
-      dataflow::WorkerPool::Config cfg;
-      cfg.workers = options_.workers;
-      cfg.plan = plan_ ? &*plan_ : nullptr;
-      cfg.program = &program_;
-      cfg.builtins = builtins_;
-      cfg.catalog = &catalog_;
-      cfg.router = router_;
-      pools_.push_back(std::make_unique<dataflow::WorkerPool>(std::move(cfg)));
-      pool = pools_.back().get();
-    }
-    auto node = std::make_unique<Node>(name, program_, catalog_, *builtins_,
-                                       plan_ ? &*plan_ : nullptr, *transport_,
-                                       options_.reliability, make_obs(name), pool);
+    auto node = std::make_unique<Node>(name, catalog_, *builtins_, plan_, *transport_,
+                                       options_.reliability, make_obs(name));
     for (const auto& fact : facts) node->seed(fact);
     nodes_.emplace(name, std::move(node));
   }
@@ -226,9 +195,11 @@ ClusterStats Cluster::run() {
     bool all_idle = true;
     for (const auto& [name, node] : nodes_) {
       if (node->failed()) failed = true;
+      // Idle before activity: a node that reads idle after finishing a frame
+      // has already published that frame's activity.
+      all_idle = node->idle() && all_idle;
       activity += node->activity();
       unacked += node->unacked();
-      all_idle = all_idle && node->idle();
     }
     if (failed) break;
     const bool quiet = transport_->quiet();
@@ -278,9 +249,6 @@ ClusterStats Cluster::run() {
     stats.ack_bytes += ns.ack_bytes;
   }
   stats.transport = transport_->stats();
-  stats.parallel_active = parallel_certified_;
-  stats.parallel_fallback_reason = parallel_fallback_;
-  for (const auto& pool : pools_) stats.parallel_rounds += pool->rounds();
   if (options_.trace != nullptr) {
     options_.trace->instant("net/quiesced", "net",
                             std::string("{\"quiesced\":") +

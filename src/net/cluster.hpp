@@ -2,7 +2,7 @@
 // Transport and detects distributed termination (DESIGN.md §12).
 //
 // Lifecycle: construct (localizes + checks the program, compiles the
-// dataflow plan when asked), inject() base facts, run() once. run() builds
+// dataflow plan every node runs), inject() base facts, run() once. run() builds
 // the transport, registers every node that can ever be addressed (every
 // Addr value reachable from a base fact — location specifiers cannot be
 // synthesized, only copied, so this is the complete node universe), starts
@@ -15,10 +15,11 @@
 //
 // This is a double-scan (Safra-style) argument: a message in flight at poll
 // time is either buffered somewhere (transport not quiet), unacknowledged
-// (unacked > 0), or was already processed (activity moved between polls).
-// Requiring all three stable across consecutive scans closes the window in
-// which a frame hops between the categories unseen. See DESIGN.md §12 for
-// the full argument.
+// (unacked > 0), held by a node that popped it or has not flushed what it
+// derived (that node reads busy), or was already processed (activity moved
+// between polls). Requiring all of them stable across consecutive scans
+// closes the window in which a frame hops between the categories unseen.
+// See DESIGN.md §12 for the full argument.
 //
 // Scope: hard-state programs only. Soft state (finite lifetimes) and
 // `periodic` need per-node clocks and never quiesce; the constructor rejects
@@ -29,7 +30,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,7 +40,6 @@
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/simulator.hpp"
 
 namespace fvn::net {
 
@@ -54,7 +53,6 @@ class ClusterError : public std::runtime_error {
 enum class TransportKind : std::uint8_t { InProc, Udp };
 
 struct ClusterOptions {
-  runtime::EngineKind engine = runtime::EngineKind::Interpreter;
   TransportKind transport = TransportKind::InProc;
   /// Seeded transport misbehavior; masked by reliability when enabled.
   FaultOptions faults;
@@ -69,15 +67,8 @@ struct ClusterOptions {
   double max_seconds = 30.0;
   bool require_stratified = true;
   bool incremental_aggregates = true;
-  /// Dataflow engine: compile with cost-guided join ordering.
+  /// Compile with cost-guided join ordering.
   bool cost_order = false;
-  /// Shard-parallel evaluation (both engines). 0 = untouched serial nodes.
-  /// >= 1 asks fvn::ndlog::parallel to certify the (localized) program; when
-  /// certified, every node gets a private worker pool of this size and
-  /// evaluates delivered batches in shard-keyed rounds (1 = round machinery
-  /// without extra threads). Uncertified programs transparently run serial;
-  /// ClusterStats::parallel_fallback_reason says why.
-  std::size_t workers = 0;
   /// Observability sinks (null = off). With `metrics`, per-node series
   /// net/node/<n>/{sent,received,retransmitted,acked,installed,bytes_sent,
   /// bytes_received,ack_bytes,tuples_shipped,mailbox_depth,batch_size,
@@ -125,12 +116,6 @@ struct ClusterStats {
   std::size_t coordinator_polls = 0;
   double wall_ms = 0.0;
   bool quiesced = false;
-  /// Shard-parallel execution (ClusterOptions::workers): whether the
-  /// certificate admitted it, why not when it didn't, and the total worker
-  /// rounds evaluated across all nodes.
-  bool parallel_active = false;
-  std::string parallel_fallback_reason;
-  std::uint64_t parallel_rounds = 0;
 };
 
 /// Distributed executor for one hard-state NDlog program. One-shot: run()
@@ -170,25 +155,18 @@ class Cluster {
 
  private:
   void register_addrs(const ndlog::Value& value);
-  std::string location_of(const ndlog::Tuple& tuple) const;
   NodeObs make_obs(const std::string& name);
 
   ndlog::Program program_;
   ndlog::Catalog catalog_;
   ClusterOptions options_;
   const ndlog::BuiltinRegistry* builtins_;
-  std::optional<dataflow::Plan> plan_;
+  dataflow::Plan plan_;
+  runtime::PredTable preds_;
 
   std::map<std::string, std::vector<ndlog::Tuple>> seeds_;  // node -> facts
   std::unique_ptr<Transport> transport_;
   std::map<std::string, std::unique_ptr<Node>> nodes_;
-  /// Shard-parallel mode: the certificate verdict (taken once, in the
-  /// constructor) and one worker pool per node, created before the node
-  /// threads start and destroyed after they join.
-  bool parallel_certified_ = false;
-  std::string parallel_fallback_;
-  dataflow::ShardRouter router_;
-  std::vector<std::unique_ptr<dataflow::WorkerPool>> pools_;
   /// Per-node tuple-event traces (capture_tuple_events only), created before
   /// the node threads start and read only after they join.
   std::map<std::string, std::unique_ptr<obs::Trace>> tuple_traces_;

@@ -7,35 +7,23 @@
 
 namespace fvn::net {
 
-using ndlog::Rule;
 using ndlog::Tuple;
 using ndlog::TupleSet;
 
-Node::Node(std::string name, const ndlog::Program& program,
-           const ndlog::Catalog& catalog, const ndlog::BuiltinRegistry& builtins,
-           const dataflow::Plan* plan, Transport& transport,
-           ReliabilityOptions reliability, NodeObs obs, dataflow::WorkerPool* pool)
+Node::Node(std::string name, const ndlog::Catalog& catalog,
+           const ndlog::BuiltinRegistry& builtins, const dataflow::Plan& plan,
+           Transport& transport, ReliabilityOptions reliability, NodeObs obs)
     : name_(std::move(name)),
-      program_(&program),
-      catalog_(&catalog),
-      builtins_(&builtins),
       transport_(&transport),
       reliability_(reliability),
       obs_(obs),
-      engine_(builtins),
-      plan_(plan),
-      pool_(pool),
-      epoch_(std::chrono::steady_clock::now()) {
-  if (plan_ != nullptr) {
-    // Per-node engine with a null registry: obs::Registry is not thread-safe
-    // and the shared element counters would race across node threads.
-    flow_ = std::make_unique<dataflow::Engine>(*plan_, builtins, nullptr);
-  }
-  for (const auto& rule : program_->rules) {
-    if (rule.is_fact()) continue;
-    (rule.head.has_aggregate() ? agg_rules_ : normal_rules_).push_back(&rule);
-  }
-}
+      plan_(&plan),
+      preds_(catalog),
+      // Null registry: obs::Registry is not thread-safe and the shared
+      // element counters would race across node threads.
+      flow_(plan, builtins, nullptr),
+      agg_cache_(plan.aggregates.size()),
+      epoch_(std::chrono::steady_clock::now()) {}
 
 double Node::now_ms() const {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
@@ -44,50 +32,6 @@ double Node::now_ms() const {
 }
 
 void Node::seed(Tuple fact) { seeds_.push_back(std::move(fact)); }
-
-const Node::PredInfo& Node::pred_info(const std::string& predicate) const {
-  auto it = pred_cache_.find(predicate);
-  if (it != pred_cache_.end()) return it->second;
-  PredInfo info;
-  if (catalog_->contains(predicate)) {
-    const auto& ci = catalog_->info(predicate);
-    info.loc_index = ci.loc_index;
-    info.transient = ci.lifetime_seconds.has_value() && *ci.lifetime_seconds == 0.0;
-    info.key_fields = &ci.key_fields;
-  }
-  return pred_cache_.emplace(predicate, info).first->second;
-}
-
-const std::string& Node::location_of(const Tuple& tuple) const {
-  const std::size_t idx = pred_info(tuple.predicate()).loc_index;
-  if (idx >= tuple.arity() || !tuple.at(idx).is_addr()) {
-    throw ndlog::AnalysisError("tuple " + tuple.to_string() +
-                               " has no address at its location attribute");
-  }
-  return tuple.at(idx).as_addr();
-}
-
-bool Node::TupleKeyLess::operator()(const Tuple& a, const Tuple& b) const {
-  if (int c = a.predicate().compare(b.predicate()); c != 0) return c < 0;
-  const auto* kf = node->pred_info(a.predicate()).key_fields;
-  if (kf == nullptr || kf->empty()) return a < b;  // whole tuple is the key
-  for (std::size_t f : *kf) {
-    if (f < 1 || f > a.arity() || f > b.arity()) continue;
-    const ndlog::Value& va = a.at(f - 1);
-    const ndlog::Value& vb = b.at(f - 1);
-    if (va < vb) return true;
-    if (vb < va) return false;
-  }
-  return false;
-}
-
-void Node::note_insert(const Tuple& tuple) {
-  if (flow_) flow_->on_insert(tuple, db_);
-}
-
-void Node::note_erase(const Tuple& tuple) {
-  if (flow_) flow_->on_erase(tuple, db_);
-}
 
 void Node::tuple_event(const char* kind, const Tuple& tuple) {
   if (obs_.tuple_events != nullptr && *obs_.tuple_events) {
@@ -107,19 +51,19 @@ bool Node::install(const Tuple& tuple) {
   if (it == by_key_.end()) {
     by_key_.insert(tuple);
     db_.insert(tuple);
-    note_insert(tuple);
+    flow_.on_insert(tuple, db_);
     tuple_event("install", tuple);
     changed = true;
   } else if (!(*it == tuple)) {
     // Keyed overwrite (P2 materialize semantics), exactly as the simulator.
     db_.erase(*it);
-    note_erase(*it);
+    flow_.on_erase(*it, db_);
     tuple_event("retract", *it);
     auto slot = by_key_.extract(it);
     slot.value() = tuple;  // same key fields: the set's order is undisturbed
     by_key_.insert(std::move(slot));
     db_.insert(tuple);
-    note_insert(tuple);
+    flow_.on_insert(tuple, db_);
     tuple_event("install", tuple);
     ++stats_.overwrites;
     changed = true;
@@ -132,7 +76,7 @@ bool Node::install(const Tuple& tuple) {
 }
 
 void Node::route(Tuple tuple) {
-  const std::string& dest = location_of(tuple);
+  const std::string& dest = preds_.location_of(tuple);
   if (dest == name_) {
     deliver(std::move(tuple), /*transient=*/false);
   } else {
@@ -142,131 +86,61 @@ void Node::route(Tuple tuple) {
 
 void Node::run_rules(const Tuple& delta) {
   std::vector<Tuple> produced;
-  if (flow_) {
-    flow_->process(delta, db_, produced);
-  } else {
-    TupleSet delta_set{delta};
-    for (const Rule* rule : normal_rules_) {
-      const auto atoms = ndlog::RuleEngine::positive_atoms(*rule);
-      for (std::size_t i = 0; i < atoms.size(); ++i) {
-        if (atoms[i]->atom.predicate != delta.predicate()) continue;
-        engine_.eval_rule_delta(*rule, db_, i, delta_set,
-                                [&](Tuple t) { produced.push_back(std::move(t)); });
-      }
-    }
-  }
+  flow_.process(delta, db_, produced);
   for (auto& t : produced) route(std::move(t));
 }
 
+void Node::retract_row(const Tuple& row) {
+  if (!db_.erase(row)) return;
+  flow_.on_erase(row, db_);
+  tuple_event("retract", row);
+  by_key_.erase(row);
+}
+
 bool Node::run_agg_rules() {
-  if (agg_rules_.empty()) return false;
   bool any_changed = false;
-  if (flow_) {
-    for (std::size_t i = 0; i < plan_->aggregates.size(); ++i) {
-      if (flow_->aggregate_incremental(i)) {
-        // Diff flush: only the groups whose aggregate value moved come back,
-        // so maintenance costs O(changes), not O(groups), per batch.
-        if (!flow_->flush_aggregate_diff(i, agg_deltas_)) continue;
-        any_changed = true;
-        for (auto& d : agg_deltas_) {
-          if (d.retract.has_value() && location_of(*d.retract) == name_ &&
-              db_.erase(*d.retract)) {
-            note_erase(*d.retract);
-            tuple_event("retract", *d.retract);
-            by_key_.erase(*d.retract);
-          }
-          if (!d.assert_now.has_value()) continue;
-          const std::string dest = location_of(*d.assert_now);
-          if (dest == name_) {
-            if (install(*d.assert_now)) {
-              if (agg_collect_ != nullptr) {
-                agg_collect_->push_back(std::move(*d.assert_now));
-              } else {
-                run_rules(*d.assert_now);
-              }
-            }
-          } else {
-            ship(std::move(*d.assert_now), dest);
-          }
-        }
-        continue;
-      }
-      const Rule* rule = &program_->rules[plan_->aggregates[i].rule_index];
-      auto maybe_outputs = flow_->flush_aggregate(i, db_);
-      if (!maybe_outputs) continue;  // provably unchanged since the last flush
-      TupleSet outputs = std::move(*maybe_outputs);
-      TupleSet& prev = agg_cache_[rule];
-      if (outputs == prev) continue;
+  for (std::size_t i = 0; i < plan_->aggregates.size(); ++i) {
+    if (flow_.aggregate_incremental(i)) {
+      // Diff flush: only the groups whose aggregate value moved come back,
+      // so maintenance costs O(changes), not O(groups), per batch.
+      if (!flow_.flush_aggregate_diff(i, agg_deltas_)) continue;
       any_changed = true;
-      for (const auto& old_row : prev) {
-        if (outputs.count(old_row)) continue;
-        if (location_of(old_row) != name_) continue;  // remote copies are theirs
-        if (db_.erase(old_row)) {
-          note_erase(old_row);
-          tuple_event("retract", old_row);
-          by_key_.erase(old_row);
+      for (auto& d : agg_deltas_) {
+        if (d.retract.has_value() && preds_.location_of(*d.retract) == name_) {
+          retract_row(*d.retract);
         }
+        if (d.assert_now.has_value()) route_agg_row(std::move(*d.assert_now));
       }
-      std::vector<Tuple> added;
-      for (const auto& row : outputs) {
-        if (!prev.count(row)) added.push_back(row);
-      }
-      prev = outputs;
-      for (auto& t : added) {
-        const std::string dest = location_of(t);
-        if (dest == name_) {
-          if (install(t)) {
-            if (agg_collect_ != nullptr) {
-              agg_collect_->push_back(std::move(t));
-            } else {
-              run_rules(t);
-            }
-          }
-        } else {
-          ship(std::move(t), dest);
-        }
-      }
+      continue;
     }
-    return any_changed;
-  }
-  for (const Rule* rule : agg_rules_) {
-    TupleSet outputs;
-    engine_.eval_agg_rule(*rule, db_, [&](Tuple t) { outputs.insert(std::move(t)); });
-    TupleSet& prev = agg_cache_[rule];
+    auto maybe_outputs = flow_.flush_aggregate(i, db_);
+    if (!maybe_outputs) continue;  // provably unchanged since the last flush
+    TupleSet outputs = std::move(*maybe_outputs);
+    TupleSet& prev = agg_cache_[i];
     if (outputs == prev) continue;
     any_changed = true;
-    // Incremental view maintenance: retract groups that disappeared or whose
-    // aggregate value changed, then install/ship the new rows (same
-    // diff-against-cache flow as runtime::Simulator::run_agg_rules).
     for (const auto& old_row : prev) {
       if (outputs.count(old_row)) continue;
-      if (location_of(old_row) != name_) continue;
-      if (db_.erase(old_row)) {
-        tuple_event("retract", old_row);
-        by_key_.erase(old_row);
-      }
+      if (preds_.location_of(old_row) != name_) continue;  // remote copies are theirs
+      retract_row(old_row);
     }
     std::vector<Tuple> added;
     for (const auto& row : outputs) {
       if (!prev.count(row)) added.push_back(row);
     }
-    prev = outputs;
-    for (auto& t : added) {
-      const std::string dest = location_of(t);
-      if (dest == name_) {
-        if (install(t)) {
-          if (agg_collect_ != nullptr) {
-            agg_collect_->push_back(std::move(t));
-          } else {
-            run_rules(t);
-          }
-        }
-      } else {
-        ship(std::move(t), dest);
-      }
-    }
+    prev = std::move(outputs);
+    for (auto& t : added) route_agg_row(std::move(t));
   }
   return any_changed;
+}
+
+void Node::route_agg_row(Tuple row) {
+  const std::string& dest = preds_.location_of(row);
+  if (dest != name_) {
+    ship(std::move(row), dest);
+  } else if (install(row)) {
+    run_rules(row);
+  }
 }
 
 void Node::flush_agg_rules() {
@@ -388,59 +262,13 @@ void Node::send_ack(const std::string& dest, std::uint64_t cumulative_seq) {
 }
 
 void Node::deliver_tuples(std::vector<Tuple>&& tuples) {
-  if (pool_ != nullptr) {
-    deliver_tuples_parallel(std::move(tuples));
-    return;
-  }
   for (auto& t : tuples) {
-    const bool transient = pred_info(t.predicate()).transient;
+    const bool transient = preds_.info(t.predicate()).transient;
     deliver(std::move(t), transient);
   }
   // One aggregate flush per delivered batch instead of per tuple — with
   // batching this is where most of the cluster's rule-evaluation time went.
   flush_agg_rules();
-}
-
-void Node::deliver_tuples_parallel(std::vector<Tuple>&& tuples) {
-  // Round 0: serial installs in batch order (the exact order the serial
-  // path would use); survivors plus transients form the delta frontier.
-  std::vector<Tuple> frontier;
-  for (auto& t : tuples) {
-    if (pred_info(t.predicate()).transient) {
-      frontier.push_back(std::move(t));
-    } else if (install(t)) {
-      frontier.push_back(std::move(t));
-    }
-  }
-  while (!frontier.empty()) {
-    // Freeze the database for this round: build every probeable index now,
-    // then the workers' concurrent lookups are pure reads.
-    pool_->prewarm(db_);
-    std::vector<dataflow::RoundItem> items;
-    items.reserve(frontier.size());
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-      items.push_back(dataflow::RoundItem{&frontier[i], &db_, i});
-    }
-    std::vector<std::pair<std::size_t, Tuple>> produced;
-    pool_->process_round(items, produced);
-
-    // Barrier: installs, ships and aggregate flushes serialize again, in
-    // the pool's deterministic shard-major merge order.
-    std::vector<Tuple> next;
-    for (auto& [tag, t] : produced) {
-      (void)tag;  // single node: every delta is ours
-      const std::string& dest = location_of(t);
-      if (dest == name_) {
-        if (install(t)) next.push_back(std::move(t));
-      } else {
-        ship(std::move(t), dest);
-      }
-    }
-    agg_collect_ = &next;
-    flush_agg_rules();
-    agg_collect_ = nullptr;
-    frontier = std::move(next);
-  }
 }
 
 void Node::handle_batch(Frame&& frame) {
@@ -525,6 +353,10 @@ void Node::handle_frame(const std::string& bytes) {
 }
 
 bool Node::sweep() {
+  // Busy before the mailbox is touched: a frame this sweep pops has left the
+  // transport and, with reliability off, nothing else the coordinator reads
+  // shows it until activity_ moves after handle_frame.
+  idle_.store(false, std::memory_order_release);
   transport_->pump(name_);
   retransmit_due();
   std::string bytes;
@@ -538,37 +370,32 @@ bool Node::sweep() {
   if (drained > 0) stats_.last_active_ms = now_ms();
   // Everything this sweep derived for each remote peer leaves as one batch.
   flush_channels();
-  if (drained > 0 && obs_.mailbox_depth != nullptr) obs_.mailbox_depth->observe(drained);
-  return drained > 0;
+  if (drained == 0) {
+    // Nothing popped and every derivation flushed: idle until the next sweep.
+    idle_.store(true, std::memory_order_release);
+    return false;
+  }
+  if (obs_.mailbox_depth != nullptr) obs_.mailbox_depth->observe(drained);
+  return true;
 }
 
 void Node::run(const std::atomic<bool>& stop) {
   try {
     rx_cursor_ = transport_->rx_cursor(name_);
-    if (pool_ != nullptr) {
-      // The seed batch goes through the same round machinery as delivered
-      // batches (deliver_tuples_parallel flushes aggregates per round).
-      activity_.fetch_add(seeds_.size(), std::memory_order_acq_rel);
-      std::vector<Tuple> seeds = std::move(seeds_);
-      deliver_tuples_parallel(std::move(seeds));
-    } else {
-      for (auto& fact : seeds_) {
-        deliver(std::move(fact), /*transient=*/false);
-        activity_.fetch_add(1, std::memory_order_acq_rel);
-      }
-      flush_agg_rules();
+    for (auto& fact : seeds_) {
+      deliver(std::move(fact), /*transient=*/false);
+      activity_.fetch_add(1, std::memory_order_acq_rel);
     }
+    flush_agg_rules();
     seeds_.clear();
     flush_channels();  // the seeds' derivations ship before the first sweep
     std::uint32_t idle_streak = 0;
     while (!stop.load(std::memory_order_acquire)) {
       if (sweep()) {
-        idle_.store(false, std::memory_order_release);
         idle_streak = 0;
         continue;
       }
       if (++idle_streak < 8) {
-        idle_.store(true, std::memory_order_release);
         std::this_thread::yield();
         continue;
       }
@@ -583,11 +410,7 @@ void Node::run(const std::atomic<bool>& stop) {
       // deadlines (and, inside rx_wait, fault pumping); shutdown is a
       // wake_all() from the coordinator.
       const std::uint64_t ticket = transport_->rx_ticket(name_);
-      if (sweep()) {
-        idle_.store(false, std::memory_order_release);
-        continue;
-      }
-      idle_.store(true, std::memory_order_release);
+      if (sweep()) continue;
       double timeout_ms = 5.0;
       if (!due_heap_.empty()) {
         timeout_ms = std::clamp(due_heap_.top().due_ms - now_ms(), 0.05, 5.0);

@@ -1,7 +1,6 @@
 // fvn::net node runtime — one concurrently-executing NDlog node (DESIGN.md
-// §12). A Node owns its slice of the distributed database and an executor
-// over it (interpreter RuleEngine or compiled dataflow::Engine), and runs an
-// event loop on its own std::thread:
+// §12). A Node owns its slice of the distributed database and a compiled
+// dataflow::Engine over it, and runs an event loop on its own std::thread:
 //
 //   pump held frames -> retransmit overdue -> drain mailbox -> flush batches
 //
@@ -38,6 +37,10 @@
 // polls for termination detection, and the transport (internally
 // synchronized). The obs series pointers are wired before the thread starts
 // and point into a Registry nobody else touches concurrently per-node.
+//
+// Idle discipline: `idle` goes false *before* a sweep looks at the mailbox
+// and true only after a sweep that popped nothing, so a node reads busy for
+// the whole time it holds a popped frame or derivations it has not flushed.
 #pragma once
 
 #include <atomic>
@@ -45,23 +48,19 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <queue>
-#include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "dataflow/engine.hpp"
 #include "dataflow/plan.hpp"
-#include "dataflow/workers.hpp"
 #include "ndlog/catalog.hpp"
-#include "ndlog/eval.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/pred_table.hpp"
 
 namespace fvn::net {
 
@@ -142,16 +141,10 @@ struct NodeStats {
 /// owns the lifecycle.
 class Node {
  public:
-  /// `program`, `catalog`, `builtins`, `plan`, `transport` and `pool` must
-  /// outlive the node; `plan` is null in interpreter mode. `pool` (may be
-  /// null = serial) is this node's private shard-parallel worker pool: the
-  /// Cluster only hands one over when fvn::ndlog::parallel certified the
-  /// program, and the node then evaluates each delivered batch in
-  /// shard-keyed rounds instead of per-tuple cascades.
-  Node(std::string name, const ndlog::Program& program, const ndlog::Catalog& catalog,
-       const ndlog::BuiltinRegistry& builtins, const dataflow::Plan* plan,
-       Transport& transport, ReliabilityOptions reliability, NodeObs obs,
-       dataflow::WorkerPool* pool = nullptr);
+  /// `catalog`, `builtins`, `plan` and `transport` must outlive the node.
+  Node(std::string name, const ndlog::Catalog& catalog,
+       const ndlog::BuiltinRegistry& builtins, const dataflow::Plan& plan,
+       Transport& transport, ReliabilityOptions reliability, NodeObs obs);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -167,7 +160,8 @@ class Node {
 
   // --- Coordinator-facing signals (safe while the thread runs) --------------
 
-  /// True when the last loop sweep found nothing to do.
+  /// True from the end of a sweep that found nothing to do until the next
+  /// sweep starts.
   bool idle() const noexcept { return idle_.load(std::memory_order_acquire); }
   /// Monotonic count of frames/seeds processed — the double-scan input.
   std::uint64_t activity() const noexcept {
@@ -208,32 +202,11 @@ class Node {
     std::uint64_t seq = 0;
     bool operator>(const Due& other) const { return due_ms > other.due_ms; }
   };
-  /// Catalog facts consulted per routed/delivered tuple, interned once per
-  /// predicate name so the hot path never repeats a std::map string walk.
-  struct PredInfo {
-    std::size_t loc_index = 0;
-    bool transient = false;           // lifetime 0: deliver without installing
-    const std::vector<std::size_t>* key_fields = nullptr;  // null or empty = whole tuple
-  };
-  /// Keyed-overwrite identity order: tuples sort by predicate then by their
-  /// declared key fields (whole tuple when none declared). Comparing Values
-  /// in place replaces the old stringified-key map — installs no longer pay
-  /// a to_string allocation per key field.
-  struct TupleKeyLess {
-    const Node* node = nullptr;
-    bool operator()(const ndlog::Tuple& a, const ndlog::Tuple& b) const;
-  };
-
   double now_ms() const;
   bool sweep();  ///< one loop iteration; true if any frame was processed
   void handle_frame(const std::string& bytes);
   void handle_batch(Frame&& frame);
   void deliver_tuples(std::vector<ndlog::Tuple>&& tuples);
-  /// Shard-parallel variant (pool_ != null): install the batch serially,
-  /// then evaluate the surviving deltas in worker rounds with installs,
-  /// aggregate flushes and ships serialized at each round barrier — the
-  /// simulator's deliver_parallel_batch, restricted to one node.
-  void deliver_tuples_parallel(std::vector<ndlog::Tuple>&& tuples);
   void send_ack(const std::string& dest, std::uint64_t cumulative_seq);
   void retransmit_due();
   void ship(ndlog::Tuple tuple, const std::string& dest);
@@ -253,38 +226,29 @@ class Node {
   /// the flush boundaries fall.
   void flush_agg_rules();
   void route(ndlog::Tuple tuple);  ///< local -> deliver, remote -> ship
-  const std::string& location_of(const ndlog::Tuple& tuple) const;
-  const PredInfo& pred_info(const std::string& predicate) const;
-  void note_insert(const ndlog::Tuple& tuple);
-  void note_erase(const ndlog::Tuple& tuple);
+  /// Erase a local row an aggregate pass retracted (no-op if absent).
+  void retract_row(const ndlog::Tuple& row);
+  /// A row an aggregate pass emitted: ship it, or install it and run the
+  /// ordinary rules on it.
+  void route_agg_row(ndlog::Tuple row);
   /// Structured tuple-event emission into obs_.tuple_trace (no-op when null);
   /// `kind` is "install" or "retract" (no soft state in the cluster, so no
   /// "expire").
   void tuple_event(const char* kind, const ndlog::Tuple& tuple);
 
   std::string name_;
-  const ndlog::Program* program_;
-  const ndlog::Catalog* catalog_;
-  const ndlog::BuiltinRegistry* builtins_;
   Transport* transport_;
   ReliabilityOptions reliability_;
   NodeObs obs_;
 
-  ndlog::RuleEngine engine_;
-  std::unique_ptr<dataflow::Engine> flow_;  // dataflow mode only
-  std::vector<const ndlog::Rule*> normal_rules_;
-  std::vector<const ndlog::Rule*> agg_rules_;
   const dataflow::Plan* plan_;
-  dataflow::WorkerPool* pool_;  // null = serial evaluation
-  /// Non-null only inside deliver_tuples_parallel: run_agg_rules appends
-  /// locally installed aggregate rows here (next round's deltas) instead of
-  /// cascading through run_rules immediately.
-  std::vector<ndlog::Tuple>* agg_collect_ = nullptr;
+  runtime::PredTable preds_;
+  dataflow::Engine flow_;
 
   ndlog::Database db_;
-  /// One entry per keyed-overwrite slot; the element is the installed tuple.
-  std::set<ndlog::Tuple, TupleKeyLess> by_key_{TupleKeyLess{this}};
-  std::map<const ndlog::Rule*, ndlog::TupleSet> agg_cache_;
+  runtime::KeyIndex by_key_{runtime::TupleKeyLess{&preds_}};
+  /// Last output per recompute-mode aggregate (indexed like plan_->aggregates).
+  std::vector<ndlog::TupleSet> agg_cache_;
   std::vector<dataflow::Engine::AggDelta> agg_deltas_;  // diff-flush scratch
   std::vector<ndlog::Tuple> seeds_;
 
@@ -297,7 +261,6 @@ class Node {
   /// Count of non-empty outbuf_ buffers, so idle sweeps skip the flush scan.
   std::size_t outbuf_dirty_ = 0;
   std::priority_queue<Due, std::vector<Due>, std::greater<Due>> due_heap_;
-  mutable std::unordered_map<std::string, PredInfo> pred_cache_;
 
   /// Transport mailbox cursor for name_, cached at run() start so the sweep
   /// loop's mailbox polls skip the name lookup. Null = use the name path.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "ndlog/parallel.hpp"
 #include "obs/json.hpp"
 #include "runtime/localize.hpp"
 
@@ -32,6 +31,19 @@ std::uint64_t derive_loss_seed(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// The static checks every run needs, then the compiled plan every node
+/// executes.
+dataflow::Plan checked_plan(const ndlog::Program& program, const SimOptions& options,
+                            const ndlog::BuiltinRegistry& builtins) {
+  ndlog::check_arities(program);
+  ndlog::check_safety(program, builtins);
+  if (options.require_stratified) ndlog::stratify(program);
+  dataflow::PlanOptions plan_options;
+  plan_options.incremental_aggregates = options.incremental_aggregates;
+  plan_options.cost_order = options.cost_order;
+  return dataflow::compile(program, plan_options);
+}
+
 }  // namespace
 
 Simulator::Simulator(ndlog::Program program, SimOptions options,
@@ -40,40 +52,10 @@ Simulator::Simulator(ndlog::Program program, SimOptions options,
       catalog_(ndlog::Catalog::from_program(program_)),
       options_(options),
       builtins_(&builtins),
-      engine_(builtins),
+      plan_(checked_plan(program_, options_, builtins)),
+      preds_(catalog_),
       rng_(options.seed),
       loss_rng_(derive_loss_seed(options.seed)) {
-  ndlog::check_arities(program_);
-  ndlog::check_safety(program_, builtins);
-  if (options_.require_stratified) ndlog::stratify(program_);
-  if (options_.engine == EngineKind::Dataflow) {
-    dataflow::PlanOptions plan_options;
-    plan_options.incremental_aggregates = options_.incremental_aggregates;
-    plan_options.cost_order = options_.cost_order;
-    plan_.emplace(dataflow::compile(program_, plan_options));
-  }
-  if (options_.workers >= 1) {
-    // Shard-parallel mode rides on the static certificate over the
-    // *localized* program (the form the per-node engines actually run).
-    ndlog::DiagnosticSink parallel_sink;
-    const auto report = ndlog::parallel::analyze(program_, parallel_sink);
-    if (report.certified) {
-      dataflow::WorkerPool::Config cfg;
-      cfg.workers = options_.workers;
-      cfg.plan = plan_ ? &*plan_ : nullptr;
-      cfg.program = &program_;
-      cfg.builtins = builtins_;
-      cfg.catalog = &catalog_;
-      cfg.router = dataflow::ShardRouter(report, catalog_);
-      pool_ = std::make_unique<dataflow::WorkerPool>(std::move(cfg));
-      stats_.parallel_active = true;
-    } else {
-      // Transparent fallback: run serial, but tell the caller why.
-      stats_.parallel_fallback_reason = report.fallback_reason.empty()
-                                            ? "program not certified"
-                                            : report.fallback_reason;
-    }
-  }
   for (const auto& rule : program_.rules) {
     if (rule.is_fact()) {
       // Program-embedded ground facts are injected at t=0.
@@ -85,44 +67,23 @@ Simulator::Simulator(ndlog::Program program, SimOptions options,
       inject(Tuple(rule.head.predicate, std::move(values)), 0.0);
       continue;
     }
-    (rule.head.has_aggregate() ? agg_rules_ : normal_rules_).push_back(&rule);
     for (const auto& elem : rule.body) {
       if (const auto* ba = std::get_if<ndlog::BodyAtom>(&elem)) {
         if (ba->atom.predicate == "periodic") uses_periodic_ = true;
-        if (rule.head.has_aggregate()) agg_body_preds_.insert(ba->atom.predicate);
       }
     }
   }
 }
 
-void Simulator::add_node(const std::string& name) { node_states_[name]; }
+void Simulator::add_node(const std::string& name) { state_of(name); }
+
+Simulator::NodeState& Simulator::state_of(const std::string& node) {
+  return node_states_.try_emplace(node, preds_, plan_.aggregates.size()).first->second;
+}
 
 void Simulator::set_link_delay(const std::string& from, const std::string& to,
                                double delay) {
   link_delays_[{from, to}] = delay;
-}
-
-const Simulator::PredInfo& Simulator::pred_info(const std::string& predicate) const {
-  auto it = pred_cache_.find(predicate);
-  if (it != pred_cache_.end()) return it->second;
-  PredInfo info;
-  if (catalog_.contains(predicate)) {
-    const auto& mat = catalog_.info(predicate);
-    info.loc_index = mat.loc_index;
-    info.lifetime = mat.lifetime_seconds;
-    info.transient = mat.lifetime_seconds.has_value() && *mat.lifetime_seconds == 0.0;
-    if (!mat.key_fields.empty()) info.key_fields = &mat.key_fields;
-  }
-  return pred_cache_.emplace(predicate, info).first->second;
-}
-
-std::string Simulator::location_of(const Tuple& tuple) const {
-  const std::size_t idx = pred_info(tuple.predicate()).loc_index;
-  if (idx >= tuple.arity() || !tuple.at(idx).is_addr()) {
-    throw ndlog::AnalysisError("tuple " + tuple.to_string() +
-                               " has no address at its location attribute");
-  }
-  return tuple.at(idx).as_addr();
 }
 
 void Simulator::schedule(Event event) {
@@ -134,7 +95,7 @@ void Simulator::inject(const Tuple& fact, double time) {
   Event e;
   e.time = time;
   e.kind = Event::Kind::Deliver;
-  e.node = location_of(fact);
+  e.node = preds_.location_of(fact);
   e.tuple = fact;
   add_node(e.node);
   schedule(std::move(e));
@@ -148,37 +109,18 @@ void Simulator::retract(const Tuple& fact, double time) {
   Event e;
   e.time = time;
   e.kind = Event::Kind::Retract;
-  e.node = location_of(fact);
+  e.node = preds_.location_of(fact);
   e.tuple = fact;
   schedule(std::move(e));
 }
 
 void Simulator::add_monitor(Monitor monitor) { monitors_.push_back(std::move(monitor)); }
 
-std::string Simulator::key_of(const Tuple& tuple) const {
-  std::string key = tuple.predicate();
-  const PredInfo& info = pred_info(tuple.predicate());
-  if (info.key_fields == nullptr) return key + "|" + tuple.to_string();
-  for (std::size_t f : *info.key_fields) {
-    if (f >= 1 && f <= tuple.arity()) key += "|" + tuple.at(f - 1).to_string();
-  }
-  return key;
-}
-
 dataflow::Engine& Simulator::flow(NodeState& state) {
   if (!state.flow) {
-    state.flow =
-        std::make_unique<dataflow::Engine>(*plan_, *builtins_, options_.metrics);
+    state.flow = std::make_unique<dataflow::Engine>(plan_, *builtins_, options_.metrics);
   }
   return *state.flow;
-}
-
-void Simulator::note_insert(NodeState& state, const Tuple& tuple) {
-  if (plan_) flow(state).on_insert(tuple, state.db);
-}
-
-void Simulator::note_erase(NodeState& state, const Tuple& tuple) {
-  if (plan_) flow(state).on_erase(tuple, state.db);
 }
 
 void Simulator::tuple_event(std::string_view kind, const std::string& node,
@@ -194,24 +136,26 @@ void Simulator::tuple_event(std::string_view kind, const std::string& node,
 
 bool Simulator::install(NodeState& state, const std::string& node, const Tuple& tuple,
                         double now) {
-  const std::optional<double> lifetime = pred_info(tuple.predicate()).lifetime;
-  const std::string key = key_of(tuple);
-  auto it = state.by_key.find(key);
+  const std::optional<double> lifetime = preds_.info(tuple.predicate()).lifetime;
+  dataflow::Engine& engine = flow(state);
+  auto it = state.by_key.find(tuple);
   bool changed = false;
   if (it == state.by_key.end()) {
-    state.by_key.emplace(key, tuple);
+    state.by_key.insert(tuple);
     state.db.insert(tuple);
-    note_insert(state, tuple);
+    engine.on_insert(tuple, state.db);
     changed = true;
-  } else if (!(it->second == tuple)) {
+  } else if (!(*it == tuple)) {
     // Key overwrite (P2 materialize semantics).
-    state.db.erase(it->second);
-    note_erase(state, it->second);
-    tuple_event("retract", node, it->second, now);
-    state.expires_at.erase(it->second);
-    it->second = tuple;
+    state.db.erase(*it);
+    engine.on_erase(*it, state.db);
+    tuple_event("retract", node, *it, now);
+    state.expires_at.erase(*it);
+    auto slot = state.by_key.extract(it);
+    slot.value() = tuple;  // same key fields: the set's order is undisturbed
+    state.by_key.insert(std::move(slot));
     state.db.insert(tuple);
-    note_insert(state, tuple);
+    engine.on_insert(tuple, state.db);
     ++stats_.overwrites;
     if (options_.metrics != nullptr) {
       options_.metrics->counter("sim/node/" + node + "/overwrites").add(1);
@@ -253,7 +197,7 @@ bool Simulator::install(NodeState& state, const std::string& node, const Tuple& 
 }
 
 void Simulator::send(const std::string& from, const Tuple& tuple, double now) {
-  const std::string to = location_of(tuple);
+  const std::string& to = preds_.location_of(tuple);
   ++stats_.messages_sent;
   if (options_.record_trace) {
     trace_.push_back(
@@ -293,31 +237,11 @@ void Simulator::send(const std::string& from, const Tuple& tuple, double now) {
 }
 
 void Simulator::run_rules(const std::string& node, const Tuple& delta, double now) {
-  NodeState& state = node_states_[node];
+  NodeState& state = state_of(node);
   std::vector<Tuple> produced;
-  if (plan_) {
-    flow(state).process(delta, state.db, produced);
-  } else {
-    TupleSet delta_set{delta};
-    for (const Rule* rule : normal_rules_) {
-      const auto atoms = ndlog::RuleEngine::positive_atoms(*rule);
-      std::uint64_t firings = 0;
-      for (std::size_t i = 0; i < atoms.size(); ++i) {
-        if (atoms[i]->atom.predicate != delta.predicate()) continue;
-        engine_.eval_rule_delta(*rule, state.db, i, delta_set, [&](Tuple t) {
-          ++firings;
-          produced.push_back(std::move(t));
-        });
-      }
-      if (firings != 0 && options_.metrics != nullptr) {
-        options_.metrics->counter("sim/rule/" + rule->display_name() + "/firings")
-            .add(firings);
-      }
-    }
-  }
+  flow(state).process(delta, state.db, produced);
   for (auto& t : produced) {
-    const std::string dest = location_of(t);
-    if (dest == node) {
+    if (preds_.location_of(t) == node) {
       deliver(node, t, now, /*transient=*/false);
     } else {
       send(node, t, now);
@@ -325,111 +249,43 @@ void Simulator::run_rules(const std::string& node, const Tuple& delta, double no
   }
 }
 
-void Simulator::run_agg_rules(const std::string& node, double now,
-                              std::vector<Tuple>* collect) {
-  if (agg_rules_.empty()) return;
-  if (plan_) {
-    run_agg_rules_dataflow(node, now, collect);
-    return;
-  }
-  NodeState& state = node_states_[node];
-  for (const Rule* rule : agg_rules_) {
-    TupleSet outputs;
-    std::uint64_t firings = 0;
-    engine_.eval_agg_rule(*rule, state.db, [&](Tuple t) {
-      ++firings;
-      outputs.insert(std::move(t));
-    });
-    if (firings != 0 && options_.metrics != nullptr) {
-      options_.metrics->counter("sim/rule/" + rule->display_name() + "/firings")
-          .add(firings);
-    }
-    TupleSet& prev = state.agg_cache[rule];
+void Simulator::run_agg_rules(const std::string& node, double now) {
+  // Same rule order, same diff-against-cache flow and same emission order
+  // as the centralized evaluator's eval_agg_rule (the engine builds each
+  // output set by the same sorted-group insertion sequence), except the
+  // output view comes from incrementally maintained group state instead of
+  // a full recompute.
+  NodeState& state = state_of(node);
+  dataflow::Engine& engine = flow(state);
+  for (std::size_t i = 0; i < plan_.aggregates.size(); ++i) {
+    auto maybe_outputs = engine.flush_aggregate(i, state.db);
+    if (!maybe_outputs) continue;  // provably unchanged since the last flush
+    TupleSet outputs = std::move(*maybe_outputs);
+    TupleSet& prev = state.agg_cache[i];
     if (outputs == prev) continue;
     // Incremental view maintenance: retract groups that disappeared or whose
     // aggregate value changed, then install/ship the new rows.
     for (const auto& old_row : prev) {
       if (outputs.count(old_row)) continue;
-      if (location_of(old_row) != node) continue;  // remote copies age out
+      if (preds_.location_of(old_row) != node) continue;  // remote copies age out
       if (state.db.erase(old_row)) {
-        state.by_key.erase(key_of(old_row));
+        engine.on_erase(old_row, state.db);
+        state.by_key.erase(old_row);
         state.expires_at.erase(old_row);
         stats_.last_change_time = now;
         tuple_event("retract", node, old_row, now);
-        if (pool_ != nullptr && agg_body_preds_.count(old_row.predicate()) != 0) {
-          state.agg_stale = true;  // a chained aggregate reads this output
-        }
       }
     }
     std::vector<Tuple> added;
     for (const auto& row : outputs) {
       if (!prev.count(row)) added.push_back(row);
     }
-    prev = outputs;
+    prev = std::move(outputs);
     for (const auto& t : added) {
-      const std::string dest = location_of(t);
-      if (dest == node) {
-        if (install(state, node, t, now)) {
-          if (collect != nullptr) {
-            collect->push_back(t);  // next parallel round picks it up
-          } else {
-            run_rules(node, t, now);
-          }
-        }
-      } else {
+      if (preds_.location_of(t) != node) {
         send(node, t, now);
-      }
-    }
-  }
-}
-
-void Simulator::run_agg_rules_dataflow(const std::string& node, double now,
-                                       std::vector<Tuple>* collect) {
-  // Mirrors the interpreter's run_agg_rules exactly — same rule order, same
-  // diff-against-cache flow, same emission order (the engine builds the
-  // output set by the same sorted-group insertion sequence eval_agg_rule
-  // uses) — except the output view comes from incrementally maintained
-  // group state instead of a full recompute.
-  NodeState& state = node_states_[node];
-  dataflow::Engine& engine = flow(state);
-  for (std::size_t i = 0; i < plan_->aggregates.size(); ++i) {
-    const Rule* rule = &program_.rules[plan_->aggregates[i].rule_index];
-    auto maybe_outputs = engine.flush_aggregate(i, state.db);
-    if (!maybe_outputs) continue;  // provably unchanged since the last flush
-    TupleSet outputs = std::move(*maybe_outputs);
-    TupleSet& prev = state.agg_cache[rule];
-    if (outputs == prev) continue;
-    for (const auto& old_row : prev) {
-      if (outputs.count(old_row)) continue;
-      if (location_of(old_row) != node) continue;  // remote copies age out
-      if (state.db.erase(old_row)) {
-        note_erase(state, old_row);
-        state.by_key.erase(key_of(old_row));
-        state.expires_at.erase(old_row);
-        stats_.last_change_time = now;
-        tuple_event("retract", node, old_row, now);
-        if (pool_ != nullptr && agg_body_preds_.count(old_row.predicate()) != 0) {
-          state.agg_stale = true;  // a chained aggregate reads this output
-        }
-      }
-    }
-    std::vector<Tuple> added;
-    for (const auto& row : outputs) {
-      if (!prev.count(row)) added.push_back(row);
-    }
-    prev = outputs;
-    for (const auto& t : added) {
-      const std::string dest = location_of(t);
-      if (dest == node) {
-        if (install(state, node, t, now)) {
-          if (collect != nullptr) {
-            collect->push_back(t);  // next parallel round picks it up
-          } else {
-            run_rules(node, t, now);
-          }
-        }
-      } else {
-        send(node, t, now);
+      } else if (install(state, node, t, now)) {
+        run_rules(node, t, now);
       }
     }
   }
@@ -437,142 +293,13 @@ void Simulator::run_agg_rules_dataflow(const std::string& node, double now,
 
 bool Simulator::is_transient(const Tuple& tuple) const {
   if (tuple.predicate() == "periodic") return true;
-  return pred_info(tuple.predicate()).transient;
-}
-
-void Simulator::deliver_parallel_batch(Event first) {
-  const double now = first.time;
-  struct Pending {
-    std::string node;
-    Tuple tuple;
-  };
-  // Coalesce every delivery scheduled at this instant: deliveries at
-  // different nodes are independent in the serial schedule too (they touch
-  // disjoint databases; cross-node traffic re-enters the event queue), and
-  // same-node deliveries join the node's delta frontier.
-  std::vector<Event> events;
-  events.push_back(std::move(first));
-  while (!queue_.empty() && queue_.top().kind == Event::Kind::Deliver &&
-         queue_.top().time == now &&
-         stats_.events_processed < options_.max_events) {
-    Event e = queue_.top();
-    queue_.pop();
-    ++stats_.events_processed;
-    stats_.end_time = now;
-    if (options_.metrics != nullptr) {
-      options_.metrics->histogram("sim/queue_depth").observe(queue_.size() + 1);
-      options_.metrics->counter("sim/node/" + e.node + "/received").add(1);
-    }
-    if (options_.obs_trace != nullptr) {
-      options_.obs_trace->counter_at(sim_ts(now), "sim/queue_depth", "sim",
-                                     static_cast<double>(queue_.size() + 1));
-    }
-    events.push_back(std::move(e));
-  }
-  ++stats_.parallel_batches;
-
-  // Round 0 frontier: install every non-transient delivery (serialized, in
-  // event order — exactly the serial loop's install order), keep what
-  // changed the database plus the transients as deltas. A node joins
-  // `agg_pending` only when a predicate some aggregate body reads changed
-  // there (install or flagged erase): the aggregate pass is a full recompute
-  // in interpreter mode, and for any other node it would just rediscover the
-  // cached outputs.
-  std::vector<Pending> frontier;
-  std::set<std::string> touched;
-  std::set<std::string> agg_pending;
-  const auto agg_relevant = [this](const Tuple& t) {
-    return agg_body_preds_.count(t.predicate()) != 0;
-  };
-  for (auto& e : events) {
-    NodeState& state = node_states_[e.node];
-    if (is_transient(e.tuple)) {
-      touched.insert(e.node);
-      frontier.push_back(Pending{e.node, std::move(e.tuple)});
-    } else if (install(state, e.node, e.tuple, now)) {
-      touched.insert(e.node);
-      if (agg_relevant(e.tuple)) agg_pending.insert(e.node);
-      frontier.push_back(Pending{e.node, std::move(e.tuple)});
-    }
-    if (state.agg_stale) {
-      state.agg_stale = false;
-      agg_pending.insert(e.node);
-    }
-  }
-
-  // Round-local buffers hoisted out of the loop: rounds are short near the
-  // fixpoint tail, so per-round allocations show up in the workers=1 budget.
-  std::vector<dataflow::RoundItem> items;
-  std::vector<std::pair<std::size_t, Tuple>> produced;
-  std::vector<Pending> next;
-  std::set<std::string> next_touched;
-  std::set<std::string> next_agg_pending;
-  std::vector<Tuple> agg_added;
-  while (!frontier.empty() || !agg_pending.empty()) {
-    ++stats_.parallel_rounds;
-    next.clear();
-    next_touched.clear();
-    next_agg_pending.clear();
-    if (!frontier.empty()) {
-      // Freeze: pre-warm every index a worker probe can touch, then fan out.
-      for (const auto& node : touched) pool_->prewarm(node_states_[node].db);
-      items.clear();
-      items.reserve(frontier.size());
-      for (std::size_t i = 0; i < frontier.size(); ++i) {
-        items.push_back(dataflow::RoundItem{&frontier[i].tuple,
-                                            &node_states_[frontier[i].node].db, i});
-      }
-      produced.clear();
-      pool_->process_round(items, produced);
-
-      // Barrier: installs, sends and aggregate flushes are serial again, in
-      // the pool's deterministic merge order.
-      for (auto& [tag, t] : produced) {
-        const std::string& node = frontier[tag].node;
-        const std::string dest = location_of(t);
-        if (dest == node) {
-          if (install(node_states_[node], node, t, now)) {
-            next_touched.insert(node);
-            if (agg_relevant(t)) next_agg_pending.insert(node);
-            next.push_back(Pending{node, std::move(t)});
-          }
-        } else {
-          send(node, t, now);
-        }
-      }
-    }
-    // One aggregate pass per agg-relevant node per round (collect mode: new
-    // aggregate rows become next-round deltas instead of cascading here).
-    for (const auto& node : agg_pending) {
-      agg_added.clear();
-      run_agg_rules(node, now, &agg_added);
-      for (auto& t : agg_added) {
-        next_touched.insert(node);
-        if (agg_relevant(t)) next_agg_pending.insert(node);
-        next.push_back(Pending{node, std::move(t)});
-      }
-      NodeState& state = node_states_[node];
-      if (state.agg_stale) {
-        // The pass retracted a row another aggregate reads: revisit.
-        state.agg_stale = false;
-        next_agg_pending.insert(node);
-      }
-    }
-    std::swap(frontier, next);
-    std::swap(touched, next_touched);
-    std::swap(agg_pending, next_agg_pending);
-  }
+  return preds_.info(tuple.predicate()).transient;
 }
 
 void Simulator::deliver(const std::string& node, const Tuple& tuple, double now,
                         bool transient) {
-  NodeState& state = node_states_[node];
-  if (transient) {
-    run_rules(node, tuple, now);
-    run_agg_rules(node, now);
-    return;
-  }
-  if (!install(state, node, tuple, now)) return;  // duplicate: no re-derivation
+  // A duplicate install changes nothing, so there is nothing to re-derive.
+  if (!transient && !install(state_of(node), node, tuple, now)) return;
   run_rules(node, tuple, now);
   run_agg_rules(node, now);
 }
@@ -616,15 +343,11 @@ SimStats Simulator::run() {
       options_.obs_trace->counter_at(sim_ts(e.time), "sim/queue_depth", "sim",
                                      static_cast<double>(queue_.size() + 1));
     }
-    NodeState& state = node_states_[e.node];
+    NodeState& state = state_of(e.node);
     switch (e.kind) {
       case Event::Kind::Deliver: {
         if (options_.metrics != nullptr) {
           options_.metrics->counter("sim/node/" + e.node + "/received").add(1);
-        }
-        if (pool_ != nullptr) {
-          deliver_parallel_batch(std::move(e));
-          break;
         }
         deliver(e.node, e.tuple, e.time, is_transient(e.tuple));
         break;
@@ -638,13 +361,10 @@ SimStats Simulator::run() {
         if (it != state.expires_at.end() && it->second <= e.time + 1e-12) {
           state.expires_at.erase(it);
           if (state.db.erase(e.tuple)) {
-            note_erase(state, e.tuple);
+            flow(state).on_erase(e.tuple, state.db);
             tuple_event("expire", e.node, e.tuple, e.time);
-            if (pool_ != nullptr && agg_body_preds_.count(e.tuple.predicate()) != 0) {
-              state.agg_stale = true;
-            }
           }
-          state.by_key.erase(key_of(e.tuple));
+          state.by_key.erase(e.tuple);
           ++stats_.expirations;
           stats_.last_change_time = e.time;
           if (options_.record_trace) {
@@ -663,14 +383,11 @@ SimStats Simulator::run() {
       }
       case Event::Kind::Retract: {
         if (state.db.erase(e.tuple)) {
-          note_erase(state, e.tuple);
-          state.by_key.erase(key_of(e.tuple));
+          flow(state).on_erase(e.tuple, state.db);
+          state.by_key.erase(e.tuple);
           state.expires_at.erase(e.tuple);
           stats_.last_change_time = e.time;
           tuple_event("retract", e.node, e.tuple, e.time);
-          if (pool_ != nullptr && agg_body_preds_.count(e.tuple.predicate()) != 0) {
-            state.agg_stale = true;
-          }
         }
         break;
       }

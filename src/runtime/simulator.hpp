@@ -1,8 +1,9 @@
 // The distributed declarative-networking executor — FVN's stand-in for the
 // P2 system (arc 7 of Figure 1): a discrete-event simulator in which every
-// network node runs a pipelined semi-naive NDlog engine over its local
-// tables, and derived tuples whose location specifier names another node
-// travel as messages with configurable delay and loss.
+// network node runs the compiled dataflow engine (fvn::dataflow, one tuple
+// delta at a time through the rule strands) over its local tables, and
+// derived tuples whose location specifier names another node travel as
+// messages with configurable delay and loss.
 //
 // Features exercised by the experiments:
 //   * location-specifier routing (the '@' of §2.2),
@@ -15,33 +16,22 @@
 //   * quiescence detection: convergence time and message counts (E5).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <random>
-#include <set>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "dataflow/engine.hpp"
 #include "dataflow/plan.hpp"
-#include "dataflow/workers.hpp"
 #include "ndlog/catalog.hpp"
 #include "ndlog/eval.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/pred_table.hpp"
 
 namespace fvn::runtime {
-
-/// Which executor evaluates rules at each node.
-enum class EngineKind : std::uint8_t {
-  Interpreter,  ///< per-delta semi-naive re-evaluation via ndlog::RuleEngine
-  Dataflow,     ///< compiled element strands (fvn::dataflow), P2/Click-style
-};
 
 struct SimOptions {
   double default_link_delay = 0.01;  // seconds
@@ -81,10 +71,8 @@ struct SimOptions {
   /// Observability sinks (may be null — the default — for zero overhead).
   /// With `metrics`, the simulator records per-node message counters
   /// (sim/node/<n>/{sent,received,dropped,installed}), overwrite/expiry
-  /// counters, interpreter-mode per-rule solution counters
-  /// (sim/rule/<rule>/firings; dataflow mode exposes the finer-grained
-  /// dataflow/elem/* series instead), and a sim/queue_depth histogram
-  /// sampled at every event.
+  /// counters, the per-element dataflow/elem/* series of the compiled rule
+  /// strands, and a sim/queue_depth histogram sampled at every event.
   /// With `obs_trace`, it emits instants and counter samples stamped in
   /// *virtual* time (simulated seconds as trace microseconds), so the
   /// exported Chrome trace shows protocol time, not host time.
@@ -99,28 +87,13 @@ struct SimOptions {
   std::function<void(std::string_view kind, const std::string& node,
                      const ndlog::Tuple& tuple, double now)>
       tuple_events;
-  /// Rule executor. Both engines are operationally equivalent (identical
-  /// fixpoints, message streams and convergence times — pinned by the
-  /// differential tests); Dataflow compiles each rule once and pushes one
-  /// tuple delta at a time through the element strands instead of paying a
-  /// per-message join re-evaluation.
-  EngineKind engine = EngineKind::Interpreter;
-  /// Dataflow only: maintain aggregate views via per-group ± deltas where
-  /// the planner proves it exact (false forces the recompute fallback for
-  /// every aggregate rule — the ablation knob).
+  /// Maintain aggregate views via per-group ± deltas where the planner
+  /// proves it exact (false forces the recompute fallback for every
+  /// aggregate rule — the ablation knob).
   bool incremental_aggregates = true;
-  /// Dataflow mode: compile with cost-guided join ordering
-  /// (dataflow::PlanOptions::cost_order). Interpreter mode ignores this.
+  /// Compile with cost-guided join ordering
+  /// (dataflow::PlanOptions::cost_order).
   bool cost_order = false;
-  /// Shard-parallel evaluation (both engines). 0 = the untouched serial
-  /// path. >= 1 asks fvn::ndlog::parallel to certify the (localized)
-  /// program; when certified, same-timestamp deliveries are evaluated in
-  /// shard-keyed rounds across this many workers (1 = the round machinery
-  /// without threads — the overhead baseline), with installs, aggregates
-  /// and sends serialized at round barriers so fixpoints stay bit-identical
-  /// to serial runs. Uncertified programs fall back to the serial path
-  /// transparently; SimStats::parallel_fallback_reason records why.
-  std::size_t workers = 0;
 };
 
 /// One recorded simulation event (Pip-style trace entry for offline checks).
@@ -145,13 +118,6 @@ struct SimStats {
   double end_time = 0.0;
   bool quiesced = false;           // queue drained before budget exhausted
   std::size_t monitor_violations = 0;
-  /// Shard-parallel execution (SimOptions::workers): whether the program's
-  /// certificate admitted it, why not when it didn't, and how much round
-  /// machinery actually ran.
-  bool parallel_active = false;
-  std::string parallel_fallback_reason;
-  std::size_t parallel_batches = 0;  // same-timestamp delivery batches
-  std::size_t parallel_rounds = 0;   // evaluation rounds across all batches
 };
 
 /// A runtime-verification monitor: called for every newly installed tuple.
@@ -189,8 +155,8 @@ class Simulator {
 
   /// Local database of a node (valid after run()).
   const ndlog::Database& database(const std::string& node) const;
-  /// Compiled dataflow plan (null in interpreter mode).
-  const dataflow::Plan* plan() const noexcept { return plan_ ? &*plan_ : nullptr; }
+  /// The compiled dataflow plan every node executes.
+  const dataflow::Plan& plan() const noexcept { return plan_; }
   /// Recorded events (empty unless options.record_trace).
   const std::vector<TraceEntry>& trace() const noexcept { return trace_; }
   /// Union of all nodes' relations (for comparing with the centralized
@@ -212,35 +178,20 @@ class Simulator {
   };
 
   struct NodeState {
+    NodeState(const PredTable& preds, std::size_t aggregates)
+        : by_key(TupleKeyLess{&preds}), agg_cache(aggregates) {}
     ndlog::Database db;
-    /// key (predicate + key-field values) -> installed tuple, for overwrite.
-    std::map<std::string, ndlog::Tuple> by_key;
+    KeyIndex by_key;
     /// expiry bookkeeping: tuple -> scheduled expiry time (latest refresh).
     std::map<ndlog::Tuple, double> expires_at;
-    /// per-aggregate-rule last output (incremental view maintenance).
-    std::map<const ndlog::Rule*, ndlog::TupleSet> agg_cache;
-    /// A tuple some aggregate body reads was erased outside the aggregate
-    /// pass (expiry, retraction, or a cascading aggregate retract): the next
-    /// parallel round must re-run the pass here even if no aggregate-body
-    /// predicate was installed. Serial mode needs no flag — it runs the pass
-    /// after every delivery unconditionally.
-    bool agg_stale = false;
-    /// Dataflow mode: this node's compiled engine (created on first use).
+    /// Last output per aggregate rule of the plan (incremental view
+    /// maintenance diffs each flush against it).
+    std::vector<ndlog::TupleSet> agg_cache;
+    /// This node's compiled engine (created on first use).
     std::unique_ptr<dataflow::Engine> flow;
   };
 
-  /// Catalog facts for one predicate, resolved once and memoized: the
-  /// per-tuple hot paths (location_of/key_of/install/is_transient) otherwise
-  /// re-walk the catalog's std::map for every install and send.
-  struct PredInfo {
-    std::size_t loc_index = 0;
-    bool transient = false;  // lifetime == 0 (periodic is special-cased)
-    std::optional<double> lifetime;
-    /// Non-null iff materialized with explicit keys (points into catalog_).
-    const std::vector<std::size_t>* key_fields = nullptr;
-  };
-  const PredInfo& pred_info(const std::string& predicate) const;
-
+  NodeState& state_of(const std::string& node);
   void schedule(Event event);
   void deliver(const std::string& node, const ndlog::Tuple& tuple, double now,
                bool transient);
@@ -250,26 +201,14 @@ class Simulator {
   bool install(NodeState& state, const std::string& node, const ndlog::Tuple& tuple,
                double now);
   void run_rules(const std::string& node, const ndlog::Tuple& delta, double now);
-  /// Aggregate maintenance pass. `collect` non-null (parallel rounds only):
-  /// locally installed aggregate rows are appended there for the next round
-  /// instead of cascading through run_rules immediately.
-  void run_agg_rules(const std::string& node, double now,
-                     std::vector<ndlog::Tuple>* collect = nullptr);
-  void run_agg_rules_dataflow(const std::string& node, double now,
-                              std::vector<ndlog::Tuple>* collect = nullptr);
-  /// Parallel mode: pop every further Deliver event scheduled at
-  /// `first.time` and evaluate the whole batch in shard-keyed rounds.
-  void deliver_parallel_batch(Event first);
+  /// Aggregate maintenance pass: diff every aggregate's output view against
+  /// its cached last output, retract what left, install or ship what came.
+  void run_agg_rules(const std::string& node, double now);
   bool is_transient(const ndlog::Tuple& tuple) const;
-  std::string key_of(const ndlog::Tuple& tuple) const;
-  std::string location_of(const ndlog::Tuple& tuple) const;
-  /// Dataflow mode: the node's engine (created lazily; by construction every
-  /// database mutation flows through the mirror hooks from the first insert,
-  /// so a freshly created engine always starts from an empty database).
+  /// The node's engine (created lazily; by construction every database
+  /// mutation flows through the mirror hooks from the first insert, so a
+  /// freshly created engine always starts from an empty database).
   dataflow::Engine& flow(NodeState& state);
-  /// Mirror hooks — no-ops in interpreter mode.
-  void note_insert(NodeState& state, const ndlog::Tuple& tuple);
-  void note_erase(NodeState& state, const ndlog::Tuple& tuple);
   /// Structured tuple-event emission (SimOptions::tuple_events + cat "tuple"
   /// obs instants); `kind` is "install", "retract" or "expire".
   void tuple_event(std::string_view kind, const std::string& node,
@@ -279,15 +218,8 @@ class Simulator {
   ndlog::Catalog catalog_;
   SimOptions options_;
   const ndlog::BuiltinRegistry* builtins_;
-  ndlog::RuleEngine engine_;
-  /// Engaged iff options_.engine == EngineKind::Dataflow.
-  std::optional<dataflow::Plan> plan_;
-  /// Engaged iff options_.workers >= 1 and the parallel certificate held.
-  std::unique_ptr<dataflow::WorkerPool> pool_;
-
-  /// pred_info() memo. The catalog is immutable after construction, so
-  /// cached entries (and their key_fields pointers) never go stale.
-  mutable std::unordered_map<std::string, PredInfo> pred_cache_;
+  dataflow::Plan plan_;
+  PredTable preds_;
 
   std::map<std::string, NodeState> node_states_;
   std::map<std::pair<std::string, std::string>, double> link_delays_;
@@ -303,14 +235,6 @@ class Simulator {
   std::vector<TraceEntry> trace_;
   SimStats stats_;
   bool ran_ = false;
-  /// Rules with aggregates, re-evaluated incrementally per node.
-  std::vector<const ndlog::Rule*> agg_rules_;
-  std::vector<const ndlog::Rule*> normal_rules_;
-  /// Every predicate some aggregate rule's body reads (positive or negated).
-  /// Parallel rounds skip the per-node aggregate pass unless one of these
-  /// changed — the pass is a full recompute in interpreter mode, so running
-  /// it once per round per touched node would dominate the workers=1 budget.
-  std::unordered_set<std::string> agg_body_preds_;
   bool uses_periodic_ = false;
 };
 

@@ -2,11 +2,10 @@
 // against actual executions — the falsifiability contract of cost.hpp:
 //
 //   * per-rule firing bounds must dominate the evaluator's measured
-//     eval/rule/<r>/firings counters and the simulator's sim/rule/<r>/firings
-//     counters (interpreter engine) on every shipped example;
+//     eval/rule/<r>/firings counters on every shipped example;
 //   * per-predicate derivation bounds must dominate final relation sizes;
-//   * in dataflow mode, the per-strand head-emission counters must stay
-//     within the same firing bounds (both engines, one static model);
+//   * the simulator's per-strand head-emission counters must stay within
+//     the same firing bounds (one static model for both executors);
 //   * the per-rule wire-byte bounds must dominate the threaded cluster's
 //     net/node/<n>/bytes_sent counters on a lossless transport;
 //   * every ND0019/ND0020/ND0021 verdict must be witnessed at runtime:
@@ -15,7 +14,7 @@
 //     an event budget a bounded program respects, and a recompute-heavy
 //     aggregate must actually be maintainable incrementally;
 //   * the planner's cost-guided join-order mode must stay bit-identical to
-//     the interpreter fixpoint across the whole example matrix.
+//     the written-order fixpoint across the whole example matrix.
 //
 // Bounds are evaluated under an environment measured from the run itself:
 // V = distinct addresses among the base facts, |pred| = injected base-table
@@ -190,41 +189,6 @@ TEST(CostBounds, EvaluatorFiringsAndTableSizesStayWithinStaticBounds) {
 }
 
 // ---------------------------------------------------------------------------
-// Simulator, interpreter engine: per-rule firing counters vs bounds
-// ---------------------------------------------------------------------------
-
-TEST(CostBounds, SimulatorInterpreterFiringsStayWithinStaticBounds) {
-  for (const auto& c : example_cases()) {
-    const auto program = load_example(c.stem);
-    // The simulator executes the localized rewrite, so measure that program:
-    // ship rules get their own bounds and the rule labels line up with the
-    // sim/rule/<label>/firings counters.
-    const auto localized = runtime::localize(program);
-    const auto report = cost_report(localized);
-    const auto base = facts(c.base);
-    const auto env = measured_env(report, base);
-
-    obs::Registry metrics;
-    runtime::SimOptions options;
-    options.metrics = &metrics;
-    runtime::Simulator sim(program, options);
-    sim.inject_all(base);
-    const auto stats = sim.run();
-    EXPECT_TRUE(stats.quiesced) << c.stem;
-
-    for (const auto& rc : report.rules) {
-      const auto* counter =
-          metrics.find_counter("sim/rule/" + rc.rule + "/firings");
-      const double measured =
-          counter == nullptr ? 0.0 : static_cast<double>(counter->value());
-      EXPECT_LE(measured, rc.firings.evaluate(env))
-          << c.stem << " rule " << rc.rule << ": measured " << measured
-          << " firings exceed static bound " << rc.firings.to_string();
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Simulator, dataflow engine: per-strand head emissions vs the same bounds
 // ---------------------------------------------------------------------------
 
@@ -238,7 +202,6 @@ TEST(CostBounds, SimulatorDataflowEmissionsStayWithinStaticBounds) {
     obs::Registry metrics;
     runtime::SimOptions options;
     options.metrics = &metrics;
-    options.engine = runtime::EngineKind::Dataflow;
     runtime::Simulator sim(program, options);
     sim.inject_all(base);
     const auto stats = sim.run();
@@ -247,8 +210,7 @@ TEST(CostBounds, SimulatorDataflowEmissionsStayWithinStaticBounds) {
     // Sum each rule's head emissions: the final element's /out counter of
     // every strand (normal and aggregate) carrying that rule label. One
     // emission == one enumerated body solution, the dataflow analogue of the
-    // interpreter's firing counter.
-    ASSERT_NE(sim.plan(), nullptr) << c.stem;
+    // evaluator's firing counter.
     std::map<std::string, double> emitted;
     auto tally = [&](const dataflow::Strand& s) {
       if (s.elements.empty()) return;
@@ -260,8 +222,8 @@ TEST(CostBounds, SimulatorDataflowEmissionsStayWithinStaticBounds) {
         emitted[s.rule_label] += static_cast<double>(counter->value());
       }
     };
-    for (const auto& s : sim.plan()->strands) tally(s);
-    for (const auto& agg : sim.plan()->aggregates) {
+    for (const auto& s : sim.plan().strands) tally(s);
+    for (const auto& agg : sim.plan().aggregates) {
       for (const auto& s : agg.strands) tally(s);
     }
     for (const auto& rc : report.rules) {
@@ -280,39 +242,34 @@ TEST(CostBounds, SimulatorDataflowEmissionsStayWithinStaticBounds) {
 // ---------------------------------------------------------------------------
 
 TEST(CostBounds, ClusterWireBytesStayWithinStaticBounds) {
-  for (const auto engine :
-       {runtime::EngineKind::Interpreter, runtime::EngineKind::Dataflow}) {
-    for (const auto& c : example_cases()) {
-      const auto program = load_example(c.stem);
-      const auto report = cost_report(runtime::localize(program));
-      const auto base = facts(c.base);
-      const auto env = measured_env(report, base);
-      const double byte_bound = report.total_bytes.evaluate(env);
+  for (const auto& c : example_cases()) {
+    const auto program = load_example(c.stem);
+    const auto report = cost_report(runtime::localize(program));
+    const auto base = facts(c.base);
+    const auto env = measured_env(report, base);
+    const double byte_bound = report.total_bytes.evaluate(env);
 
-      obs::Registry metrics;
-      net::ClusterOptions options;
-      options.engine = engine;
-      // Lossless in-process transport, fire-and-forget: the static model
-      // bounds first transmissions, so keep retransmits out of the measure.
-      options.reliability.enabled = false;
-      options.metrics = &metrics;
-      net::Cluster cluster(program, options);
-      cluster.inject_all(base);
-      const auto stats = cluster.run();
-      EXPECT_TRUE(stats.quiesced) << c.stem;
+    obs::Registry metrics;
+    net::ClusterOptions options;
+    // Lossless in-process transport, fire-and-forget: the static model
+    // bounds first transmissions, so keep retransmits out of the measure.
+    options.reliability.enabled = false;
+    options.metrics = &metrics;
+    net::Cluster cluster(program, options);
+    cluster.inject_all(base);
+    const auto stats = cluster.run();
+    EXPECT_TRUE(stats.quiesced) << c.stem;
 
-      EXPECT_LE(static_cast<double>(stats.bytes_sent), byte_bound)
-          << c.stem << ": " << stats.bytes_sent
-          << " total wire bytes exceed static bound "
-          << report.total_bytes.to_string();
-      for (const auto& node : cluster.nodes()) {
-        const auto* counter =
-            metrics.find_counter("net/node/" + node + "/bytes_sent");
-        const double measured =
-            counter == nullptr ? 0.0 : static_cast<double>(counter->value());
-        EXPECT_LE(measured, byte_bound)
-            << c.stem << " node " << node << ": channel bytes exceed bound";
-      }
+    EXPECT_LE(static_cast<double>(stats.bytes_sent), byte_bound)
+        << c.stem << ": " << stats.bytes_sent
+        << " total wire bytes exceed static bound "
+        << report.total_bytes.to_string();
+    for (const auto& node : cluster.nodes()) {
+      const auto* counter = metrics.find_counter("net/node/" + node + "/bytes_sent");
+      const double measured =
+          counter == nullptr ? 0.0 : static_cast<double>(counter->value());
+      EXPECT_LE(measured, byte_bound)
+          << c.stem << " node " << node << ": channel bytes exceed bound";
     }
   }
 }
@@ -350,7 +307,6 @@ std::string dataflow_fixpoint(const Program& program,
                               const std::vector<Tuple>& base, bool cost_order,
                               obs::Registry* metrics) {
   runtime::SimOptions options;
-  options.engine = runtime::EngineKind::Dataflow;
   options.cost_order = cost_order;
   options.metrics = metrics;
   runtime::Simulator sim(program, options);
@@ -508,7 +464,6 @@ TEST(Nd0021Witness, FlaggedAggregatesPlanIncrementallyWithIdenticalFixpoint) {
   for (const auto& f : facts(kNodes)) base.push_back(f);
   auto run = [&](bool incremental) {
     runtime::SimOptions options;
-    options.engine = runtime::EngineKind::Dataflow;
     options.incremental_aggregates = incremental;
     runtime::Simulator sim(program, options);
     sim.inject_all(base);
@@ -528,9 +483,8 @@ TEST(CostOrderDifferential, MatrixFixpointsAreBitIdenticalWithCostOrder) {
   for (const auto& c : example_cases()) {
     const auto program = load_example(c.stem);
     const auto base = facts(c.base);
-    auto fixpoint = [&](runtime::EngineKind engine, bool cost_order) {
+    auto fixpoint = [&](bool cost_order) {
       runtime::SimOptions options;
-      options.engine = engine;
       options.cost_order = cost_order;
       runtime::Simulator sim(program, options);
       sim.inject_all(base);
@@ -539,9 +493,7 @@ TEST(CostOrderDifferential, MatrixFixpointsAreBitIdenticalWithCostOrder) {
       for (const auto& row : sim.merged_database().dump()) os << row << "\n";
       return os.str();
     };
-    const auto interp = fixpoint(runtime::EngineKind::Interpreter, false);
-    EXPECT_EQ(interp, fixpoint(runtime::EngineKind::Dataflow, false)) << c.stem;
-    EXPECT_EQ(interp, fixpoint(runtime::EngineKind::Dataflow, true))
+    EXPECT_EQ(fixpoint(false), fixpoint(true))
         << c.stem << ": cost-ordered plan changed the fixpoint";
   }
 }

@@ -1,25 +1,32 @@
 // fvn::dataflow tests: planner structure (strands, probe selection, dead
 // strands, DOT/JSON dumps) and the differential suite pinning the engine's
-// contract — interpreter and dataflow executors produce bit-identical
-// fixpoints, message counts and convergence times on every shipped example
-// program, under loss and delay, for soft-state/periodic protocols, and with
-// the incremental-aggregate ablation flipped either way.
+// contract against the centralized ndlog::RuleEngine — per delta the same
+// derivations in the same order, per flush the same aggregate view — on
+// every shipped example program, under loss and reordering, for a
+// soft-state/periodic protocol with a retraction, with the incremental
+// aggregate planner and with its recompute fallback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/protocols.hpp"
+#include "dataflow/engine.hpp"
 #include "dataflow/plan.hpp"
+#include "ndlog/catalog.hpp"
+#include "ndlog/eval.hpp"
 #include "ndlog/parser.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/localize.hpp"
+#include "runtime/pred_table.hpp"
 #include "runtime/simulator.hpp"
 
 namespace fvn {
@@ -29,7 +36,6 @@ using core::link_facts;
 using dataflow::Element;
 using ndlog::Tuple;
 using ndlog::Value;
-using runtime::EngineKind;
 using runtime::SimOptions;
 using runtime::SimStats;
 using runtime::Simulator;
@@ -197,57 +203,219 @@ TEST(Planner, DumpsAreWellFormed) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential suite: interpreter vs dataflow
+// Differential suite: dataflow::Engine vs ndlog::RuleEngine
 // ---------------------------------------------------------------------------
 
-struct RunResult {
-  SimStats stats;
-  std::map<std::string, std::vector<std::string>> dbs;
+std::vector<std::string> rendered(const std::vector<Tuple>& tuples) {
+  std::vector<std::string> out;
+  for (const auto& t : tuples) out.push_back(t.to_string());
+  return out;
+}
+
+std::vector<std::string> rendered(const ndlog::TupleSet& tuples) {
+  return rendered(std::vector<Tuple>(tuples.begin(), tuples.end()));
+}
+
+/// Seeded faults on an ExecutorPair's deliveries: a remote tuple is dropped
+/// with probability `loss`, and with `reorder` the next delivery is drawn
+/// from anywhere in the queue instead of its head.
+struct Faults {
+  std::uint64_t seed = 1;
+  double loss = 0.0;
+  bool reorder = false;
+};
+
+/// Drives the compiled engine and the interpreter side by side, over one
+/// database per node and one delta sequence: a queue of deliveries, each
+/// processed at the node its location attribute names. A delivered tuple is
+/// installed with keyed overwrite (as both runtimes do) unless it is
+/// transient, then pushed through both executors as one delta:
+/// Engine::process must emit exactly what the RuleEngine::eval_rule_delta
+/// loop over the normal rules emits, in the same order — the contract of
+/// dataflow/engine.hpp. After each delta the node's aggregates are flushed,
+/// and flush_aggregate must equal eval_agg_rule over the same database, down
+/// to the set's iteration order, which fixes the runtimes' emission order.
+/// The flushed views are maintained like the runtimes do (local rows that
+/// left are erased, new rows delivered), and derived tuples are queued for
+/// their node, subject to the Faults.
+class ExecutorPair {
+ public:
+  ExecutorPair(const ndlog::Program& program, bool incremental_aggregates,
+               Faults faults = {})
+      : program_(runtime::localize(program)),
+        catalog_(ndlog::Catalog::from_program(program_)),
+        preds_(catalog_),
+        plan_(dataflow::compile(program_, plan_options(incremental_aggregates))),
+        faults_(faults),
+        rng_(faults.seed) {
+    for (const auto& rule : program_.rules) {
+      if (!rule.is_fact() && !rule.head.has_aggregate()) normal_rules_.push_back(&rule);
+    }
+  }
+
+  void deliver(Tuple tuple) { queue_.push_back(std::move(tuple)); }
+
+  /// Deliver until the queue is empty or `budget` deliveries were made.
+  void run(std::size_t budget = 100'000) {
+    for (std::size_t i = 0;
+         i < budget && !queue_.empty() && !::testing::Test::HasFatalFailure(); ++i) {
+      std::size_t pick = 0;
+      if (faults_.reorder) {
+        pick = std::uniform_int_distribution<std::size_t>(0, queue_.size() - 1)(rng_);
+      }
+      Tuple next = std::move(queue_[pick]);
+      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
+      step(next);
+    }
+  }
+
+  /// Advance the clock to `now`: soft state whose lifetime ran out expires.
+  void advance(double now) {
+    now_ = now;
+    for (auto& [name, node] : nodes_) {
+      std::vector<Tuple> due;
+      for (const auto& [tuple, at] : node.expires) {
+        if (at <= now_) due.push_back(tuple);
+      }
+      for (const auto& t : due) erase(node, t);
+      if (!due.empty()) flush(node, name);
+    }
+  }
+
+  /// Delete a base tuple (a link failure) and flush its node.
+  void retract(const Tuple& tuple) {
+    const std::string& at = preds_.location_of(tuple);
+    Node& node = node_of(at);
+    erase(node, tuple);
+    flush(node, at);
+  }
+
+  std::vector<std::string> node_names() const {
+    std::vector<std::string> out;
+    for (const auto& [name, node] : nodes_) out.push_back(name);
+    return out;
+  }
+  std::size_t deltas() const noexcept { return deltas_; }
+  std::size_t flushes() const noexcept { return flushes_; }
+
+ private:
+  struct Node {
+    Node(const dataflow::Plan& plan, const runtime::PredTable& preds)
+        : engine(plan, ndlog::BuiltinRegistry::standard()),
+          by_key(runtime::TupleKeyLess{&preds}),
+          flushed(plan.aggregates.size()) {}
+    ndlog::Database db;
+    dataflow::Engine engine;
+    runtime::KeyIndex by_key;
+    std::map<Tuple, double> expires;
+    std::vector<ndlog::TupleSet> flushed;  // last view per aggregate
+  };
+
+  static dataflow::PlanOptions plan_options(bool incremental_aggregates) {
+    dataflow::PlanOptions options;
+    options.incremental_aggregates = incremental_aggregates;
+    return options;
+  }
+
+  Node& node_of(const std::string& name) {
+    return nodes_.try_emplace(name, plan_, preds_).first->second;
+  }
+
+  /// Keyed install; false for a duplicate (which only refreshes a lifetime).
+  bool install(Node& node, const Tuple& tuple) {
+    const auto lifetime = preds_.info(tuple.predicate()).lifetime;
+    auto it = node.by_key.find(tuple);
+    const bool duplicate = it != node.by_key.end() && *it == tuple;
+    if (!duplicate && it != node.by_key.end()) erase(node, Tuple(*it));
+    if (lifetime) node.expires[tuple] = now_ + *lifetime;
+    if (duplicate) return false;
+    node.by_key.insert(tuple);
+    node.db.insert(tuple);
+    node.engine.on_insert(tuple, node.db);
+    return true;
+  }
+
+  void erase(Node& node, const Tuple& tuple) {
+    node.expires.erase(tuple);
+    if (!node.db.erase(tuple)) return;
+    node.engine.on_erase(tuple, node.db);
+    node.by_key.erase(tuple);
+  }
+
+  void step(const Tuple& delta) {
+    const std::string at = preds_.location_of(delta);
+    Node& node = node_of(at);
+    const bool transient =
+        delta.predicate() == "periodic" || preds_.info(delta.predicate()).transient;
+    if (!transient && !install(node, delta)) return;
+
+    std::vector<Tuple> flow;
+    node.engine.process(delta, node.db, flow);
+    std::vector<Tuple> interp;
+    const ndlog::TupleSet delta_set{delta};
+    for (const ndlog::Rule* rule : normal_rules_) {
+      const auto atoms = ndlog::RuleEngine::positive_atoms(*rule);
+      for (std::size_t i = 0; i < atoms.size(); ++i) {
+        if (atoms[i]->atom.predicate != delta.predicate()) continue;
+        interpreter_.eval_rule_delta(*rule, node.db, i, delta_set,
+                                     [&](Tuple t) { interp.push_back(std::move(t)); });
+      }
+    }
+    ++deltas_;
+    ASSERT_EQ(rendered(flow), rendered(interp)) << "delta " << delta.to_string() << " at " << at;
+    for (auto& t : flow) send(at, std::move(t));
+    flush(node, at);
+  }
+
+  void flush(Node& node, const std::string& at) {
+    for (std::size_t i = 0; i < plan_.aggregates.size(); ++i) {
+      const ndlog::Rule& rule = program_.rules[plan_.aggregates[i].rule_index];
+      const ndlog::TupleSet prev = node.flushed[i];
+      // nullopt: provably unchanged since the last flush.
+      if (auto view = node.engine.flush_aggregate(i, node.db)) node.flushed[i] = std::move(*view);
+      ndlog::TupleSet interp;
+      interpreter_.eval_agg_rule(rule, node.db, [&](Tuple t) { interp.insert(std::move(t)); });
+      ++flushes_;
+      ASSERT_EQ(rendered(node.flushed[i]), rendered(interp))
+          << "aggregate " << rule.display_name() << " at " << at;
+      for (const auto& old_row : prev) {
+        if (node.flushed[i].count(old_row) == 0 && preds_.location_of(old_row) == at) {
+          erase(node, old_row);
+        }
+      }
+      for (const auto& row : node.flushed[i]) {
+        if (prev.count(row) == 0) send(at, row);
+      }
+    }
+  }
+
+  void send(const std::string& from, Tuple tuple) {
+    if (faults_.loss > 0.0 && preds_.location_of(tuple) != from &&
+        std::uniform_real_distribution<double>(0.0, 1.0)(rng_) < faults_.loss) {
+      return;
+    }
+    queue_.push_back(std::move(tuple));
+  }
+
+  ndlog::Program program_;
+  ndlog::Catalog catalog_;
+  runtime::PredTable preds_;
+  dataflow::Plan plan_;
+  ndlog::RuleEngine interpreter_;
+  std::vector<const ndlog::Rule*> normal_rules_;
+  Faults faults_;
+  std::mt19937_64 rng_;
+  std::map<std::string, Node> nodes_;
+  std::deque<Tuple> queue_;
+  double now_ = 0.0;
+  std::size_t deltas_ = 0;
+  std::size_t flushes_ = 0;
 };
 
 struct Workload {
   std::vector<Tuple> facts;
   std::vector<std::pair<Tuple, double>> retractions;
 };
-
-RunResult run_one(const ndlog::Program& program, const Workload& workload,
-                  SimOptions options, EngineKind engine) {
-  options.engine = engine;
-  Simulator sim(program, options);
-  sim.inject_all(workload.facts);
-  for (const auto& [tuple, at] : workload.retractions) sim.retract(tuple, at);
-  RunResult result;
-  result.stats = sim.run();
-  for (const auto& node : sim.nodes()) result.dbs[node] = sim.database(node).dump();
-  return result;
-}
-
-/// Run under both engines and require the observable behavior to be
-/// *identical*: same event/message/drop counts, same convergence instant,
-/// same per-node database contents. This is the operational-equivalence
-/// contract of DESIGN.md §10.
-void expect_engines_agree(const ndlog::Program& program, const Workload& workload,
-                          const SimOptions& options, const std::string& label) {
-  SCOPED_TRACE(label);
-  auto a = run_one(program, workload, options, EngineKind::Interpreter);
-  auto b = run_one(program, workload, options, EngineKind::Dataflow);
-
-  EXPECT_EQ(a.stats.events_processed, b.stats.events_processed);
-  EXPECT_EQ(a.stats.messages_sent, b.stats.messages_sent);
-  EXPECT_EQ(a.stats.messages_dropped, b.stats.messages_dropped);
-  EXPECT_EQ(a.stats.tuples_derived, b.stats.tuples_derived);
-  EXPECT_EQ(a.stats.overwrites, b.stats.overwrites);
-  EXPECT_EQ(a.stats.expirations, b.stats.expirations);
-  EXPECT_EQ(a.stats.quiesced, b.stats.quiesced);
-  EXPECT_DOUBLE_EQ(a.stats.last_change_time, b.stats.last_change_time);
-  EXPECT_EQ(a.stats.last_change_by_predicate, b.stats.last_change_by_predicate);
-
-  ASSERT_EQ(a.dbs.size(), b.dbs.size());
-  for (const auto& [node, rows] : a.dbs) {
-    ASSERT_TRUE(b.dbs.count(node)) << node;
-    EXPECT_EQ(rows, b.dbs.at(node)) << "node " << node;
-  }
-}
 
 Workload topology_workload(const std::vector<core::Link>& links,
                            bool with_nodes = false, bool with_pref = false) {
@@ -271,6 +439,24 @@ Workload topology_workload(const std::vector<core::Link>& links,
   return w;
 }
 
+/// Feed the workload's facts through a fresh pair, with the incremental
+/// aggregate planner and with its recompute fallback; returns the number of
+/// deltas the incremental run compared.
+std::size_t expect_executors_agree(const ndlog::Program& program, const Workload& workload,
+                                   const std::string& label,
+                                   Faults faults = {},
+                                   std::size_t budget = 100'000) {
+  std::size_t deltas = 0;
+  for (const bool incremental : {true, false}) {
+    SCOPED_TRACE(label + (incremental ? " incremental" : " recompute"));
+    ExecutorPair pair(program, incremental, faults);
+    for (const auto& fact : workload.facts) pair.deliver(fact);
+    pair.run(budget);
+    if (incremental) deltas = pair.deltas();
+  }
+  return deltas;
+}
+
 std::string slurp(const std::filesystem::path& path) {
   std::ifstream in(path);
   std::ostringstream os;
@@ -290,37 +476,34 @@ TEST(Differential, EveryExampleProgramAgrees) {
     const bool policy = name == "policy_path_vector.ndlog";
     const bool tree = name == "spanning_tree.ndlog";
     auto links = core::random_topology(5, 2, 7);
-    SimOptions options;
-    if (name == "distance_vector.ndlog") {
-      // DV counts to infinity on cyclic topologies; compare the truncated
-      // prefix — both engines process the identical event stream.
-      options.max_events = 2'000;
-    } else if (name == "link_state.ndlog") {
+    // DV counts to infinity on cyclic topologies; compare a prefix.
+    std::size_t budget = name == "distance_vector.ndlog" ? 2'000 : 100'000;
+    if (name == "link_state.ndlog") {
       // link_state's C<1000 closure enumerates every walk cost below the
-      // bound; with 400-cost links only 1- and 2-hop walks survive, so the
-      // run stays small and quiesces.
+      // bound; with 400-cost links only 1- and 2-hop walks survive.
       links = core::line_topology(3, /*cost=*/400);
     }
     auto workload = topology_workload(links, /*with_nodes=*/policy || tree,
                                       /*with_pref=*/policy);
-    expect_engines_agree(program, workload, options, name);
+    EXPECT_GT(expect_executors_agree(program, workload, name, {}, budget), 10u) << name;
     ++tested;
   }
   EXPECT_GE(tested, 6u);
 }
 
 TEST(Differential, PathVectorUnderLossAndDelaySeeds) {
-  // Seeded loss means the engines must consume rng draws in exactly the same
-  // order — any divergence in message emission order shows up here.
+  // Seeded loss and arrival order give each seed its own delta sequence and
+  // its own database states.
   auto program = core::path_vector_program();
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     auto workload = topology_workload(core::random_topology(6, 3, seed));
-    SimOptions options;
-    options.seed = seed;
-    options.loss_rate = 0.2;
-    options.default_link_delay = 0.05;
-    expect_engines_agree(program, workload, options,
-                         "path_vector loss seed=" + std::to_string(seed));
+    Faults faults;
+    faults.seed = seed;
+    faults.loss = 0.2;
+    faults.reorder = true;
+    EXPECT_GT(expect_executors_agree(program, workload,
+                                     "path_vector loss seed=" + std::to_string(seed), faults),
+              10u);
   }
 }
 
@@ -342,7 +525,7 @@ TEST(Differential, PolicyPathVectorWithFiltersAgrees) {
   workload.facts.emplace_back(
       "importDeny", std::vector<Value>{Value::addr("n2"), Value::addr("n3"),
                                        Value::addr("n0")});
-  expect_engines_agree(program, workload, SimOptions{}, "policy ring");
+  EXPECT_GT(expect_executors_agree(program, workload, "policy ring"), 10u);
 }
 
 /// Periodic soft-state DV (the E8 native-soft-state workload of
@@ -368,13 +551,27 @@ TEST(Differential, SoftStatePeriodicWithRetractionAgrees) {
   Workload workload = topology_workload(core::line_topology(3));
   workload.facts.emplace_back("own",
                               std::vector<Value>{Value::addr("n0"), Value::addr("n0")});
-  workload.retractions.emplace_back(
-      Tuple("link", {Value::addr("n1"), Value::addr("n0"), Value::integer(1)}), 4.6);
-  SimOptions options;
-  options.max_periodic_rounds = 12;
-  options.periodic_interval = 1.0;
-  options.require_stratified = false;
-  expect_engines_agree(program, workload, options, "soft_dv retraction");
+  const Tuple failed("link", {Value::addr("n1"), Value::addr("n0"), Value::integer(1)});
+  for (const bool incremental : {true, false}) {
+    SCOPED_TRACE(incremental ? "incremental" : "recompute");
+    ExecutorPair pair(program, incremental);
+    for (const auto& fact : workload.facts) pair.deliver(fact);
+    pair.run();
+    // Twelve periodic rounds one second apart; the link fails at t=4.6.
+    for (int round = 1; round <= 12; ++round) {
+      if (round == 5) {
+        pair.advance(4.6);
+        pair.retract(failed);
+      }
+      pair.advance(round);
+      for (const auto& node : pair.node_names()) {
+        pair.deliver(Tuple("periodic", {Value::addr(node), Value::real(1.0)}));
+      }
+      pair.run();
+    }
+    EXPECT_GT(pair.deltas(), 50u);
+    EXPECT_GT(pair.flushes(), 50u);
+  }
 }
 
 TEST(Differential, IncrementalAblationMatchesIncremental) {
@@ -382,18 +579,23 @@ TEST(Differential, IncrementalAblationMatchesIncremental) {
   // indistinguishable from the outside (same flush diffs in the same order).
   auto program = core::path_vector_program();
   auto workload = topology_workload(core::random_topology(6, 3, 11));
-  SimOptions options;
-  options.engine = EngineKind::Dataflow;
+  const auto run = [&](bool incremental) {
+    SimOptions options;
+    options.incremental_aggregates = incremental;
+    Simulator sim(program, options);
+    sim.inject_all(workload.facts);
+    std::pair<SimStats, std::map<std::string, std::vector<std::string>>> out;
+    out.first = sim.run();
+    for (const auto& node : sim.nodes()) out.second[node] = sim.database(node).dump();
+    return out;
+  };
+  const auto [inc, inc_dbs] = run(true);
+  const auto [rec, rec_dbs] = run(false);
 
-  options.incremental_aggregates = true;
-  auto inc = run_one(program, workload, options, EngineKind::Dataflow);
-  options.incremental_aggregates = false;
-  auto rec = run_one(program, workload, options, EngineKind::Dataflow);
-
-  EXPECT_EQ(inc.stats.messages_sent, rec.stats.messages_sent);
-  EXPECT_EQ(inc.stats.events_processed, rec.stats.events_processed);
-  EXPECT_DOUBLE_EQ(inc.stats.last_change_time, rec.stats.last_change_time);
-  EXPECT_EQ(inc.dbs, rec.dbs);
+  EXPECT_EQ(inc.messages_sent, rec.messages_sent);
+  EXPECT_EQ(inc.events_processed, rec.events_processed);
+  EXPECT_DOUBLE_EQ(inc.last_change_time, rec.last_change_time);
+  EXPECT_EQ(inc_dbs, rec_dbs);
 }
 
 // ---------------------------------------------------------------------------
@@ -403,20 +605,14 @@ TEST(Differential, IncrementalAblationMatchesIncremental) {
 TEST(DataflowSim, ExposesPlanAndElementCounters) {
   obs::Registry registry;
   SimOptions options;
-  options.engine = EngineKind::Dataflow;
   options.metrics = &registry;
   Simulator sim(core::path_vector_program(), options);
-  EXPECT_NE(sim.plan(), nullptr);
+  EXPECT_FALSE(sim.plan().strands.empty());
   sim.inject_all(link_facts(core::line_topology(4)));
   auto stats = sim.run();
   EXPECT_TRUE(stats.quiesced);
   // Per-element in/out counters were recorded under dataflow/elem/...
   EXPECT_GT(registry.sum_counters_with_prefix("dataflow/elem/"), 0u);
-}
-
-TEST(DataflowSim, InterpreterModeHasNoPlan) {
-  Simulator sim(core::path_vector_program(), SimOptions{});
-  EXPECT_EQ(sim.plan(), nullptr);
 }
 
 TEST(Localize, ShipRulesCarrySourceSpans) {

@@ -1,6 +1,6 @@
 // LTL cross-validation: the model-checker verdict and the runtime-monitor
-// verdict must agree on every shipped example, for both rule engines and
-// both cluster transports. Each example carries a satisfied spec
+// verdict must agree on every shipped example, on the simulator and on the
+// cluster over both transports. Each example carries a satisfied spec
 // (examples/ndlog/<name>.ltl) and a deliberately violated one
 // (<name>_violated.ltl) that must fail on *every* schedule — proving the
 // monitors actually fire, not merely that satisfied specs pass.
@@ -8,7 +8,7 @@
 // Also pins the engine-agnostic tuple-event stream shape (cat "tuple"
 // instants with {"node":...,"tuple":...} args) for both the simulator and
 // fvn::net: folding install/retract/expire over the stream must reproduce
-// each engine's final per-node database exactly.
+// each runtime's final per-node database exactly.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -31,7 +31,6 @@ namespace {
 
 using ndlog::Tuple;
 using ndlog::Value;
-using runtime::EngineKind;
 
 std::string slurp(const std::filesystem::path& path) {
   std::ifstream in(path);
@@ -99,11 +98,9 @@ std::vector<Case> load_cases() {
 
 // Run the spec's monitors over a simulator execution via the live hook.
 std::vector<ltl::MonitorVerdict> sim_monitor_verdicts(const Case& c,
-                                                      const ltl::Spec& spec,
-                                                      EngineKind engine) {
+                                                      const ltl::Spec& spec) {
   ltl::MonitorSet monitors(spec);
   runtime::SimOptions options;
-  options.engine = engine;
   options.tuple_events = [&monitors](std::string_view kind,
                                      const std::string& node_name,
                                      const Tuple& tuple, double now) {
@@ -185,20 +182,14 @@ TEST(LtlCrossval, ModelCheckerVerdicts) {
 }
 
 // ---------------------------------------------------------------------------
-// Simulator monitors agree with the model checker, on both engines.
+// Simulator monitors agree with the model checker.
 // ---------------------------------------------------------------------------
 
 TEST(LtlCrossval, SimulatorMonitorsAgreeBothEngines) {
   for (const auto& c : load_cases()) {
-    for (const EngineKind engine :
-         {EngineKind::Interpreter, EngineKind::Dataflow}) {
-      const std::string context =
-          c.name + (engine == EngineKind::Interpreter ? "/interpreter"
-                                                      : "/dataflow");
-      SCOPED_TRACE(context);
-      expect_all_satisfied(sim_monitor_verdicts(c, c.spec, engine), context);
-      expect_all_fired(sim_monitor_verdicts(c, c.violated_spec, engine), context);
-    }
+    SCOPED_TRACE(c.name);
+    expect_all_satisfied(sim_monitor_verdicts(c, c.spec), c.name);
+    expect_all_fired(sim_monitor_verdicts(c, c.violated_spec), c.name);
   }
 }
 
@@ -208,18 +199,10 @@ TEST(LtlCrossval, SimulatorMonitorsAgreeBothEngines) {
 
 TEST(LtlCrossval, ClusterMonitorsAgreeInprocBothEngines) {
   for (const auto& c : load_cases()) {
-    for (const EngineKind engine :
-         {EngineKind::Interpreter, EngineKind::Dataflow}) {
-      const std::string context =
-          c.name + (engine == EngineKind::Interpreter ? "/interpreter"
-                                                      : "/dataflow");
-      SCOPED_TRACE(context);
-      net::ClusterOptions options;
-      options.engine = engine;
-      expect_all_satisfied(cluster_monitor_verdicts(c, c.spec, options), context);
-      expect_all_fired(cluster_monitor_verdicts(c, c.violated_spec, options),
-                       context);
-    }
+    SCOPED_TRACE(c.name);
+    expect_all_satisfied(cluster_monitor_verdicts(c, c.spec, {}), c.name + "/inproc");
+    expect_all_fired(cluster_monitor_verdicts(c, c.violated_spec, {}),
+                     c.name + "/inproc");
   }
 }
 
@@ -240,7 +223,7 @@ TEST(LtlCrossval, ClusterMonitorsAgreeUdp) {
 }
 
 // ---------------------------------------------------------------------------
-// Tuple-event stream shape: identical across engines, and folding it
+// Tuple-event stream shape: identical across runtimes, and folding it
 // reproduces the final databases exactly.
 // ---------------------------------------------------------------------------
 

@@ -1,10 +1,8 @@
 // fvn::ndlog::parallel unit suite — pins the shard-parallel certificate
-// (DESIGN.md §16) the multi-worker engine depends on: which programs certify,
-// which shard keys the search picks, where ND0023/ND0024/ND0025 fire, and
-// the exact diagnostic signature over every shipped example (golden files in
-// tests/golden/analyze/<stem>.parallel.txt). The *runtime* consequences —
-// bit-identical fixpoints at every worker count — are cross-validated in
-// tests/test_parallel_crossval.cpp.
+// (DESIGN.md §16), a static result behind `analyze --parallel`: which
+// programs certify, which shard keys the search picks, where
+// ND0023/ND0024/ND0025 fire, and the exact diagnostic signature over every
+// shipped example (golden files in tests/golden/analyze/<stem>.parallel.txt).
 #include <gtest/gtest.h>
 
 #include <filesystem>

@@ -1,8 +1,8 @@
 // fvn::net differential suite — the correctness statement of DESIGN.md §12:
 // for every shipped example program, the threaded Cluster (real concurrency,
 // real frames on a transport) reaches the *identical* merged fixpoint as the
-// discrete-event runtime::Simulator, on both engines, on both transports, and
-// under seeded fault injection with the ack+retransmit layer enabled.
+// discrete-event runtime::Simulator, on both transports, and under seeded
+// fault injection with the ack+retransmit layer enabled.
 //
 // Workloads are chosen so the fixpoint is interleaving-independent (unique
 // aggregate argmins, acyclic where the protocol diverges on cycles): the
@@ -11,12 +11,14 @@
 // semantic analyzer's ND0017 territory, pinned elsewhere.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/protocols.hpp"
@@ -32,7 +34,6 @@ namespace {
 using core::link_facts;
 using ndlog::Tuple;
 using ndlog::Value;
-using runtime::EngineKind;
 
 std::string slurp(const std::filesystem::path& path) {
   std::ifstream in(path);
@@ -108,11 +109,8 @@ std::vector<std::string> example_names() {
 }
 
 std::vector<std::string> sim_fixpoint(const ndlog::Program& program,
-                                      const std::vector<Tuple>& facts,
-                                      EngineKind engine) {
-  runtime::SimOptions options;
-  options.engine = engine;
-  runtime::Simulator sim(program, options);
+                                      const std::vector<Tuple>& facts) {
+  runtime::Simulator sim(program);
   sim.inject_all(facts);
   const auto stats = sim.run();
   EXPECT_TRUE(stats.quiesced);
@@ -138,7 +136,7 @@ ClusterRun cluster_fixpoint(const ndlog::Program& program,
 }
 
 // ---------------------------------------------------------------------------
-// Core differential: every example, both engines, vs the simulator
+// Core differential: every example, the cluster vs the simulator
 // ---------------------------------------------------------------------------
 
 TEST(ClusterDifferential, EveryExampleMatchesSimulatorBothEngines) {
@@ -146,27 +144,18 @@ TEST(ClusterDifferential, EveryExampleMatchesSimulatorBothEngines) {
     SCOPED_TRACE(name);
     const auto program = example_program(name);
     const auto facts = example_workload(name);
-    const auto expected = sim_fixpoint(program, facts, EngineKind::Interpreter);
-    // Sanity: the reference fixpoint itself is engine-independent.
-    EXPECT_EQ(expected, sim_fixpoint(program, facts, EngineKind::Dataflow));
-
-    for (const EngineKind engine :
-         {EngineKind::Interpreter, EngineKind::Dataflow}) {
-      SCOPED_TRACE(engine == EngineKind::Interpreter ? "interpreter" : "dataflow");
-      net::ClusterOptions options;
-      options.engine = engine;
-      const auto run = cluster_fixpoint(program, facts, options);
-      EXPECT_GE(run.node_count, 4u);
-      EXPECT_TRUE(run.stats.quiesced);
-      EXPECT_EQ(run.fixpoint, expected);
-      // Reliable channels deliver exactly once: every first transmission is
-      // eventually received and acked exactly once. (Retransmits may still
-      // occur on a fault-free transport when a receiver is slower than the
-      // backoff — e.g. under TSan — but dedup keeps them invisible here.)
-      EXPECT_EQ(run.stats.messages_received, run.stats.messages_sent);
-      EXPECT_EQ(run.stats.acked, run.stats.messages_sent);
-      EXPECT_EQ(run.stats.transport.frames_dropped, 0u);
-    }
+    const auto expected = sim_fixpoint(program, facts);
+    const auto run = cluster_fixpoint(program, facts, net::ClusterOptions{});
+    EXPECT_GE(run.node_count, 4u);
+    EXPECT_TRUE(run.stats.quiesced);
+    EXPECT_EQ(run.fixpoint, expected);
+    // Reliable channels deliver exactly once: every first transmission is
+    // eventually received and acked exactly once. (Retransmits may still
+    // occur on a fault-free transport when a receiver is slower than the
+    // backoff — e.g. under TSan — but dedup keeps them invisible here.)
+    EXPECT_EQ(run.stats.messages_received, run.stats.messages_sent);
+    EXPECT_EQ(run.stats.acked, run.stats.messages_sent);
+    EXPECT_EQ(run.stats.transport.frames_dropped, 0u);
   }
 }
 
@@ -179,7 +168,7 @@ TEST(ClusterDifferential, LossWithRetransmitStillMatches) {
     SCOPED_TRACE(name);
     const auto program = example_program(name);
     const auto facts = example_workload(name);
-    const auto expected = sim_fixpoint(program, facts, EngineKind::Interpreter);
+    const auto expected = sim_fixpoint(program, facts);
     for (const std::uint64_t seed : {3ull, 17ull, 40ull}) {
       SCOPED_TRACE("seed " + std::to_string(seed));
       net::ClusterOptions options;
@@ -198,9 +187,8 @@ TEST(ClusterDifferential, LossWithRetransmitStillMatches) {
 TEST(ClusterDifferential, AllFaultsAtOnceStillMatches) {
   const auto program = example_program("path_vector.ndlog");
   const auto facts = example_workload("path_vector.ndlog");
-  const auto expected = sim_fixpoint(program, facts, EngineKind::Interpreter);
+  const auto expected = sim_fixpoint(program, facts);
   net::ClusterOptions options;
-  options.engine = EngineKind::Dataflow;
   options.faults.drop_rate = 0.15;
   options.faults.duplicate_rate = 0.15;
   options.faults.reorder_rate = 0.25;
@@ -215,13 +203,38 @@ TEST(ClusterDifferential, AllFaultsAtOnceStillMatches) {
 TEST(ClusterDifferential, RawModeMatchesOnFaultFreeTransport) {
   const auto program = example_program("reachable.ndlog");
   const auto facts = example_workload("reachable.ndlog");
-  const auto expected = sim_fixpoint(program, facts, EngineKind::Interpreter);
+  const auto expected = sim_fixpoint(program, facts);
   net::ClusterOptions options;
   options.reliability.enabled = false;  // no acks, no seqs; transport is exact
   const auto run = cluster_fixpoint(program, facts, options);
   EXPECT_TRUE(run.stats.quiesced);
   EXPECT_EQ(run.fixpoint, expected);
   EXPECT_EQ(run.stats.acked, 0u);
+}
+
+TEST(ClusterDifferential, RawModeWithSlowTupleHookStillMatches) {
+  // A node that wakes from parking and pops a frame must read busy until it
+  // has handled the frame and flushed what it derived. With reliability off
+  // nothing else shows that frame to the coordinator: it has left the
+  // transport, no sender holds it unacked, and the activity counter moves
+  // only after the frame is handled. A tuple-event hook that sleeps on every
+  // install (a slow monitor or serve feed) stretches that window to
+  // milliseconds, long enough for the coordinator's confirming scans.
+  const auto program = example_program("reachable.ndlog");
+  const auto facts = link_facts(core::random_topology(8, 1, 3));
+  const auto expected = sim_fixpoint(program, facts);
+  for (int attempt = 0; attempt < 10; ++attempt) {
+    SCOPED_TRACE("run " + std::to_string(attempt));
+    net::ClusterOptions options;
+    options.reliability.enabled = false;
+    options.tuple_events = [](std::string_view kind, const std::string&, const Tuple&,
+                              double) {
+      if (kind == "install") std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    const auto run = cluster_fixpoint(program, facts, options);
+    EXPECT_TRUE(run.stats.quiesced);
+    ASSERT_EQ(run.fixpoint, expected);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -231,7 +244,7 @@ TEST(ClusterDifferential, RawModeMatchesOnFaultFreeTransport) {
 TEST(ClusterUdp, MatchesSimulatorAndSurvivesLoss) {
   const auto program = example_program("path_vector.ndlog");
   const auto facts = example_workload("path_vector.ndlog");
-  const auto expected = sim_fixpoint(program, facts, EngineKind::Interpreter);
+  const auto expected = sim_fixpoint(program, facts);
   for (const double loss : {0.0, 0.2}) {
     SCOPED_TRACE("loss " + std::to_string(loss));
     net::ClusterOptions options;

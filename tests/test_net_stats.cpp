@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/protocols.hpp"
+#include "dataflow/plan.hpp"
 #include "ndlog/parser.hpp"
 #include "net/cluster.hpp"
 #include "net/node.hpp"
@@ -209,14 +210,15 @@ std::vector<Tuple> ship_seeds() {
 std::vector<std::string> raw_ship_frames(const ndlog::Program& program,
                                          const ndlog::Catalog& catalog,
                                          bool batch, net::NodeStats* out_stats) {
+  const auto plan = dataflow::compile(program);
   net::InProcTransport transport;
   transport.add_node("n0");
   transport.add_node("n1");
   net::ReliabilityOptions reliability;
   reliability.enabled = false;
   reliability.batch = batch;
-  net::Node node("n0", program, catalog, ndlog::BuiltinRegistry::standard(),
-                 nullptr, transport, reliability, {});
+  net::Node node("n0", catalog, ndlog::BuiltinRegistry::standard(), plan, transport,
+                 reliability, {});
   for (const auto& fact : ship_seeds()) node.seed(fact);
   // Seeds are processed (and channels flushed) before the event loop starts,
   // so a pre-set stop flag gives a deterministic single-pass run.
@@ -311,11 +313,12 @@ class FlakyTransport final : public net::Transport {
 TEST(NetStats, RefusedRetransmitCommitsNoBackoffOrCounters) {
   const auto program = ndlog::parse_program(kShipProgram, "ship");
   const auto catalog = ndlog::Catalog::from_program(program);
+  const auto plan = dataflow::compile(program);
   FlakyTransport transport;
   transport.add_node("n0");
   transport.add_node("n1");
-  net::Node node("n0", program, catalog, ndlog::BuiltinRegistry::standard(),
-                 nullptr, transport, {}, {});
+  net::Node node("n0", catalog, ndlog::BuiltinRegistry::standard(), plan, transport, {},
+                 {});
   for (const auto& fact : ship_seeds()) node.seed(fact);
 
   const auto spin = [&node](std::chrono::milliseconds for_ms) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -23,6 +24,34 @@
 
 namespace fvn {
 namespace {
+
+/// A temporary directory private to this test process, removed at exit. ctest
+/// runs every test in its own process, several at once, and tests write
+/// fixtures of the same name; a shared directory lets one test truncate a
+/// file while another test's fvn_cli is reading it.
+class ProcessTempDir {
+ public:
+  ProcessTempDir()
+      : path_(std::filesystem::temp_directory_path() /
+              ("fvn_test_" + std::to_string(::getpid()))) {
+    std::filesystem::create_directories(path_);
+  }
+  ~ProcessTempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ProcessTempDir(const ProcessTempDir&) = delete;
+  ProcessTempDir& operator=(const ProcessTempDir&) = delete;
+  const std::filesystem::path& path() const noexcept { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
+
+const std::filesystem::path& temp_dir() {
+  static const ProcessTempDir dir;
+  return dir.path();
+}
 
 TEST(PvsEmit, PathVectorTheoryMatchesPaperListingShape) {
   auto theory = translate::to_logic(core::path_vector_program());
@@ -54,14 +83,13 @@ TEST(PvsEmit, TheoremsEmittedAsTheoremDeclarations) {
 
 TEST(PvsEmit, WritesFile) {
   auto theory = translate::to_logic(core::reachable_program());
-  const auto path = std::filesystem::temp_directory_path() / "fvn_test" / "reach.pvs";
+  const auto path = temp_dir() / "pvs" / "reach.pvs";
   logic::write_pvs_file(theory, path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string first_line;
   std::getline(in, first_line);
   EXPECT_NE(first_line.find("Generated by FVN"), std::string::npos);
-  std::filesystem::remove_all(path.parent_path());
 }
 
 TEST(LinearView, ClassifiesResources) {
@@ -190,9 +218,7 @@ CliResult run_cli(const std::string& args) {
 }
 
 std::string write_temp_program(const std::string& name, const std::string& source) {
-  const auto dir = std::filesystem::temp_directory_path() / "fvn_cli_lint";
-  std::filesystem::create_directories(dir);
-  const auto path = dir / name;
+  const auto path = temp_dir() / name;
   std::ofstream(path) << source;
   return path.string();
 }
@@ -284,9 +310,7 @@ TEST(CliObs, EvalTraceFlagWritesParsableChromeTrace) {
                                        "t2 reach(@S,D) :- link(@S,Z,_C), reach(@Z,D).\n");
   const auto facts = write_temp_program("obs_facts.txt",
                                         "link(@n0,n1,1)\nlink(@n1,n2,1)\n");
-  const auto trace_path =
-      (std::filesystem::temp_directory_path() / "fvn_cli_lint" / "eval_trace.json")
-          .string();
+  const auto trace_path = (temp_dir() / "eval_trace.json").string();
   const auto result =
       run_cli("eval " + prog + " " + facts + " --metrics --trace " + trace_path);
   EXPECT_EQ(result.exit_code, 0) << result.output;
@@ -324,9 +348,7 @@ TEST(CliObs, SimAliasWritesVirtualTimeTrace) {
                                        "t2 reach(@S,D) :- link(@S,Z,_C), reach(@Z,D).\n");
   const auto facts = write_temp_program("obs_facts.txt",
                                         "link(@n0,n1,1)\nlink(@n1,n2,1)\n");
-  const auto trace_path =
-      (std::filesystem::temp_directory_path() / "fvn_cli_lint" / "sim_trace.json")
-          .string();
+  const auto trace_path = (temp_dir() / "sim_trace.json").string();
   const auto result =
       run_cli("sim " + prog + " " + facts + " --metrics --trace=" + trace_path);
   EXPECT_EQ(result.exit_code, 0) << result.output;
@@ -742,7 +764,7 @@ TEST(CliDist, RingQuiescesAndPrintsPerNodeFixpoint) {
 TEST(CliDist, LossWithRetransmitStillExitsZero) {
   const auto [prog, facts] = dist_inputs();
   const auto result =
-      run_cli("dist " + prog + " " + facts + " --loss=0.3 --seed=9 --engine=dataflow");
+      run_cli("dist " + prog + " " + facts + " --loss=0.3 --seed=9");
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("reachable(n0,n3)"), std::string::npos) << result.output;
 }
@@ -810,9 +832,7 @@ TEST(CliVerify, ViolationExitsOneWithLassoCounterexample) {
 
 TEST(CliVerify, TraceFlagWritesParsableCounterexampleTrace) {
   const auto [prog, facts, good, bad] = ltl_inputs();
-  const auto trace_path =
-      (std::filesystem::temp_directory_path() / "fvn_cli_lint" / "ltl_cex.json")
-          .string();
+  const auto trace_path = (temp_dir() / "ltl_cex.json").string();
   const auto result = run_cli("verify " + prog + " " + facts + " --ltl " + bad +
                               " --trace " + trace_path);
   EXPECT_EQ(result.exit_code, 1) << result.output;
