@@ -57,14 +57,7 @@ MonitoredRun run_path_vector(std::size_t nodes, bool monitored) {
     live = monitors.get();
     options.tuple_events = [live](std::string_view kind, const std::string& node,
                                   const ndlog::Tuple& tuple, double now) {
-      ltl::TupleEvent e;
-      e.kind = kind == "install" ? ltl::TupleEvent::Kind::Install
-               : kind == "retract" ? ltl::TupleEvent::Kind::Retract
-                                   : ltl::TupleEvent::Kind::Expire;
-      e.node = node;
-      e.tuple = tuple;
-      e.ts_us = static_cast<std::uint64_t>(now * 1e6);
-      live->on_event(e);
+      live->on_event(ltl::tuple_event(kind, node, tuple, now));
     };
   }
   const auto t0 = std::chrono::steady_clock::now();

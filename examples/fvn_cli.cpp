@@ -97,6 +97,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -526,6 +527,19 @@ void print_serve_summary(const fvn::serve::ServePlane& plane) {
             << " publish_p99_us=" << s.publish_p99_us << "\n";
 }
 
+/// `first` then `second` on every tuple event (`second` alone when `first`
+/// is empty): how --monitor and --serve share one runtime's hook.
+fvn::runtime::TupleEventHook chain(fvn::runtime::TupleEventHook first,
+                                   fvn::runtime::TupleEventHook second) {
+  if (!first) return second;
+  return [first = std::move(first), second = std::move(second)](
+             std::string_view kind, const std::string& node,
+             const fvn::ndlog::Tuple& tuple, double now) {
+    first(kind, node, tuple, now);
+    second(kind, node, tuple, now);
+  };
+}
+
 /// serve --churn: n reader threads do wait-free lookups (verifying snapshot
 /// checksums) while the main thread retracts/reinstalls fixpoint routes and
 /// publishes epoch snapshots. Returns 1 if any reader saw a torn snapshot.
@@ -844,8 +858,23 @@ int cmd_dist(const std::vector<std::string>& args) {
   if (poll_ms > 0.0) options.poll_interval_ms = poll_ms;
   if (collect_metrics) options.metrics = &registry;
   if (!trace_path.empty()) options.trace = &obs_trace;
-  if (monitor_spec.has_value()) options.capture_tuple_events = true;
-  if (serve_feed.has_value()) options.tuple_events = serve_feed->hook();
+  // --monitor: node threads call the hook concurrently, so the monitors
+  // step under a mutex, in the order the calls serialize.
+  std::optional<fvn::ltl::MonitorSet> monitors;
+  std::mutex monitors_mu;
+  if (monitor_spec.has_value()) {
+    monitors.emplace(*monitor_spec);
+    options.tuple_events = [&monitors, &monitors_mu](std::string_view kind,
+                                                     const std::string& node,
+                                                     const fvn::ndlog::Tuple& tuple,
+                                                     double now) {
+      const std::lock_guard<std::mutex> lock(monitors_mu);
+      monitors->on_event(fvn::ltl::tuple_event(kind, node, tuple, now));
+    };
+  }
+  if (serve_feed.has_value()) {
+    options.tuple_events = chain(std::move(options.tuple_events), serve_feed->hook());
+  }
 
   fvn::net::Cluster cluster(program, options);
   cluster.inject_all(facts);
@@ -878,16 +907,9 @@ int cmd_dist(const std::vector<std::string>& args) {
   }
   if (want_metrics) std::cerr << registry.render_summary();
   bool monitors_ok = true;
-  if (monitor_spec.has_value()) {
-    // Replay the cluster's merged tuple-event stream through the compiled
-    // monitors (the same stream `sim --monitor` consumes live).
-    fvn::ltl::MonitorSet monitors(*monitor_spec);
-    for (const auto& e : fvn::ltl::events_from_trace(cluster.tuple_events())) {
-      monitors.on_event(e);
-    }
-    const auto verdicts = monitors.finish();
-    std::cout << fvn::ltl::render_verdicts(verdicts);
-    monitors_ok = monitors.all_satisfied();
+  if (monitors.has_value()) {
+    std::cout << fvn::ltl::render_verdicts(monitors->finish());
+    monitors_ok = monitors->all_satisfied();
   }
   return stats.quiesced && monitors_ok ? 0 : 1;
 }
@@ -1042,14 +1064,7 @@ int main(int argc, char** argv) {
                                                    const std::string& node,
                                                    const ndlog::Tuple& tuple,
                                                    double now) {
-          ltl::TupleEvent e;
-          e.kind = kind == "install"   ? ltl::TupleEvent::Kind::Install
-                   : kind == "retract" ? ltl::TupleEvent::Kind::Retract
-                                       : ltl::TupleEvent::Kind::Expire;
-          e.node = node;
-          e.tuple = tuple;
-          e.ts_us = static_cast<std::uint64_t>(now * 1e6);
-          ltl_monitors->on_event(e);
+          ltl_monitors->on_event(ltl::tuple_event(kind, node, tuple, now));
         };
       }
       // --serve: attach the serving plane to the same stream (the simulator
@@ -1062,19 +1077,8 @@ int main(int argc, char** argv) {
             parse_serve_spec(serve_spec_text, program),
             serve::ServePlane::Options{collect_metrics ? &registry : nullptr});
         serve_feed.emplace(*serve_plane);
-        auto serve_hook = serve_feed->hook();
-        if (sim_options.tuple_events) {
-          auto monitor_hook = sim_options.tuple_events;
-          sim_options.tuple_events =
-              [monitor_hook, serve_hook](std::string_view kind,
-                                         const std::string& node,
-                                         const ndlog::Tuple& tuple, double now) {
-                monitor_hook(kind, node, tuple, now);
-                serve_hook(kind, node, tuple, now);
-              };
-        } else {
-          sim_options.tuple_events = serve_hook;
-        }
+        sim_options.tuple_events =
+            chain(std::move(sim_options.tuple_events), serve_feed->hook());
       }
       runtime::Simulator sim(program, sim_options);
       sim.inject_all(facts);

@@ -1,11 +1,12 @@
 #include "dataflow/engine.hpp"
 
+#include <utility>
+
 namespace fvn::dataflow {
 
 using ndlog::CmpOp;
 using ndlog::Database;
 using ndlog::Tuple;
-using ndlog::TupleSet;
 using ndlog::Value;
 
 namespace {
@@ -215,32 +216,6 @@ void Engine::on_insert(const Tuple& tuple, const Database& db) { touch(tuple, +1
 
 void Engine::on_erase(const Tuple& tuple, const Database& db) { touch(tuple, -1, db); }
 
-std::optional<TupleSet> Engine::flush_aggregate(std::size_t index, const Database& db) {
-  const AggregateRulePlan& ap = plan_->aggregates[index];
-  AggState& state = agg_[index];
-  if (!state.dirty) return std::nullopt;
-  // Clear *before* building: mutations the executive performs while routing
-  // this flush's diff (aggregate-row erasures, recursive installs) re-dirty
-  // the rule and are picked up by the next flush, exactly like the
-  // interpreter's per-delivery recompute.
-  state.dirty = false;
-  const ndlog::Rule& rule = plan_->program.rules[ap.rule_index];
-  TupleSet outputs;
-  if (ap.incremental) {
-    // Iterate groups in sorted key order — the same order the interpreter's
-    // eval_agg_rule sinks rows in — so the output set is built by an
-    // identical insertion sequence (identical iteration order downstream).
-    for (const auto& [key, multiset] : state.groups) {
-      std::vector<Value> values = key;
-      values[ap.agg_pos] = aggregate_value(ap, multiset);
-      outputs.insert(Tuple(rule.head.predicate, std::move(values)));
-    }
-  } else {
-    fallback_.eval_agg_rule(rule, db, [&](Tuple t) { outputs.insert(std::move(t)); });
-  }
-  return outputs;
-}
-
 Value Engine::aggregate_value(const AggregateRulePlan& ap,
                               const std::map<Value, std::int64_t>& group) {
   switch (ap.kind) {
@@ -259,20 +234,38 @@ Value Engine::aggregate_value(const AggregateRulePlan& ap,
   return Value::nil();  // unreachable: all AggKind cases covered above
 }
 
-bool Engine::flush_aggregate_diff(std::size_t index, std::vector<AggDelta>& out) {
+bool Engine::flush_aggregate(std::size_t index, const Database& db,
+                             std::vector<AggDelta>& out) {
   const AggregateRulePlan& ap = plan_->aggregates[index];
   AggState& state = agg_[index];
   out.clear();
-  if (!state.dirty) return false;
-  // Clear before diffing, mirroring flush_aggregate(): mutations the
-  // executive performs while applying this diff re-dirty the rule for the
-  // next flush pass.
+  if (!state.dirty) return false;  // provably unchanged since the last flush
+  // Clear before diffing: mutations the caller performs while applying this
+  // flush's deltas (aggregate-row erasures, recursive installs) re-dirty the
+  // rule for the next flush.
   state.dirty = false;
   const ndlog::Rule& rule = plan_->program.rules[ap.rule_index];
+  // Recompute plans: the whole view, and every group it or the last flush
+  // holds is a candidate.
+  std::map<std::vector<Value>, Value> view;
+  if (!ap.incremental) {
+    fallback_.eval_agg_rule(rule, db, [&](Tuple t) {
+      std::vector<Value> key = t.values();
+      Value v = std::exchange(key[ap.agg_pos], Value::nil());
+      state.dirty_keys.insert(key);
+      view.emplace(std::move(key), std::move(v));
+    });
+    for (const auto& [key, v] : state.emitted) state.dirty_keys.insert(key);
+  }
   for (const auto& key : state.dirty_keys) {
-    auto git = state.groups.find(key);
     std::optional<Value> now;
-    if (git != state.groups.end()) now = aggregate_value(ap, git->second);
+    if (ap.incremental) {
+      if (auto git = state.groups.find(key); git != state.groups.end()) {
+        now = aggregate_value(ap, git->second);
+      }
+    } else if (auto vit = view.find(key); vit != view.end()) {
+      now = vit->second;
+    }
     auto eit = state.emitted.find(key);
     AggDelta delta;
     if (eit != state.emitted.end()) {

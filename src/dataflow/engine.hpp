@@ -1,9 +1,9 @@
 // Per-node execution of a compiled Plan: one tuple delta at a time through
 // the rule strands (true incremental semi-naive — no per-message
 // re-evaluation), plus incremental aggregate view maintenance driven by
-// database-mirror hooks. The executive (runtime::Simulator or net::Node)
-// owns message routing, keyed overwrite, and soft-state expiry; the engine
-// owns only the compiled hot path.
+// database-mirror hooks. The node core (runtime::NodeCore) owns the tables,
+// keyed overwrite, soft-state expiry and the routing of what the engine
+// derives; the engine owns only the compiled hot path.
 #pragma once
 
 #include <cstdint>
@@ -45,25 +45,15 @@ class Engine {
   void process(const ndlog::Tuple& delta, const ndlog::Database& db,
                std::vector<ndlog::Tuple>& out);
 
-  /// Database-mirror hooks: the executive MUST call these for every local
+  /// Database-mirror hooks: the caller MUST call these for every local
   /// table mutation (install, overwrite, expiry, retraction, aggregate-row
   /// erasure) so incremental aggregate state tracks the database exactly.
   void on_insert(const ndlog::Tuple& tuple, const ndlog::Database& db);
   void on_erase(const ndlog::Tuple& tuple, const ndlog::Database& db);
 
-  /// Recompute aggregate rule `index`'s output view. Returns nullopt when no
-  /// relevant mutation occurred since the last flush (the view provably
-  /// equals whatever was returned last). The executive diffs the returned
-  /// set against its cache and routes retractions/additions.
-  std::optional<ndlog::TupleSet> flush_aggregate(std::size_t index,
-                                                 const ndlog::Database& db);
   std::size_t aggregate_count() const noexcept { return plan_->aggregates.size(); }
-  bool aggregate_dirty(std::size_t index) const { return agg_[index].dirty; }
-  bool aggregate_incremental(std::size_t index) const {
-    return plan_->aggregates[index].incremental;
-  }
 
-  /// One aggregate group whose output row changed since the last diff flush.
+  /// One aggregate group whose output row changed since the last flush.
   /// `retract` is the previously-emitted row (absent for a new group),
   /// `assert_now` the current row (absent when the group emptied).
   struct AggDelta {
@@ -71,15 +61,15 @@ class Engine {
     std::optional<ndlog::Tuple> assert_now;
   };
 
-  /// Incremental alternative to flush_aggregate(): touches only the groups
-  /// dirtied since the last diff flush and emits retract/assert pairs for
-  /// those whose aggregate value actually moved, in sorted group-key order.
-  /// O(changed groups) instead of O(all groups) per flush — this is what
-  /// makes per-batch aggregate maintenance cheap on the distributed hot
-  /// path. Only valid when aggregate_incremental(index); an index must use
-  /// either this or flush_aggregate() exclusively (each keeps its own notion
-  /// of "what was last emitted"). Returns true when `out` is non-empty.
-  bool flush_aggregate_diff(std::size_t index, std::vector<AggDelta>& out);
+  /// Aggregate maintenance for rule `index`: one AggDelta per group whose
+  /// output row moved since the last flush, in strictly increasing
+  /// group-key order, under both planner modes. An incremental plan visits
+  /// only the groups its strands dirtied, so a flush costs O(changed
+  /// groups); a recompute plan re-evaluates the rule over `db` and diffs
+  /// that view against the rows it emitted last. Clears and fills `out`;
+  /// returns true when `out` is non-empty.
+  bool flush_aggregate(std::size_t index, const ndlog::Database& db,
+                       std::vector<AggDelta>& out);
 
   const EngineStats& stats() const noexcept { return stats_; }
   const Plan& plan() const noexcept { return *plan_; }
@@ -97,9 +87,9 @@ class Engine {
   struct AggState {
     GroupState groups;
     bool dirty = false;
-    /// Diff-flush bookkeeping (flush_aggregate_diff only): groups touched
-    /// since the last diff flush, and the aggregate value last emitted per
-    /// group (absent = group never emitted / last emitted a retraction).
+    /// Flush bookkeeping: groups touched since the last flush (incremental
+    /// plans), and the aggregate value last emitted per group (absent =
+    /// group never emitted / last emitted a retraction).
     std::set<std::vector<ndlog::Value>> dirty_keys;
     std::map<std::vector<ndlog::Value>, ndlog::Value> emitted;
   };
@@ -110,7 +100,7 @@ class Engine {
     const ndlog::Database* db = nullptr;
     std::vector<ndlog::Tuple>* out = nullptr;  // Project sink
     GroupState* groups = nullptr;              // Aggregate sink
-    std::set<std::vector<ndlog::Value>>* dirty_keys = nullptr;  // diff-flush log
+    std::set<std::vector<ndlog::Value>>* dirty_keys = nullptr;  // flush log
     int sign = +1;
   };
 

@@ -1,6 +1,7 @@
 #include "ltl/monitor.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <sstream>
 
@@ -182,33 +183,35 @@ bool MonitorSet::all_satisfied() const {
 // Event-stream decoding
 // ---------------------------------------------------------------------------
 
+TupleEvent tuple_event(std::string_view kind, const std::string& node,
+                       const ndlog::Tuple& tuple, double now) {
+  TupleEvent e;
+  e.kind = kind == "install"   ? TupleEvent::Kind::Install
+           : kind == "retract" ? TupleEvent::Kind::Retract
+                               : TupleEvent::Kind::Expire;
+  e.node = node;
+  e.tuple = tuple;
+  e.ts_us = static_cast<std::uint64_t>(std::llround(now * 1e6));
+  return e;
+}
+
 std::vector<TupleEvent> events_from_trace(const std::vector<obs::TraceEvent>& events) {
   std::vector<TupleEvent> out;
   for (const auto& e : events) {
     if (e.phase != 'i' || e.cat != "tuple") continue;
-    TupleEvent te;
-    if (e.name.rfind("install ", 0) == 0) {
-      te.kind = TupleEvent::Kind::Install;
-    } else if (e.name.rfind("retract ", 0) == 0) {
-      te.kind = TupleEvent::Kind::Retract;
-    } else if (e.name.rfind("expire ", 0) == 0) {
-      te.kind = TupleEvent::Kind::Expire;
-    } else {
-      continue;
-    }
+    const std::string_view kind = std::string_view(e.name).substr(0, e.name.find(' '));
+    if (kind != "install" && kind != "retract" && kind != "expire") continue;
     auto doc = obs::json_parse(e.args_json);
     if (!doc || !doc->is_object()) continue;
     const obs::JsonValue* node = doc->find("node");
     const obs::JsonValue* tuple = doc->find("tuple");
     if (node == nullptr || tuple == nullptr) continue;
-    te.node = node->string;
     try {
-      te.tuple = ndlog::parse_fact(tuple->string);
+      out.push_back(tuple_event(kind, node->string, ndlog::parse_fact(tuple->string),
+                                static_cast<double>(e.ts_us) / 1e6));
     } catch (const ndlog::ParseError&) {
       continue;
     }
-    te.ts_us = e.ts_us;
-    out.push_back(std::move(te));
   }
   return out;
 }

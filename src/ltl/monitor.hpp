@@ -38,6 +38,13 @@ struct TupleEvent {
 
 std::string_view to_string(TupleEvent::Kind kind) noexcept;
 
+/// The event one call of a runtime's tuple-event hook reports
+/// (SimOptions::tuple_events / ClusterOptions::tuple_events): `kind` is
+/// "install", "retract" or "expire" (anything else reads as "expire"), `now`
+/// the hook's time in seconds, kept to the nearest microsecond.
+TupleEvent tuple_event(std::string_view kind, const std::string& node,
+                       const ndlog::Tuple& tuple, double now);
+
 /// Online monitor for one property. Feed events in trace order; `violated()`
 /// flips to true at the first event after which no extension can satisfy the
 /// property; `finish()` gives the end-of-trace verdict.

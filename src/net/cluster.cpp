@@ -1,6 +1,5 @@
 #include "net/cluster.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -15,18 +14,11 @@ using ndlog::Value;
 
 namespace {
 
-/// The static checks and the hard-state restriction, then the compiled plan
-/// every node executes.
-dataflow::Plan checked_plan(const ndlog::Program& program, const ndlog::Catalog& catalog,
-                            const ClusterOptions& options,
-                            const ndlog::BuiltinRegistry& builtins) {
-  ndlog::check_arities(program);
-  ndlog::check_safety(program, builtins);
-  if (options.require_stratified) ndlog::stratify(program);
-  // Hard-state programs only: soft-state expiry and periodic refresh need
-  // per-node clocks and by design never quiesce (they keep re-firing), so
-  // termination detection would be meaningless. The discrete-event Simulator
-  // stays the executor for those; reject them up front with a clear error.
+/// Hard-state programs only: soft-state expiry and periodic refresh need
+/// per-node clocks and by design never quiesce (they keep re-firing), so
+/// termination detection would be meaningless. The discrete-event Simulator
+/// stays the executor for those; reject them up front with a clear error.
+void reject_soft_state(const ndlog::Program& program, const ndlog::Catalog& catalog) {
   for (const auto& pred : catalog.predicates()) {
     const auto& info = catalog.info(pred);
     if (info.lifetime_seconds.has_value() && *info.lifetime_seconds > 0.0) {
@@ -36,21 +28,11 @@ dataflow::Plan checked_plan(const ndlog::Program& program, const ndlog::Catalog&
                          "simulator");
     }
   }
-  for (const auto& rule : program.rules) {
-    for (const auto& elem : rule.body) {
-      if (const auto* ba = std::get_if<ndlog::BodyAtom>(&elem)) {
-        if (ba->atom.predicate == "periodic") {
-          throw ClusterError(
-              "cluster: program uses periodic; the distributed runtime "
-              "executes hard-state programs only — use the simulator");
-        }
-      }
-    }
+  if (runtime::uses_periodic(program)) {
+    throw ClusterError(
+        "cluster: program uses periodic; the distributed runtime "
+        "executes hard-state programs only — use the simulator");
   }
-  dataflow::PlanOptions plan_options;
-  plan_options.incremental_aggregates = options.incremental_aggregates;
-  plan_options.cost_order = options.cost_order;
-  return dataflow::compile(program, plan_options);
 }
 
 }  // namespace
@@ -61,17 +43,11 @@ Cluster::Cluster(ndlog::Program program, ClusterOptions options,
       catalog_(ndlog::Catalog::from_program(program_)),
       options_(options),
       builtins_(&builtins),
-      plan_(checked_plan(program_, catalog_, options_, builtins)),
+      plan_(runtime::checked_plan(program_, builtins, options.require_stratified,
+                                  {options.incremental_aggregates, options.cost_order})),
       preds_(catalog_) {
-  for (const auto& rule : program_.rules) {
-    if (!rule.is_fact()) continue;
-    ndlog::Bindings empty;
-    std::vector<Value> values;
-    for (const auto& arg : rule.head.args) {
-      values.push_back(*ndlog::eval_term(*arg.term, empty, builtins));
-    }
-    inject(Tuple(rule.head.predicate, std::move(values)));
-  }
+  reject_soft_state(program_, catalog_);
+  for (const auto& fact : runtime::embedded_facts(program_, builtins)) inject(fact);
 }
 
 void Cluster::register_addrs(const Value& value) {
@@ -101,11 +77,6 @@ void Cluster::inject_all(const std::vector<Tuple>& facts) {
 NodeObs Cluster::make_obs(const std::string& name) {
   NodeObs obs;
   if (options_.tuple_events) obs.tuple_events = &options_.tuple_events;
-  if (options_.capture_tuple_events) {
-    auto& slot = tuple_traces_[name];
-    if (!slot) slot = std::make_unique<obs::Trace>();
-    obs.tuple_trace = slot.get();
-  }
   if (options_.metrics == nullptr) return obs;
   obs::Registry& m = *options_.metrics;
   const std::string base = "net/node/" + name + "/";
@@ -271,28 +242,7 @@ const NodeStats& Cluster::node_stats(const std::string& node) const {
 
 ndlog::Database Cluster::merged_database() const {
   ndlog::Database out;
-  for (const auto& [name, node] : nodes_) {
-    const ndlog::Database& db = node->database();
-    for (const auto& pred : db.predicates()) {
-      for (const auto& t : db.relation(pred)) out.insert(t);
-    }
-  }
-  return out;
-}
-
-std::vector<obs::TraceEvent> Cluster::tuple_events() const {
-  std::vector<obs::TraceEvent> out;
-  for (const auto& [name, trace] : tuple_traces_) {
-    for (const auto& e : trace->events()) out.push_back(e);
-  }
-  // Node clocks share an epoch only approximately (each node's steady_clock
-  // epoch is its construction instant, all within the same pre-thread setup),
-  // so a timestamp merge gives the closest single-trace approximation of the
-  // interleaving. stable_sort keeps each node's own stream in order.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
-                     return a.ts_us < b.ts_us;
-                   });
+  for (const auto& [name, node] : nodes_) runtime::merge_into(out, node->database());
   return out;
 }
 

@@ -77,21 +77,15 @@ struct ClusterOptions {
   /// cluster-level counter samples each poll.
   obs::Registry* metrics = nullptr;
   obs::Trace* trace = nullptr;
-  /// Record the engine-agnostic tuple lifecycle stream (install/retract as
-  /// cat "tuple" instants, the same shape runtime::Simulator emits). Each node
-  /// writes into its own private obs::Trace (the Trace is not thread-safe);
-  /// Cluster::tuple_events() returns the post-join merge in timestamp order.
-  /// LTL runtime monitors (`dist --monitor`) consume this stream.
-  bool capture_tuple_events = false;
   /// Live engine-agnostic tuple-event hook, invoked inline from node threads
   /// for every install/retract — the same signature (and kinds) as
   /// SimOptions::tuple_events, timestamped with the emitting node's clock in
   /// seconds. Fires concurrently from every node thread: the callee must be
-  /// internally synchronized (serve::Feed with thread_safe=true is the
-  /// intended consumer). Independent of capture_tuple_events.
-  std::function<void(std::string_view kind, const std::string& node,
-                     const ndlog::Tuple& tuple, double now)>
-      tuple_events;
+  /// internally synchronized (`dist --monitor` locks a mutex around its
+  /// ltl::MonitorSet; serve::Feed with thread_safe=true locks its own). A
+  /// node's call returns before the derivations the change triggers are
+  /// shipped, so the serialized stream is a linearization of the run.
+  runtime::TupleEventHook tuple_events;
 };
 
 struct ClusterStats {
@@ -149,9 +143,6 @@ class Cluster {
   ndlog::Database merged_database() const;
   std::vector<std::string> nodes() const;
   const ndlog::Program& program() const noexcept { return program_; }
-  /// Tuple lifecycle stream merged across nodes in timestamp order (empty
-  /// unless options.capture_tuple_events; valid after run()).
-  std::vector<obs::TraceEvent> tuple_events() const;
 
  private:
   void register_addrs(const ndlog::Value& value);
@@ -167,9 +158,6 @@ class Cluster {
   std::map<std::string, std::vector<ndlog::Tuple>> seeds_;  // node -> facts
   std::unique_ptr<Transport> transport_;
   std::map<std::string, std::unique_ptr<Node>> nodes_;
-  /// Per-node tuple-event traces (capture_tuple_events only), created before
-  /// the node threads start and read only after they join.
-  std::map<std::string, std::unique_ptr<obs::Trace>> tuple_traces_;
   bool ran_ = false;
 };
 

@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <thread>
 
-#include "obs/json.hpp"
-
 namespace fvn::net {
 
 using ndlog::Tuple;
-using ndlog::TupleSet;
+
+namespace {
+
+/// The cluster runs hard state only (Cluster rejects finite lifetimes), so
+/// no row here ever expires and the core's lifetime clock can stand still.
+constexpr double kCoreClock = 0.0;
+
+}  // namespace
 
 Node::Node(std::string name, const ndlog::Catalog& catalog,
            const ndlog::BuiltinRegistry& builtins, const dataflow::Plan& plan,
@@ -17,12 +22,12 @@ Node::Node(std::string name, const ndlog::Catalog& catalog,
       transport_(&transport),
       reliability_(reliability),
       obs_(obs),
-      plan_(&plan),
       preds_(catalog),
       // Null registry: obs::Registry is not thread-safe and the shared
       // element counters would race across node threads.
-      flow_(plan, builtins, nullptr),
-      agg_cache_(plan.aggregates.size()),
+      core_(name_, plan, preds_, builtins, nullptr,
+            [this](const runtime::NodeCore&, runtime::NodeCore::Change change,
+                   const Tuple& tuple) { on_change(change, tuple); }),
       epoch_(std::chrono::steady_clock::now()) {}
 
 double Node::now_ms() const {
@@ -33,139 +38,32 @@ double Node::now_ms() const {
 
 void Node::seed(Tuple fact) { seeds_.push_back(std::move(fact)); }
 
-void Node::tuple_event(const char* kind, const Tuple& tuple) {
+void Node::on_change(runtime::NodeCore::Change change, const Tuple& tuple) {
+  using Change = runtime::NodeCore::Change;
+  switch (change) {
+    case Change::Remote:
+      ship(tuple);
+      return;
+    case Change::Expire:
+    case Change::Refresh:
+      return;  // hard state only: nothing here ever expires
+    case Change::Install:
+      ++stats_.installed;
+      if (obs_.installed != nullptr) obs_.installed->add(1);
+      break;
+    case Change::Retract:
+      break;
+  }
   if (obs_.tuple_events != nullptr && *obs_.tuple_events) {
-    (*obs_.tuple_events)(kind, name_, tuple, now_ms() / 1000.0);
-  }
-  if (obs_.tuple_trace == nullptr) return;
-  obs_.tuple_trace->instant_at(
-      static_cast<std::uint64_t>(now_ms() * 1000.0),
-      std::string(kind) + " " + tuple.predicate(), "tuple",
-      "{\"node\":\"" + obs::json_escape(name_) + "\",\"tuple\":\"" +
-          obs::json_escape(tuple.to_string()) + "\"}");
-}
-
-bool Node::install(const Tuple& tuple) {
-  auto it = by_key_.find(tuple);
-  bool changed = false;
-  if (it == by_key_.end()) {
-    by_key_.insert(tuple);
-    db_.insert(tuple);
-    flow_.on_insert(tuple, db_);
-    tuple_event("install", tuple);
-    changed = true;
-  } else if (!(*it == tuple)) {
-    // Keyed overwrite (P2 materialize semantics), exactly as the simulator.
-    db_.erase(*it);
-    flow_.on_erase(*it, db_);
-    tuple_event("retract", *it);
-    auto slot = by_key_.extract(it);
-    slot.value() = tuple;  // same key fields: the set's order is undisturbed
-    by_key_.insert(std::move(slot));
-    db_.insert(tuple);
-    flow_.on_insert(tuple, db_);
-    tuple_event("install", tuple);
-    ++stats_.overwrites;
-    changed = true;
-  }
-  if (changed) {
-    ++stats_.installed;
-    if (obs_.installed != nullptr) obs_.installed->add(1);
-  }
-  return changed;
-}
-
-void Node::route(Tuple tuple) {
-  const std::string& dest = preds_.location_of(tuple);
-  if (dest == name_) {
-    deliver(std::move(tuple), /*transient=*/false);
-  } else {
-    ship(std::move(tuple), dest);
+    (*obs_.tuple_events)(change == Change::Install ? "install" : "retract", name_, tuple,
+                         now_ms() / 1000.0);
   }
 }
 
-void Node::run_rules(const Tuple& delta) {
-  std::vector<Tuple> produced;
-  flow_.process(delta, db_, produced);
-  for (auto& t : produced) route(std::move(t));
-}
-
-void Node::retract_row(const Tuple& row) {
-  if (!db_.erase(row)) return;
-  flow_.on_erase(row, db_);
-  tuple_event("retract", row);
-  by_key_.erase(row);
-}
-
-bool Node::run_agg_rules() {
-  bool any_changed = false;
-  for (std::size_t i = 0; i < plan_->aggregates.size(); ++i) {
-    if (flow_.aggregate_incremental(i)) {
-      // Diff flush: only the groups whose aggregate value moved come back,
-      // so maintenance costs O(changes), not O(groups), per batch.
-      if (!flow_.flush_aggregate_diff(i, agg_deltas_)) continue;
-      any_changed = true;
-      for (auto& d : agg_deltas_) {
-        if (d.retract.has_value() && preds_.location_of(*d.retract) == name_) {
-          retract_row(*d.retract);
-        }
-        if (d.assert_now.has_value()) route_agg_row(std::move(*d.assert_now));
-      }
-      continue;
-    }
-    auto maybe_outputs = flow_.flush_aggregate(i, db_);
-    if (!maybe_outputs) continue;  // provably unchanged since the last flush
-    TupleSet outputs = std::move(*maybe_outputs);
-    TupleSet& prev = agg_cache_[i];
-    if (outputs == prev) continue;
-    any_changed = true;
-    for (const auto& old_row : prev) {
-      if (outputs.count(old_row)) continue;
-      if (preds_.location_of(old_row) != name_) continue;  // remote copies are theirs
-      retract_row(old_row);
-    }
-    std::vector<Tuple> added;
-    for (const auto& row : outputs) {
-      if (!prev.count(row)) added.push_back(row);
-    }
-    prev = std::move(outputs);
-    for (auto& t : added) route_agg_row(std::move(t));
-  }
-  return any_changed;
-}
-
-void Node::route_agg_row(Tuple row) {
-  const std::string& dest = preds_.location_of(row);
-  if (dest != name_) {
-    ship(std::move(row), dest);
-  } else if (install(row)) {
-    run_rules(row);
-  }
-}
-
-void Node::flush_agg_rules() {
-  // A pass's own installs (a new best row firing ordinary rules) can re-dirty
-  // an aggregate, so repeat until a pass changes nothing.
-  while (run_agg_rules()) {
-  }
-}
-
-void Node::deliver(Tuple tuple, bool transient) {
-  if (transient) {
-    run_rules(tuple);
-    return;
-  }
-  if (!install(tuple)) return;  // duplicate: no re-derivation
-  run_rules(tuple);
-}
-
-void Node::ship(Tuple tuple, const std::string& dest) {
-  // NB: callers may pass `dest` referencing a Value inside `tuple`; a Tuple
-  // move steals the values vector's buffer without relocating the elements,
-  // so the reference stays valid for the map lookup below.
-  auto& buf = outbuf_[dest];
+void Node::ship(const Tuple& tuple) {
+  auto& buf = outbuf_[preds_.location_of(tuple)];
   if (buf.empty()) ++outbuf_dirty_;
-  buf.push_back(std::move(tuple));
+  buf.push_back(tuple);
   if (!reliability_.batch) flush_channels();
 }
 
@@ -261,14 +159,11 @@ void Node::send_ack(const std::string& dest, std::uint64_t cumulative_seq) {
   transport_->send(name_, dest, std::move(bytes));
 }
 
-void Node::deliver_tuples(std::vector<Tuple>&& tuples) {
-  for (auto& t : tuples) {
-    const bool transient = preds_.info(t.predicate()).transient;
-    deliver(std::move(t), transient);
-  }
-  // One aggregate flush per delivered batch instead of per tuple — with
+void Node::deliver_tuples(const std::vector<Tuple>& tuples) {
+  for (const auto& t : tuples) core_.deliver(t, kCoreClock);
+  // One aggregate settle per delivered batch instead of per tuple — with
   // batching this is where most of the cluster's rule-evaluation time went.
-  flush_agg_rules();
+  core_.settle(kCoreClock);
 }
 
 void Node::handle_batch(Frame&& frame) {
@@ -277,7 +172,7 @@ void Node::handle_batch(Frame&& frame) {
     ++stats_.received;
     stats_.tuples_received += frame.tuples.size();
     if (obs_.received != nullptr) obs_.received->add(1);
-    deliver_tuples(std::move(frame.tuples));
+    deliver_tuples(frame.tuples);
     return;
   }
   const std::string src = frame.src;
@@ -302,7 +197,7 @@ void Node::handle_batch(Frame&& frame) {
     ++stats_.received;
     stats_.tuples_received += batch.size();
     if (obs_.received != nullptr) obs_.received->add(1);
-    deliver_tuples(std::move(batch));
+    deliver_tuples(batch);
     auto it = in.reassembly.find(in.next_expected);
     if (it == in.reassembly.end()) break;
     batch = std::move(it->second);
@@ -382,11 +277,11 @@ bool Node::sweep() {
 void Node::run(const std::atomic<bool>& stop) {
   try {
     rx_cursor_ = transport_->rx_cursor(name_);
-    for (auto& fact : seeds_) {
-      deliver(std::move(fact), /*transient=*/false);
+    for (const auto& fact : seeds_) {
+      core_.deliver(fact, kCoreClock);
       activity_.fetch_add(1, std::memory_order_acq_rel);
     }
-    flush_agg_rules();
+    core_.settle(kCoreClock);
     seeds_.clear();
     flush_channels();  // the seeds' derivations ship before the first sweep
     std::uint32_t idle_streak = 0;
@@ -427,6 +322,7 @@ void Node::run(const std::atomic<bool>& stop) {
     idle_.store(true, std::memory_order_release);
     transport_->ring_progress();  // coordinator aborts the run promptly
   }
+  stats_.overwrites = core_.overwrites();
 }
 
 }  // namespace fvn::net

@@ -1,13 +1,14 @@
 // fvn::net node runtime — one concurrently-executing NDlog node (DESIGN.md
-// §12). A Node owns its slice of the distributed database and a compiled
-// dataflow::Engine over it, and runs an event loop on its own std::thread:
+// §12). A Node is channels and reliability over one runtime::NodeCore, the
+// same core the simulator runs for each of its nodes: the node's slice of
+// the distributed database, keyed overwrite, rule derivation and aggregate
+// maintenance live there, implemented once, so the differential suite can
+// demand an *identical* merged fixpoint from both executives. The Node runs
+// an event loop on its own std::thread:
 //
 //   pump held frames -> retransmit overdue -> drain mailbox -> flush batches
 //
-// Rule semantics deliberately mirror runtime::Simulator install/run_rules/
-// run_agg_rules line for line (keyed overwrite, aggregate diff-against-cache,
-// "remote copies age out") so the differential suite can demand an *identical*
-// merged fixpoint from both executives.
+// and settles the core's aggregates once per delivered batch.
 //
 // Shipping is *batched*: derived tuples bound for a remote node accumulate in
 // a per-destination channel buffer and flush as one DataBatch wire frame per
@@ -46,20 +47,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <queue>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "dataflow/engine.hpp"
 #include "dataflow/plan.hpp"
 #include "ndlog/catalog.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "runtime/node_core.hpp"
 #include "runtime/pred_table.hpp"
 
 namespace fvn::net {
@@ -98,19 +96,12 @@ struct NodeObs {
   obs::Histogram* batch_size = nullptr;
   obs::Timer* encode = nullptr;
   obs::Timer* decode = nullptr;
-  /// Engine-agnostic tuple lifecycle stream: when set, the node records every
-  /// database mutation as a cat "tuple" instant named "install <pred>" /
-  /// "retract <pred>" with args {"node":...,"tuple":...} — the same shape
-  /// runtime::Simulator emits, so LTL runtime monitors consume either engine's
-  /// trace unchanged. Must point at a per-node Trace (obs::Trace is not
-  /// thread-safe); the Cluster owns one per node and merges after join.
-  obs::Trace* tuple_trace = nullptr;
   /// Live engine-agnostic tuple-event hook (ClusterOptions::tuple_events),
   /// invoked inline on this node's thread for every install/retract with the
-  /// node clock in seconds. Shared across nodes — the callee must be
-  /// internally synchronized.
-  const std::function<void(std::string_view, const std::string&,
-                           const ndlog::Tuple&, double)>* tuple_events = nullptr;
+  /// node clock in seconds, before the derivations the change triggers are
+  /// shipped. Shared across nodes — the callee must be internally
+  /// synchronized.
+  const runtime::TupleEventHook* tuple_events = nullptr;
 };
 
 /// Plain counters, safe to read after the node's thread has been joined.
@@ -176,7 +167,7 @@ class Node {
   // --- Post-join accessors (thread must have exited) ------------------------
 
   const std::string& error() const noexcept { return error_; }
-  const ndlog::Database& database() const noexcept { return db_; }
+  const ndlog::Database& database() const noexcept { return core_.database(); }
   const NodeStats& stats() const noexcept { return stats_; }
 
  private:
@@ -206,50 +197,24 @@ class Node {
   bool sweep();  ///< one loop iteration; true if any frame was processed
   void handle_frame(const std::string& bytes);
   void handle_batch(Frame&& frame);
-  void deliver_tuples(std::vector<ndlog::Tuple>&& tuples);
+  /// Deliver one batch to the core, then settle its aggregates once.
+  void deliver_tuples(const std::vector<ndlog::Tuple>& tuples);
   void send_ack(const std::string& dest, std::uint64_t cumulative_seq);
   void retransmit_due();
-  void ship(ndlog::Tuple tuple, const std::string& dest);
+  /// Queue a derivation for its node's channel buffer.
+  void ship(const ndlog::Tuple& tuple);
   void flush_channels();
-
-  // Rule semantics (mirrors runtime::Simulator).
-  void deliver(ndlog::Tuple tuple, bool transient);
-  bool install(const ndlog::Tuple& tuple);
-  void run_rules(const ndlog::Tuple& delta);
-  /// One aggregate maintenance pass; true if any aggregate row changed.
-  bool run_agg_rules();
-  /// Aggregate flush at batch granularity: deliver() skips per-tuple
-  /// aggregate recomputation (the simulator's cadence) and each delivered
-  /// batch/seed round ends with passes until no aggregate moves. Confluent
-  /// with the per-tuple cadence: delivery order is already arbitrary under
-  /// reorder faults, so the differential fixpoint cannot depend on where
-  /// the flush boundaries fall.
-  void flush_agg_rules();
-  void route(ndlog::Tuple tuple);  ///< local -> deliver, remote -> ship
-  /// Erase a local row an aggregate pass retracted (no-op if absent).
-  void retract_row(const ndlog::Tuple& row);
-  /// A row an aggregate pass emitted: ship it, or install it and run the
-  /// ordinary rules on it.
-  void route_agg_row(ndlog::Tuple row);
-  /// Structured tuple-event emission into obs_.tuple_trace (no-op when null);
-  /// `kind` is "install" or "retract" (no soft state in the cluster, so no
-  /// "expire").
-  void tuple_event(const char* kind, const ndlog::Tuple& tuple);
+  /// The core's hook: ships remote derivations, counts installs and feeds
+  /// the tuple-event hook.
+  void on_change(runtime::NodeCore::Change change, const ndlog::Tuple& tuple);
 
   std::string name_;
   Transport* transport_;
   ReliabilityOptions reliability_;
   NodeObs obs_;
 
-  const dataflow::Plan* plan_;
   runtime::PredTable preds_;
-  dataflow::Engine flow_;
-
-  ndlog::Database db_;
-  runtime::KeyIndex by_key_{runtime::TupleKeyLess{&preds_}};
-  /// Last output per recompute-mode aggregate (indexed like plan_->aggregates).
-  std::vector<ndlog::TupleSet> agg_cache_;
-  std::vector<dataflow::Engine::AggDelta> agg_deltas_;  // diff-flush scratch
+  runtime::NodeCore core_;
   std::vector<ndlog::Tuple> seeds_;
 
   std::map<std::string, OutChannel> out_;

@@ -1,0 +1,125 @@
+// One node's P2 table semantics, implemented once for both distributed
+// runtimes: runtime::Simulator runs a map of cores under its event queue and
+// virtual clock, and each net::Node runs one core under its channels and
+// reliability layer (DESIGN.md §12.4).
+//
+// A core owns the node's database, the keyed-overwrite index
+// (`materialize(..., keys(...))`), the soft-state lifetime bookkeeping and
+// the compiled dataflow::Engine. It runs the rules on every tuple it is
+// handed, installs and re-derives local derivations depth-first, and keeps
+// aggregate rules up to date in settle(). Everything the executive has to
+// act on — a derivation bound for another node, and every install, retract,
+// expiry and lifetime refresh — reaches it through one hook, in the order it
+// happens.
+//
+// This header also holds the construction path both runtimes share: the
+// static checks and compilation of the plan, the facts a program embeds, and
+// the merged view of the nodes' databases.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "dataflow/engine.hpp"
+#include "dataflow/plan.hpp"
+#include "ndlog/ast.hpp"
+#include "ndlog/builtins.hpp"
+#include "ndlog/database.hpp"
+#include "obs/metrics.hpp"
+#include "runtime/pred_table.hpp"
+
+namespace fvn::runtime {
+
+/// The live tuple lifecycle hook both runtimes take
+/// (SimOptions::tuple_events, ClusterOptions::tuple_events): kind "install",
+/// "retract" or "expire", the owning node, the tuple, and the time in
+/// seconds.
+using TupleEventHook = std::function<void(std::string_view kind, const std::string& node,
+                                          const ndlog::Tuple& tuple, double now)>;
+
+class NodeCore {
+ public:
+  /// What a core reports to its executive.
+  enum class Change : std::uint8_t {
+    Remote,   ///< derived for another node: the executive ships it
+    Install,  ///< a row entered the table (new, or the new row of an overwrite)
+    Retract,  ///< a row left it: overwritten, withdrawn by an aggregate, retract()
+    Expire,   ///< a soft-state row's lifetime ran out (expire())
+    Refresh,  ///< a soft-state row was (re)stamped; it expires at expiry(row)
+  };
+  /// Called in the middle of a core operation: it may read the core but
+  /// must not call back into deliver/settle/retract/expire.
+  using Hook = std::function<void(const NodeCore& core, Change change,
+                                  const ndlog::Tuple& tuple)>;
+
+  /// `plan`, `preds` and `builtins` must outlive the core. `metrics` may be
+  /// null (see dataflow::Engine).
+  NodeCore(std::string name, const dataflow::Plan& plan, const PredTable& preds,
+           const ndlog::BuiltinRegistry& builtins, obs::Registry* metrics, Hook hook);
+  NodeCore(const NodeCore&) = delete;
+  NodeCore& operator=(const NodeCore&) = delete;
+
+  /// Take a tuple that arrived at this node — a message, a base fact or a
+  /// periodic event — at time `now`: install it (unless it is transient),
+  /// then run the rules on it. A duplicate changes nothing and derives
+  /// nothing. Aggregates are left for settle().
+  void deliver(const ndlog::Tuple& tuple, double now);
+  /// Aggregate maintenance: flush every aggregate rule and apply its deltas
+  /// (withdraw the local rows that moved, route the new ones), repeating
+  /// until a pass moves nothing — a pass's own installs can re-dirty one.
+  void settle(double now);
+  /// Delete a row (no derivation cascade, P2-style); no-op if absent.
+  void retract(const ndlog::Tuple& tuple);
+  /// Expire a soft-state row whose latest refresh is due by `now`. Returns
+  /// false when a later refresh superseded it.
+  bool expire(const ndlog::Tuple& tuple, double now);
+  /// When the latest refresh of a soft-state row expires.
+  double expiry(const ndlog::Tuple& tuple) const { return expires_at_.at(tuple); }
+
+  const std::string& name() const noexcept { return name_; }
+  const ndlog::Database& database() const noexcept { return db_; }
+  /// Keyed overwrites among the installs so far.
+  std::uint64_t overwrites() const noexcept { return overwrites_; }
+
+ private:
+  /// Keyed install; true when the table changed (new row or overwrite).
+  bool install(const ndlog::Tuple& tuple, double now);
+  /// Run the rules on one delta and route what they derive.
+  void derive(const ndlog::Tuple& delta, double now);
+  /// A derivation: install and re-derive it here, or report it as Remote.
+  void route(const ndlog::Tuple& tuple, double now);
+
+  std::string name_;
+  const PredTable* preds_;
+  Hook hook_;
+  dataflow::Engine engine_;
+  ndlog::Database db_;
+  KeyIndex by_key_;
+  /// Soft-state rows -> expiry of their latest refresh.
+  std::map<ndlog::Tuple, double> expires_at_;
+  std::vector<dataflow::Engine::AggDelta> deltas_;  // settle() scratch
+  std::uint64_t overwrites_ = 0;
+};
+
+/// The static checks every run needs (arities, safety, and stratification
+/// when required), then the compiled plan every node of a localized program
+/// executes.
+dataflow::Plan checked_plan(const ndlog::Program& localized,
+                            const ndlog::BuiltinRegistry& builtins,
+                            bool require_stratified, const dataflow::PlanOptions& options);
+
+/// The ground facts a program embeds (rules with empty bodies), evaluated.
+std::vector<ndlog::Tuple> embedded_facts(const ndlog::Program& program,
+                                         const ndlog::BuiltinRegistry& builtins);
+
+/// True when a rule body reads `periodic`.
+bool uses_periodic(const ndlog::Program& program);
+
+/// Adds every row of `db` to `merged`: the runtimes' merged_database().
+void merge_into(ndlog::Database& merged, const ndlog::Database& db);
+
+}  // namespace fvn::runtime

@@ -1,6 +1,5 @@
 #include "runtime/simulator.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "obs/json.hpp"
@@ -9,9 +8,7 @@
 namespace fvn::runtime {
 
 using ndlog::Database;
-using ndlog::Rule;
 using ndlog::Tuple;
-using ndlog::TupleSet;
 using ndlog::Value;
 
 namespace {
@@ -31,19 +28,6 @@ std::uint64_t derive_loss_seed(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// The static checks every run needs, then the compiled plan every node
-/// executes.
-dataflow::Plan checked_plan(const ndlog::Program& program, const SimOptions& options,
-                            const ndlog::BuiltinRegistry& builtins) {
-  ndlog::check_arities(program);
-  ndlog::check_safety(program, builtins);
-  if (options.require_stratified) ndlog::stratify(program);
-  dataflow::PlanOptions plan_options;
-  plan_options.incremental_aggregates = options.incremental_aggregates;
-  plan_options.cost_order = options.cost_order;
-  return dataflow::compile(program, plan_options);
-}
-
 }  // namespace
 
 Simulator::Simulator(ndlog::Program program, SimOptions options,
@@ -52,33 +36,27 @@ Simulator::Simulator(ndlog::Program program, SimOptions options,
       catalog_(ndlog::Catalog::from_program(program_)),
       options_(options),
       builtins_(&builtins),
-      plan_(checked_plan(program_, options_, builtins)),
+      plan_(checked_plan(program_, builtins, options.require_stratified,
+                         {options.incremental_aggregates, options.cost_order})),
       preds_(catalog_),
       rng_(options.seed),
-      loss_rng_(derive_loss_seed(options.seed)) {
-  for (const auto& rule : program_.rules) {
-    if (rule.is_fact()) {
-      // Program-embedded ground facts are injected at t=0.
-      ndlog::Bindings empty;
-      std::vector<Value> values;
-      for (const auto& arg : rule.head.args) {
-        values.push_back(*ndlog::eval_term(*arg.term, empty, builtins));
-      }
-      inject(Tuple(rule.head.predicate, std::move(values)), 0.0);
-      continue;
-    }
-    for (const auto& elem : rule.body) {
-      if (const auto* ba = std::get_if<ndlog::BodyAtom>(&elem)) {
-        if (ba->atom.predicate == "periodic") uses_periodic_ = true;
-      }
-    }
-  }
+      loss_rng_(derive_loss_seed(options.seed)),
+      uses_periodic_(uses_periodic(program_)) {
+  // Program-embedded ground facts are injected at t=0.
+  for (const auto& fact : embedded_facts(program_, builtins)) inject(fact, 0.0);
 }
 
-void Simulator::add_node(const std::string& name) { state_of(name); }
+void Simulator::add_node(const std::string& name) { core_of(name); }
 
-Simulator::NodeState& Simulator::state_of(const std::string& node) {
-  return node_states_.try_emplace(node, preds_, plan_.aggregates.size()).first->second;
+NodeCore& Simulator::core_of(const std::string& node) {
+  auto it = cores_.find(node);
+  if (it != cores_.end()) return it->second;
+  return cores_
+      .try_emplace(node, node, plan_, preds_, *builtins_, options_.metrics,
+                   [this](const NodeCore& core, NodeCore::Change change, const Tuple& tuple) {
+                     on_change(core, change, tuple);
+                   })
+      .first->second;
 }
 
 void Simulator::set_link_delay(const std::string& from, const std::string& to,
@@ -116,98 +94,75 @@ void Simulator::retract(const Tuple& fact, double time) {
 
 void Simulator::add_monitor(Monitor monitor) { monitors_.push_back(std::move(monitor)); }
 
-dataflow::Engine& Simulator::flow(NodeState& state) {
-  if (!state.flow) {
-    state.flow = std::make_unique<dataflow::Engine>(plan_, *builtins_, options_.metrics);
-  }
-  return *state.flow;
-}
-
 void Simulator::tuple_event(std::string_view kind, const std::string& node,
-                            const Tuple& tuple, double now) {
-  if (options_.tuple_events) options_.tuple_events(kind, node, tuple, now);
+                            const Tuple& tuple) {
+  if (options_.tuple_events) options_.tuple_events(kind, node, tuple, now_);
   if (options_.obs_trace != nullptr) {
     options_.obs_trace->instant_at(
-        sim_ts(now), std::string(kind) + " " + tuple.predicate(), "tuple",
+        sim_ts(now_), std::string(kind) + " " + tuple.predicate(), "tuple",
         "{\"node\":\"" + obs::json_escape(node) + "\",\"tuple\":\"" +
             obs::json_escape(tuple.to_string()) + "\"}");
   }
 }
 
-bool Simulator::install(NodeState& state, const std::string& node, const Tuple& tuple,
-                        double now) {
-  const std::optional<double> lifetime = preds_.info(tuple.predicate()).lifetime;
-  dataflow::Engine& engine = flow(state);
-  auto it = state.by_key.find(tuple);
-  bool changed = false;
-  if (it == state.by_key.end()) {
-    state.by_key.insert(tuple);
-    state.db.insert(tuple);
-    engine.on_insert(tuple, state.db);
-    changed = true;
-  } else if (!(*it == tuple)) {
-    // Key overwrite (P2 materialize semantics).
-    state.db.erase(*it);
-    engine.on_erase(*it, state.db);
-    tuple_event("retract", node, *it, now);
-    state.expires_at.erase(*it);
-    auto slot = state.by_key.extract(it);
-    slot.value() = tuple;  // same key fields: the set's order is undisturbed
-    state.by_key.insert(std::move(slot));
-    state.db.insert(tuple);
-    engine.on_insert(tuple, state.db);
-    ++stats_.overwrites;
-    if (options_.metrics != nullptr) {
-      options_.metrics->counter("sim/node/" + node + "/overwrites").add(1);
+void Simulator::on_change(const NodeCore& core, NodeCore::Change change, const Tuple& tuple) {
+  const std::string& node = core.name();
+  switch (change) {
+    case NodeCore::Change::Remote:
+      send(node, tuple);
+      return;
+    case NodeCore::Change::Refresh: {
+      Event e;
+      e.time = core.expiry(tuple);
+      e.kind = Event::Kind::Expire;
+      e.node = node;
+      e.tuple = tuple;
+      schedule(std::move(e));
+      return;
     }
-    changed = true;
+    case NodeCore::Change::Retract:
+      stats_.last_change_time = now_;
+      tuple_event("retract", node, tuple);
+      return;
+    case NodeCore::Change::Expire:
+      tuple_event("expire", node, tuple);
+      return;
+    case NodeCore::Change::Install:
+      break;
   }
-  if (lifetime) {
-    const double expiry = now + *lifetime;
-    state.expires_at[tuple] = expiry;
-    Event e;
-    e.time = expiry;
-    e.kind = Event::Kind::Expire;
-    e.node = node;
-    e.tuple = tuple;
-    schedule(std::move(e));
+  ++stats_.tuples_derived;
+  stats_.last_change_time = now_;
+  stats_.last_change_by_predicate[tuple.predicate()] = now_;
+  if (options_.record_trace) {
+    trace_.push_back(TraceEntry{now_, TraceEntry::Kind::Install, node, tuple.to_string()});
   }
-  if (changed) {
-    ++stats_.tuples_derived;
-    stats_.last_change_time = now;
-    stats_.last_change_by_predicate[tuple.predicate()] = now;
-    if (options_.record_trace) {
-      trace_.push_back(TraceEntry{now, TraceEntry::Kind::Install, node, tuple.to_string()});
-    }
-    if (options_.metrics != nullptr) {
-      options_.metrics->counter("sim/node/" + node + "/installed").add(1);
-    }
-    if (options_.obs_trace != nullptr) {
-      options_.obs_trace->instant_at(sim_ts(now), "install " + tuple.predicate(), "sim",
-                                     "{\"node\":\"" + obs::json_escape(node) + "\"}");
-      options_.obs_trace->counter_at(sim_ts(now), "sim/installs", "sim",
-                                     static_cast<double>(stats_.tuples_derived));
-    }
-    tuple_event("install", node, tuple, now);
-    for (const auto& m : monitors_) {
-      if (!m(node, tuple, now)) ++stats_.monitor_violations;
-    }
+  if (options_.metrics != nullptr) {
+    options_.metrics->counter("sim/node/" + node + "/installed").add(1);
   }
-  return changed;
+  if (options_.obs_trace != nullptr) {
+    options_.obs_trace->instant_at(sim_ts(now_), "install " + tuple.predicate(), "sim",
+                                   "{\"node\":\"" + obs::json_escape(node) + "\"}");
+    options_.obs_trace->counter_at(sim_ts(now_), "sim/installs", "sim",
+                                   static_cast<double>(stats_.tuples_derived));
+  }
+  tuple_event("install", node, tuple);
+  for (const auto& m : monitors_) {
+    if (!m(node, tuple, now_)) ++stats_.monitor_violations;
+  }
 }
 
-void Simulator::send(const std::string& from, const Tuple& tuple, double now) {
+void Simulator::send(const std::string& from, const Tuple& tuple) {
   const std::string& to = preds_.location_of(tuple);
   ++stats_.messages_sent;
   if (options_.record_trace) {
     trace_.push_back(
-        TraceEntry{now, TraceEntry::Kind::Send, from, tuple.to_string() + " -> " + to});
+        TraceEntry{now_, TraceEntry::Kind::Send, from, tuple.to_string() + " -> " + to});
   }
   if (options_.metrics != nullptr) {
     options_.metrics->counter("sim/node/" + from + "/sent").add(1);
   }
   if (options_.obs_trace != nullptr) {
-    options_.obs_trace->instant_at(sim_ts(now), "send " + tuple.predicate(), "sim",
+    options_.obs_trace->instant_at(sim_ts(now_), "send " + tuple.predicate(), "sim",
                                    "{\"from\":\"" + obs::json_escape(from) +
                                        "\",\"to\":\"" + obs::json_escape(to) + "\"}");
   }
@@ -229,79 +184,11 @@ void Simulator::send(const std::string& from, const Tuple& tuple, double now) {
     delay *= 1.0 + j(rng_);
   }
   Event e;
-  e.time = now + delay;
+  e.time = now_ + delay;
   e.kind = Event::Kind::Deliver;
   e.node = to;
   e.tuple = tuple;
   schedule(std::move(e));
-}
-
-void Simulator::run_rules(const std::string& node, const Tuple& delta, double now) {
-  NodeState& state = state_of(node);
-  std::vector<Tuple> produced;
-  flow(state).process(delta, state.db, produced);
-  for (auto& t : produced) {
-    if (preds_.location_of(t) == node) {
-      deliver(node, t, now, /*transient=*/false);
-    } else {
-      send(node, t, now);
-    }
-  }
-}
-
-void Simulator::run_agg_rules(const std::string& node, double now) {
-  // Same rule order, same diff-against-cache flow and same emission order
-  // as the centralized evaluator's eval_agg_rule (the engine builds each
-  // output set by the same sorted-group insertion sequence), except the
-  // output view comes from incrementally maintained group state instead of
-  // a full recompute.
-  NodeState& state = state_of(node);
-  dataflow::Engine& engine = flow(state);
-  for (std::size_t i = 0; i < plan_.aggregates.size(); ++i) {
-    auto maybe_outputs = engine.flush_aggregate(i, state.db);
-    if (!maybe_outputs) continue;  // provably unchanged since the last flush
-    TupleSet outputs = std::move(*maybe_outputs);
-    TupleSet& prev = state.agg_cache[i];
-    if (outputs == prev) continue;
-    // Incremental view maintenance: retract groups that disappeared or whose
-    // aggregate value changed, then install/ship the new rows.
-    for (const auto& old_row : prev) {
-      if (outputs.count(old_row)) continue;
-      if (preds_.location_of(old_row) != node) continue;  // remote copies age out
-      if (state.db.erase(old_row)) {
-        engine.on_erase(old_row, state.db);
-        state.by_key.erase(old_row);
-        state.expires_at.erase(old_row);
-        stats_.last_change_time = now;
-        tuple_event("retract", node, old_row, now);
-      }
-    }
-    std::vector<Tuple> added;
-    for (const auto& row : outputs) {
-      if (!prev.count(row)) added.push_back(row);
-    }
-    prev = std::move(outputs);
-    for (const auto& t : added) {
-      if (preds_.location_of(t) != node) {
-        send(node, t, now);
-      } else if (install(state, node, t, now)) {
-        run_rules(node, t, now);
-      }
-    }
-  }
-}
-
-bool Simulator::is_transient(const Tuple& tuple) const {
-  if (tuple.predicate() == "periodic") return true;
-  return preds_.info(tuple.predicate()).transient;
-}
-
-void Simulator::deliver(const std::string& node, const Tuple& tuple, double now,
-                        bool transient) {
-  // A duplicate install changes nothing, so there is nothing to re-derive.
-  if (!transient && !install(state_of(node), node, tuple, now)) return;
-  run_rules(node, tuple, now);
-  run_agg_rules(node, now);
 }
 
 SimStats Simulator::run() {
@@ -311,9 +198,7 @@ SimStats Simulator::run() {
   // Periodic event pre-scheduling.
   if (uses_periodic_ && options_.max_periodic_rounds > 0) {
     // Nodes known at start: everything referenced by queued events.
-    std::vector<std::string> names;
-    for (const auto& [name, state] : node_states_) names.push_back(name);
-    for (const auto& name : names) {
+    for (const auto& name : nodes()) {
       for (std::size_t k = 1; k <= options_.max_periodic_rounds; ++k) {
         Event e;
         e.time = static_cast<double>(k) * options_.periodic_interval;
@@ -331,10 +216,11 @@ SimStats Simulator::run() {
     if (e.time > options_.max_time || stats_.events_processed >= options_.max_events) {
       stats_.end_time = e.time;
       stats_.quiesced = false;
-      return stats_;
+      return finish();
     }
     ++stats_.events_processed;
     stats_.end_time = e.time;
+    now_ = e.time;
     if (options_.metrics != nullptr) {
       // +1: the event just popped is still in flight conceptually.
       options_.metrics->histogram("sim/queue_depth").observe(queue_.size() + 1);
@@ -343,79 +229,69 @@ SimStats Simulator::run() {
       options_.obs_trace->counter_at(sim_ts(e.time), "sim/queue_depth", "sim",
                                      static_cast<double>(queue_.size() + 1));
     }
-    NodeState& state = state_of(e.node);
+    NodeCore& core = core_of(e.node);
     switch (e.kind) {
-      case Event::Kind::Deliver: {
+      case Event::Kind::Deliver:
         if (options_.metrics != nullptr) {
           options_.metrics->counter("sim/node/" + e.node + "/received").add(1);
         }
-        deliver(e.node, e.tuple, e.time, is_transient(e.tuple));
-        break;
-      }
+        [[fallthrough]];
       case Event::Kind::Periodic:
-        deliver(e.node, e.tuple, e.time, /*transient=*/true);
+        core.deliver(e.tuple, e.time);
+        core.settle(e.time);
         break;
-      case Event::Kind::Expire: {
-        auto it = state.expires_at.find(e.tuple);
-        // Only expire if this event corresponds to the latest refresh.
-        if (it != state.expires_at.end() && it->second <= e.time + 1e-12) {
-          state.expires_at.erase(it);
-          if (state.db.erase(e.tuple)) {
-            flow(state).on_erase(e.tuple, state.db);
-            tuple_event("expire", e.node, e.tuple, e.time);
-          }
-          state.by_key.erase(e.tuple);
-          ++stats_.expirations;
-          stats_.last_change_time = e.time;
-          if (options_.record_trace) {
-            trace_.push_back(TraceEntry{e.time, TraceEntry::Kind::Expire, e.node,
-                                        e.tuple.to_string()});
-          }
-          if (options_.metrics != nullptr) {
-            options_.metrics->counter("sim/node/" + e.node + "/expired").add(1);
-          }
-          if (options_.obs_trace != nullptr) {
-            options_.obs_trace->instant_at(sim_ts(e.time), "expire " + e.tuple.predicate(),
-                                           "sim");
-          }
+      case Event::Kind::Retract:
+        core.retract(e.tuple);
+        core.settle(e.time);
+        break;
+      case Event::Kind::Expire:
+        // Only the event of the latest refresh expires the row.
+        if (!core.expire(e.tuple, e.time)) break;
+        ++stats_.expirations;
+        stats_.last_change_time = e.time;
+        if (options_.record_trace) {
+          trace_.push_back(
+              TraceEntry{e.time, TraceEntry::Kind::Expire, e.node, e.tuple.to_string()});
+        }
+        if (options_.metrics != nullptr) {
+          options_.metrics->counter("sim/node/" + e.node + "/expired").add(1);
+        }
+        if (options_.obs_trace != nullptr) {
+          options_.obs_trace->instant_at(sim_ts(e.time), "expire " + e.tuple.predicate(),
+                                         "sim");
         }
         break;
-      }
-      case Event::Kind::Retract: {
-        if (state.db.erase(e.tuple)) {
-          flow(state).on_erase(e.tuple, state.db);
-          state.by_key.erase(e.tuple);
-          state.expires_at.erase(e.tuple);
-          stats_.last_change_time = e.time;
-          tuple_event("retract", e.node, e.tuple, e.time);
-        }
-        break;
-      }
     }
   }
   stats_.quiesced = true;
+  return finish();
+}
+
+SimStats& Simulator::finish() {
+  for (const auto& [name, core] : cores_) {
+    stats_.overwrites += core.overwrites();
+    if (options_.metrics != nullptr && core.overwrites() > 0) {
+      options_.metrics->counter("sim/node/" + name + "/overwrites").add(core.overwrites());
+    }
+  }
   return stats_;
 }
 
 const Database& Simulator::database(const std::string& node) const {
   static const Database empty;
-  auto it = node_states_.find(node);
-  return it == node_states_.end() ? empty : it->second.db;
+  auto it = cores_.find(node);
+  return it == cores_.end() ? empty : it->second.database();
 }
 
 Database Simulator::merged_database() const {
   Database out;
-  for (const auto& [name, state] : node_states_) {
-    for (const auto& pred : state.db.predicates()) {
-      for (const auto& t : state.db.relation(pred)) out.insert(t);
-    }
-  }
+  for (const auto& [name, core] : cores_) merge_into(out, core.database());
   return out;
 }
 
 std::vector<std::string> Simulator::nodes() const {
   std::vector<std::string> out;
-  for (const auto& [name, state] : node_states_) out.push_back(name);
+  for (const auto& [name, core] : cores_) out.push_back(name);
   return out;
 }
 

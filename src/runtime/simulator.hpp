@@ -1,34 +1,40 @@
 // The distributed declarative-networking executor — FVN's stand-in for the
-// P2 system (arc 7 of Figure 1): a discrete-event simulator in which every
-// network node runs the compiled dataflow engine (fvn::dataflow, one tuple
-// delta at a time through the rule strands) over its local tables, and
-// derived tuples whose location specifier names another node travel as
-// messages with configurable delay and loss.
+// P2 system (arc 7 of Figure 1): a discrete-event simulator over one
+// runtime::NodeCore per network node. Each core runs the compiled dataflow
+// engine over its local tables; the simulator adds the event queue, the
+// virtual clock and the delay/loss model, so derived tuples whose location
+// specifier names another node travel as messages with configurable delay
+// and loss.
 //
 // Features exercised by the experiments:
 //   * location-specifier routing (the '@' of §2.2),
 //   * per-(key) overwrite semantics for materialized tables (P2-style
-//     primary keys from `materialize(..., keys(...))`),
+//     primary keys from `materialize(..., keys(...))`, kept by the core),
 //   * soft state: tuples with finite lifetime expire; `periodic(@N,I)`
 //     events re-fire every I seconds (the native alternative to §4.2's
 //     hard-state rewrite, experiment E8),
 //   * runtime invariant monitors (the runtime-verification arc of §1),
 //   * quiescence detection: convergence time and message counts (E5).
+//
+// Cadence: each delivered event (a message, a base fact, a periodic tick or
+// a retraction) runs to completion at its node — the rules on the tuple,
+// its local derivations depth-first — and then settles that node's
+// aggregates once. Expiry does not settle: the node's aggregates catch up
+// at its next delivery.
 #pragma once
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <queue>
 #include <random>
 #include <string_view>
 
-#include "dataflow/engine.hpp"
 #include "dataflow/plan.hpp"
 #include "ndlog/catalog.hpp"
 #include "ndlog/eval.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/node_core.hpp"
 #include "runtime/pred_table.hpp"
 
 namespace fvn::runtime {
@@ -81,12 +87,11 @@ struct SimOptions {
   /// Live engine-agnostic tuple lifecycle hook: called after every database
   /// mutation with kind "install" / "retract" / "expire", the owning node,
   /// the tuple and the virtual time. Null (the default) costs nothing. LTL
-  /// runtime monitors (`sim --monitor`, bench_ltl) attach here; the same
-  /// stream is exported as cat "tuple" obs instants when obs_trace is set,
-  /// with args {"node":...,"tuple":...} — the shape fvn::net emits too.
-  std::function<void(std::string_view kind, const std::string& node,
-                     const ndlog::Tuple& tuple, double now)>
-      tuple_events;
+  /// runtime monitors (`sim --monitor`, bench_ltl) attach here, as on
+  /// ClusterOptions::tuple_events; the same stream is exported as cat
+  /// "tuple" obs instants when obs_trace is set, with args
+  /// {"node":...,"tuple":...} (decoded by ltl::events_from_trace).
+  TupleEventHook tuple_events;
   /// Maintain aggregate views via per-group ± deltas where the planner
   /// proves it exact (false forces the recompute fallback for every
   /// aggregate rule — the ablation knob).
@@ -131,6 +136,9 @@ class Simulator {
  public:
   Simulator(ndlog::Program program, SimOptions options = {},
             const ndlog::BuiltinRegistry& builtins = ndlog::BuiltinRegistry::standard());
+  /// Every node core's hook points back at this simulator.
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   /// Nodes are created implicitly by fact locations; explicit creation is
   /// useful for nodes that only receive.
@@ -145,7 +153,8 @@ class Simulator {
   void inject_all(const std::vector<ndlog::Tuple>& facts, double time = 0.0);
 
   /// Delete a base tuple at `time` (e.g. a link failure). No derivation
-  /// cascade is performed (P2-style); soft state re-derives around it.
+  /// cascade is performed (P2-style); soft state re-derives around it. The
+  /// node's aggregates settle right after, like after a delivery.
   void retract(const ndlog::Tuple& fact, double time);
 
   void add_monitor(Monitor monitor);
@@ -177,42 +186,20 @@ class Simulator {
     }
   };
 
-  struct NodeState {
-    NodeState(const PredTable& preds, std::size_t aggregates)
-        : by_key(TupleKeyLess{&preds}), agg_cache(aggregates) {}
-    ndlog::Database db;
-    KeyIndex by_key;
-    /// expiry bookkeeping: tuple -> scheduled expiry time (latest refresh).
-    std::map<ndlog::Tuple, double> expires_at;
-    /// Last output per aggregate rule of the plan (incremental view
-    /// maintenance diffs each flush against it).
-    std::vector<ndlog::TupleSet> agg_cache;
-    /// This node's compiled engine (created on first use).
-    std::unique_ptr<dataflow::Engine> flow;
-  };
-
-  NodeState& state_of(const std::string& node);
+  NodeCore& core_of(const std::string& node);
   void schedule(Event event);
-  void deliver(const std::string& node, const ndlog::Tuple& tuple, double now,
-               bool transient);
-  void send(const std::string& from, const ndlog::Tuple& tuple, double now);
-  /// Install into local tables honoring keys/lifetimes; returns true if the
-  /// database changed (new tuple or overwrite).
-  bool install(NodeState& state, const std::string& node, const ndlog::Tuple& tuple,
-               double now);
-  void run_rules(const std::string& node, const ndlog::Tuple& delta, double now);
-  /// Aggregate maintenance pass: diff every aggregate's output view against
-  /// its cached last output, retract what left, install or ship what came.
-  void run_agg_rules(const std::string& node, double now);
-  bool is_transient(const ndlog::Tuple& tuple) const;
-  /// The node's engine (created lazily; by construction every database
-  /// mutation flows through the mirror hooks from the first insert, so a
-  /// freshly created engine always starts from an empty database).
-  dataflow::Engine& flow(NodeState& state);
+  void send(const std::string& from, const ndlog::Tuple& tuple);
+  /// Every core's hook: ships remote derivations, schedules expiries, and
+  /// records every table change (stats, trace, metrics, tuple events,
+  /// monitors) at the current event's time.
+  void on_change(const NodeCore& core, NodeCore::Change change, const ndlog::Tuple& tuple);
   /// Structured tuple-event emission (SimOptions::tuple_events + cat "tuple"
   /// obs instants); `kind` is "install", "retract" or "expire".
   void tuple_event(std::string_view kind, const std::string& node,
-                   const ndlog::Tuple& tuple, double now);
+                   const ndlog::Tuple& tuple);
+  /// Fold the cores' overwrite counts into the stats and metrics at the end
+  /// of run().
+  SimStats& finish();
 
   ndlog::Program program_;
   ndlog::Catalog catalog_;
@@ -221,7 +208,7 @@ class Simulator {
   dataflow::Plan plan_;
   PredTable preds_;
 
-  std::map<std::string, NodeState> node_states_;
+  std::map<std::string, NodeCore> cores_;
   std::map<std::pair<std::string, std::string>, double> link_delays_;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   std::uint64_t sequence_ = 0;
@@ -234,6 +221,7 @@ class Simulator {
   std::vector<Monitor> monitors_;
   std::vector<TraceEntry> trace_;
   SimStats stats_;
+  double now_ = 0.0;  ///< virtual time of the event being processed
   bool ran_ = false;
   bool uses_periodic_ = false;
 };

@@ -1,10 +1,10 @@
 // fvn::dataflow tests: planner structure (strands, probe selection, dead
 // strands, DOT/JSON dumps) and the differential suite pinning the engine's
 // contract against the centralized ndlog::RuleEngine — per delta the same
-// derivations in the same order, per flush the same aggregate view — on
-// every shipped example program, under loss and reordering, for a
-// soft-state/periodic protocol with a retraction, with the incremental
-// aggregate planner and with its recompute fallback.
+// derivations in the same order, per flush deltas in group-key order that
+// maintain the same aggregate view, and the same delta log from both
+// planner modes — on every shipped example program, under loss and
+// reordering, for a soft-state/periodic protocol with a retraction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
 #include <sstream>
@@ -212,10 +213,6 @@ std::vector<std::string> rendered(const std::vector<Tuple>& tuples) {
   return out;
 }
 
-std::vector<std::string> rendered(const ndlog::TupleSet& tuples) {
-  return rendered(std::vector<Tuple>(tuples.begin(), tuples.end()));
-}
-
 /// Seeded faults on an ExecutorPair's deliveries: a remote tuple is dropped
 /// with probability `loss`, and with `reorder` the next delivery is drawn
 /// from anywhere in the queue instead of its head.
@@ -232,12 +229,15 @@ struct Faults {
 /// transient, then pushed through both executors as one delta:
 /// Engine::process must emit exactly what the RuleEngine::eval_rule_delta
 /// loop over the normal rules emits, in the same order — the contract of
-/// dataflow/engine.hpp. After each delta the node's aggregates are flushed,
-/// and flush_aggregate must equal eval_agg_rule over the same database, down
-/// to the set's iteration order, which fixes the runtimes' emission order.
-/// The flushed views are maintained like the runtimes do (local rows that
-/// left are erased, new rows delivered), and derived tuples are queued for
-/// their node, subject to the Faults.
+/// dataflow/engine.hpp. Local derivations follow depth-first and remote ones
+/// are queued for their node, subject to the Faults, as in the node core.
+/// After each delivery the node's aggregates are flushed once, the
+/// simulator's cadence, so one flush can move many groups. Each flush's
+/// deltas must come in strictly increasing group-key order, and the view
+/// maintained from them must equal eval_agg_rule over the same database;
+/// every delta goes to a log, which must not depend on the planner mode
+/// (expect_executors_agree). The deltas are applied like the runtimes do (a
+/// local row that left is erased, a new row queued).
 class ExecutorPair {
  public:
   ExecutorPair(const ndlog::Program& program, bool incremental_aggregates,
@@ -297,18 +297,20 @@ class ExecutorPair {
   }
   std::size_t deltas() const noexcept { return deltas_; }
   std::size_t flushes() const noexcept { return flushes_; }
+  /// Every aggregate delta so far: node, rule, retracted and asserted row.
+  const std::vector<std::string>& delta_log() const noexcept { return log_; }
 
  private:
   struct Node {
     Node(const dataflow::Plan& plan, const runtime::PredTable& preds)
         : engine(plan, ndlog::BuiltinRegistry::standard()),
           by_key(runtime::TupleKeyLess{&preds}),
-          flushed(plan.aggregates.size()) {}
+          views(plan.aggregates.size()) {}
     ndlog::Database db;
     dataflow::Engine engine;
     runtime::KeyIndex by_key;
     std::map<Tuple, double> expires;
-    std::vector<ndlog::TupleSet> flushed;  // last view per aggregate
+    std::vector<ndlog::TupleSet> views;  // per aggregate, kept from its deltas
   };
 
   static dataflow::PlanOptions plan_options(bool incremental_aggregates) {
@@ -345,6 +347,11 @@ class ExecutorPair {
   void step(const Tuple& delta) {
     const std::string at = preds_.location_of(delta);
     Node& node = node_of(at);
+    derive(node, at, delta);
+    if (!::testing::Test::HasFatalFailure()) flush(node, at);
+  }
+
+  void derive(Node& node, const std::string& at, const Tuple& delta) {
     const bool transient =
         delta.predicate() == "periodic" || preds_.info(delta.predicate()).transient;
     if (!transient && !install(node, delta)) return;
@@ -363,28 +370,52 @@ class ExecutorPair {
     }
     ++deltas_;
     ASSERT_EQ(rendered(flow), rendered(interp)) << "delta " << delta.to_string() << " at " << at;
-    for (auto& t : flow) send(at, std::move(t));
-    flush(node, at);
+    for (auto& t : flow) {
+      if (preds_.location_of(t) != at) {
+        send(at, std::move(t));
+        continue;
+      }
+      derive(node, at, t);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
 
   void flush(Node& node, const std::string& at) {
+    std::vector<dataflow::Engine::AggDelta> deltas;
     for (std::size_t i = 0; i < plan_.aggregates.size(); ++i) {
       const ndlog::Rule& rule = program_.rules[plan_.aggregates[i].rule_index];
-      const ndlog::TupleSet prev = node.flushed[i];
-      // nullopt: provably unchanged since the last flush.
-      if (auto view = node.engine.flush_aggregate(i, node.db)) node.flushed[i] = std::move(*view);
+      node.engine.flush_aggregate(i, node.db, deltas);
+      ++flushes_;
+      ndlog::TupleSet& view = node.views[i];
+      std::optional<std::vector<Value>> last_key;
+      for (const auto& d : deltas) {
+        const Tuple& row = d.assert_now.has_value() ? *d.assert_now : *d.retract;
+        std::vector<Value> key = row.values();
+        key[plan_.aggregates[i].agg_pos] = Value::nil();
+        ASSERT_TRUE(!last_key.has_value() || *last_key < key)
+            << "aggregate " << rule.display_name() << " at " << at
+            << ": deltas out of group-key order at " << row.to_string();
+        last_key = std::move(key);
+        std::string entry = at + " " + rule.display_name();
+        if (d.retract.has_value()) {
+          entry += " -" + d.retract->to_string();
+          view.erase(*d.retract);
+        }
+        if (d.assert_now.has_value()) {
+          entry += " +" + d.assert_now->to_string();
+          view.insert(*d.assert_now);
+        }
+        log_.push_back(std::move(entry));
+      }
       ndlog::TupleSet interp;
       interpreter_.eval_agg_rule(rule, node.db, [&](Tuple t) { interp.insert(std::move(t)); });
-      ++flushes_;
-      ASSERT_EQ(rendered(node.flushed[i]), rendered(interp))
+      ASSERT_EQ(ndlog::sorted_strings(view), ndlog::sorted_strings(interp))
           << "aggregate " << rule.display_name() << " at " << at;
-      for (const auto& old_row : prev) {
-        if (node.flushed[i].count(old_row) == 0 && preds_.location_of(old_row) == at) {
-          erase(node, old_row);
+      for (const auto& d : deltas) {
+        if (d.retract.has_value() && preds_.location_of(*d.retract) == at) {
+          erase(node, *d.retract);
         }
-      }
-      for (const auto& row : node.flushed[i]) {
-        if (prev.count(row) == 0) send(at, row);
+        if (d.assert_now.has_value()) send(at, *d.assert_now);
       }
     }
   }
@@ -410,6 +441,7 @@ class ExecutorPair {
   double now_ = 0.0;
   std::size_t deltas_ = 0;
   std::size_t flushes_ = 0;
+  std::vector<std::string> log_;
 };
 
 struct Workload {
@@ -440,20 +472,24 @@ Workload topology_workload(const std::vector<core::Link>& links,
 }
 
 /// Feed the workload's facts through a fresh pair, with the incremental
-/// aggregate planner and with its recompute fallback; returns the number of
-/// deltas the incremental run compared.
+/// aggregate planner and with its recompute fallback, which must log the
+/// identical aggregate deltas; returns the number of deltas the incremental
+/// run compared.
 std::size_t expect_executors_agree(const ndlog::Program& program, const Workload& workload,
                                    const std::string& label,
                                    Faults faults = {},
                                    std::size_t budget = 100'000) {
   std::size_t deltas = 0;
+  std::vector<std::string> logs[2];
   for (const bool incremental : {true, false}) {
     SCOPED_TRACE(label + (incremental ? " incremental" : " recompute"));
     ExecutorPair pair(program, incremental, faults);
     for (const auto& fact : workload.facts) pair.deliver(fact);
     pair.run(budget);
     if (incremental) deltas = pair.deltas();
+    logs[incremental ? 0 : 1] = pair.delta_log();
   }
+  EXPECT_EQ(logs[0], logs[1]) << label << ": planner modes logged different deltas";
   return deltas;
 }
 
@@ -552,6 +588,7 @@ TEST(Differential, SoftStatePeriodicWithRetractionAgrees) {
   workload.facts.emplace_back("own",
                               std::vector<Value>{Value::addr("n0"), Value::addr("n0")});
   const Tuple failed("link", {Value::addr("n1"), Value::addr("n0"), Value::integer(1)});
+  std::vector<std::string> logs[2];
   for (const bool incremental : {true, false}) {
     SCOPED_TRACE(incremental ? "incremental" : "recompute");
     ExecutorPair pair(program, incremental);
@@ -571,7 +608,10 @@ TEST(Differential, SoftStatePeriodicWithRetractionAgrees) {
     }
     EXPECT_GT(pair.deltas(), 50u);
     EXPECT_GT(pair.flushes(), 50u);
+    logs[incremental ? 0 : 1] = pair.delta_log();
   }
+  EXPECT_FALSE(logs[0].empty());
+  EXPECT_EQ(logs[0], logs[1]) << "planner modes logged different deltas";
 }
 
 TEST(Differential, IncrementalAblationMatchesIncremental) {

@@ -5,16 +5,17 @@
 // (<name>_violated.ltl) that must fail on *every* schedule — proving the
 // monitors actually fire, not merely that satisfied specs pass.
 //
-// Also pins the engine-agnostic tuple-event stream shape (cat "tuple"
-// instants with {"node":...,"tuple":...} args) for both the simulator and
-// fvn::net: folding install/retract/expire over the stream must reproduce
-// each runtime's final per-node database exactly.
+// Also pins the engine-agnostic tuple-event stream of both runtimes' live
+// hook, and the simulator's cat "tuple" obs instants that mirror it: folding
+// install/retract/expire over the stream must reproduce each runtime's final
+// per-node database exactly.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <set>
 #include <sstream>
 
@@ -104,14 +105,7 @@ std::vector<ltl::MonitorVerdict> sim_monitor_verdicts(const Case& c,
   options.tuple_events = [&monitors](std::string_view kind,
                                      const std::string& node_name,
                                      const Tuple& tuple, double now) {
-    ltl::TupleEvent e;
-    e.kind = kind == "install" ? ltl::TupleEvent::Kind::Install
-             : kind == "retract" ? ltl::TupleEvent::Kind::Retract
-                                 : ltl::TupleEvent::Kind::Expire;
-    e.node = node_name;
-    e.tuple = tuple;
-    e.ts_us = static_cast<std::uint64_t>(now * 1e6);
-    monitors.on_event(e);
+    monitors.on_event(ltl::tuple_event(kind, node_name, tuple, now));
   };
   runtime::Simulator sim(c.program, options);
   sim.inject_all(c.facts);
@@ -121,18 +115,22 @@ std::vector<ltl::MonitorVerdict> sim_monitor_verdicts(const Case& c,
   return monitors.finish();
 }
 
-// Run the spec's monitors over a recorded cluster trace.
+// Run the spec's monitors over a cluster execution via the live hook.
 std::vector<ltl::MonitorVerdict> cluster_monitor_verdicts(
     const Case& c, const ltl::Spec& spec, net::ClusterOptions options) {
-  options.capture_tuple_events = true;
+  ltl::MonitorSet monitors(spec);
+  std::mutex mu;
+  options.tuple_events = [&monitors, &mu](std::string_view kind,
+                                          const std::string& node_name,
+                                          const Tuple& tuple, double now) {
+    const std::lock_guard<std::mutex> lock(mu);
+    monitors.on_event(ltl::tuple_event(kind, node_name, tuple, now));
+  };
   net::Cluster cluster(c.program, options);
   cluster.inject_all(c.facts);
   const auto stats = cluster.run();
   EXPECT_TRUE(stats.quiesced) << c.name;
-  const auto events = ltl::events_from_trace(cluster.tuple_events());
-  EXPECT_FALSE(events.empty()) << c.name;
-  ltl::MonitorSet monitors(spec);
-  for (const auto& e : events) monitors.on_event(e);
+  EXPECT_GT(monitors.events(), 0u) << c.name;
   return monitors.finish();
 }
 
@@ -223,8 +221,9 @@ TEST(LtlCrossval, ClusterMonitorsAgreeUdp) {
 }
 
 // ---------------------------------------------------------------------------
-// Tuple-event stream shape: identical across runtimes, and folding it
-// reproduces the final databases exactly.
+// Tuple-event streams: folding either runtime's live stream reproduces its
+// final databases exactly, and the simulator's obs instants decode back to
+// its live stream.
 // ---------------------------------------------------------------------------
 
 using Folded = std::map<std::string, std::multiset<std::string>>;
@@ -276,14 +275,7 @@ TEST(LtlCrossval, SimulatorTupleStreamFoldsToDatabase) {
     options.tuple_events = [&live](std::string_view kind,
                                    const std::string& node_name,
                                    const Tuple& tuple, double now) {
-      ltl::TupleEvent e;
-      e.kind = kind == "install" ? ltl::TupleEvent::Kind::Install
-               : kind == "retract" ? ltl::TupleEvent::Kind::Retract
-                                   : ltl::TupleEvent::Kind::Expire;
-      e.node = node_name;
-      e.tuple = tuple;
-      e.ts_us = static_cast<std::uint64_t>(now * 1e6);
-      live.push_back(e);
+      live.push_back(ltl::tuple_event(kind, node_name, tuple, now));
     };
     runtime::Simulator sim(c.program, options);
     sim.inject_all(c.facts);
@@ -310,21 +302,22 @@ TEST(LtlCrossval, SimulatorTupleStreamFoldsToDatabase) {
 TEST(LtlCrossval, ClusterTupleStreamFoldsToDatabase) {
   for (const auto& c : load_cases()) {
     SCOPED_TRACE(c.name);
+    // Node threads call the hook concurrently; a node's own events keep
+    // their order under the mutex, and that is all a per-node fold needs.
+    std::vector<ltl::TupleEvent> live;
+    std::mutex mu;
     net::ClusterOptions options;
-    options.capture_tuple_events = true;
+    options.tuple_events = [&live, &mu](std::string_view kind,
+                                        const std::string& node_name,
+                                        const Tuple& tuple, double now) {
+      const std::lock_guard<std::mutex> lock(mu);
+      live.push_back(ltl::tuple_event(kind, node_name, tuple, now));
+    };
     net::Cluster cluster(c.program, options);
     cluster.inject_all(c.facts);
     EXPECT_TRUE(cluster.run().quiesced);
-    // Same shape as the simulator: cat "tuple", name "<kind> <pred>",
-    // {"node":...,"tuple":...} args — decoded by the same function.
-    for (const auto& raw : cluster.tuple_events()) {
-      EXPECT_EQ(raw.cat, "tuple");
-      EXPECT_NE(raw.args_json.find("\"node\""), std::string::npos);
-      EXPECT_NE(raw.args_json.find("\"tuple\""), std::string::npos);
-    }
-    const auto events = ltl::events_from_trace(cluster.tuple_events());
-    EXPECT_EQ(events.size(), cluster.tuple_events().size());
-    const Folded folded = fold(events);
+    EXPECT_FALSE(live.empty());
+    const Folded folded = fold(live);
     expect_folds_to(
         folded,
         [&cluster](const std::string& n) -> const ndlog::Database& {

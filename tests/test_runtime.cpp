@@ -211,6 +211,26 @@ TEST(Simulator, RetractRemovesBaseTuple) {
   EXPECT_FALSE(sim.database("n0").contains(links[0]));
 }
 
+TEST(Simulator, RetractRefreshesAggregate) {
+  // A retraction settles the node's aggregates at once: the minimum moves
+  // to the surviving row even though no later delivery reaches the node.
+  auto program = ndlog::parse_program(R"(
+    materialize(e, infinity, infinity, keys(1,2)).
+    materialize(m, infinity, infinity, keys(1)).
+    a1 m(@S,min<C>) :- e(@S,C).
+  )",
+                                      "retract_min");
+  const auto e = [](std::int64_t c) {
+    return Tuple("e", {Value::addr("a"), Value::integer(c)});
+  };
+  Simulator sim(program, SimOptions{});
+  sim.inject_all({e(1), e(2)});
+  sim.retract(e(1), 5.0);
+  auto stats = sim.run();
+  EXPECT_TRUE(stats.quiesced);
+  EXPECT_EQ(sim.database("a").dump(), (std::vector<std::string>{"e(a,2)", "m(a,2)"}));
+}
+
 TEST(Simulator, DeterministicUnderSeed) {
   auto run_once = [](std::uint64_t seed) {
     SimOptions options;
