@@ -486,7 +486,8 @@ int cmd_verify(const std::vector<std::string>& args) {
       std::cout << "property " << p.name << ": " << p.formula << " — HOLDS"
                 << (p.exhausted ? "" : " (bounded: state budget exhausted)")
                 << " [" << p.product_states << " product states, "
-                << p.transitions << " transitions]\n";
+                << p.transitions << " transitions, " << p.system_states
+                << " system states, " << p.local_steps << " local steps]\n";
     } else {
       any_violated = true;
       // render_counterexample prints the "property ... VIOLATED" header.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repository health gate: tier-1 build + tests, the analyze-all sweep over
-# every shipped example (ctest -L analyze), the ltl, parallel and serve
+# every shipped example (ctest -L analyze), the mc, ltl, parallel and serve
 # suites, the same tests again under ASan/UBSan, the concurrent
 # `net|ltl|parallel|serve` suites once more under TSan (build-tsan),
 # perf-smoke gates (bench_net cluster:simulator floor, bench_ltl
@@ -46,6 +46,11 @@ ctest --test-dir build --output-on-failure -j "$jobs"
 # the full suite above.
 echo "== check: analyze-all sweep (ctest -L analyze) =="
 ctest --test-dir build --output-on-failure -L analyze
+
+# mc: the explicit-state checkers, their budget rule, and the interned NDlog
+# state space checked against its snapshot semantics state by state.
+echo "== check: mc suite (ctest -L mc) =="
+ctest --test-dir build --output-on-failure -L mc
 
 # ltl: temporal-logic unit suite plus the mc ↔ runtime-monitor
 # cross-validation matrix (every example × its .ltl spec × simulator and

@@ -1,6 +1,7 @@
 #include "ltl/checker.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -10,94 +11,17 @@
 namespace fvn::ltl {
 
 using mc::NetState;
-
-// ---------------------------------------------------------------------------
-// Valuator
-// ---------------------------------------------------------------------------
-
-Valuator::Valuator(const ApSet& aps) : aps_(&aps) {
-  for (std::size_t i = 0; i < aps.aps.size(); ++i) {
-    if (aps.aps[i].is_stable) stable_mask_ |= Valuation{1} << i;
-  }
-}
-
-Valuation Valuator::pattern_bits(const NetState& state) const {
-  Valuation v = 0;
-  for (std::size_t i = 0; i < aps_->aps.size(); ++i) {
-    const ApSet::Ap& ap = aps_->aps[i];
-    if (ap.is_stable) continue;
-    bool found = false;
-    for (const auto& [node, tuples] : state.stored) {
-      for (const auto& t : tuples) {
-        if (ap.pattern.matches(t)) {
-          found = true;
-          break;
-        }
-      }
-      if (found) break;
-    }
-    if (found) v |= Valuation{1} << i;
-  }
-  return v;
-}
+using mc::StateSpace;
 
 namespace {
 
-/// Is relation `pred` identical (per node) between the two states?
-bool relation_equal(const NetState& a, const NetState& b, const std::string& pred) {
-  auto it_a = a.stored.begin();
-  auto it_b = b.stored.begin();
-  auto node_rel = [&pred](const std::set<ndlog::Tuple>& tuples) {
-    std::vector<const ndlog::Tuple*> out;
-    for (const auto& t : tuples) {
-      if (t.predicate() == pred) out.push_back(&t);
-    }
-    return out;
-  };
-  while (it_a != a.stored.end() || it_b != b.stored.end()) {
-    // A node missing from one side counts as an empty relation there.
-    if (it_b == b.stored.end() || (it_a != a.stored.end() && it_a->first < it_b->first)) {
-      if (!node_rel(it_a->second).empty()) return false;
-      ++it_a;
-      continue;
-    }
-    if (it_a == a.stored.end() || it_b->first < it_a->first) {
-      if (!node_rel(it_b->second).empty()) return false;
-      ++it_b;
-      continue;
-    }
-    const auto ra = node_rel(it_a->second);
-    const auto rb = node_rel(it_b->second);
-    if (ra.size() != rb.size()) return false;
-    for (std::size_t i = 0; i < ra.size(); ++i) {
-      if (!(*ra[i] == *rb[i])) return false;
-    }
-    ++it_a;
-    ++it_b;
-  }
-  return true;
-}
-
-}  // namespace
-
-Valuation Valuator::value(const NetState* prev, const NetState& state) const {
-  Valuation v = pattern_bits(state);
-  for (std::size_t i = 0; i < aps_->aps.size(); ++i) {
-    const ApSet::Ap& ap = aps_->aps[i];
-    if (!ap.is_stable) continue;
-    if (prev == nullptr || relation_equal(*prev, state, ap.pred)) {
-      v |= Valuation{1} << i;
-    }
-  }
-  return v;
-}
-
-std::string Valuator::render(Valuation v) const {
+/// "bestPath(n0,n3,_,_) !stable(link)"
+std::string render_valuation(const ApSet& aps, Valuation v) {
   std::string out;
-  for (std::size_t i = 0; i < aps_->aps.size(); ++i) {
+  for (std::size_t i = 0; i < aps.aps.size(); ++i) {
     if (!out.empty()) out += " ";
     if ((v & (Valuation{1} << i)) == 0) out += "!";
-    out += aps_->aps[i].text;
+    out += aps.aps[i].text;
   }
   return out.empty() ? "(no atomic propositions)" : out;
 }
@@ -106,71 +30,131 @@ std::string Valuator::render(Valuation v) const {
 // Product construction + iterative nested DFS
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Lazily expanded system state graph (stutter-extended: quiescent states
-/// self-loop) with memoized per-edge valuations.
+/// Lazily expanded system state graph over an mc::StateSpace
+/// (stutter-extended: quiescent states self-loop) with memoized valuations.
+/// Pattern APs look only at the target state's tables; each table's bits are
+/// ORed once and memoized by table id. stable(p) compares relation p node by
+/// node between source and target (true on the initial step), reading rows
+/// only for nodes whose table id changed.
 class SystemGraph {
  public:
-  SystemGraph(const mc::NdlogTransitionSystem& ts, const Valuator& val)
-      : ts_(&ts), val_(&val) {}
+  using Id = StateSpace::Id;
 
-  std::size_t intern(NetState state) {
-    std::string key = state.encode();
-    auto it = index_.find(key);
-    if (it != index_.end()) return it->second;
-    const std::size_t id = states_.size();
-    pattern_.push_back(val_->pattern_bits(state));
-    states_.push_back(std::move(state));
-    succs_.emplace_back();
-    expanded_.push_back(false);
-    index_.emplace(std::move(key), id);
-    return id;
+  SystemGraph(const mc::NdlogTransitionSystem& ts, const ApSet& aps)
+      : space_(ts), aps_(&aps) {
+    for (std::size_t i = 0; i < aps.aps.size(); ++i) {
+      if (aps.aps[i].is_stable) stable_mask_ |= Valuation{1} << i;
+    }
   }
 
-  const NetState& state(std::size_t id) const { return states_[id]; }
-  std::size_t size() const { return states_.size(); }
+  Id intern(const NetState& state) { return grow(space_.intern(state)); }
+  const StateSpace& space() const { return space_; }
 
-  const std::vector<std::size_t>& successors(std::size_t id) {
+  const std::vector<Id>& successors(Id id) {
     if (!expanded_[id]) {
       expanded_[id] = true;
-      if (states_[id].quiescent()) {
-        succs_[id].push_back(id);  // stutter self-loop
-      } else {
-        for (auto& next : ts_->successors(states_[id])) {
-          // intern() may reallocate succs_; take the target id first.
-          const std::size_t target = intern(std::move(next));
-          succs_[id].push_back(target);
-        }
-      }
+      std::vector<Id> next = space_.quiescent(id) ? std::vector<Id>{id}  // stutter self-loop
+                                                  : space_.successors(id);
+      for (Id target : next) grow(target);
+      succs_[id] = std::move(next);
     }
     return succs_[id];
   }
 
-  Valuation edge_valuation(std::size_t from, std::size_t to) {
+  Valuation edge_valuation(Id from, Id to) {
+    Valuation v = pattern_[to];
+    if (stable_mask_ == 0) return v;
     const std::uint64_t key = (static_cast<std::uint64_t>(from) << 32) | to;
     auto it = edge_val_.find(key);
     if (it != edge_val_.end()) return it->second;
-    Valuation v = pattern_[to];
-    if (val_->stable_mask() != 0) {
-      v = val_->value(&states_[from], states_[to]);
+    for (std::size_t i = 0; i < aps_->aps.size(); ++i) {
+      const ApSet::Ap& ap = aps_->aps[i];
+      if (ap.is_stable && stable(ap.pred, from, to)) v |= Valuation{1} << i;
     }
     edge_val_.emplace(key, v);
     return v;
   }
 
-  Valuation initial_valuation(std::size_t id) const {
-    return pattern_[id] | val_->stable_mask();
-  }
+  Valuation initial_valuation(Id id) const { return pattern_[id] | stable_mask_; }
 
  private:
-  const mc::NdlogTransitionSystem* ts_;
-  const Valuator* val_;
-  std::vector<NetState> states_;
+  /// Extends the per-state vectors to cover `id` (ids are dense).
+  Id grow(Id id) {
+    while (pattern_.size() <= id) {
+      Valuation v = 0;
+      for (const auto& entry : space_.tables(static_cast<Id>(pattern_.size()))) {
+        v |= table_bits(entry.table);
+      }
+      pattern_.push_back(v);
+      succs_.emplace_back();
+      expanded_.push_back(false);
+    }
+    return id;
+  }
+
+  Valuation table_bits(StateSpace::TableId table) {
+    if (table >= table_bits_.size()) table_bits_.resize(table + 1);
+    std::optional<Valuation>& memo = table_bits_[table];
+    if (!memo) {
+      Valuation v = 0;
+      for (StateSpace::TupleId row : space_.rows(table)) {
+        for (std::size_t i = 0; i < aps_->aps.size(); ++i) {
+          const ApSet::Ap& ap = aps_->aps[i];
+          if (!ap.is_stable && ap.pattern.matches(space_.tuple(row))) v |= Valuation{1} << i;
+        }
+      }
+      memo = v;
+    }
+    return *memo;
+  }
+
+  /// Is relation `pred` identical, node by node, in the two states? A node
+  /// without an entry holds the empty relation.
+  bool stable(const std::string& pred, Id from, Id to) const {
+    const auto a = space_.tables(from);
+    const auto b = space_.tables(to);
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < a.size() || j < b.size()) {
+      StateSpace::TableId ta = StateSpace::kEmptyTable;
+      StateSpace::TableId tb = StateSpace::kEmptyTable;
+      if (j == b.size() || (i < a.size() && a[i].node < b[j].node)) {
+        ta = a[i++].table;
+      } else if (i == a.size() || b[j].node < a[i].node) {
+        tb = b[j++].table;
+      } else {
+        ta = a[i++].table;
+        tb = b[j++].table;
+      }
+      if (ta != tb && !same_rows(pred, ta, tb)) return false;
+    }
+    return true;
+  }
+
+  /// Rows come in tuple-id order, so two tables hold the same `pred` rows
+  /// iff their filtered id sequences are equal.
+  bool same_rows(const std::string& pred, StateSpace::TableId x,
+                 StateSpace::TableId y) const {
+    const auto rx = space_.rows(x);
+    const auto ry = space_.rows(y);
+    auto is_pred = [&](StateSpace::TupleId t) { return space_.tuple(t).predicate() == pred; };
+    auto ix = std::find_if(rx.begin(), rx.end(), is_pred);
+    auto iy = std::find_if(ry.begin(), ry.end(), is_pred);
+    while (ix != rx.end() && iy != ry.end()) {
+      if (*ix != *iy) return false;
+      ix = std::find_if(ix + 1, rx.end(), is_pred);
+      iy = std::find_if(iy + 1, ry.end(), is_pred);
+    }
+    return ix == rx.end() && iy == ry.end();
+  }
+
+  StateSpace space_;
+  const ApSet* aps_;
+  Valuation stable_mask_ = 0;
   std::vector<Valuation> pattern_;
-  std::vector<std::vector<std::size_t>> succs_;
+  std::vector<std::vector<Id>> succs_;
   std::vector<bool> expanded_;
-  std::unordered_map<std::string, std::size_t> index_;
+  std::vector<std::optional<Valuation>> table_bits_;
   std::unordered_map<std::uint64_t, Valuation> edge_val_;
 };
 
@@ -194,10 +178,10 @@ struct NestedDfs {
   std::size_t buchi_of(std::uint64_t k) const { return k % buchi.states.size(); }
 
   std::vector<std::uint64_t> product_successors(std::uint64_t k) {
-    const std::size_t s = sys_of(k);
+    const auto s = static_cast<SystemGraph::Id>(sys_of(k));
     const std::size_t q = buchi_of(k);
     std::vector<std::uint64_t> out;
-    for (std::size_t s2 : sys.successors(s)) {
+    for (SystemGraph::Id s2 : sys.successors(s)) {
       const Valuation v = sys.edge_valuation(s, s2);
       for (std::size_t q2 : buchi.states[q].succs) {
         if (buchi.states[q2].admits(v)) out.push_back(key(s2, q2));
@@ -303,9 +287,8 @@ PropertyResult check_property(const mc::NdlogTransitionSystem& ts,
   const Buchi buchi = build_buchi(negated, result.aps.aps.size());
   if (buchi.empty()) return result;  // ¬φ unsatisfiable: φ holds vacuously
 
-  Valuator valuator(result.aps);
-  SystemGraph sys(ts, valuator);
-  const std::size_t s0 = sys.intern(initial);
+  SystemGraph sys(ts, result.aps);
+  const SystemGraph::Id s0 = sys.intern(initial);
   const Valuation v0 = sys.initial_valuation(s0);
 
   NestedDfs dfs{sys, buchi, options, result, {}, {}, {}, {}, {}, false};
@@ -320,19 +303,21 @@ PropertyResult check_property(const mc::NdlogTransitionSystem& ts,
   }
   result.product_states = dfs.blue_visited.size();
   result.exhausted = !dfs.budget_hit;
+  result.system_states = sys.space().size();
+  result.local_steps = sys.space().local_steps();
   if (!violated) return result;
 
   result.holds = false;
-  // Decode the lasso into snapshot steps with entry valuations.
-  const NetState* prev = nullptr;
+  // Decode the lasso into snapshot steps; each step's valuation is the one
+  // the search read on the edge into it.
+  std::optional<SystemGraph::Id> prev;
   auto decode = [&](const std::vector<std::uint64_t>& keys,
                     std::vector<LassoStep>& out) {
     for (std::uint64_t k : keys) {
-      LassoStep step;
-      step.state = sys.state(dfs.sys_of(k));
-      step.valuation = valuator.value(prev, step.state);
-      out.push_back(std::move(step));
-      prev = &out.back().state;
+      const auto s = static_cast<SystemGraph::Id>(dfs.sys_of(k));
+      const Valuation v = prev ? sys.edge_valuation(*prev, s) : sys.initial_valuation(s);
+      out.push_back(LassoStep{sys.space().snapshot(s), v});
+      prev = s;
     }
   };
   decode(dfs.lasso_stem, result.stem);
@@ -356,11 +341,10 @@ CheckResult check_ltl(const mc::NdlogTransitionSystem& ts, const NetState& initi
 std::string render_counterexample(const PropertyResult& result) {
   std::ostringstream os;
   os << "property " << result.name << ": " << result.formula << " — VIOLATED\n";
-  const Valuator valuator(result.aps);
   std::size_t index = 0;
   auto emit = [&](const std::vector<LassoStep>& steps, const char* phase) {
     for (const auto& step : steps) {
-      os << phase << " step " << index++ << "  [" << valuator.render(step.valuation)
+      os << phase << " step " << index++ << "  [" << render_valuation(result.aps, step.valuation)
          << "]\n";
       os << mc::render_state(step.state);
     }
@@ -373,7 +357,6 @@ std::string render_counterexample(const PropertyResult& result) {
 }
 
 void counterexample_to_trace(const PropertyResult& result, obs::Trace& trace) {
-  const Valuator valuator(result.aps);
   std::size_t index = 0;
   auto emit = [&](const std::vector<LassoStep>& steps, const char* phase) {
     for (const auto& step : steps) {
@@ -381,7 +364,7 @@ void counterexample_to_trace(const PropertyResult& result, obs::Trace& trace) {
       std::ostringstream args;
       args << "{\"property\":\"" << ndlog::json_escape(result.name) << "\",\"phase\":\""
            << phase << "\",\"valuation\":\""
-           << ndlog::json_escape(valuator.render(step.valuation)) << "\"}";
+           << ndlog::json_escape(render_valuation(result.aps, step.valuation)) << "\"}";
       trace.instant_at(ts_us, "ltl step " + std::to_string(index), "ltl", args.str());
       for (const auto& [node, tuples] : step.state.stored) {
         std::string rows;

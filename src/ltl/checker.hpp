@@ -1,9 +1,10 @@
 // LTL model checking over fvn::mc's NDlog transition system: the product of
 // the Büchi automaton for ¬φ with the (stutter-extended) system state graph,
-// searched for acceptance cycles with iterative nested DFS. A violation is a
-// lasso — a finite stem plus a cycle that repeats forever — carrying full
-// NetState snapshots, renderable as text or as an fvn::obs Chrome trace.
-// See DESIGN.md §14.3.
+// searched for acceptance cycles with iterative nested DFS. The system side
+// runs on an mc::StateSpace of interned ids; valuations are read from its
+// tables. A violation is a lasso — a finite stem plus a cycle that repeats
+// forever — carrying full NetState snapshots, renderable as text or as an
+// fvn::obs Chrome trace. See DESIGN.md §14.3.
 #pragma once
 
 #include <string>
@@ -15,28 +16,6 @@
 #include "obs/trace.hpp"
 
 namespace fvn::ltl {
-
-/// Computes the valuation of an ApSet over a system transition. Pattern APs
-/// look only at the target state's stored tuples; stable(p) compares the
-/// global relation p between source and target (true on the initial step).
-class Valuator {
- public:
-  explicit Valuator(const ApSet& aps);
-
-  /// Valuation read when entering `state` from `prev` (nullptr = initial).
-  Valuation value(const mc::NetState* prev, const mc::NetState& state) const;
-  /// The pattern-only bits of `state` (stable bits zero).
-  Valuation pattern_bits(const mc::NetState& state) const;
-  /// Mask with every stable() bit set.
-  Valuation stable_mask() const noexcept { return stable_mask_; }
-
-  /// Human rendering of a valuation ("bestPath(n0,n3,_,_) !stable(link)").
-  std::string render(Valuation v) const;
-
- private:
-  const ApSet* aps_;
-  Valuation stable_mask_ = 0;
-};
 
 /// One step of a counterexample lasso: the state plus the valuation read
 /// when entering it.
@@ -54,6 +33,11 @@ struct PropertyResult {
   bool exhausted = true;
   std::size_t product_states = 0;
   std::size_t transitions = 0;
+  /// Distinct system states interned, and local fixpoints actually run: one
+  /// per distinct (node, table, delivered tuple), however many transitions
+  /// deliver it.
+  std::size_t system_states = 0;
+  std::size_t local_steps = 0;
   /// Counterexample (empty when holds): `stem` ends at the loop head; `cycle`
   /// lists the loop body and ends back at the loop head (its last state
   /// equals stem.back()).

@@ -3,8 +3,10 @@
 // traces, and reachable-cycle (lasso) detection for divergence properties
 // such as Disagree oscillation and count-to-infinity.
 //
-// Header-only template: a State must be hashable, equality-comparable and
-// printable via the supplied render function.
+// Header-only template: a State must be hashable and equality-comparable.
+// Budgets mean one thing everywhere: a budget of N examines (tests and
+// expands) up to N states, and `exhausted` is false only when a reached
+// state was left unexamined.
 #pragma once
 
 #include <deque>
@@ -72,16 +74,16 @@ ExplorationResult<State> check_invariant(
     if (visited.insert(s).second) frontier.push_back(s);
   }
   while (!frontier.empty()) {
+    if (result.states_explored == max_states) {
+      result.exhausted = false;
+      return result;
+    }
     State current = frontier.front();
     frontier.pop_front();
     ++result.states_explored;
     if (!invariant(current)) {
       result.property_holds = false;
       result.counterexample = trace_back(current);
-      return result;
-    }
-    if (result.states_explored >= max_states) {
-      result.exhausted = false;
       return result;
     }
     for (auto& next : successors(current)) {
@@ -111,15 +113,13 @@ ExplorationResult<State> find_cycle(
   std::vector<State> stack;  // current DFS path
 
   std::function<bool(const State&)> dfs = [&](const State& s) -> bool {
+    if (result.states_explored == max_states) {
+      result.exhausted = false;
+      return false;
+    }
     color[s] = Color::Gray;
     stack.push_back(s);
     ++result.states_explored;
-    if (result.states_explored >= max_states) {
-      result.exhausted = false;
-      stack.pop_back();
-      color[s] = Color::Black;
-      return false;
-    }
     for (auto& next : successors(s)) {
       ++result.transitions;
       if (!on_cycle_candidate(next)) continue;

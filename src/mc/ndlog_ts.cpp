@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "runtime/localize.hpp"
 
@@ -92,14 +90,12 @@ NetState NdlogTransitionSystem::initial(const std::vector<Tuple>& facts) const {
   return state;
 }
 
-void NdlogTransitionSystem::local_step(NetState& state, const std::string& node,
-                                       const Tuple& arriving) const {
-  auto& tuples = state.stored[node];
-
-  // Rebuild the node's Database view and key index.
+NdlogTransitionSystem::LocalStep NdlogTransitionSystem::local_step(
+    const std::string& node, const std::set<Tuple>& table, const Tuple& arriving) const {
+  // The node's Database view and key index.
   Database db;
   std::map<std::string, Tuple> by_key;
-  for (const auto& t : tuples) {
+  for (const auto& t : table) {
     db.insert(t);
     by_key.emplace(key_of(t), t);
   }
@@ -119,6 +115,7 @@ void NdlogTransitionSystem::local_step(NetState& state, const std::string& node,
     return true;
   };
 
+  LocalStep step;
   std::deque<Tuple> work;
   if (install(arriving)) work.push_back(arriving);
 
@@ -141,21 +138,19 @@ void NdlogTransitionSystem::local_step(NetState& state, const std::string& node,
                             [&](Tuple t) { produced.push_back(std::move(t)); });
     }
     for (auto& t : produced) {
-      const std::string dest = location_of(t);
+      std::string dest = location_of(t);
       if (dest == node) {
         if (install(t)) work.push_back(t);
       } else {
-        // Outbound; duplicates in flight are allowed (message multiset).
-        if (!state.stored[dest].count(t)) state.inflight.emplace(dest, t);
+        step.outbound.emplace_back(std::move(dest), std::move(t));
       }
     }
   }
 
-  // Write the mutated view back.
-  tuples.clear();
   for (const auto& pred : db.predicates()) {
-    for (const auto& t : db.relation(pred)) tuples.insert(t);
+    for (const auto& t : db.relation(pred)) step.table.insert(t);
   }
+  return step;
 }
 
 NetState NdlogTransitionSystem::deliver(const NetState& state, std::size_t index) const {
@@ -164,7 +159,15 @@ NetState NdlogTransitionSystem::deliver(const NetState& state, std::size_t index
   std::advance(it, static_cast<std::ptrdiff_t>(index));
   const auto [dest, tuple] = *it;
   next.inflight.erase(it);
-  local_step(next, dest, tuple);
+  auto& table = next.stored[dest];
+  LocalStep step = local_step(dest, table, tuple);
+  table = std::move(step.table);
+  for (auto& [to, t] : step.outbound) {
+    // Duplicates in flight are allowed (message multiset), but a tuple the
+    // destination already stores is not sent. operator[] gives a node that
+    // has received nothing an empty entry.
+    if (!next.stored[to].count(t)) next.inflight.emplace(std::move(to), std::move(t));
+  }
   return next;
 }
 
@@ -180,85 +183,186 @@ std::vector<NetState> NdlogTransitionSystem::successors(const NetState& state) c
   return out;
 }
 
-std::vector<std::string> NdlogTransitionSystem::successor_keys(const NetState& state) const {
-  std::vector<std::string> out;
-  for (const auto& s : successors(state)) out.push_back(s.encode());
-  return out;
-}
-
 ExplorationResult<NetState> NdlogTransitionSystem::check_invariant_all_interleavings(
     const NetState& initial_state, const std::function<bool(const NetState&)>& invariant,
     std::size_t max_states) const {
-  // States are explored as full snapshots so the counterexample trace renders
-  // every intermediate routing table (not just encoded transition labels).
-  auto successors_fn = [this](const NetState& s) { return this->successors(s); };
-  return check_invariant<NetState, NetStateHash>({initial_state}, successors_fn,
-                                                 invariant, max_states);
+  // The search runs on state ids; the invariant and the counterexample see
+  // full snapshots, so the trace renders every intermediate routing table.
+  using Id = StateSpace::Id;
+  StateSpace space(*this);
+  const auto found = check_invariant<Id>(
+      {space.intern(initial_state)}, [&space](const Id& id) { return space.successors(id); },
+      [&](const Id& id) { return invariant(space.snapshot(id)); }, max_states);
+  ExplorationResult<NetState> result;
+  result.property_holds = found.property_holds;
+  result.exhausted = found.exhausted;
+  result.states_explored = found.states_explored;
+  result.transitions = found.transitions;
+  for (Id id : found.counterexample) result.counterexample.push_back(space.snapshot(id));
+  return result;
 }
 
 NdlogTransitionSystem::QuiescenceReport NdlogTransitionSystem::check_quiescent_states(
     const NetState& initial_state, const std::function<bool(const NetState&)>& property,
     std::size_t max_states) const {
+  using Id = StateSpace::Id;
   QuiescenceReport report;
-  std::unordered_map<std::string, NetState> table;
-  std::unordered_map<std::string, std::string> parent;  // child key -> parent key
-  std::deque<std::string> frontier;
-  std::string first_quiescent_stores;
-
-  auto stores_of = [](const NetState& s) {
-    NetState stores_only;
-    stores_only.stored = s.stored;
-    return stores_only.encode();
-  };
-
-  const std::string initial_key = initial_state.encode();
-  table.emplace(initial_key, initial_state);
-  frontier.push_back(initial_key);
-  std::unordered_set<std::string> visited{initial_key};
-
-  while (!frontier.empty()) {
-    const std::string key = frontier.front();
-    frontier.pop_front();
-    const NetState& state = table.at(key);
-    ++report.states_explored;
-    if (report.states_explored >= max_states) {
+  StateSpace space(*this);
+  // Breadth first over ids: the space hands them out in order of discovery,
+  // so the frontier is every id not yet examined, and parent[id] is the
+  // state whose expansion discovered it (the initial state, id 0, its own).
+  std::vector<Id> parent{space.intern(initial_state)};
+  for (Id id = 0; id < space.size(); ++id) {
+    if (report.states_explored == max_states) {
       report.exhausted = false;
       break;
     }
-    if (state.quiescent()) {
-      ++report.quiescent_states;
-      if (!property(state)) {
-        report.all_satisfy = false;
-        if (report.violating_state.empty()) {
-          report.violating_state = key;
-          // Reconstruct the snapshot trace back to the initial state.
-          std::string cursor = key;
-          report.violating_trace.push_back(table.at(cursor));
-          while (parent.count(cursor)) {
-            cursor = parent.at(cursor);
-            report.violating_trace.push_back(table.at(cursor));
-          }
-          std::reverse(report.violating_trace.begin(), report.violating_trace.end());
-        }
-      }
-      const std::string stores = stores_of(state);
-      if (first_quiescent_stores.empty()) {
-        first_quiescent_stores = stores;
-      } else if (stores != first_quiescent_stores) {
-        report.confluent = false;
+    ++report.states_explored;
+    if (!space.quiescent(id)) {
+      for (Id next : space.successors(id)) {
+        if (next == parent.size()) parent.push_back(id);
       }
       continue;
     }
-    for (auto& next : successors(state)) {
-      std::string next_key = next.encode();
-      if (visited.insert(next_key).second) {
-        parent.emplace(next_key, key);
-        table.emplace(next_key, std::move(next));
-        frontier.push_back(std::move(next_key));
-      }
+    ++report.quiescent_states;
+    // Two quiescent states differ in their stores, or they are one state.
+    if (report.quiescent_states > 1) report.confluent = false;
+    NetState state = space.snapshot(id);
+    if (property(state)) continue;
+    report.all_satisfy = false;
+    if (!report.violating_state.empty()) continue;
+    report.violating_state = state.encode();
+    // The snapshot trace back to the initial state.
+    report.violating_trace.push_back(std::move(state));
+    for (Id cursor = id; cursor != 0;) {
+      cursor = parent[cursor];
+      report.violating_trace.push_back(space.snapshot(cursor));
     }
+    std::reverse(report.violating_trace.begin(), report.violating_trace.end());
   }
   return report;
+}
+
+// ---------------------------------------------------------------------------
+// StateSpace
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Folds one 32-bit id into a running hash.
+std::size_t mix(std::size_t h, std::uint32_t x) noexcept {
+  h = (h ^ x) * 0x9e3779b97f4a7c15ULL;
+  return h ^ (h >> 29);
+}
+
+}  // namespace
+
+std::size_t detail::IdsHash::operator()(const std::vector<std::uint32_t>& ids) const noexcept {
+  std::size_t h = ids.size();
+  for (std::uint32_t id : ids) h = mix(h, id);
+  return h;
+}
+
+std::size_t StateSpace::PackedHash::operator()(const Packed& state) const noexcept {
+  std::size_t h = state.tables.size();
+  for (const Entry& e : state.tables) h = mix(mix(h, e.node), e.table);
+  for (const Message& m : state.inflight) h = mix(mix(h, m.node), m.tuple);
+  return h;
+}
+
+std::size_t StateSpace::StepKeyHash::operator()(const StepKey& key) const noexcept {
+  return mix(mix(mix(0, key.node), key.table), key.tuple);
+}
+
+StateSpace::StateSpace(const NdlogTransitionSystem& ts) : ts_(&ts) {
+  tables_.intern({});  // kEmptyTable
+}
+
+StateSpace::TableId StateSpace::intern_table(const std::set<Tuple>& rows) {
+  std::vector<TupleId> ids;
+  ids.reserve(rows.size());
+  for (const auto& t : rows) ids.push_back(tuples_.intern(t));
+  std::sort(ids.begin(), ids.end());
+  return tables_.intern(std::move(ids));
+}
+
+StateSpace::Id StateSpace::intern(const NetState& state) {
+  Packed packed;
+  for (const auto& [node, rows] : state.stored) {
+    packed.tables.push_back(Entry{nodes_.intern(node), intern_table(rows)});
+  }
+  std::sort(packed.tables.begin(), packed.tables.end(),
+            [](const Entry& a, const Entry& b) { return a.node < b.node; });
+  for (const auto& [node, tuple] : state.inflight) {
+    packed.inflight.push_back(Message{nodes_.intern(node), tuples_.intern(tuple)});
+  }
+  return states_.intern(std::move(packed));
+}
+
+NetState StateSpace::snapshot(Id id) const {
+  const Packed& packed = states_[id];
+  NetState out;
+  for (const Entry& e : packed.tables) {
+    auto& rows = out.stored[nodes_[e.node]];
+    for (TupleId t : tables_[e.table]) rows.insert(tuples_[t]);
+  }
+  for (const Message& m : packed.inflight) {
+    out.inflight.emplace_hint(out.inflight.end(), nodes_[m.node], tuples_[m.tuple]);
+  }
+  return out;
+}
+
+bool StateSpace::before(const Message& a, const Message& b) const {
+  if (a.node != b.node) return nodes_[a.node] < nodes_[b.node];
+  return a.tuple != b.tuple && tuples_[a.tuple] < tuples_[b.tuple];
+}
+
+const StateSpace::Step& StateSpace::local(NodeId node, TableId table, TupleId tuple) {
+  const StepKey key{node, table, tuple};
+  if (auto it = steps_.find(key); it != steps_.end()) return it->second;
+  std::set<Tuple> rows;
+  for (TupleId t : tables_[table]) rows.insert(tuples_[t]);
+  auto result = ts_->local_step(nodes_[node], rows, tuples_[tuple]);
+  ++local_steps_;
+  Step step{intern_table(result.table), {}};
+  step.outbound.reserve(result.outbound.size());
+  for (auto& [dest, t] : result.outbound) {
+    step.outbound.push_back(Message{nodes_.intern(std::move(dest)), tuples_.intern(std::move(t))});
+  }
+  return steps_.emplace(key, std::move(step)).first->second;
+}
+
+std::vector<StateSpace::Id> StateSpace::successors(Id id) {
+  // A copy: no reference into the interners is held across an intern.
+  const Packed state = states_[id];
+  std::vector<Id> out;
+  for (std::size_t i = 0; i < state.inflight.size(); ++i) {
+    const Message m = state.inflight[i];
+    if (i > 0 && state.inflight[i - 1] == m) continue;  // identical message: same successor
+    Packed next = state;
+    next.inflight.erase(next.inflight.begin() + static_cast<std::ptrdiff_t>(i));
+    // The node's table slot, created empty for a node that has none yet.
+    auto slot = [&next](NodeId node) -> TableId& {
+      auto it = std::lower_bound(next.tables.begin(), next.tables.end(), node,
+                                 [](const Entry& e, NodeId n) { return e.node < n; });
+      if (it == next.tables.end() || it->node != node) {
+        it = next.tables.insert(it, Entry{node, kEmptyTable});
+      }
+      return it->table;
+    };
+    const Step& step = local(m.node, slot(m.node), m.tuple);
+    slot(m.node) = step.table;
+    for (const Message& sent : step.outbound) {
+      const auto stored = rows(slot(sent.node));
+      if (std::binary_search(stored.begin(), stored.end(), sent.tuple)) continue;
+      next.inflight.insert(
+          std::upper_bound(next.inflight.begin(), next.inflight.end(), sent,
+                           [this](const Message& a, const Message& b) { return before(a, b); }),
+          sent);
+    }
+    out.push_back(states_.intern(std::move(next)));
+  }
+  return out;
 }
 
 }  // namespace fvn::mc

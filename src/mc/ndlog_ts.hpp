@@ -5,12 +5,22 @@
 // emits new messages. The model checker then explores *all* message
 // interleavings — the verification mechanism the paper envisions on top of
 // the transition-system representation.
+//
+// Explorations run on a StateSpace: tuples, node names, node tables and
+// states are interned to dense ids, and the local fixpoint runs once per
+// distinct (node, table, arriving tuple). NetState is the readable snapshot
+// handed to user predicates and counterexamples (DESIGN.md §14.3).
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mc/checker.hpp"
@@ -30,18 +40,12 @@ struct NetState {
   bool operator==(const NetState& other) const = default;
 };
 
-/// Hash over the canonical encoding (consistent with operator==).
-struct NetStateHash {
-  std::size_t operator()(const NetState& state) const {
-    return std::hash<std::string>{}(state.encode());
-  }
-};
-
 /// Human rendering: one block per node listing its stored tuples, then the
 /// in-flight messages. Counterexample traces print one of these per step.
 std::string render_state(const NetState& state, std::string_view indent = "  ");
 
-/// Transition system for one (localized) NDlog program.
+/// Transition system for one (localized) NDlog program. Immutable after
+/// construction: explorations keep their caches in a StateSpace.
 class NdlogTransitionSystem {
  public:
   explicit NdlogTransitionSystem(
@@ -51,13 +55,26 @@ class NdlogTransitionSystem {
   /// Initial state: all base facts in flight toward their location nodes.
   NetState initial(const std::vector<ndlog::Tuple>& facts) const;
 
-  /// Deliver the in-flight message at `index` (into the sorted multiset).
+  /// What one delivery does at its destination node.
+  struct LocalStep {
+    std::set<ndlog::Tuple> table;  ///< the node's table after the fixpoint
+    /// Messages to other nodes in derivation order; a tuple derived twice is
+    /// sent twice.
+    std::vector<std::pair<std::string, ndlog::Tuple>> outbound;
+  };
+  /// Install `arriving` into `node`'s `table` (keyed overwrite) and run the
+  /// node's localized rules to fixpoint. A pure function of its arguments,
+  /// so StateSpace runs it once per distinct (node, table, tuple).
+  LocalStep local_step(const std::string& node, const std::set<ndlog::Tuple>& table,
+                       const ndlog::Tuple& arriving) const;
+
+  /// Deliver the in-flight message at `index` (into the sorted multiset). An
+  /// outbound tuple its destination already stores is not put in flight.
   NetState deliver(const NetState& state, std::size_t index) const;
 
-  /// All successor states (one per distinct in-flight message).
+  /// All successor states (one per distinct in-flight message, in multiset
+  /// order). The snapshot-level reference for StateSpace::successors.
   std::vector<NetState> successors(const NetState& state) const;
-  /// String-keyed successor map for the generic checker.
-  std::vector<std::string> successor_keys(const NetState& state) const;
 
   /// Find a state by exploring; predicate-driven (BFS, bounded). The
   /// counterexample carries *full state snapshots* (per-node tables plus
@@ -84,13 +101,13 @@ class NdlogTransitionSystem {
   /// *eventual* property: does every terminal (no in-flight messages) state
   /// satisfy `property`? Also reports confluence (a Church–Rosser check for
   /// the program on this instance) — the eventual-consistency question the
-  /// paper's §4.2 raises for soft-state reasoning.
+  /// paper's §4.2 raises for soft-state reasoning. A budget of N examines up
+  /// to N states; `exhausted` is false only when an unexamined state remains.
   QuiescenceReport check_quiescent_states(
       const NetState& initial_state,
       const std::function<bool(const NetState&)>& property,
       std::size_t max_states = 50000) const;
 
-  /// Decode support: exploration uses string keys; keep a side table.
   const ndlog::Program& program() const noexcept { return program_; }
 
  private:
@@ -103,9 +120,127 @@ class NdlogTransitionSystem {
 
   std::string location_of(const ndlog::Tuple& tuple) const;
   std::string key_of(const ndlog::Tuple& tuple) const;
-  /// Install + run local fixpoint at one node; appends outbound messages.
-  void local_step(NetState& state, const std::string& node,
-                  const ndlog::Tuple& tuple) const;
+};
+
+namespace detail {
+
+/// Dense ids, in order of first sight, for the distinct keys interned. Keys
+/// live in the map's nodes, which never move, so an id stays a valid handle
+/// as the map grows. A copy would point into the original's nodes, so there
+/// is none; a move keeps the nodes.
+template <typename Key, typename Hash = std::hash<Key>>
+class Interner {
+ public:
+  Interner() = default;
+  Interner(const Interner&) = delete;
+  Interner& operator=(const Interner&) = delete;
+  Interner(Interner&&) = default;
+  Interner& operator=(Interner&&) = default;
+
+  std::uint32_t intern(Key key) {
+    const auto [it, fresh] =
+        ids_.try_emplace(std::move(key), static_cast<std::uint32_t>(keys_.size()));
+    if (fresh) keys_.push_back(&it->first);
+    return it->second;
+  }
+  const Key& operator[](std::uint32_t id) const { return *keys_[id]; }
+  std::size_t size() const noexcept { return keys_.size(); }
+
+ private:
+  std::unordered_map<Key, std::uint32_t, Hash> ids_;
+  std::vector<const Key*> keys_;
+};
+
+struct IdsHash {
+  std::size_t operator()(const std::vector<std::uint32_t>& ids) const noexcept;
+};
+
+}  // namespace detail
+
+/// The interned state graph of one exploration. Tuples and node names get
+/// dense ids, each node's table is hash-consed to a table id, and a state is
+/// its (node, table) entries plus its sorted in-flight (node, tuple)
+/// multiset, compared and hashed as integers. Successors are computed from
+/// a cache of local steps keyed by (node, table id, tuple id), checked
+/// against `NdlogTransitionSystem::successors` by tests/test_mc.cpp.
+class StateSpace {
+ public:
+  using Id = std::uint32_t;       ///< a system state, in order of discovery
+  using NodeId = std::uint32_t;
+  using TableId = std::uint32_t;  ///< kEmptyTable is the empty table
+  using TupleId = std::uint32_t;
+  static constexpr TableId kEmptyTable = 0;
+
+  struct Entry {
+    NodeId node;
+    TableId table;
+    bool operator==(const Entry&) const = default;
+  };
+
+  /// Borrows `ts`, which must outlive the space.
+  explicit StateSpace(const NdlogTransitionSystem& ts);
+
+  Id intern(const NetState& state);
+  NetState snapshot(Id id) const;
+
+  /// One successor per distinct in-flight message, in NetState multiset
+  /// order (destination name, then tuple), as `ts.successors` gives them.
+  std::vector<Id> successors(Id id);
+  bool quiescent(Id id) const { return states_[id].inflight.empty(); }
+
+  /// The state's node entries, by ascending node id. A node that has
+  /// received nothing has no entry, which is not the same state as an entry
+  /// holding kEmptyTable. Views into the space stay valid while it lives.
+  std::span<const Entry> tables(Id id) const { return states_[id].tables; }
+  /// A table's rows, by ascending tuple id.
+  std::span<const TupleId> rows(TableId table) const { return tables_[table]; }
+  const ndlog::Tuple& tuple(TupleId id) const { return tuples_[id]; }
+
+  /// Distinct system states interned so far.
+  std::size_t size() const noexcept { return states_.size(); }
+  /// Local fixpoints actually run (cache misses).
+  std::size_t local_steps() const noexcept { return local_steps_; }
+
+ private:
+  struct Message {
+    NodeId node;
+    TupleId tuple;
+    bool operator==(const Message&) const = default;
+  };
+  struct Packed {
+    std::vector<Entry> tables;      // ascending node id
+    std::vector<Message> inflight;  // NetState::inflight order
+    bool operator==(const Packed&) const = default;
+  };
+  struct PackedHash {
+    std::size_t operator()(const Packed& state) const noexcept;
+  };
+  struct StepKey {
+    NodeId node;
+    TableId table;
+    TupleId tuple;
+    bool operator==(const StepKey&) const = default;
+  };
+  struct StepKeyHash {
+    std::size_t operator()(const StepKey& key) const noexcept;
+  };
+  struct Step {
+    TableId table;
+    std::vector<Message> outbound;
+  };
+
+  TableId intern_table(const std::set<ndlog::Tuple>& rows);
+  const Step& local(NodeId node, TableId table, TupleId tuple);
+  /// NetState::inflight order: destination name, then tuple.
+  bool before(const Message& a, const Message& b) const;
+
+  const NdlogTransitionSystem* ts_;
+  detail::Interner<std::string> nodes_;
+  detail::Interner<ndlog::Tuple, ndlog::TupleHash> tuples_;
+  detail::Interner<std::vector<TupleId>, detail::IdsHash> tables_;
+  detail::Interner<Packed, PackedHash> states_;
+  std::unordered_map<StepKey, Step, StepKeyHash> steps_;
+  std::size_t local_steps_ = 0;
 };
 
 }  // namespace fvn::mc

@@ -263,24 +263,63 @@ TEST(LtlChecker, StableIsTrueInitiallyAndAfterQuiescence) {
 }
 
 TEST(LtlChecker, GoldenCounterexampleIsStable) {
-  // The rendered lasso for the smallest violated property is pinned byte for
-  // byte: any change to the search order, state encoding, or renderer shows
-  // up as a golden diff. One directed link => a deterministic 3-step stem.
-  mc::NdlogTransitionSystem ts(core::reachable_program());
-  const auto spec = parse_spec("never_reaches: G !reachable(@n0, n1).\n");
-  const std::vector<Tuple> facts = {
-      Tuple("link", {Value::addr("n0"), Value::addr("n1"), Value::integer(1)})};
-  const auto result = check_ltl(ts, ts.initial(facts), spec);
-  ASSERT_FALSE(result.all_hold());
-  const std::string text = render_counterexample(result.properties[0]);
+  // Rendered lassos are pinned byte for byte: any change to the search order,
+  // state encoding, or renderer shows up as a golden diff. One directed link
+  // => a deterministic 3-step stem. The path-vector line makes the search
+  // revisit node tables and drop messages the destination already stores.
+  struct Case {
+    ndlog::Program program;
+    const char* spec;
+    std::vector<Tuple> facts;
+    const char* golden;
+  };
+  const std::vector<Case> cases = {
+      {core::reachable_program(), "never_reaches: G !reachable(@n0, n1).\n",
+       {Tuple("link", {Value::addr("n0"), Value::addr("n1"), Value::integer(1)})},
+       "reachable_never.txt"},
+      {core::path_vector_program(), "never_best: G !bestPath(@n0, n2, _, _).\n",
+       core::link_facts(core::line_topology(3)), "path_vector_never.txt"},
+  };
+  for (const auto& c : cases) {
+    mc::NdlogTransitionSystem ts(c.program);
+    const auto result = check_ltl(ts, ts.initial(c.facts), parse_spec(c.spec));
+    ASSERT_FALSE(result.all_hold()) << c.golden;
+    const std::string text = render_counterexample(result.properties[0]);
 
-  const auto golden_path = std::filesystem::path(FVN_SOURCE_DIR) / "tests" /
-                           "golden" / "ltl" / "reachable_never.txt";
-  std::ifstream in(golden_path);
-  ASSERT_TRUE(in.good()) << golden_path;
-  std::ostringstream os;
-  os << in.rdbuf();
-  EXPECT_EQ(text, os.str());
+    const auto golden_path =
+        std::filesystem::path(FVN_SOURCE_DIR) / "tests" / "golden" / "ltl" / c.golden;
+    std::ifstream in(golden_path);
+    ASSERT_TRUE(in.good()) << golden_path;
+    std::ostringstream os;
+    os << in.rdbuf();
+    EXPECT_EQ(text, os.str()) << c.golden;
+  }
+}
+
+TEST(LtlChecker, PathVectorSearchSizeIsPinned) {
+  // The product explored for two holding properties on a 3-node path-vector
+  // line: a change that alters which states or edges the search visits moves
+  // these counts.
+  mc::NdlogTransitionSystem ts(core::path_vector_program());
+  const auto spec = parse_spec(
+      "reach: F bestPath(@n0, n2, _, _).\n"
+      "conv: F G stable(bestPath).\n");
+  const auto result =
+      check_ltl(ts, ts.initial(core::link_facts(core::line_topology(3))), spec);
+  ASSERT_EQ(result.properties.size(), 2u);
+  EXPECT_TRUE(result.all_hold());
+  EXPECT_TRUE(result.exhausted());
+  EXPECT_EQ(result.properties[0].product_states, 99u);
+  EXPECT_EQ(result.properties[0].transitions, 534u);
+  EXPECT_EQ(result.properties[1].product_states, 226u);
+  EXPECT_EQ(result.properties[1].transitions, 1832u);
+  // Both explore all 121 system states; the local-step cache runs one
+  // fixpoint per distinct (node, table, delivered tuple), a few dozen.
+  for (const auto& p : result.properties) {
+    EXPECT_EQ(p.system_states, 121u) << p.name;
+    EXPECT_LT(p.local_steps, 50u) << p.name;
+    EXPECT_GT(p.local_steps, 0u) << p.name;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include "mc/dv_model.hpp"
 #include "mc/ndlog_ts.hpp"
 #include "ndlog/eval.hpp"
+#include "ndlog/parser.hpp"
 
 namespace fvn {
 namespace {
@@ -100,6 +101,27 @@ TEST(Checker, CycleDetectionFindsLasso) {
   EXPECT_FALSE(result.property_holds);
   ASSERT_GE(result.counterexample.size(), 3u);
   EXPECT_EQ(result.counterexample.front(), result.counterexample.back());
+}
+
+TEST(Checker, BudgetEqualToStateCountIsExhaustive) {
+  // A budget of N examines N states; exhausted is false only when a reached
+  // state was left unexamined. The chain 0..9 has ten states.
+  auto successors = [](const int& s) {
+    return s < 9 ? std::vector<int>{s + 1} : std::vector<int>{};
+  };
+  auto always = [](const int&) { return true; };
+  const auto bfs = check_invariant<int>({0}, successors, always, 10);
+  EXPECT_TRUE(bfs.exhausted);
+  EXPECT_EQ(bfs.states_explored, 10u);
+  const auto bfs_short = check_invariant<int>({0}, successors, always, 9);
+  EXPECT_FALSE(bfs_short.exhausted);
+  EXPECT_EQ(bfs_short.states_explored, 9u);
+  const auto dfs = find_cycle<int>({0}, successors, always, 10);
+  EXPECT_TRUE(dfs.exhausted);
+  EXPECT_EQ(dfs.states_explored, 10u);
+  const auto dfs_short = find_cycle<int>({0}, successors, always, 9);
+  EXPECT_FALSE(dfs_short.exhausted);
+  EXPECT_EQ(dfs_short.states_explored, 9u);
 }
 
 TEST(Checker, AcyclicSystemHasNoCycle) {
@@ -247,6 +269,98 @@ TEST(NdlogTs, EventualConsistencyAcrossAllInterleavings) {
   EXPECT_GT(report.quiescent_states, 0u);
   EXPECT_TRUE(report.all_satisfy) << report.violating_state;
   EXPECT_TRUE(report.confluent);
+}
+
+TEST(NdlogTs, BudgetEqualToStateCountIsExhaustive) {
+  // reachable on a 3-node line has 361 states: a budget of 361 examines them
+  // all (the last one too) and is exhaustive, a budget of 360 is not.
+  NdlogTransitionSystem ts(core::reachable_program());
+  const NetState initial = ts.initial(core::link_facts(core::line_topology(3)));
+  auto always = [](const NetState&) { return true; };
+
+  const auto full = ts.check_quiescent_states(initial, always, 361);
+  EXPECT_TRUE(full.exhausted);
+  EXPECT_EQ(full.states_explored, 361u);
+  EXPECT_EQ(full.quiescent_states, 1u);
+  const auto cut = ts.check_quiescent_states(initial, always, 360);
+  EXPECT_FALSE(cut.exhausted);
+  EXPECT_EQ(cut.states_explored, 360u);
+
+  const auto inv = ts.check_invariant_all_interleavings(initial, always, 361);
+  EXPECT_TRUE(inv.exhausted);
+  EXPECT_EQ(inv.states_explored, 361u);
+  const auto inv_cut = ts.check_invariant_all_interleavings(initial, always, 360);
+  EXPECT_FALSE(inv_cut.exhausted);
+  EXPECT_EQ(inv_cut.states_explored, 360u);
+}
+
+/// Every state reachable from `initial`, breadth first, by the NetState
+/// reference semantics.
+std::vector<NetState> reachable_states(const NdlogTransitionSystem& ts,
+                                       const NetState& initial) {
+  std::vector<NetState> states{initial};
+  std::set<std::string> seen{initial.encode()};
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    for (auto& next : ts.successors(states[i])) {
+      if (seen.insert(next.encode()).second) states.push_back(std::move(next));
+    }
+  }
+  return states;
+}
+
+TEST(NdlogTs, StateSpaceMatchesSnapshotSemantics) {
+  // The interned space against the NetState reference: interning round-trips,
+  // and every state's successors are the reference successors, element by
+  // element and in order, under the ids their snapshots intern to. The
+  // one-link case gives a receiving node an empty entry; the path-vector line
+  // revisits tables (cache hits) and drops messages whose destination already
+  // stores the tuple; `notes` sends one node two messages in the reverse of
+  // tuple order, so id order and in-flight order differ.
+  struct Case {
+    const char* name;
+    ndlog::Program program;
+    std::vector<ndlog::Tuple> facts;
+  };
+  const auto link = [](const char* from, const char* to) {
+    return ndlog::Tuple("link", {ndlog::Value::addr(from), ndlog::Value::addr(to),
+                                 ndlog::Value::integer(1)});
+  };
+  const std::vector<Case> cases = {
+      {"path_vector line 3", core::path_vector_program(),
+       core::link_facts(core::line_topology(3))},
+      {"reachable line 3", core::reachable_program(),
+       core::link_facts(core::line_topology(3))},
+      {"reachable one link", core::reachable_program(), {link("n0", "n1")}},
+      {"notes", ndlog::parse_program(R"(
+         materialize(link, infinity, infinity, keys(1,2)).
+         m1 note(@D, S, 2) :- link(@S, D, C).
+         m2 note(@D, S, 1) :- link(@S, D, C).
+       )", "notes"),
+       {link("b", "a"), link("a", "b")}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    NdlogTransitionSystem ts(c.program);
+    const auto states = reachable_states(ts, ts.initial(c.facts));
+    StateSpace space(ts);
+    std::size_t transitions = 0;
+    for (const NetState& s : states) {
+      const StateSpace::Id id = space.intern(s);
+      ASSERT_EQ(space.snapshot(id), s) << s.encode();
+      const auto expected = ts.successors(s);
+      const auto got = space.successors(id);
+      ASSERT_EQ(got.size(), expected.size()) << s.encode();
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(space.snapshot(got[i]), expected[i]) << s.encode() << " successor " << i;
+        ASSERT_EQ(space.intern(expected[i]), got[i]) << s.encode() << " successor " << i;
+      }
+      transitions += got.size();
+    }
+    EXPECT_EQ(space.size(), states.size());
+    // The cache runs one local fixpoint per distinct (node, table, tuple).
+    EXPECT_GT(space.local_steps(), 0u);
+    EXPECT_LE(space.local_steps(), transitions);
+  }
 }
 
 TEST(NdlogTs, QuiescenceViolationReported) {

@@ -816,6 +816,8 @@ TEST(CliVerify, HoldsExitsZero) {
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("HOLDS"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("product states"), std::string::npos) << result.output;
+  EXPECT_NE(result.output.find("system states"), std::string::npos) << result.output;
+  EXPECT_NE(result.output.find("local steps"), std::string::npos) << result.output;
 }
 
 TEST(CliVerify, ViolationExitsOneWithLassoCounterexample) {
