@@ -75,12 +75,6 @@ MonitoredRun run_path_vector(std::size_t nodes, bool monitored) {
   return out;
 }
 
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const std::size_t mid = values.size() / 2;
-  return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2;
-}
-
 /// `pairs` bare/monitored pairs, alternating which one runs first so a slow
 /// drift of the machine weighs on both sides equally.
 struct PairedRuns {
@@ -111,9 +105,9 @@ PairedRuns paired_runs(std::size_t nodes, int pairs) {
                            ? (out.last_monitored.seconds - b.seconds) / b.seconds * 100.0
                            : 0);
   }
-  out.baseline_s = median(bare);
-  out.monitored_s = median(monitored);
-  out.overhead_pct = median(overhead);
+  out.baseline_s = bench::median(bare);
+  out.monitored_s = bench::median(monitored);
+  out.overhead_pct = bench::median(overhead);
   return out;
 }
 

@@ -11,16 +11,26 @@
 //                               (default: BENCH_<name>.json in the CWD)
 #pragma once
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace fvn::bench {
+
+/// The median of a non-empty sample: what the gated smokes report over
+/// their alternating pairs of runs.
+inline double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2;
+}
 
 class Harness {
  public:

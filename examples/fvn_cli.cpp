@@ -58,7 +58,9 @@
 //                                        as a Chrome trace
 //                     exit 0 = every property holds (possibly bounded),
 //                     1 = a property is violated (counterexample printed),
-//                     2 = usage / parse error (LT0001)
+//                     2 = usage / parse error (LT0001), or a program the
+//                     checker refuses: a failed static check, a finite
+//                     lifetime or `periodic` (it models hard state only)
 //
 // simulate/sim and dist additionally accept
 //   --monitor <spec.ltl>  compile each property into an online runtime
@@ -168,7 +170,7 @@ int usage() {
                "<prog.ndlog> [facts.txt] [goal|fact]\n"
                "       fvn_cli verify <prog.ndlog> <facts.txt> --ltl <spec.ltl> "
                "[--max-states=<n>] [--trace <out.json>]   "
-               "(exit 0 holds, 1 violated, 2 parse error)\n"
+               "(exit 0 holds, 1 violated, 2 parse error or refused program)\n"
                "       sim/dist take --monitor <spec.ltl> to run the same "
                "properties as online monitors (violation => exit 1)\n"
                "       fvn_cli dist <prog.ndlog> <facts.txt> [--nodes=<n>] "
@@ -474,11 +476,17 @@ int cmd_verify(const std::vector<std::string>& args) {
   auto facts = load_facts(positional[1]);
   auto spec = load_ltl_spec(spec_path, program);
 
-  fvn::mc::NdlogTransitionSystem ts(program);
-  const auto initial = ts.initial(facts);
+  // A program the checker refuses gets no verdict, so exit 2, not 1.
+  std::optional<fvn::mc::NdlogTransitionSystem> ts;
+  try {
+    ts.emplace(program);
+  } catch (const fvn::ndlog::AnalysisError& e) {
+    throw UsageError(e.what());
+  }
+  const auto initial = ts->initial(facts);
   fvn::ltl::CheckOptions options;
   options.max_product_states = max_states;
-  const auto result = fvn::ltl::check_ltl(ts, initial, spec, options);
+  const auto result = fvn::ltl::check_ltl(*ts, initial, spec, options);
 
   bool any_violated = false;
   for (const auto& p : result.properties) {

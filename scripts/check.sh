@@ -47,8 +47,9 @@ ctest --test-dir build --output-on-failure -j "$jobs"
 echo "== check: analyze-all sweep (ctest -L analyze) =="
 ctest --test-dir build --output-on-failure -L analyze
 
-# mc: the explicit-state checkers, their budget rule, and the interned NDlog
-# state space checked against its snapshot semantics state by state.
+# mc: the explicit-state checkers, their budget rule, the interned NDlog
+# state space checked against its snapshot semantics state by state, and
+# simulator runs replayed as paths of the checker's transition system.
 echo "== check: mc suite (ctest -L mc) =="
 ctest --test-dir build --output-on-failure -L mc
 
@@ -103,17 +104,23 @@ if [ "$run_sanitize" -eq 1 ]; then
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L 'net|ltl|parallel|serve'
 fi
 
-# Perf smoke: the 8-node path-vector cluster must stay within shouting
+# The perf smokes write their metrics under build/, so a full check leaves
+# the tracked BENCH_*.json files at the repo root as they were.
+#
+# Perf smoke: the 16-node path-vector cluster must stay within shouting
 # distance of the discrete-event simulator. vs_simulator_x100 is the cluster:
-# simulator throughput ratio (100 = parity); the batched-channel work keeps
-# it in the 40-60 band on a single-core container, so 25 is a regression
-# floor (the unbatched baseline measured 13), not a target.
+# simulator throughput ratio (100 = parity), the median of per-pair ratios
+# over 11 alternating cluster/simulator runs (a few ms each). A single
+# 8-node pair, the old gate, read 6-59 on a 4-vCPU guest and fell under the
+# floor about half the time; the median read 61-79 there. 25 is a
+# regression floor (the unbatched baseline measured 13), not a target.
 echo "== check: perf smoke (bench_net vs_simulator_x100 floor) =="
-./build/bench/bench_net --fvn-smoke --benchmark_filter='^$' >/dev/null
+./build/bench/bench_net --fvn-smoke --benchmark_filter='^$' \
+  --fvn-metrics-out=build/BENCH_net.json >/dev/null
 python3 - <<'EOF'
 import json, sys
 floor = 25
-got = json.load(open("BENCH_net.json"))["metrics"]["counters"]["net/bench/vs_simulator_x100"]
+got = json.load(open("build/BENCH_net.json"))["metrics"]["counters"]["net/bench/vs_simulator_x100"]
 print(f"vs_simulator_x100 = {got} (floor {floor})")
 sys.exit(0 if got >= floor else 1)
 EOF
@@ -125,11 +132,12 @@ EOF
 # per-pair overheads over alternating bare/monitored runs of a 48-node line
 # (~100 ms each), and the monitored runs must satisfy their spec.
 echo "== check: perf smoke (bench_ltl monitor overhead ceiling) =="
-./build/bench/bench_ltl --fvn-smoke --benchmark_filter='^$' >/dev/null
+./build/bench/bench_ltl --fvn-smoke --benchmark_filter='^$' \
+  --fvn-metrics-out=build/BENCH_ltl.json >/dev/null
 python3 - <<'EOF'
 import json, sys
 ceiling = 1000  # overhead_pct_x100: 1000 = 10.00%
-c = json.load(open("BENCH_ltl.json"))["metrics"]["counters"]
+c = json.load(open("build/BENCH_ltl.json"))["metrics"]["counters"]
 got = c["ltl/bench/overhead_pct_x100"]
 satisfied = c["ltl/bench/monitors_satisfied"]
 print(f"overhead_pct_x100 = {got} (ceiling {ceiling}), monitors_satisfied = {satisfied}")
@@ -143,13 +151,14 @@ EOF
 # the torn-read tripwire (readers recompute the published checksum), and the
 # publish p99 ceiling keeps snapshot freezes from growing a stall.
 echo "== check: perf smoke (bench_serve lookup floor + churn ratio) =="
-./build/bench/bench_serve --fvn-smoke --benchmark_filter='^$' >/dev/null
+./build/bench/bench_serve --fvn-smoke --benchmark_filter='^$' \
+  --fvn-metrics-out=build/BENCH_serve.json >/dev/null
 python3 - <<'EOF'
 import json, sys
 floor = 1_000_000       # idle single-reader lookups/sec
 ratio_floor = 50        # churn_ratio_x100: 50 = 0.5x idle
 p99_ceiling = 20_000    # publish latency p99 in us
-c = json.load(open("BENCH_serve.json"))["metrics"]["counters"]
+c = json.load(open("build/BENCH_serve.json"))["metrics"]["counters"]
 idle = c["serve/bench/idle_lookups_per_s_r1"]
 ratio = c["serve/bench/churn_ratio_x100"]
 p99 = c["serve/bench/publish_p99_us"]

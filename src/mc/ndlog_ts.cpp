@@ -1,17 +1,15 @@
 #include "mc/ndlog_ts.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
 
+#include "ndlog/analysis.hpp"
 #include "runtime/localize.hpp"
+#include "runtime/node_core.hpp"
 
 namespace fvn::mc {
 
-using ndlog::Database;
-using ndlog::Rule;
 using ndlog::Tuple;
-using ndlog::TupleSet;
 
 std::string NetState::encode() const {
   std::ostringstream os;
@@ -44,109 +42,74 @@ std::string render_state(const NetState& state, std::string_view indent) {
   return os.str();
 }
 
+namespace {
+
+/// The plan a delivery runs: the runtimes' static checks and compilation,
+/// after refusing what an untimed model cannot check.
+dataflow::Plan model_plan(const ndlog::Program& program, const ndlog::Catalog& catalog,
+                          const ndlog::BuiltinRegistry& builtins) {
+  if (const auto feature = runtime::soft_state_feature(program, catalog); !feature.empty()) {
+    throw ndlog::AnalysisError("model checker: " + feature +
+                               "; states carry no clock, so only hard-state programs "
+                               "can be verified");
+  }
+  return runtime::checked_plan(program, builtins, /*require_stratified=*/true, {});
+}
+
+std::set<std::string> permanent_predicates(const ndlog::Program& program,
+                                           const ndlog::Catalog& catalog) {
+  std::set<std::string> aggregated;
+  for (const auto& rule : program.rules) {
+    if (rule.head.has_aggregate()) aggregated.insert(rule.head.predicate);
+  }
+  std::set<std::string> out;
+  for (const auto& pred : catalog.predicates()) {
+    const auto& info = catalog.info(pred);
+    const std::set<std::size_t> keys(info.key_fields.begin(), info.key_fields.end());
+    // Key fields outside the tuple are ignored, as runtime::TupleKeyLess does.
+    const auto in_tuple = std::count_if(keys.begin(), keys.end(), [&](std::size_t f) {
+      return f >= 1 && f <= info.arity;
+    });
+    const bool whole_key = keys.empty() || static_cast<std::size_t>(in_tuple) == info.arity;
+    if (whole_key && !aggregated.contains(pred)) out.insert(pred);
+  }
+  return out;
+}
+
+}  // namespace
+
 NdlogTransitionSystem::NdlogTransitionSystem(ndlog::Program program,
                                              const ndlog::BuiltinRegistry& builtins)
     : program_(runtime::localize(program)),
       catalog_(ndlog::Catalog::from_program(program_)),
       builtins_(&builtins),
-      engine_(builtins) {
-  ndlog::analyze(program_, builtins);
-  for (const auto& rule : program_.rules) {
-    if (rule.is_fact()) continue;
-    (rule.head.has_aggregate() ? agg_rules_ : normal_rules_).push_back(&rule);
-  }
-}
-
-std::string NdlogTransitionSystem::location_of(const Tuple& tuple) const {
-  const std::size_t idx =
-      catalog_.contains(tuple.predicate()) ? catalog_.loc_index(tuple.predicate()) : 0;
-  return tuple.at(idx).as_addr();
-}
-
-std::string NdlogTransitionSystem::key_of(const Tuple& tuple) const {
-  std::string key = tuple.predicate();
-  if (!catalog_.contains(tuple.predicate())) return key + "|" + tuple.to_string();
-  const auto& info = catalog_.info(tuple.predicate());
-  if (info.key_fields.empty()) return key + "|" + tuple.to_string();
-  for (std::size_t f : info.key_fields) {
-    if (f >= 1 && f <= tuple.arity()) key += "|" + tuple.at(f - 1).to_string();
-  }
-  return key;
-}
+      plan_(model_plan(program_, catalog_, builtins)),
+      preds_(catalog_),
+      permanent_(permanent_predicates(program_, catalog_)) {}
 
 NetState NdlogTransitionSystem::initial(const std::vector<Tuple>& facts) const {
   NetState state;
-  for (const auto& f : facts) state.inflight.emplace(location_of(f), f);
-  for (const auto& rule : program_.rules) {
-    if (!rule.is_fact()) continue;
-    ndlog::Bindings empty;
-    std::vector<ndlog::Value> values;
-    for (const auto& arg : rule.head.args) {
-      values.push_back(*ndlog::eval_term(*arg.term, empty, *builtins_));
-    }
-    Tuple t(rule.head.predicate, std::move(values));
-    state.inflight.emplace(location_of(t), t);
+  for (const auto& f : facts) state.inflight.emplace(preds_.location_of(f), f);
+  for (auto& f : runtime::embedded_facts(program_, *builtins_)) {
+    state.inflight.emplace(preds_.location_of(f), std::move(f));
   }
   return state;
 }
 
 NdlogTransitionSystem::LocalStep NdlogTransitionSystem::local_step(
     const std::string& node, const std::set<Tuple>& table, const Tuple& arriving) const {
-  // The node's Database view and key index.
-  Database db;
-  std::map<std::string, Tuple> by_key;
-  for (const auto& t : table) {
-    db.insert(t);
-    by_key.emplace(key_of(t), t);
-  }
-
-  auto install = [&](const Tuple& t) -> bool {
-    const std::string key = key_of(t);
-    auto it = by_key.find(key);
-    if (it == by_key.end()) {
-      by_key.emplace(key, t);
-      db.insert(t);
-      return true;
-    }
-    if (it->second == t) return false;
-    db.erase(it->second);
-    it->second = t;
-    db.insert(t);
-    return true;
-  };
-
   LocalStep step;
-  std::deque<Tuple> work;
-  if (install(arriving)) work.push_back(arriving);
-
-  while (!work.empty()) {
-    const Tuple delta = work.front();
-    work.pop_front();
-    TupleSet delta_set{delta};
-    std::vector<Tuple> produced;
-    for (const Rule* rule : normal_rules_) {
-      const auto atoms = ndlog::RuleEngine::positive_atoms(*rule);
-      for (std::size_t i = 0; i < atoms.size(); ++i) {
-        if (atoms[i]->atom.predicate != delta.predicate()) continue;
-        engine_.eval_rule_delta(*rule, db, i, delta_set,
-                                [&](Tuple t) { produced.push_back(std::move(t)); });
-      }
-    }
-    // Aggregate recomputation (local view maintenance).
-    for (const Rule* rule : agg_rules_) {
-      engine_.eval_agg_rule(*rule, db,
-                            [&](Tuple t) { produced.push_back(std::move(t)); });
-    }
-    for (auto& t : produced) {
-      std::string dest = location_of(t);
-      if (dest == node) {
-        if (install(t)) work.push_back(t);
-      } else {
-        step.outbound.emplace_back(std::move(dest), std::move(t));
-      }
-    }
-  }
-
+  runtime::NodeCore core(node, plan_, preds_, *builtins_, nullptr,
+                         [&](const runtime::NodeCore&, runtime::NodeCore::Change change,
+                             const Tuple& tuple) {
+                           if (change != runtime::NodeCore::Change::Remote) return;
+                           step.outbound.emplace_back(preds_.location_of(tuple), tuple);
+                         });
+  // Hard state: no row has a lifetime, so the time passed is never read.
+  core.restore(table);
+  core.deliver(arriving, 0.0);
+  core.settle(0.0);
+  const ndlog::Database& db = core.database();
   for (const auto& pred : db.predicates()) {
     for (const auto& t : db.relation(pred)) step.table.insert(t);
   }
@@ -163,10 +126,11 @@ NetState NdlogTransitionSystem::deliver(const NetState& state, std::size_t index
   LocalStep step = local_step(dest, table, tuple);
   table = std::move(step.table);
   for (auto& [to, t] : step.outbound) {
-    // Duplicates in flight are allowed (message multiset), but a tuple the
-    // destination already stores is not sent. operator[] gives a node that
-    // has received nothing an empty entry.
-    if (!next.stored[to].count(t)) next.inflight.emplace(std::move(to), std::move(t));
+    // Duplicates in flight are allowed (message multiset). operator[] gives
+    // a node that has received nothing an empty entry.
+    const auto& stored = next.stored[to];
+    if (permanent(t.predicate()) && stored.contains(t)) continue;
+    next.inflight.emplace(std::move(to), std::move(t));
   }
   return next;
 }
@@ -327,7 +291,9 @@ const StateSpace::Step& StateSpace::local(NodeId node, TableId table, TupleId tu
   Step step{intern_table(result.table), {}};
   step.outbound.reserve(result.outbound.size());
   for (auto& [dest, t] : result.outbound) {
-    step.outbound.push_back(Message{nodes_.intern(std::move(dest)), tuples_.intern(std::move(t))});
+    const bool permanent = ts_->permanent(t.predicate());
+    step.outbound.push_back(
+        Send{Message{nodes_.intern(std::move(dest)), tuples_.intern(std::move(t))}, permanent});
   }
   return steps_.emplace(key, std::move(step)).first->second;
 }
@@ -352,9 +318,9 @@ std::vector<StateSpace::Id> StateSpace::successors(Id id) {
     };
     const Step& step = local(m.node, slot(m.node), m.tuple);
     slot(m.node) = step.table;
-    for (const Message& sent : step.outbound) {
+    for (const auto& [sent, permanent] : step.outbound) {
       const auto stored = rows(slot(sent.node));
-      if (std::binary_search(stored.begin(), stored.end(), sent.tuple)) continue;
+      if (permanent && std::binary_search(stored.begin(), stored.end(), sent.tuple)) continue;
       next.inflight.insert(
           std::upper_bound(next.inflight.begin(), next.inflight.end(), sent,
                            [this](const Message& a, const Message& b) { return before(a, b); }),

@@ -6,6 +6,11 @@
 // interleavings — the verification mechanism the paper envisions on top of
 // the transition-system representation.
 //
+// A delivery runs the runtimes' own node code, runtime::NodeCore, as one
+// Simulator event does: install the tuple, derive depth-first, settle the
+// aggregates. So a verdict holds for the code sim and dist execute. Hard
+// state only: the constructor refuses finite lifetimes and `periodic`.
+//
 // Explorations run on a StateSpace: tuples, node names, node tables and
 // states are interned to dense ids, and the local fixpoint runs once per
 // distinct (node, table, arriving tuple). NetState is the readable snapshot
@@ -23,9 +28,11 @@
 #include <utility>
 #include <vector>
 
+#include "dataflow/plan.hpp"
 #include "mc/checker.hpp"
+#include "ndlog/builtins.hpp"
 #include "ndlog/catalog.hpp"
-#include "ndlog/eval.hpp"
+#include "runtime/pred_table.hpp"
 
 namespace fvn::mc {
 
@@ -45,12 +52,20 @@ struct NetState {
 std::string render_state(const NetState& state, std::string_view indent = "  ");
 
 /// Transition system for one (localized) NDlog program. Immutable after
-/// construction: explorations keep their caches in a StateSpace.
+/// construction, apart from the lazily filled runtime::PredTable it reads
+/// catalog facts through, so one system serves one thread; explorations
+/// keep their caches in a StateSpace. The PredTable borrows the catalog
+/// member, so the system is neither copied nor moved.
 class NdlogTransitionSystem {
  public:
+  /// Runs the runtimes' static checks (arities, safety, stratification)
+  /// and compiles their plan; throws ndlog::AnalysisError on a program that
+  /// fails them or that has soft state (runtime::soft_state_feature).
   explicit NdlogTransitionSystem(
       ndlog::Program program,
       const ndlog::BuiltinRegistry& builtins = ndlog::BuiltinRegistry::standard());
+  NdlogTransitionSystem(const NdlogTransitionSystem&) = delete;
+  NdlogTransitionSystem& operator=(const NdlogTransitionSystem&) = delete;
 
   /// Initial state: all base facts in flight toward their location nodes.
   NetState initial(const std::vector<ndlog::Tuple>& facts) const;
@@ -62,14 +77,23 @@ class NdlogTransitionSystem {
     /// sent twice.
     std::vector<std::pair<std::string, ndlog::Tuple>> outbound;
   };
-  /// Install `arriving` into `node`'s `table` (keyed overwrite) and run the
-  /// node's localized rules to fixpoint. A pure function of its arguments,
-  /// so StateSpace runs it once per distinct (node, table, tuple).
+  /// Deliver `arriving` to a runtime::NodeCore restored from `node`'s
+  /// `table` and settle it, as a Simulator does for one event. A pure
+  /// function of its arguments, so StateSpace runs it once per distinct
+  /// (node, table, tuple).
   LocalStep local_step(const std::string& node, const std::set<ndlog::Tuple>& table,
                        const ndlog::Tuple& arriving) const;
 
+  /// True when a stored row of `predicate` can never leave its table: its
+  /// key is the whole tuple, so no keyed overwrite replaces it, and no
+  /// aggregate rule writes the predicate, so no settle withdraws it.
+  bool permanent(const std::string& predicate) const {
+    return permanent_.contains(predicate);
+  }
+
   /// Deliver the in-flight message at `index` (into the sorted multiset). An
-  /// outbound tuple its destination already stores is not put in flight.
+  /// outbound tuple of a permanent predicate that its destination already
+  /// stores is not put in flight: delivering it could change nothing.
   NetState deliver(const NetState& state, std::size_t index) const;
 
   /// All successor states (one per distinct in-flight message, in multiset
@@ -114,12 +138,9 @@ class NdlogTransitionSystem {
   ndlog::Program program_;
   ndlog::Catalog catalog_;
   const ndlog::BuiltinRegistry* builtins_;
-  ndlog::RuleEngine engine_;
-  std::vector<const ndlog::Rule*> normal_rules_;
-  std::vector<const ndlog::Rule*> agg_rules_;
-
-  std::string location_of(const ndlog::Tuple& tuple) const;
-  std::string key_of(const ndlog::Tuple& tuple) const;
+  dataflow::Plan plan_;
+  runtime::PredTable preds_;
+  std::set<std::string> permanent_;
 };
 
 namespace detail {
@@ -162,7 +183,8 @@ struct IdsHash {
 /// its (node, table) entries plus its sorted in-flight (node, tuple)
 /// multiset, compared and hashed as integers. Successors are computed from
 /// a cache of local steps keyed by (node, table id, tuple id), checked
-/// against `NdlogTransitionSystem::successors` by tests/test_mc.cpp.
+/// against `NdlogTransitionSystem::successors` by tests/test_mc.cpp. Like
+/// the system it borrows, a space serves one thread.
 class StateSpace {
  public:
   using Id = std::uint32_t;       ///< a system state, in order of discovery
@@ -224,9 +246,13 @@ class StateSpace {
   struct StepKeyHash {
     std::size_t operator()(const StepKey& key) const noexcept;
   };
+  struct Send {
+    Message message;
+    bool permanent;  ///< NdlogTransitionSystem::permanent of its predicate
+  };
   struct Step {
     TableId table;
-    std::vector<Message> outbound;
+    std::vector<Send> outbound;
   };
 
   TableId intern_table(const std::set<ndlog::Tuple>& rows);

@@ -12,31 +12,6 @@ namespace fvn::net {
 using ndlog::Tuple;
 using ndlog::Value;
 
-namespace {
-
-/// Hard-state programs only: soft-state expiry and periodic refresh need
-/// per-node clocks and by design never quiesce (they keep re-firing), so
-/// termination detection would be meaningless. The discrete-event Simulator
-/// stays the executor for those; reject them up front with a clear error.
-void reject_soft_state(const ndlog::Program& program, const ndlog::Catalog& catalog) {
-  for (const auto& pred : catalog.predicates()) {
-    const auto& info = catalog.info(pred);
-    if (info.lifetime_seconds.has_value() && *info.lifetime_seconds > 0.0) {
-      throw ClusterError("cluster: predicate " + pred +
-                         " has a finite lifetime (soft state); the distributed "
-                         "runtime executes hard-state programs only — use the "
-                         "simulator");
-    }
-  }
-  if (runtime::uses_periodic(program)) {
-    throw ClusterError(
-        "cluster: program uses periodic; the distributed runtime "
-        "executes hard-state programs only — use the simulator");
-  }
-}
-
-}  // namespace
-
 Cluster::Cluster(ndlog::Program program, ClusterOptions options,
                  const ndlog::BuiltinRegistry& builtins)
     : program_(runtime::localize(program)),
@@ -46,7 +21,14 @@ Cluster::Cluster(ndlog::Program program, ClusterOptions options,
       plan_(runtime::checked_plan(program_, builtins, options.require_stratified,
                                   {options.incremental_aggregates, options.cost_order})),
       preds_(catalog_) {
-  reject_soft_state(program_, catalog_);
+  // Soft-state expiry and periodic refresh need per-node clocks and never
+  // quiesce, so termination detection would be meaningless; the simulator
+  // stays the executor for those.
+  if (const auto feature = runtime::soft_state_feature(program_, catalog_); !feature.empty()) {
+    throw ClusterError("cluster: " + feature +
+                       "; the distributed runtime executes hard-state programs only — "
+                       "use the simulator");
+  }
   for (const auto& fact : runtime::embedded_facts(program_, builtins)) inject(fact);
 }
 

@@ -93,6 +93,17 @@ void NodeCore::retract(const Tuple& tuple) {
   hook_(*this, Change::Retract, tuple);
 }
 
+void NodeCore::restore(const std::set<Tuple>& rows) {
+  for (const auto& row : rows) {
+    by_key_.insert(row);
+    db_.insert(row);
+    engine_.on_insert(row, db_);
+  }
+  for (std::size_t i = 0; i < engine_.aggregate_count(); ++i) {
+    engine_.flush_aggregate(i, db_, deltas_);
+  }
+}
+
 bool NodeCore::expire(const Tuple& tuple, double now) {
   auto it = expires_at_.find(tuple);
   if (it == expires_at_.end() || it->second > now + 1e-12) return false;
@@ -138,6 +149,16 @@ bool uses_periodic(const ndlog::Program& program) {
     }
   }
   return false;
+}
+
+std::string soft_state_feature(const ndlog::Program& program, const ndlog::Catalog& catalog) {
+  for (const auto& pred : catalog.predicates()) {
+    const auto& lifetime = catalog.info(pred).lifetime_seconds;
+    if (lifetime.has_value() && *lifetime > 0.0) {
+      return "predicate " + pred + " has a finite lifetime (soft state)";
+    }
+  }
+  return uses_periodic(program) ? "program uses periodic" : "";
 }
 
 void merge_into(ndlog::Database& merged, const ndlog::Database& db) {

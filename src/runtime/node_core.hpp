@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "dataflow/plan.hpp"
 #include "ndlog/ast.hpp"
 #include "ndlog/builtins.hpp"
+#include "ndlog/catalog.hpp"
 #include "ndlog/database.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/pred_table.hpp"
@@ -79,6 +81,14 @@ class NodeCore {
   bool expire(const ndlog::Tuple& tuple, double now);
   /// When the latest refresh of a soft-state row expires.
   double expiry(const ndlog::Tuple& tuple) const { return expires_at_.at(tuple); }
+  /// Load a stored table into a fresh core: install `rows` with no hook
+  /// call and no derivation, then flush every aggregate once and drop the
+  /// deltas, so the engine's last emitted view is the table's. This is
+  /// exact — the result is the core that stored the table — only for a
+  /// table a settle() left, where no aggregate has a pending delta; those
+  /// are the only tables mc::NdlogTransitionSystem stores. Rows get no
+  /// lifetime: the checker models hard state only.
+  void restore(const std::set<ndlog::Tuple>& rows);
 
   const std::string& name() const noexcept { return name_; }
   const ndlog::Database& database() const noexcept { return db_; }
@@ -118,6 +128,12 @@ std::vector<ndlog::Tuple> embedded_facts(const ndlog::Program& program,
 
 /// True when a rule body reads `periodic`.
 bool uses_periodic(const ndlog::Program& program);
+
+/// What a runtime with no clock cannot run in `program`: "predicate <p> has
+/// a finite lifetime (soft state)" for the first such predicate, else
+/// "program uses periodic"; empty for a hard-state program. net::Cluster
+/// and mc::NdlogTransitionSystem refuse a program this names.
+std::string soft_state_feature(const ndlog::Program& program, const ndlog::Catalog& catalog);
 
 /// Adds every row of `db` to `merged`: the runtimes' merged_database().
 void merge_into(ndlog::Database& merged, const ndlog::Database& db);

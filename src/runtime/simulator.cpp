@@ -122,6 +122,9 @@ void Simulator::on_change(const NodeCore& core, NodeCore::Change change, const T
     }
     case NodeCore::Change::Retract:
       stats_.last_change_time = now_;
+      if (options_.record_trace) {
+        trace_.push_back(TraceEntry{now_, TraceEntry::Kind::Retract, node, tuple.to_string()});
+      }
       tuple_event("retract", node, tuple);
       return;
     case NodeCore::Change::Expire:
@@ -232,6 +235,10 @@ SimStats Simulator::run() {
     NodeCore& core = core_of(e.node);
     switch (e.kind) {
       case Event::Kind::Deliver:
+        if (options_.record_trace) {
+          trace_.push_back(
+              TraceEntry{e.time, TraceEntry::Kind::Deliver, e.node, e.tuple.to_string()});
+        }
         if (options_.metrics != nullptr) {
           options_.metrics->counter("sim/node/" + e.node + "/received").add(1);
         }

@@ -102,6 +102,10 @@ struct SimOptions {
 };
 
 /// One recorded simulation event (Pip-style trace entry for offline checks).
+/// A Deliver entry (a message or base fact reaching `node`) comes before
+/// the entries its processing records. Install, Retract (a row overwritten,
+/// withdrawn by an aggregate, or retracted) and Expire are the table
+/// changes, so folding them replays every node's table.
 struct TraceEntry {
   double time = 0.0;
   enum class Kind : std::uint8_t { Send, Deliver, Install, Expire, Retract } kind;

@@ -47,25 +47,36 @@ TEST(SimTrace, RecordsSendsInstallsAndExpiries) {
   runtime::SimOptions options;
   options.record_trace = true;
   runtime::Simulator sim(program, options);
-  sim.inject_all(core::link_facts(core::line_topology(2)));
+  const auto links = core::link_facts(core::line_topology(2));
+  sim.inject_all(links);
+  sim.retract(links.front(), 0.5);
   sim.run();
   const auto& trace = sim.trace();
   ASSERT_FALSE(trace.empty());
-  bool saw_send = false, saw_install = false, saw_expire = false;
+  // A delivery is recorded before the table changes it causes.
+  EXPECT_EQ(trace.front().kind, runtime::TraceEntry::Kind::Deliver);
+  bool saw_send = false, saw_deliver = false, saw_install = false, saw_expire = false,
+       saw_retract = false;
   double last_time = 0.0;
   for (const auto& e : trace) {
     EXPECT_GE(e.time, last_time);  // chronological
     last_time = e.time;
     switch (e.kind) {
       case runtime::TraceEntry::Kind::Send: saw_send = true; break;
+      case runtime::TraceEntry::Kind::Deliver: saw_deliver = true; break;
       case runtime::TraceEntry::Kind::Install: saw_install = true; break;
       case runtime::TraceEntry::Kind::Expire: saw_expire = true; break;
-      default: break;
+      case runtime::TraceEntry::Kind::Retract:
+        saw_retract = true;
+        EXPECT_EQ(e.detail, links.front().to_string());
+        break;
     }
   }
   EXPECT_TRUE(saw_send);     // reach shipped to the other node
+  EXPECT_TRUE(saw_deliver);  // the links, and reach at its destination
   EXPECT_TRUE(saw_install);
-  EXPECT_TRUE(saw_expire);   // soft links time out
+  EXPECT_TRUE(saw_expire);   // the other soft link times out
+  EXPECT_TRUE(saw_retract);  // the retracted link leaves its table
 }
 
 TEST(SimTrace, OffByDefault) {

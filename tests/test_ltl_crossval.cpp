@@ -19,6 +19,7 @@
 #include <set>
 #include <sstream>
 
+#include "crossval_instances.hpp"
 #include "ltl/checker.hpp"
 #include "ltl/formula.hpp"
 #include "ltl/monitor.hpp"
@@ -52,35 +53,9 @@ struct Case {
   std::vector<Tuple> facts;
 };
 
-Tuple link(const char* s, const char* d, int c) {
-  return Tuple("link", {Value::addr(s), Value::addr(d), Value::integer(c)});
-}
-Tuple node(const char* n) { return Tuple("node", {Value::addr(n)}); }
-
-// The facts mirror the topology documented at the top of each .ltl file —
-// small enough that fvn::mc explores every interleaving exhaustively.
 std::vector<Case> load_cases() {
   std::vector<Case> cases;
-  const std::map<std::string, std::vector<Tuple>> facts = {
-      {"path_vector", {link("n0", "n1", 1), link("n1", "n0", 1),
-                       link("n1", "n2", 1), link("n2", "n1", 1)}},
-      // Directed acyclic: DV counts to infinity on any cycle.
-      {"distance_vector", {link("n0", "n1", 1), link("n1", "n2", 1)}},
-      {"reachable", {link("n0", "n1", 1), link("n1", "n0", 1),
-                     link("n1", "n2", 1), link("n2", "n1", 1)}},
-      // Coarse costs keep the C<1000 walk closure at <= 2 hops.
-      {"link_state", {link("n0", "n1", 400), link("n1", "n0", 400)}},
-      {"policy_path_vector",
-       {node("n0"), node("n1"), link("n0", "n1", 1), link("n1", "n0", 1),
-        Tuple("importPref", {Value::addr("n0"), Value::addr("n1"),
-                             Value::integer(100)}),
-        Tuple("importPref", {Value::addr("n1"), Value::addr("n0"),
-                             Value::integer(100)})}},
-      // Directed link: keeps distCand's hop counter from ping-ponging up to
-      // its D<100 bound.
-      {"spanning_tree", {node("n0"), node("n1"), link("n1", "n0", 1)}},
-  };
-  for (const auto& [name, f] : facts) {
+  for (const auto& [name, f] : crossval::example_facts()) {
     Case c;
     c.name = name;
     c.program = ndlog::parse_program(slurp(example_dir() / (name + ".ndlog")),
@@ -218,6 +193,53 @@ TEST(LtlCrossval, ClusterMonitorsAgreeUdp) {
       GTEST_SKIP() << "UDP sockets unavailable here: " << e.what();
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Programs on which a checker with its own node semantics verdicted
+// differently from the runtimes.
+// ---------------------------------------------------------------------------
+
+TEST(LtlCrossval, IntermediateAggregateNeverShipsVerdictsAgree) {
+  auto instance = crossval::intermediate_aggregate();
+  Case c;
+  c.name = "intermediate_aggregate";
+  c.program = std::move(instance.program);
+  c.facts = std::move(instance.facts);
+  c.spec = ltl::parse_spec("never_two: G !got(@b, a, 2).\n", "never_two.ltl");
+
+  mc::NdlogTransitionSystem ts(c.program);
+  const auto verdict = ltl::check_ltl(ts, ts.initial(c.facts), c.spec);
+  ASSERT_EQ(verdict.properties.size(), 1u);
+  EXPECT_TRUE(verdict.properties[0].holds) << ltl::render_counterexample(verdict.properties[0]);
+  EXPECT_TRUE(verdict.exhausted());
+  expect_all_satisfied(sim_monitor_verdicts(c, c.spec), "simulator");
+  expect_all_satisfied(cluster_monitor_verdicts(c, c.spec, {}), "cluster");
+}
+
+TEST(LtlCrossval, SendFilterKeepsMessagesAnOverwriteCanUndo) {
+  // The checker must find the schedule that ends on val(b,1), and a
+  // simulator with a slow d->b link must run it.
+  const auto [program, facts] = crossval::send_filter();
+  const auto spec = ltl::parse_spec("settles_on_two: F G val(@b, 2).\n", "settles.ltl");
+
+  mc::NdlogTransitionSystem ts(program);
+  const auto verdict = ltl::check_ltl(ts, ts.initial(facts), spec);
+  ASSERT_EQ(verdict.properties.size(), 1u);
+  EXPECT_FALSE(verdict.properties[0].holds);
+
+  ltl::MonitorSet monitors(spec);
+  runtime::SimOptions options;
+  options.tuple_events = [&monitors](std::string_view kind, const std::string& node_name,
+                                     const Tuple& tuple, double now) {
+    monitors.on_event(ltl::tuple_event(kind, node_name, tuple, now));
+  };
+  runtime::Simulator sim(program, options);
+  sim.set_link_delay("d", "b", 0.05);
+  sim.inject_all(facts);
+  EXPECT_TRUE(sim.run().quiesced);
+  EXPECT_TRUE(sim.database("b").contains(Tuple("val", {Value::addr("b"), Value::integer(1)})));
+  EXPECT_FALSE(monitors.all_satisfied());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,23 @@
 // Model-checker tests (E2 + arc 8): count-to-infinity detection on
 // distance-vector after link failure, split-horizon contrast, generic checker
-// behaviors, and NDlog-as-transition-system exploration of all message
-// interleavings.
+// behaviors, NDlog-as-transition-system exploration of all message
+// interleavings, and the replay suite: every simulator run is a path of the
+// transition system.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "core/protocols.hpp"
+#include "crossval_instances.hpp"
 #include "mc/checker.hpp"
 #include "mc/dv_model.hpp"
 #include "mc/ndlog_ts.hpp"
 #include "ndlog/eval.hpp"
 #include "ndlog/parser.hpp"
+#include "runtime/simulator.hpp"
 
 namespace fvn {
 namespace {
@@ -377,6 +385,140 @@ TEST(NdlogTs, QuiescenceViolationReported) {
   EXPECT_TRUE(report.violating_trace.front().stored.empty());
   EXPECT_TRUE(report.violating_trace.back().quiescent());
   EXPECT_EQ(report.violating_trace.back().encode(), report.violating_state);
+}
+
+// ---------------------------------------------------------------------------
+// Replay: what the runtime executes is a path the checker explores
+// ---------------------------------------------------------------------------
+
+/// Per-node tables as rendered rows; a node with no rows has no entry.
+using Tables = std::map<std::string, std::set<std::string>>;
+
+Tables rendered(const NetState& state) {
+  Tables out;
+  for (const auto& [node, rows] : state.stored) {
+    for (const auto& t : rows) out[node].insert(t.to_string());
+  }
+  return out;
+}
+
+struct SlowLink {
+  const char* from;
+  const char* to;
+  double delay;
+};
+
+/// Replays one simulator run through NdlogTransitionSystem::deliver, one
+/// delivery per transition, and returns the number of deliveries. After
+/// each, every node's table must be the one the simulator's trace folds to.
+/// A delivered message the checker does not hold in flight must be a copy
+/// it dropped because its destination stores the row. When the run
+/// quiesces, nothing may be left in flight.
+std::size_t replay(const ndlog::Program& program, const std::vector<ndlog::Tuple>& facts,
+                   runtime::SimOptions options, const std::vector<SlowLink>& slow_links) {
+  using Kind = runtime::TraceEntry::Kind;
+  options.record_trace = true;
+  runtime::Simulator sim(program, options);
+  for (const auto& l : slow_links) sim.set_link_delay(l.from, l.to, l.delay);
+  sim.inject_all(facts);
+  EXPECT_TRUE(sim.run().quiesced);
+
+  const NdlogTransitionSystem ts(program);
+  NetState state = ts.initial(facts);
+  Tables folded;
+  std::size_t deliveries = 0;
+  std::string delivered;  // the current delivery, for failure messages
+  const auto& trace = sim.trace();
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const auto& e = trace[i];
+    if (e.kind == Kind::Install) folded[e.node].insert(e.detail);
+    if (e.kind == Kind::Retract || e.kind == Kind::Expire) {
+      folded[e.node].erase(e.detail);
+      if (folded[e.node].empty()) folded.erase(e.node);
+    }
+    if (e.kind == Kind::Deliver) {
+      ++deliveries;
+      delivered = e.node + " <- " + e.detail;
+      const auto it = std::find_if(state.inflight.begin(), state.inflight.end(),
+                                   [&e](const auto& m) {
+                                     return m.first == e.node && m.second.to_string() == e.detail;
+                                   });
+      if (it != state.inflight.end()) {
+        state = ts.deliver(state, static_cast<std::size_t>(
+                                      std::distance(state.inflight.begin(), it)));
+      } else if (!rendered(state)[e.node].contains(e.detail)) {
+        ADD_FAILURE() << "delivery " << deliveries << " (" << delivered
+                      << ") is neither in flight nor stored:\n"
+                      << render_state(state);
+        return deliveries;
+      }
+    }
+    const bool delivery_done = i + 1 == trace.size() || trace[i + 1].kind == Kind::Deliver;
+    if (deliveries > 0 && delivery_done && rendered(state) != folded) {
+      ADD_FAILURE() << "tables differ after delivery " << deliveries << " (" << delivered
+                    << "); the checker's state:\n"
+                    << render_state(state);
+      return deliveries;
+    }
+  }
+  EXPECT_TRUE(state.quiescent()) << "left in flight:\n" << render_state(state);
+  return deliveries;
+}
+
+/// replay() at jitter 0, then at delay_jitter 0.9 for seeds 1-16: 17 runs.
+std::size_t replay_runs(const ndlog::Program& program, const std::vector<ndlog::Tuple>& facts,
+                        const std::vector<SlowLink>& slow_links = {}) {
+  std::size_t deliveries = 0;
+  for (std::uint64_t seed = 0; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    runtime::SimOptions options;
+    if (seed > 0) {
+      options.seed = seed;
+      options.delay_jitter = 0.9;
+    }
+    deliveries += replay(program, facts, options, slow_links);
+  }
+  return deliveries;
+}
+
+TEST(NdlogTsReplay, EveryExampleRunIsACheckerPath) {
+  // Each shipped example on its cross-validation instance: 6 x 17 runs.
+  std::size_t deliveries = 0;
+  for (const auto& [name, facts] : crossval::example_facts()) {
+    SCOPED_TRACE(name);
+    const auto path =
+        std::filesystem::path(FVN_SOURCE_DIR) / "examples" / "ndlog" / (name + ".ndlog");
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    deliveries += replay_runs(ndlog::parse_program(text.str(), name + ".ndlog"), facts);
+  }
+  // Jitter reorders the deliveries of a run but does not change their number.
+  EXPECT_EQ(deliveries, 1003u);
+}
+
+TEST(NdlogTsReplay, AggregateWithdrawalIsACheckerPath) {
+  // st(a,0) overwrites st(a,1) and empties pos's only group: settle
+  // withdraws pos(a,1).
+  const auto program = ndlog::parse_program(R"(
+    materialize(st, infinity, infinity, keys(1)).
+    materialize(pos, infinity, infinity, keys(1)).
+    p1 pos(@S,min<V>) :- st(@S,V), V>0.
+  )", "withdrawal");
+  const auto st = [](std::int64_t v) {
+    return ndlog::Tuple("st", {ndlog::Value::addr("a"), ndlog::Value::integer(v)});
+  };
+  EXPECT_EQ(replay_runs(program, {st(1), st(0)}), 34u);
+}
+
+TEST(NdlogTsReplay, IntermediateAggregateIsACheckerPath) {
+  const auto [program, facts] = crossval::intermediate_aggregate();
+  EXPECT_GT(replay_runs(program, facts), 0u);
+}
+
+TEST(NdlogTsReplay, OverwrittenDuplicateIsACheckerPath) {
+  const auto [program, facts] = crossval::send_filter();
+  EXPECT_GT(replay_runs(program, facts, {{"d", "b", 0.05}}), 0u);
 }
 
 }  // namespace

@@ -861,6 +861,33 @@ TEST(CliVerify, SpecParseErrorExitsTwoWithLT0001) {
   EXPECT_NE(result.output.find("LT0001"), std::string::npos) << result.output;
 }
 
+TEST(CliVerify, SoftStateProgramIsRefusedWithExitTwo) {
+  // The checker's states carry no clock: a finite lifetime or `periodic`
+  // is refused with an error that names it, not verified as hard state.
+  const auto [prog, facts, good, bad] = ltl_inputs();
+  const auto soft = write_temp_program(
+      "ltl_soft.ndlog",
+      "materialize(link, 10, infinity, keys(1,2)).\n"
+      "materialize(reachable, infinity, infinity, keys(1,2)).\n"
+      "t1 reachable(@S,D) :- link(@S,D,_C).\n"
+      "t2 reachable(@S,D) :- link(@S,Z,_C), reachable(@Z,D).\n");
+  const auto soft_run = run_cli("verify " + soft + " " + facts + " --ltl " + good);
+  EXPECT_EQ(soft_run.exit_code, 2) << soft_run.output;
+  EXPECT_NE(soft_run.output.find("predicate link has a finite lifetime"), std::string::npos)
+      << soft_run.output;
+
+  const auto periodic = write_temp_program(
+      "ltl_periodic.ndlog",
+      "materialize(link, infinity, infinity, keys(1,2)).\n"
+      "materialize(reachable, infinity, infinity, keys(1,2)).\n"
+      "t1 reachable(@S,D) :- link(@S,D,_C), periodic(@S,_T).\n"
+      "t2 reachable(@S,D) :- link(@S,Z,_C), reachable(@Z,D).\n");
+  const auto periodic_run = run_cli("verify " + periodic + " " + facts + " --ltl " + good);
+  EXPECT_EQ(periodic_run.exit_code, 2) << periodic_run.output;
+  EXPECT_NE(periodic_run.output.find("uses periodic"), std::string::npos)
+      << periodic_run.output;
+}
+
 TEST(CliVerify, MissingSpecFlagIsUsageError) {
   const auto [prog, facts, good, bad] = ltl_inputs();
   const auto result = run_cli("verify " + prog + " " + facts);
