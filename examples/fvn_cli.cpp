@@ -91,13 +91,17 @@
 // simulate/sim additionally takes
 //   --cost-order         compile the rule strands with cost-guided join
 //                        order. Every node runs the compiled dataflow strands;
-//                        --metrics exposes their per-element counters.
+//                        --metrics exposes their per-element counters, and
+//                        splits run()'s wall time into exclusive layers
+//                        (eval, install, aggregate, change, queue) with the
+//                        share of it they attribute.
 //
 // facts.txt: one ground fact per line, e.g. `link(@n0,n1,1)`; blank lines
 // and lines starting with `#` are ignored.
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <mutex>
 #include <optional>
@@ -534,6 +538,26 @@ void print_serve_summary(const fvn::serve::ServePlane& plane) {
             << " reclaimed=" << s.snapshots_reclaimed
             << " retired_live=" << s.retired_live
             << " publish_p99_us=" << s.publish_p99_us << "\n";
+}
+
+/// `sim --metrics`: run()'s wall time split into the simulator's exclusive
+/// layers, and the share of it the layers attribute.
+void print_layer_split(const fvn::obs::Registry& registry) {
+  const fvn::obs::Timer* run = registry.find_timer("sim/run");
+  if (run == nullptr || run->total_ns() == 0) return;
+  std::uint64_t attributed = 0;
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(3) << "sim layers (exclusive ms):";
+  for (const char* name : fvn::runtime::LayerClock::kNames) {
+    const fvn::obs::Timer* layer = registry.find_timer(std::string("sim/layer/") + name);
+    const std::uint64_t ns = layer == nullptr ? 0 : layer->total_ns();
+    attributed += ns;
+    os << " " << name << "=" << static_cast<double>(ns) / 1e6;
+  }
+  os << std::setprecision(1) << "\nsim attributed "
+     << 100.0 * static_cast<double>(attributed) / static_cast<double>(run->total_ns())
+     << "% of run() " << std::setprecision(3) << run->total_ms() << " ms\n";
+  std::cerr << os.str();
 }
 
 /// `first` then `second` on every tuple event (`second` alone when `first`
@@ -1106,6 +1130,7 @@ int main(int argc, char** argv) {
                 << " converged_at=" << stats.last_change_time << "s"
                 << (stats.quiesced ? "" : " (budget exhausted)") << "\n";
       flush_obs();
+      if (want_metrics) print_layer_split(registry);
       bool monitors_ok = true;
       if (ltl_monitors.has_value()) {
         const auto verdicts = ltl_monitors->finish();

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository health gate: tier-1 build + tests, the analyze-all sweep over
-# every shipped example (ctest -L analyze), the mc, ltl, parallel and serve
-# suites, the same tests again under ASan/UBSan, the concurrent
+# every shipped example (ctest -L analyze), the mc, dataflow, ltl, parallel
+# and serve suites, the same tests again under ASan/UBSan, the concurrent
 # `net|ltl|parallel|serve` suites once more under TSan (build-tsan),
 # perf-smoke gates (bench_net cluster:simulator floor, bench_ltl
 # monitor-overhead ceiling, bench_serve lookup floor + churn ratio +
@@ -52,6 +52,12 @@ ctest --test-dir build --output-on-failure -L analyze
 # simulator runs replayed as paths of the checker's transition system.
 echo "== check: mc suite (ctest -L mc) =="
 ctest --test-dir build --output-on-failure -L mc
+
+# dataflow: the planner's strand shapes and the differential suite holding
+# the compiled engine to ndlog::RuleEngine delta by delta and flush by flush
+# (the safety net for any change to plan shape, key index or node tables).
+echo "== check: dataflow suite (ctest -L dataflow) =="
+ctest --test-dir build --output-on-failure -L dataflow
 
 # ltl: temporal-logic unit suite plus the mc ↔ runtime-monitor
 # cross-validation matrix (every example × its .ltl spec × simulator and

@@ -42,6 +42,10 @@ class Engine {
   /// order the interpreter's eval_rule_delta loop would produce them. `db`
   /// is the node's local database (the delta itself need not be stored —
   /// transient periodic tuples are processed without installation).
+  /// Precondition, here and in on_insert/on_erase: every table of `db`
+  /// holds at most one row per declared key (keyed overwrite, as
+  /// runtime::NodeCore installs). The planner's key-bound joins rely on it
+  /// to match the interpreter's order (DESIGN.md §10).
   void process(const ndlog::Tuple& delta, const ndlog::Database& db,
                std::vector<ndlog::Tuple>& out);
 

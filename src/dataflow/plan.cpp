@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <variant>
 
@@ -175,8 +176,52 @@ void discharge_static(std::vector<CheckRef>& checks, SlotMap& slots,
   }
 }
 
+/// Declared key fields per predicate, read from the program's materialize
+/// declarations (a later declaration wins, as in ndlog::Catalog).
+using KeyFields = std::map<std::string, std::vector<std::size_t>>;
+
+KeyFields declared_keys(const Program& program) {
+  KeyFields keys;
+  for (const auto& m : program.materializations) keys[m.predicate] = m.key_fields;
+  return keys;
+}
+
+/// Every argument is a variable or a constant.
+bool plain(const Atom& atom) {
+  return std::all_of(atom.args.begin(), atom.args.end(), [](const auto& arg) {
+    return arg->kind == Term::Kind::Var || arg->kind == Term::Kind::Const;
+  });
+}
+
+/// The 0-based key positions of `atom` when it can join after `delta` by
+/// one key probe, else empty: it has declared key fields, all within its
+/// arity, and each is a constant or a variable that is an argument of
+/// `delta`. Keyed overwrite leaves a node at most one row per declared key,
+/// so such an atom matches at most one row once the delta is bound. Both
+/// atoms must be plain, so that joining them in another order needs no
+/// variable a check binds.
+std::vector<std::size_t> key_positions_bound_by(const Atom& atom, const Atom& delta,
+                                                const KeyFields& keys) {
+  const auto it = keys.find(atom.predicate);
+  if (it == keys.end() || it->second.empty() || !plain(atom) || !plain(delta)) return {};
+  std::vector<std::size_t> positions;
+  for (std::size_t field : it->second) {
+    if (field < 1 || field > atom.args.size()) return {};
+    const Term& arg = *atom.args[field - 1];
+    const bool bound =
+        arg.kind == Term::Kind::Const ||
+        std::any_of(delta.args.begin(), delta.args.end(), [&](const auto& d) {
+          return d->kind == Term::Kind::Var && d->name == arg.name;
+        });
+    if (!bound) return {};
+    positions.push_back(field - 1);
+  }
+  std::sort(positions.begin(), positions.end());
+  return positions;
+}
+
 Strand build_strand(const Rule& rule, std::size_t rule_index, std::size_t delta_pos,
-                    bool aggregate_terminal) {
+                    bool aggregate_terminal, const KeyFields& keys) {
   Strand strand;
   strand.rule_index = rule_index;
   strand.rule_label = rule.display_name();
@@ -197,11 +242,31 @@ Strand build_strand(const Rule& rule, std::size_t rule_index, std::size_t delta_
   }
   strand.delta_predicate = atoms[delta_pos]->atom.predicate;
 
+  // The join order: the interpreter's (body order), unless the delta binds
+  // the declared key of every atom before it. Then the delta goes first and
+  // those atoms follow as key probes, each contributing at most one row, so
+  // the strand emits the interpreter's solutions in the interpreter's order.
+  std::vector<std::vector<std::size_t>> probe_keys(delta_pos);
+  bool delta_first = delta_pos > 0;
+  for (std::size_t k = 0; k < delta_pos && delta_first; ++k) {
+    probe_keys[k] = key_positions_bound_by(atoms[k]->atom, atoms[delta_pos]->atom, keys);
+    delta_first = !probe_keys[k].empty();
+  }
+  std::vector<std::size_t> order(atoms.size());
+  std::iota(order.begin(), order.end(), 0);
+  if (delta_first) {
+    std::rotate(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(delta_pos),
+                order.begin() + static_cast<std::ptrdiff_t>(delta_pos) + 1);
+  }
+
   SlotMap slots;
   int check_seq = 0;
-  discharge_static(checks, slots, strand.elements, check_seq);
+  // No check runs before the moved atoms are joined, so no builtin sees an
+  // environment the interpreter never builds.
+  if (!delta_first) discharge_static(checks, slots, strand.elements, check_seq);
 
-  for (std::size_t k = 0; k < atoms.size() && !strand.dead; ++k) {
+  for (std::size_t i = 0; i < order.size() && !strand.dead; ++i) {
+    const std::size_t k = order[i];
     const Atom& atom = atoms[k]->atom;
     Element e;
     e.predicate = atom.predicate;
@@ -209,6 +274,20 @@ Strand build_strand(const Rule& rule, std::size_t rule_index, std::size_t delta_
     if (k == delta_pos) {
       e.kind = Element::Kind::Delta;
       e.id = "delta";
+    } else if (delta_first && k < delta_pos) {
+      // A key probe: the first bound key column that is not the location
+      // specifier (at a node, the location matches every row).
+      const auto& positions = probe_keys[k];
+      const auto off_loc = std::find_if(positions.begin(), positions.end(), [&](std::size_t p) {
+        return static_cast<int>(p) != atom.loc_index;
+      });
+      const std::size_t pos = off_loc != positions.end() ? *off_loc : positions.front();
+      const Term& arg = *atom.args[pos];
+      e.probe_pos = static_cast<int>(pos);
+      e.probe = arg.kind == Term::Kind::Const ? CompiledExpr::of_const(arg.constant)
+                                              : CompiledExpr::of_slot(slots.lookup(arg.name));
+      e.kind = Element::Kind::IndexJoin;
+      e.id = "join" + std::to_string(k);
     } else {
       // Index-probe selection, mirroring the interpreter: the first argument
       // position already determined (constant or bound variable) *before*
@@ -261,7 +340,9 @@ Strand build_strand(const Rule& rule, std::size_t rule_index, std::size_t delta_
     }
     if (strand.dead) break;
     strand.elements.push_back(std::move(e));
-    discharge_static(checks, slots, strand.elements, check_seq);
+    if (!delta_first || i >= delta_pos) {
+      discharge_static(checks, slots, strand.elements, check_seq);
+    }
   }
 
   // Any check still pending can never discharge, so no environment ever
@@ -345,6 +426,7 @@ Plan compile(const Program& localized, const PlanOptions& options) {
   }
   Plan plan;
   plan.program = localized;
+  const KeyFields keys = declared_keys(localized);
   for (std::size_t ri = 0; ri < localized.rules.size(); ++ri) {
     const Rule& rule = localized.rules[ri];
     if (rule.is_fact()) continue;
@@ -392,13 +474,13 @@ Plan compile(const Program& localized, const PlanOptions& options) {
       }
       if (ap.incremental) {
         for (std::size_t i = 0; i < atoms.size(); ++i) {
-          ap.strands.push_back(build_strand(rule, ri, i, /*aggregate_terminal=*/true));
+          ap.strands.push_back(build_strand(rule, ri, i, /*aggregate_terminal=*/true, keys));
         }
       }
       plan.aggregates.push_back(std::move(ap));
     } else {
       for (std::size_t i = 0; i < atoms.size(); ++i) {
-        plan.strands.push_back(build_strand(rule, ri, i, /*aggregate_terminal=*/false));
+        plan.strands.push_back(build_strand(rule, ri, i, /*aggregate_terminal=*/false, keys));
       }
     }
   }

@@ -5,6 +5,13 @@
 // index-probe selection — so a compiled strand enumerates exactly the
 // solutions (in exactly the order) that RuleEngine::eval_rule_delta would,
 // which is what makes interpreter/dataflow differential runs bit-identical.
+// One departure: when the delta atom binds the declared key
+// (`materialize(..., keys(...))`) of every atom before it, the strand starts
+// with the delta and joins those atoms next, by an index probe on a bound
+// key column off the location specifier, discharging no check until they
+// are joined. Under the engine's precondition of at most one row per
+// declared key (dataflow/engine.hpp) each contributes at most one row, so
+// the solutions and their order are still the interpreter's (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>

@@ -66,15 +66,15 @@ void Monitor::on_event(const TupleEvent& event) {
     if (ap.is_stable && ap.pred != event.tuple.predicate()) v |= Valuation{1} << i;
   }
 
-  std::vector<char> live(buchi_.states.size(), 0);
+  live_.assign(buchi_.states.size(), 0);
   for (std::size_t q : subset_) {
     for (std::size_t q2 : buchi_.states[q].succs) {
-      if (buchi_.states[q2].admits(v)) live[q2] = 1;
+      if (buchi_.states[q2].admits(v)) live_[q2] = 1;
     }
   }
   subset_.clear();
-  for (std::size_t q = 0; q < live.size(); ++q) {
-    if (live[q]) subset_.push_back(q);
+  for (std::size_t q = 0; q < live_.size(); ++q) {
+    if (live_[q]) subset_.push_back(q);
   }
   if (subset_.empty()) {
     violated_ = true;

@@ -77,6 +77,7 @@ class Monitor {
   Buchi buchi_;
   std::vector<std::int64_t> match_count_;  // per pattern AP: stored matches
   std::vector<std::size_t> subset_;        // sorted live Büchi states
+  std::vector<char> live_;                 // on_event scratch, one per state
   bool violated_ = false;
   std::size_t violation_event_ = 0;
   std::size_t events_ = 0;

@@ -66,7 +66,7 @@ std::set<std::string> permanent_predicates(const ndlog::Program& program,
   for (const auto& pred : catalog.predicates()) {
     const auto& info = catalog.info(pred);
     const std::set<std::size_t> keys(info.key_fields.begin(), info.key_fields.end());
-    // Key fields outside the tuple are ignored, as runtime::TupleKeyLess does.
+    // Key fields outside the tuple are ignored, as runtime::KeyedRow does.
     const auto in_tuple = std::count_if(keys.begin(), keys.end(), [&](std::size_t f) {
       return f >= 1 && f <= info.arity;
     });

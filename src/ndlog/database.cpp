@@ -1,93 +1,85 @@
 #include "ndlog/database.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace fvn::ndlog {
 
 const TupleSet Database::kEmpty{};
 const std::vector<const Tuple*> Database::kNoMatches{};
 
-void Database::index_insert(const Tuple& stored) {
-  for (auto& [key, index] : indexes_) {
-    if (key.first != stored.predicate() || key.second >= stored.arity()) continue;
-    index[stored.at(key.second)].push_back(&stored);
+const Tuple* Database::insert(const Tuple& tuple) {
+  Relation& rel = relations_[tuple.predicate()];
+  auto [it, inserted] = rel.rows.insert(tuple);
+  if (!inserted) return nullptr;
+  const Tuple& stored = *it;
+  for (auto& [column, index] : rel.indexes) {
+    if (column < stored.arity()) index[stored.at(column)].push_back(&stored);
   }
-}
-
-void Database::index_erase(const Tuple& tuple) {
-  for (auto& [key, index] : indexes_) {
-    if (key.first != tuple.predicate() || key.second >= tuple.arity()) continue;
-    auto it = index.find(tuple.at(key.second));
-    if (it == index.end()) continue;
-    auto& bucket = it->second;
-    bucket.erase(std::remove_if(bucket.begin(), bucket.end(),
-                                [&](const Tuple* p) { return *p == tuple; }),
-                 bucket.end());
-    if (bucket.empty()) index.erase(it);
-  }
-}
-
-bool Database::insert(const Tuple& tuple) {
-  auto [it, inserted] = relations_[tuple.predicate()].insert(tuple);
-  if (inserted) index_insert(*it);
-  return inserted;
+  return &stored;
 }
 
 bool Database::erase(const Tuple& tuple) {
-  auto it = relations_.find(tuple.predicate());
-  if (it == relations_.end()) return false;
-  auto elem = it->second.find(tuple);
-  if (elem == it->second.end()) return false;
-  index_erase(*elem);
-  it->second.erase(elem);
+  auto rel = relations_.find(tuple.predicate());
+  if (rel == relations_.end()) return false;
+  auto elem = rel->second.rows.find(tuple);
+  if (elem == rel->second.rows.end()) return false;
+  // Index entries point at the stored row, so identity finds them.
+  const Tuple* stored = &*elem;
+  for (auto& [column, index] : rel->second.indexes) {
+    if (column >= stored->arity()) continue;
+    auto it = index.find(stored->at(column));
+    if (it == index.end()) continue;
+    auto& bucket = it->second;
+    if (auto p = std::find(bucket.begin(), bucket.end(), stored); p != bucket.end()) {
+      bucket.erase(p);
+    }
+    if (bucket.empty()) index.erase(it);
+  }
+  rel->second.rows.erase(elem);
   return true;
 }
 
 bool Database::contains(const Tuple& tuple) const {
   auto it = relations_.find(tuple.predicate());
-  return it != relations_.end() && it->second.count(tuple) != 0;
+  return it != relations_.end() && it->second.rows.count(tuple) != 0;
 }
 
 const TupleSet& Database::relation(const std::string& predicate) const {
   auto it = relations_.find(predicate);
-  return it == relations_.end() ? kEmpty : it->second;
-}
-
-void Database::ensure_index(const std::string& predicate,
-                            std::size_t position) const {
-  const auto key = std::make_pair(predicate, position);
-  if (indexes_.find(key) != indexes_.end()) return;
-  ColumnIndex index;
-  auto rel = relations_.find(predicate);
-  if (rel != relations_.end()) {
-    for (const auto& t : rel->second) {
-      if (position < t.arity()) index[t.at(position)].push_back(&t);
-    }
-  }
-  indexes_.emplace(key, std::move(index));
+  return it == relations_.end() ? kEmpty : it->second.rows;
 }
 
 const std::vector<const Tuple*>& Database::lookup(const std::string& predicate,
                                                   std::size_t position,
                                                   const Value& value) const {
-  const auto key = std::make_pair(predicate, position);
-  auto idx = indexes_.find(key);
-  if (idx == indexes_.end()) {
-    ensure_index(predicate, position);  // lazily, from current contents
-    idx = indexes_.find(key);
+  Relation& rel = relations_[predicate];
+  auto idx = std::find_if(rel.indexes.begin(), rel.indexes.end(),
+                          [&](const auto& entry) { return entry.first == position; });
+  if (idx == rel.indexes.end()) {
+    // Built lazily, from the current contents; maintained from here on.
+    ColumnIndex index;
+    for (const auto& t : rel.rows) {
+      if (position < t.arity()) index[t.at(position)].push_back(&t);
+    }
+    rel.indexes.emplace_back(position, std::move(index));
+    idx = std::prev(rel.indexes.end());
   }
   auto bucket = idx->second.find(value);
   return bucket == idx->second.end() ? kNoMatches : bucket->second;
 }
 
 bool Database::has_index(const std::string& predicate, std::size_t position) const {
-  return indexes_.count({predicate, position}) != 0;
+  auto rel = relations_.find(predicate);
+  return rel != relations_.end() &&
+         std::any_of(rel->second.indexes.begin(), rel->second.indexes.end(),
+                     [&](const auto& entry) { return entry.first == position; });
 }
 
 std::vector<std::string> Database::predicates() const {
   std::vector<std::string> out;
   for (const auto& [name, rel] : relations_) {
-    if (!rel.empty()) out.push_back(name);
+    if (!rel.rows.empty()) out.push_back(name);
   }
   return out;
 }
@@ -98,30 +90,16 @@ std::size_t Database::size(const std::string& predicate) const {
 
 std::size_t Database::total_size() const {
   std::size_t n = 0;
-  for (const auto& [name, rel] : relations_) n += rel.size();
+  for (const auto& [name, rel] : relations_) n += rel.rows.size();
   return n;
 }
 
-void Database::clear() {
-  relations_.clear();
-  indexes_.clear();
-}
-
-void Database::clear_relation(const std::string& predicate) {
-  relations_.erase(predicate);
-  for (auto it = indexes_.begin(); it != indexes_.end();) {
-    if (it->first.first == predicate) {
-      it = indexes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
+void Database::clear() { relations_.clear(); }
 
 std::vector<std::string> Database::dump() const {
   std::vector<std::string> out;
   for (const auto& [name, rel] : relations_) {
-    for (const auto& t : rel) out.push_back(t.to_string());
+    for (const auto& t : rel.rows) out.push_back(t.to_string());
   }
   std::sort(out.begin(), out.end());
   return out;

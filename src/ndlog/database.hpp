@@ -17,8 +17,10 @@ namespace fvn::ndlog {
 /// the join engine probes instead of scanning.
 class Database {
  public:
-  /// Insert; returns true iff the tuple was new.
-  bool insert(const Tuple& tuple);
+  /// Insert; returns the stored row when the tuple was new, null when it was
+  /// already present. The row stays put until it is erased (the relation's
+  /// nodes are stable), so callers may keep the pointer as a handle.
+  const Tuple* insert(const Tuple& tuple);
   /// Remove; returns true iff the tuple was present.
   bool erase(const Tuple& tuple);
   bool contains(const Tuple& tuple) const;
@@ -40,29 +42,24 @@ class Database {
   std::size_t size(const std::string& predicate) const;
   std::size_t total_size() const;
   void clear();
-  void clear_relation(const std::string& predicate);
-
-  /// Deep snapshot (the runtime uses this for state hashing in the model
-  /// checker and for convergence comparison).
-  std::map<std::string, TupleSet> snapshot() const { return relations_; }
 
   /// Deterministic dump of all tuples, sorted (tests/goldens).
   std::vector<std::string> dump() const;
 
  private:
   using ColumnIndex = std::unordered_map<Value, std::vector<const Tuple*>, ValueHash>;
+  /// One relation and the column indexes built over it, so a write visits
+  /// only its own predicate's indexes.
+  struct Relation {
+    TupleSet rows;
+    std::vector<std::pair<std::size_t, ColumnIndex>> indexes;  // (column, index)
+  };
 
-  std::map<std::string, TupleSet> relations_;
-  /// (predicate, column) -> index. Mutable: built lazily from const lookups.
-  mutable std::map<std::pair<std::string, std::size_t>, ColumnIndex> indexes_;
+  /// Mutable: a lookup builds its index lazily, and a lookup on a predicate
+  /// with no rows yet creates the empty relation that index is kept in.
+  mutable std::map<std::string, Relation> relations_;
   static const TupleSet kEmpty;
   static const std::vector<const Tuple*> kNoMatches;
-
-  /// Build the (predicate, position) index now if it does not exist yet
-  /// (no-op otherwise).
-  void ensure_index(const std::string& predicate, std::size_t position) const;
-  void index_insert(const Tuple& stored);
-  void index_erase(const Tuple& tuple);
 };
 
 }  // namespace fvn::ndlog

@@ -8,42 +8,60 @@ namespace fvn::runtime {
 using ndlog::Tuple;
 
 NodeCore::NodeCore(std::string name, const dataflow::Plan& plan, const PredTable& preds,
-                   const ndlog::BuiltinRegistry& builtins, obs::Registry* metrics, Hook hook)
+                   const ndlog::BuiltinRegistry& builtins, obs::Registry* metrics, Hook hook,
+                   LayerClock* layers)
     : name_(std::move(name)),
       preds_(&preds),
       hook_(std::move(hook)),
-      engine_(plan, builtins, metrics),
-      by_key_(TupleKeyLess{&preds}) {}
+      layers_(layers),
+      engine_(plan, builtins, metrics) {}
+
+void NodeCore::on_insert(const Tuple& tuple) {
+  LayerClock::Scope scope(layers_, LayerClock::Aggregate);
+  engine_.on_insert(tuple, db_);
+}
+
+void NodeCore::on_erase(const Tuple& tuple) {
+  LayerClock::Scope scope(layers_, LayerClock::Aggregate);
+  engine_.on_erase(tuple, db_);
+}
 
 bool NodeCore::install(const Tuple& tuple, double now) {
-  auto it = by_key_.find(tuple);
-  bool changed = true;
-  if (it == by_key_.end()) {
-    by_key_.insert(tuple);
-    db_.insert(tuple);
-    engine_.on_insert(tuple, db_);
-  } else if (!(*it == tuple)) {
+  LayerClock::Scope scope(layers_, LayerClock::Install);
+  const PredInfo& info = preds_->info(tuple.predicate());
+  // One probe: a fresh slot points at `tuple` until the stored row exists.
+  const auto [slot, fresh] = by_key_.insert(KeyedRow(tuple, info));
+  const bool changed = fresh || !(*slot->row == tuple);
+  if (changed && !fresh) {
     // Keyed overwrite (P2 materialize semantics).
-    db_.erase(*it);
-    engine_.on_erase(*it, db_);
-    hook_(*this, Change::Retract, *it);
-    expires_at_.erase(*it);
-    auto slot = by_key_.extract(it);
-    slot.value() = tuple;  // same key fields: the set's order is undisturbed
-    by_key_.insert(std::move(slot));
-    db_.insert(tuple);
-    engine_.on_insert(tuple, db_);
+    const Tuple old = *slot->row;
+    slot->row = &tuple;  // same key; the stored row is about to go
+    db_.erase(old);
+    on_erase(old);
+    hook_(*this, Change::Retract, old);
+    expires_at_.erase(old);
     ++overwrites_;
-  } else {
-    changed = false;
+  }
+  if (changed) {
+    slot->row = db_.insert(tuple);
+    on_insert(tuple);
   }
   // A duplicate still refreshes a soft-state row's lifetime.
-  if (const auto& lifetime = preds_->info(tuple.predicate()).lifetime) {
-    expires_at_[tuple] = now + *lifetime;
+  if (info.lifetime) {
+    expires_at_[tuple] = now + *info.lifetime;
     hook_(*this, Change::Refresh, tuple);
   }
   if (changed) hook_(*this, Change::Install, tuple);
   return changed;
+}
+
+bool NodeCore::remove(const Tuple& tuple) {
+  const auto slot = by_key_.find(KeyedRow(tuple, preds_->info(tuple.predicate())));
+  if (slot == by_key_.end() || !(*slot->row == tuple)) return false;
+  by_key_.erase(slot);  // before the row it points at goes
+  db_.erase(tuple);
+  on_erase(tuple);
+  return true;
 }
 
 void NodeCore::route(const Tuple& tuple, double now) {
@@ -56,7 +74,10 @@ void NodeCore::route(const Tuple& tuple, double now) {
 
 void NodeCore::derive(const Tuple& delta, double now) {
   std::vector<Tuple> produced;
-  engine_.process(delta, db_, produced);
+  {
+    LayerClock::Scope scope(layers_, LayerClock::Eval);
+    engine_.process(delta, db_, produced);
+  }
   for (const auto& t : produced) route(t, now);
 }
 
@@ -69,6 +90,7 @@ void NodeCore::deliver(const Tuple& tuple, double now) {
 }
 
 void NodeCore::settle(double now) {
+  LayerClock::Scope scope(layers_, LayerClock::Aggregate);
   for (bool moved = true; moved;) {
     moved = false;
     for (std::size_t i = 0; i < engine_.aggregate_count(); ++i) {
@@ -86,18 +108,16 @@ void NodeCore::settle(double now) {
 }
 
 void NodeCore::retract(const Tuple& tuple) {
-  if (!db_.erase(tuple)) return;
-  engine_.on_erase(tuple, db_);
-  by_key_.erase(tuple);
+  LayerClock::Scope scope(layers_, LayerClock::Install);
+  if (!remove(tuple)) return;
   expires_at_.erase(tuple);
   hook_(*this, Change::Retract, tuple);
 }
 
 void NodeCore::restore(const std::set<Tuple>& rows) {
   for (const auto& row : rows) {
-    by_key_.insert(row);
-    db_.insert(row);
-    engine_.on_insert(row, db_);
+    by_key_.insert(KeyedRow(*db_.insert(row), preds_->info(row.predicate())));
+    on_insert(row);
   }
   for (std::size_t i = 0; i < engine_.aggregate_count(); ++i) {
     engine_.flush_aggregate(i, db_, deltas_);
@@ -105,14 +125,11 @@ void NodeCore::restore(const std::set<Tuple>& rows) {
 }
 
 bool NodeCore::expire(const Tuple& tuple, double now) {
+  LayerClock::Scope scope(layers_, LayerClock::Install);
   auto it = expires_at_.find(tuple);
   if (it == expires_at_.end() || it->second > now + 1e-12) return false;
   expires_at_.erase(it);
-  if (db_.erase(tuple)) {
-    engine_.on_erase(tuple, db_);
-    hook_(*this, Change::Expire, tuple);
-  }
-  by_key_.erase(tuple);
+  if (remove(tuple)) hook_(*this, Change::Expire, tuple);
   return true;
 }
 

@@ -4,8 +4,10 @@
 // reliability layer (DESIGN.md §12.4).
 //
 // A core owns the node's database, the keyed-overwrite index
-// (`materialize(..., keys(...))`), the soft-state lifetime bookkeeping and
-// the compiled dataflow::Engine. It runs the rules on every tuple it is
+// (`materialize(..., keys(...))`: a hash set over the declared key fields
+// whose entries point at the rows in the database, so the table holds at
+// most one row per declared key and an install costs one probe), the
+// soft-state lifetime bookkeeping and the compiled dataflow::Engine. It runs the rules on every tuple it is
 // handed, installs and re-derives local derivations depth-first, and keeps
 // aggregate rules up to date in settle(). Everything the executive has to
 // act on — a derivation bound for another node, and every install, retract,
@@ -17,12 +19,15 @@
 // the merged view of the nodes' databases.
 #pragma once
 
+#include <array>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dataflow/engine.hpp"
@@ -43,6 +48,61 @@ namespace fvn::runtime {
 using TupleEventHook = std::function<void(std::string_view kind, const std::string& node,
                                           const ndlog::Tuple& tuple, double now)>;
 
+/// Exclusive-time layer timers for one single-threaded run. A Scope charges
+/// its layer the time it is open minus the time of the scopes opened inside
+/// it, so the layers add up to the wall time the outermost scopes cover.
+/// runtime::Simulator owns one when SimOptions::metrics is set and hands it
+/// to its cores; a core given none (net::Node, the model checker) times
+/// nothing, and each of its scopes then costs one pointer test.
+class LayerClock {
+ public:
+  enum Layer : std::uint8_t {
+    Eval,       ///< the rule strands (dataflow::Engine::process)
+    Install,    ///< install/retract/expire: database, key index, lifetimes
+    Aggregate,  ///< settle() and the engine's aggregate upkeep on each write
+    Change,     ///< the executive's change hook: stats, trace, tuple events, monitors
+    Queue,      ///< the event loop: pop, push, per-event bookkeeping
+  };
+  static constexpr std::array<const char*, 5> kNames = {"eval", "install", "aggregate",
+                                                        "change", "queue"};
+
+  class Scope {
+   public:
+    Scope(LayerClock* clock, Layer layer) noexcept : clock_(clock) {
+      if (clock_ != nullptr) parent_ = clock_->switch_to(layer);
+    }
+    ~Scope() {
+      if (clock_ != nullptr) clock_->switch_to(parent_);
+    }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    LayerClock* clock_;
+    int parent_ = -1;
+  };
+
+  /// Exclusive nanoseconds charged to `layer` so far.
+  std::uint64_t ns(Layer layer) const noexcept { return ns_[layer]; }
+
+ private:
+  /// Charge the running layer up to now and run `next` (-1: none) from
+  /// here; returns the layer that was running.
+  int switch_to(int next) noexcept {
+    const auto now = std::chrono::steady_clock::now();
+    if (current_ >= 0) {
+      ns_[static_cast<std::size_t>(current_)] += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(now - mark_).count());
+    }
+    mark_ = now;
+    return std::exchange(current_, next);
+  }
+
+  std::array<std::uint64_t, kNames.size()> ns_{};
+  int current_ = -1;
+  std::chrono::steady_clock::time_point mark_;
+};
+
 class NodeCore {
  public:
   /// What a core reports to its executive.
@@ -58,10 +118,12 @@ class NodeCore {
   using Hook = std::function<void(const NodeCore& core, Change change,
                                   const ndlog::Tuple& tuple)>;
 
-  /// `plan`, `preds` and `builtins` must outlive the core. `metrics` may be
-  /// null (see dataflow::Engine).
+  /// `plan`, `preds` and `builtins` must outlive the core, and `layers`
+  /// when set. `metrics` may be null (see dataflow::Engine); so may
+  /// `layers`, which then times nothing.
   NodeCore(std::string name, const dataflow::Plan& plan, const PredTable& preds,
-           const ndlog::BuiltinRegistry& builtins, obs::Registry* metrics, Hook hook);
+           const ndlog::BuiltinRegistry& builtins, obs::Registry* metrics, Hook hook,
+           LayerClock* layers = nullptr);
   NodeCore(const NodeCore&) = delete;
   NodeCore& operator=(const NodeCore&) = delete;
 
@@ -98,6 +160,12 @@ class NodeCore {
  private:
   /// Keyed install; true when the table changed (new row or overwrite).
   bool install(const ndlog::Tuple& tuple, double now);
+  /// Take `tuple` out of the key index and the database and tell the
+  /// engine; false when the node does not store it.
+  bool remove(const ndlog::Tuple& tuple);
+  /// The engine's aggregate upkeep for one table write.
+  void on_insert(const ndlog::Tuple& tuple);
+  void on_erase(const ndlog::Tuple& tuple);
   /// Run the rules on one delta and route what they derive.
   void derive(const ndlog::Tuple& delta, double now);
   /// A derivation: install and re-derive it here, or report it as Remote.
@@ -106,6 +174,7 @@ class NodeCore {
   std::string name_;
   const PredTable* preds_;
   Hook hook_;
+  LayerClock* layers_;
   dataflow::Engine engine_;
   ndlog::Database db_;
   KeyIndex by_key_;

@@ -1,5 +1,6 @@
 #include "runtime/simulator.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/json.hpp"
@@ -39,6 +40,7 @@ Simulator::Simulator(ndlog::Program program, SimOptions options,
       plan_(checked_plan(program_, builtins, options.require_stratified,
                          {options.incremental_aggregates, options.cost_order})),
       preds_(catalog_),
+      layers_(options.metrics != nullptr ? std::make_unique<LayerClock>() : nullptr),
       rng_(options.seed),
       loss_rng_(derive_loss_seed(options.seed)),
       uses_periodic_(uses_periodic(program_)) {
@@ -55,7 +57,8 @@ NodeCore& Simulator::core_of(const std::string& node) {
       .try_emplace(node, node, plan_, preds_, *builtins_, options_.metrics,
                    [this](const NodeCore& core, NodeCore::Change change, const Tuple& tuple) {
                      on_change(core, change, tuple);
-                   })
+                   },
+                   layers_.get())
       .first->second;
 }
 
@@ -65,8 +68,17 @@ void Simulator::set_link_delay(const std::string& from, const std::string& to,
 }
 
 void Simulator::schedule(Event event) {
+  LayerClock::Scope scope(layers_.get(), LayerClock::Queue);
   event.sequence = ++sequence_;
-  queue_.push(std::move(event));
+  queue_.push_back(std::move(event));
+  std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
+}
+
+Simulator::Event Simulator::pop() {
+  std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
+  Event e = std::move(queue_.back());
+  queue_.pop_back();
+  return e;
 }
 
 void Simulator::inject(const Tuple& fact, double time) {
@@ -106,6 +118,7 @@ void Simulator::tuple_event(std::string_view kind, const std::string& node,
 }
 
 void Simulator::on_change(const NodeCore& core, NodeCore::Change change, const Tuple& tuple) {
+  LayerClock::Scope scope(layers_.get(), LayerClock::Change);
   const std::string& node = core.name();
   switch (change) {
     case NodeCore::Change::Remote:
@@ -197,6 +210,10 @@ void Simulator::send(const std::string& from, const Tuple& tuple) {
 SimStats Simulator::run() {
   assert(!ran_ && "Simulator::run may be called once");
   ran_ = true;
+  if (layers_) {
+    *layers_ = LayerClock{};  // time run() only, not the injections before it
+    run_start_ = std::chrono::steady_clock::now();
+  }
 
   // Periodic event pre-scheduling.
   if (uses_periodic_ && options_.max_periodic_rounds > 0) {
@@ -213,13 +230,14 @@ SimStats Simulator::run() {
     }
   }
 
+  stats_.quiesced = true;
   while (!queue_.empty()) {
-    Event e = queue_.top();
-    queue_.pop();
+    LayerClock::Scope scope(layers_.get(), LayerClock::Queue);
+    Event e = pop();
     if (e.time > options_.max_time || stats_.events_processed >= options_.max_events) {
       stats_.end_time = e.time;
       stats_.quiesced = false;
-      return finish();
+      break;
     }
     ++stats_.events_processed;
     stats_.end_time = e.time;
@@ -270,7 +288,6 @@ SimStats Simulator::run() {
         break;
     }
   }
-  stats_.quiesced = true;
   return finish();
 }
 
@@ -279,6 +296,15 @@ SimStats& Simulator::finish() {
     stats_.overwrites += core.overwrites();
     if (options_.metrics != nullptr && core.overwrites() > 0) {
       options_.metrics->counter("sim/node/" + name + "/overwrites").add(core.overwrites());
+    }
+  }
+  if (layers_) {
+    const auto wall = std::chrono::steady_clock::now() - run_start_;
+    options_.metrics->timer("sim/run").record_ns(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count()));
+    for (std::size_t i = 0; i < LayerClock::kNames.size(); ++i) {
+      options_.metrics->timer(std::string("sim/layer/") + LayerClock::kNames[i])
+          .record_ns(layers_->ns(static_cast<LayerClock::Layer>(i)));
     }
   }
   return stats_;

@@ -23,9 +23,10 @@
 // at its next delivery.
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <map>
-#include <queue>
+#include <memory>
 #include <random>
 #include <string_view>
 
@@ -78,7 +79,10 @@ struct SimOptions {
   /// With `metrics`, the simulator records per-node message counters
   /// (sim/node/<n>/{sent,received,dropped,installed}), overwrite/expiry
   /// counters, the per-element dataflow/elem/* series of the compiled rule
-  /// strands, and a sim/queue_depth histogram sampled at every event.
+  /// strands, a sim/queue_depth histogram sampled at every event, and the
+  /// split of run()'s wall time (timer sim/run) into exclusive layers
+  /// (timers sim/layer/<name>, LayerClock::kNames: eval, install,
+  /// aggregate, change, queue).
   /// With `obs_trace`, it emits instants and counter samples stamped in
   /// *virtual* time (simulated seconds as trace microseconds), so the
   /// exported Chrome trace shows protocol time, not host time.
@@ -178,6 +182,7 @@ class Simulator {
   std::vector<std::string> nodes() const;
 
  private:
+  /// A min-heap entry of queue_, ordered by (time, sequence).
   struct Event {
     double time = 0.0;
     std::uint64_t sequence = 0;  // FIFO tie-break for determinism
@@ -192,6 +197,8 @@ class Simulator {
 
   NodeCore& core_of(const std::string& node);
   void schedule(Event event);
+  /// Take the earliest event off the queue (moved, not copied).
+  Event pop();
   void send(const std::string& from, const ndlog::Tuple& tuple);
   /// Every core's hook: ships remote derivations, schedules expiries, and
   /// records every table change (stats, trace, metrics, tuple events,
@@ -212,9 +219,13 @@ class Simulator {
   dataflow::Plan plan_;
   PredTable preds_;
 
+  /// The layer timers every core times into; null unless options_.metrics
+  /// is set.
+  std::unique_ptr<LayerClock> layers_;
+  std::chrono::steady_clock::time_point run_start_;
   std::map<std::string, NodeCore> cores_;
   std::map<std::pair<std::string, std::string>, double> link_delays_;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  std::vector<Event> queue_;  // a heap: std::push_heap/pop_heap, std::greater
   std::uint64_t sequence_ = 0;
   /// Jitter stream (delay_jitter draws). Kept separate from loss_rng_ so the
   /// two fault knobs can be toggled independently without perturbing each

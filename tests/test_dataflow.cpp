@@ -1,10 +1,11 @@
 // fvn::dataflow tests: planner structure (strands, probe selection, dead
-// strands, DOT/JSON dumps) and the differential suite pinning the engine's
-// contract against the centralized ndlog::RuleEngine — per delta the same
-// derivations in the same order, per flush deltas in group-key order that
-// maintain the same aggregate view, and the same delta log from both
-// planner modes — on every shipped example program, under loss and
-// reordering, for a soft-state/periodic protocol with a retraction.
+// strands, key-bound joins after the delta, DOT/JSON dumps) and the
+// differential suite pinning the engine's contract against the centralized
+// ndlog::RuleEngine — per delta the same derivations in the same order, per
+// flush deltas in group-key order that maintain the same aggregate view,
+// and the same delta log from both planner modes — on every shipped example
+// program, under loss and reordering, for a soft-state/periodic protocol
+// with a retraction, and for an atom whose key the delta binds only in part.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,6 +45,13 @@ using runtime::Simulator;
 // ---------------------------------------------------------------------------
 // Planner structure
 // ---------------------------------------------------------------------------
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
 
 dataflow::Plan plan_of(const std::string& source,
                        const dataflow::PlanOptions& options = {}) {
@@ -203,6 +211,73 @@ TEST(Planner, DumpsAreWellFormed) {
   EXPECT_FALSE(plan.summary().empty());
 }
 
+// Keyed overwrite leaves a node at most one row per declared key, so an
+// atom before the delta whose whole declared key the delta binds matches at
+// most one row. The planner joins such atoms right after the delta, by an
+// index probe on a bound key column off the location specifier, and runs
+// no check until they are joined.
+TEST(DataflowPlan, KeyBoundAtomsJoinAfterTheDelta) {
+  const auto example = [](const std::string& name) {
+    const auto path =
+        std::filesystem::path(FVN_SOURCE_DIR) / "examples" / "ndlog" / (name + ".ndlog");
+    return plan_of(slurp(path));
+  };
+  struct Moved {
+    std::string program, rule, delta, joined;
+  };
+  for (const auto& m : {Moved{"path_vector", "r4", "path", "bestPathCost"},
+                        Moved{"distance_vector", "d4", "hop", "bestHopCost"},
+                        Moved{"policy_path_vector", "s3", "route", "bestCostAtLP"}}) {
+    const auto plan = example(m.program);
+    const auto* s = find_strand(plan, m.rule, 1);
+    ASSERT_NE(s, nullptr) << m.rule;
+    ASSERT_GE(s->elements.size(), 2u) << m.rule;
+    EXPECT_EQ(s->elements[0].kind, Element::Kind::Delta) << m.rule;
+    EXPECT_EQ(s->elements[0].predicate, m.delta) << m.rule;
+    EXPECT_EQ(s->elements[1].kind, Element::Kind::IndexJoin) << m.rule;
+    EXPECT_EQ(s->elements[1].predicate, m.joined) << m.rule;
+    // D, the second key field: the location (S) would match every row.
+    EXPECT_EQ(s->elements[1].probe_pos, 1) << m.rule;
+  }
+
+  // r2[d1]: link_sh_r2_1 declares no key, so it is scanned before the delta.
+  const auto pv = example("path_vector");
+  const auto* r2 = find_strand(pv, "r2", 1);
+  ASSERT_NE(r2, nullptr);
+  EXPECT_EQ(kinds_of(*r2)[0], Element::Kind::Scan);
+  EXPECT_EQ(r2->elements[0].predicate, "link_sh_r2_1");
+  EXPECT_EQ(kinds_of(*r2)[1], Element::Kind::Delta);
+
+  // The delta binds e's S but not its Y: e keeps its place, and so does the
+  // whole schedule, even though g before it is key-bound.
+  const auto partial = plan_of(
+      "materialize(e, infinity, infinity, keys(1,2)).\n"
+      "materialize(g, infinity, infinity, keys(1)).\n"
+      "p1 out(@S,D) :- g(@S), e(@S,Y), f(@S,D), D!=Y.\n");
+  const auto* p1 = find_strand(partial, "p1", 2);
+  ASSERT_NE(p1, nullptr);
+  EXPECT_EQ(kinds_of(*p1)[0], Element::Kind::Scan);
+  EXPECT_EQ(p1->elements[0].predicate, "g");
+  EXPECT_EQ(p1->elements[1].predicate, "e");
+  EXPECT_EQ(kinds_of(*p1)[2], Element::Kind::Delta);
+
+  // Aggregate maintenance strands follow the same rule; the check over the
+  // delta's own C waits until cap is joined.
+  const auto agg = plan_of(
+      "materialize(cap, infinity, infinity, keys(1,2)).\n"
+      "a1 low(@S,D,min<C>) :- cap(@S,D,L), offer(@S,D,C), C>0, C<L.\n");
+  ASSERT_EQ(agg.aggregates.size(), 1u);
+  ASSERT_TRUE(agg.aggregates[0].incremental);
+  ASSERT_EQ(agg.aggregates[0].strands.size(), 2u);
+  const auto& a1 = agg.aggregates[0].strands[1];
+  EXPECT_EQ(kinds_of(a1), (std::vector<Element::Kind>{
+                              Element::Kind::Delta, Element::Kind::IndexJoin,
+                              Element::Kind::Select, Element::Kind::Select,
+                              Element::Kind::Aggregate}));
+  EXPECT_EQ(a1.elements[1].predicate, "cap");
+  EXPECT_EQ(a1.elements[1].probe_pos, 1);
+}
+
 // ---------------------------------------------------------------------------
 // Differential suite: dataflow::Engine vs ndlog::RuleEngine
 // ---------------------------------------------------------------------------
@@ -302,10 +377,8 @@ class ExecutorPair {
 
  private:
   struct Node {
-    Node(const dataflow::Plan& plan, const runtime::PredTable& preds)
-        : engine(plan, ndlog::BuiltinRegistry::standard()),
-          by_key(runtime::TupleKeyLess{&preds}),
-          views(plan.aggregates.size()) {}
+    explicit Node(const dataflow::Plan& plan)
+        : engine(plan, ndlog::BuiltinRegistry::standard()), views(plan.aggregates.size()) {}
     ndlog::Database db;
     dataflow::Engine engine;
     runtime::KeyIndex by_key;
@@ -320,28 +393,29 @@ class ExecutorPair {
   }
 
   Node& node_of(const std::string& name) {
-    return nodes_.try_emplace(name, plan_, preds_).first->second;
+    return nodes_.try_emplace(name, plan_).first->second;
   }
 
   /// Keyed install; false for a duplicate (which only refreshes a lifetime).
   bool install(Node& node, const Tuple& tuple) {
-    const auto lifetime = preds_.info(tuple.predicate()).lifetime;
-    auto it = node.by_key.find(tuple);
-    const bool duplicate = it != node.by_key.end() && *it == tuple;
-    if (!duplicate && it != node.by_key.end()) erase(node, Tuple(*it));
-    if (lifetime) node.expires[tuple] = now_ + *lifetime;
+    const auto& info = preds_.info(tuple.predicate());
+    auto it = node.by_key.find(runtime::KeyedRow(tuple, info));
+    const bool duplicate = it != node.by_key.end() && *it->row == tuple;
+    if (!duplicate && it != node.by_key.end()) erase(node, Tuple(*it->row));
+    if (info.lifetime) node.expires[tuple] = now_ + *info.lifetime;
     if (duplicate) return false;
-    node.by_key.insert(tuple);
-    node.db.insert(tuple);
+    node.by_key.insert(runtime::KeyedRow(*node.db.insert(tuple), info));
     node.engine.on_insert(tuple, node.db);
     return true;
   }
 
   void erase(Node& node, const Tuple& tuple) {
     node.expires.erase(tuple);
-    if (!node.db.erase(tuple)) return;
+    auto it = node.by_key.find(runtime::KeyedRow(tuple, preds_.info(tuple.predicate())));
+    if (it == node.by_key.end() || !(*it->row == tuple)) return;
+    node.by_key.erase(it);  // before the row it points at goes
+    node.db.erase(tuple);
     node.engine.on_erase(tuple, node.db);
-    node.by_key.erase(tuple);
   }
 
   void step(const Tuple& delta) {
@@ -493,13 +567,6 @@ std::size_t expect_executors_agree(const ndlog::Program& program, const Workload
   return deltas;
 }
 
-std::string slurp(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 TEST(Differential, EveryExampleProgramAgrees) {
   const std::filesystem::path dir =
       std::filesystem::path(FVN_SOURCE_DIR) / "examples" / "ndlog";
@@ -541,6 +608,40 @@ TEST(Differential, PathVectorUnderLossAndDelaySeeds) {
                                      "path_vector loss seed=" + std::to_string(seed), faults),
               10u);
   }
+}
+
+TEST(Differential, PartlyKeyBoundAtomKeepsTheInterpretersOrder) {
+  // link, the delta of o1[d1], binds offer's S and Z but not its D, so
+  // offer may hold many matching rows and must be scanned before the delta,
+  // as the interpreter does: joining it after the delta would emit them in
+  // index-bucket order instead.
+  const auto program = ndlog::parse_program(R"(
+    materialize(offer, infinity, infinity, keys(1,2,3)).
+    materialize(link, infinity, infinity, keys(1,2)).
+    materialize(pick, infinity, infinity, keys(1,2,3)).
+    o1 pick(@S,D,Z) :- offer(@S,D,Z,C), link(@S,Z,C2).
+  )",
+                                            "partial_key");
+  // The links come first, so a column index on offer would be built before
+  // the offers arrive and hold them in arrival order; the new link costs
+  // then re-fire o1 over all of them.
+  Workload workload;
+  const auto link = [&](const char* z, std::int64_t c) {
+    workload.facts.emplace_back(
+        "link", std::vector<Value>{Value::addr("a"), Value::addr(z), Value::integer(c)});
+  };
+  link("z1", 1);
+  link("z2", 1);
+  for (int i = 0; i < 12; ++i) {
+    for (const char* z : {"z1", "z2"}) {
+      workload.facts.emplace_back(
+          "offer", std::vector<Value>{Value::addr("a"), Value::addr("d" + std::to_string(i)),
+                                      Value::addr(z), Value::integer(i)});
+    }
+  }
+  link("z1", 2);
+  link("z2", 2);
+  EXPECT_GT(expect_executors_agree(program, workload, "partial key"), 10u);
 }
 
 TEST(Differential, PolicyPathVectorWithFiltersAgrees) {

@@ -146,6 +146,32 @@ TEST(JoinIndex, LookupFindsMatchingTuples) {
   EXPECT_EQ(db.lookup("link", 0, Value::addr("n0")).size(), 2u);
 }
 
+TEST(JoinIndex, InsertHandsBackTheStoredRowAndErasesItByIdentity) {
+  ndlog::Database db;
+  using ndlog::Tuple;
+  using ndlog::Value;
+  const auto link = [](const char* d, std::int64_t c) {
+    return Tuple("link", {Value::addr("n0"), Value::addr(d), Value::integer(c)});
+  };
+  // A probe before any row exists: the index is kept from the first insert
+  // on, so its buckets hold rows in insertion order.
+  EXPECT_TRUE(db.lookup("link", 0, Value::addr("n0")).empty());
+  const Tuple* first = db.insert(link("n1", 1));
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(*first, link("n1", 1));
+  EXPECT_EQ(first, &*db.relation("link").find(link("n1", 1)));
+  EXPECT_EQ(db.insert(link("n1", 1)), nullptr);  // already present
+  const Tuple* second = db.insert(link("n2", 2));
+  const Tuple* third = db.insert(link("n3", 3));
+  EXPECT_EQ(db.lookup("link", 0, Value::addr("n0")),
+            (std::vector<const Tuple*>{first, second, third}));
+  EXPECT_TRUE(db.erase(link("n2", 2)));
+  EXPECT_FALSE(db.erase(link("n2", 2)));
+  EXPECT_EQ(db.lookup("link", 0, Value::addr("n0")),
+            (std::vector<const Tuple*>{first, third}));
+  EXPECT_TRUE(db.lookup("link", 1, Value::addr("n2")).empty());
+}
+
 TEST(JoinIndex, IndexedAndScanEvaluationAgree) {
   ndlog::Evaluator eval;
   for (std::uint64_t seed = 40; seed < 44; ++seed) {

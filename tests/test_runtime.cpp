@@ -1,11 +1,21 @@
 // Distributed-runtime tests: localization rewrite, distributed-vs-centralized
 // agreement for the paper's protocols, soft-state expiry and refresh, message
-// loss, runtime monitors, and the E5 convergence observables.
+// loss, runtime monitors, the E5 convergence observables, the node core's
+// keyed overwrite and its key index, and the simulator's layer split.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/protocols.hpp"
+#include "ndlog/catalog.hpp"
 #include "ndlog/eval.hpp"
+#include "ndlog/parser.hpp"
 #include "runtime/localize.hpp"
+#include "runtime/node_core.hpp"
+#include "runtime/pred_table.hpp"
 #include "runtime/simulator.hpp"
 
 namespace fvn {
@@ -258,6 +268,216 @@ TEST(Simulator, ConvergenceTimeGrowsWithDiameter) {
     EXPECT_GT(stats.last_change_time, last);
     last = stats.last_change_time;
   }
+}
+
+
+TEST(Simulator, LayerSplitCoversTheRun) {
+  // Every layer of a 16-node path-vector run takes time, and the exclusive
+  // layers account for (nearly) all of run()'s wall time.
+  obs::Registry metrics;
+  SimOptions options;
+  options.metrics = &metrics;
+  Simulator sim(core::path_vector_program(), options);
+  sim.inject_all(link_facts(core::random_topology(16, 6, 7)));
+  ASSERT_TRUE(sim.run().quiesced);
+  const obs::Timer* run = metrics.find_timer("sim/run");
+  ASSERT_NE(run, nullptr);
+  std::uint64_t layers = 0;
+  for (const char* name : runtime::LayerClock::kNames) {
+    const obs::Timer* layer = metrics.find_timer(std::string("sim/layer/") + name);
+    ASSERT_NE(layer, nullptr) << name;
+    EXPECT_GT(layer->total_ns(), 0u) << name;
+    layers += layer->total_ns();
+  }
+  EXPECT_LE(layers, run->total_ns());
+  EXPECT_GE(static_cast<double>(layers), 0.9 * static_cast<double>(run->total_ns()));
+}
+
+// ---------------------------------------------------------------------------
+// runtime::NodeCore keyed overwrite and the key index
+// ---------------------------------------------------------------------------
+
+const char* change_name(runtime::NodeCore::Change change) {
+  using Change = runtime::NodeCore::Change;
+  switch (change) {
+    case Change::Remote: return "remote";
+    case Change::Install: return "install";
+    case Change::Retract: return "retract";
+    case Change::Expire: return "expire";
+    case Change::Refresh: return "refresh";
+  }
+  return "?";
+}
+
+/// One core, node n0, over `source` localized and planned as the runtimes
+/// do, logging every change it reports as "<change> <tuple>".
+struct CoreRig {
+  explicit CoreRig(const std::string& source)
+      : program(runtime::localize(ndlog::parse_program(source, "core_test"))),
+        catalog(ndlog::Catalog::from_program(program)),
+        plan(runtime::checked_plan(program, ndlog::BuiltinRegistry::standard(),
+                                   /*require_stratified=*/true, {})),
+        preds(catalog),
+        core("n0", plan, preds, ndlog::BuiltinRegistry::standard(), nullptr,
+             [this](const runtime::NodeCore&, runtime::NodeCore::Change change,
+                    const Tuple& tuple) {
+               log.push_back(std::string(change_name(change)) + " " + tuple.to_string());
+             }) {}
+
+  /// The changes since the last call.
+  std::vector<std::string> take() { return std::exchange(log, {}); }
+
+  ndlog::Program program;
+  ndlog::Catalog catalog;
+  dataflow::Plan plan;
+  runtime::PredTable preds;
+  std::vector<std::string> log;
+  runtime::NodeCore core;
+};
+
+using Log = std::vector<std::string>;
+
+Tuple path(const char* s, const char* d, std::vector<const char*> hops, std::int64_t c) {
+  std::vector<Value> p;
+  for (const char* h : hops) p.push_back(Value::addr(h));
+  return Tuple("path", {Value::addr(s), Value::addr(d), Value::list(std::move(p)),
+                        Value::integer(c)});
+}
+
+Tuple beat(const char* x, std::int64_t v) {
+  return Tuple("beat", {Value::addr("n0"), Value::addr(x), Value::integer(v)});
+}
+
+TEST(NodeCore, ListValuedKeyOverwritesOnlyItsOwnPath) {
+  CoreRig rig(R"(
+    materialize(path, infinity, infinity, keys(1,2,3)).
+    materialize(seen, infinity, infinity, keys(1,2)).
+    s1 seen(@S,D) :- path(@S,D,P,C).
+  )");
+  rig.core.deliver(path("n0", "n1", {"n0", "n1"}, 5), 0.0);
+  EXPECT_EQ(rig.take(), (Log{"install path(n0,n1,[n0,n1],5)", "install seen(n0,n1)"}));
+  // A new cost for the same (S,D,P): retract the old row, install the new.
+  rig.core.deliver(path("n0", "n1", {"n0", "n1"}, 3), 0.0);
+  EXPECT_EQ(rig.take(),
+            (Log{"retract path(n0,n1,[n0,n1],5)", "install path(n0,n1,[n0,n1],3)"}));
+  EXPECT_EQ(rig.core.overwrites(), 1u);
+  // Another P is another slot.
+  rig.core.deliver(path("n0", "n1", {"n0", "n2", "n1"}, 7), 0.0);
+  EXPECT_EQ(rig.take(), (Log{"install path(n0,n1,[n0,n2,n1],7)"}));
+  EXPECT_EQ(rig.core.overwrites(), 1u);
+  EXPECT_EQ(rig.core.database().dump(),
+            (std::vector<std::string>{"path(n0,n1,[n0,n1],3)", "path(n0,n1,[n0,n2,n1],7)",
+                                      "seen(n0,n1)"}));
+}
+
+TEST(NodeCore, DuplicateDerivesNothingButRefreshesItsLifetime) {
+  CoreRig rig(R"(
+    materialize(beat, 10, infinity, keys(1,2)).
+    materialize(seen, infinity, infinity, keys(1,2)).
+    b1 seen(@S,X) :- beat(@S,X,V).
+  )");
+  rig.core.deliver(beat("a", 1), 0.0);
+  EXPECT_EQ(rig.take(),
+            (Log{"refresh beat(n0,a,1)", "install beat(n0,a,1)", "install seen(n0,a)"}));
+  EXPECT_EQ(rig.core.expiry(beat("a", 1)), 10.0);
+  rig.core.deliver(beat("a", 1), 4.0);
+  EXPECT_EQ(rig.take(), (Log{"refresh beat(n0,a,1)"}));
+  EXPECT_EQ(rig.core.expiry(beat("a", 1)), 14.0);
+  EXPECT_EQ(rig.core.overwrites(), 0u);
+}
+
+TEST(NodeCore, RetractThenRedeliveryIsAFreshInstall) {
+  CoreRig rig(R"(
+    materialize(link, infinity, infinity, keys(1,2)).
+    materialize(reach, infinity, infinity, keys(1,2)).
+    r1 reach(@S,D) :- link(@S,D,C).
+  )");
+  const auto link = [](std::int64_t c) {
+    return Tuple("link", {Value::addr("n0"), Value::addr("n1"), Value::integer(c)});
+  };
+  rig.core.deliver(link(1), 0.0);
+  EXPECT_EQ(rig.take(), (Log{"install link(n0,n1,1)", "install reach(n0,n1)"}));
+  // Another row of the same slot is not stored, so it is not retracted.
+  rig.core.retract(link(9));
+  EXPECT_TRUE(rig.take().empty());
+  rig.core.retract(link(1));
+  EXPECT_EQ(rig.take(), (Log{"retract link(n0,n1,1)"}));
+  rig.core.retract(link(1));
+  EXPECT_TRUE(rig.take().empty());
+  // The slot is free again: no overwrite, no Retract. reach(n0,n1) stayed
+  // (no cascade), so the derivation is a duplicate.
+  rig.core.deliver(link(1), 1.0);
+  EXPECT_EQ(rig.take(), (Log{"install link(n0,n1,1)"}));
+  EXPECT_EQ(rig.core.overwrites(), 0u);
+}
+
+TEST(NodeCore, ExpireAfterOverwriteHonoursOnlyTheNewRowsLatestRefresh) {
+  CoreRig rig("materialize(beat, 10, infinity, keys(1,2)).\n");
+  rig.core.deliver(beat("a", 1), 0.0);
+  rig.core.deliver(beat("a", 2), 3.0);
+  EXPECT_EQ(rig.take(), (Log{"refresh beat(n0,a,1)", "install beat(n0,a,1)",
+                             "retract beat(n0,a,1)", "refresh beat(n0,a,2)",
+                             "install beat(n0,a,2)"}));
+  EXPECT_EQ(rig.core.expiry(beat("a", 2)), 13.0);
+  // The overwritten row's expiry is void; the new row is not due yet.
+  EXPECT_FALSE(rig.core.expire(beat("a", 1), 10.0));
+  EXPECT_FALSE(rig.core.expire(beat("a", 2), 10.0));
+  rig.core.deliver(beat("a", 2), 5.0);
+  EXPECT_EQ(rig.take(), (Log{"refresh beat(n0,a,2)"}));
+  EXPECT_FALSE(rig.core.expire(beat("a", 2), 13.0));  // superseded by the refresh
+  EXPECT_TRUE(rig.take().empty());
+  EXPECT_TRUE(rig.core.expire(beat("a", 2), 15.0));
+  EXPECT_EQ(rig.take(), (Log{"expire beat(n0,a,2)"}));
+  EXPECT_TRUE(rig.core.database().dump().empty());
+  // The slot left with the row.
+  rig.core.deliver(beat("a", 3), 20.0);
+  EXPECT_EQ(rig.take(), (Log{"refresh beat(n0,a,3)", "install beat(n0,a,3)"}));
+  EXPECT_EQ(rig.core.overwrites(), 1u);
+}
+
+TEST(NodeCore, RestoredRowIsOverwrittenByADelivery) {
+  CoreRig rig("materialize(route, infinity, infinity, keys(1,2)).\n");
+  const auto route = [](const char* d, std::int64_t c) {
+    return Tuple("route", {Value::addr("n0"), Value::addr(d), Value::integer(c)});
+  };
+  rig.core.restore({route("n1", 5), route("n2", 7)});
+  EXPECT_TRUE(rig.take().empty());
+  rig.core.deliver(route("n1", 3), 0.0);
+  EXPECT_EQ(rig.take(), (Log{"retract route(n0,n1,5)", "install route(n0,n1,3)"}));
+  EXPECT_EQ(rig.core.overwrites(), 1u);
+  EXPECT_EQ(rig.core.database().dump(),
+            (std::vector<std::string>{"route(n0,n1,3)", "route(n0,n2,7)"}));
+}
+
+TEST(KeyIndex, EveryKeyFieldFeedsTheHashAndTheIdentity) {
+  const auto program = ndlog::parse_program(R"(
+    materialize(path, infinity, infinity, keys(1,2,3)).
+    w1 walk(@S,D,C) :- path(@S,D,P,C).
+  )",
+                                            "key_index");
+  const auto catalog = ndlog::Catalog::from_program(program);
+  const runtime::PredTable preds(catalog);
+  const auto row = [&](const Tuple& t) { return runtime::KeyedRow(t, preds.info(t.predicate())); };
+  const auto same_slot = [](const runtime::KeyedRow& a, const runtime::KeyedRow& b) {
+    return a.hash == b.hash && runtime::KeyEq{}(a, b);
+  };
+  const Tuple base = path("n0", "n1", {"n0", "n1"}, 5);
+  // Each declared key field, changed alone, moves the row to another slot.
+  for (const Tuple& other :
+       {path("n2", "n1", {"n0", "n1"}, 5), path("n0", "n2", {"n0", "n1"}, 5),
+        path("n0", "n1", {"n0", "n2", "n1"}, 5)}) {
+    EXPECT_NE(row(base).hash, row(other).hash) << other.to_string();
+    EXPECT_FALSE(runtime::KeyEq{}(row(base), row(other))) << other.to_string();
+  }
+  // The cost is not part of the key.
+  EXPECT_TRUE(same_slot(row(base), row(path("n0", "n1", {"n0", "n1"}, 9))));
+  // No declared key: the whole tuple is the key.
+  const auto walk = [](std::int64_t c) {
+    return Tuple("walk", {Value::addr("n0"), Value::addr("n1"), Value::integer(c)});
+  };
+  EXPECT_TRUE(same_slot(row(walk(1)), row(walk(1))));
+  EXPECT_NE(row(walk(1)).hash, row(walk(2)).hash);
+  EXPECT_FALSE(runtime::KeyEq{}(row(walk(1)), row(walk(2))));
 }
 
 }  // namespace
