@@ -55,9 +55,9 @@ MonitoredRun run_path_vector(std::size_t nodes, bool monitored) {
     spec = monitor_spec(nodes);
     monitors = std::make_unique<ltl::MonitorSet>(spec);
     live = monitors.get();
-    options.tuple_events = [live](std::string_view kind, const std::string& node,
-                                  const ndlog::Tuple& tuple, double now) {
-      live->on_event(ltl::tuple_event(kind, node, tuple, now));
+    options.tuple_events = [live](std::string_view kind, const std::string& /*node*/,
+                                  const ndlog::Tuple& tuple, double /*now*/) {
+      live->on_event(ltl::event_kind(kind), tuple);
     };
   }
   const auto t0 = std::chrono::steady_clock::now();

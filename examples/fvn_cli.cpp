@@ -898,11 +898,11 @@ int cmd_dist(const std::vector<std::string>& args) {
   if (monitor_spec.has_value()) {
     monitors.emplace(*monitor_spec);
     options.tuple_events = [&monitors, &monitors_mu](std::string_view kind,
-                                                     const std::string& node,
+                                                     const std::string& /*node*/,
                                                      const fvn::ndlog::Tuple& tuple,
-                                                     double now) {
+                                                     double /*now*/) {
       const std::lock_guard<std::mutex> lock(monitors_mu);
-      monitors->on_event(fvn::ltl::tuple_event(kind, node, tuple, now));
+      monitors->on_event(fvn::ltl::event_kind(kind), tuple);
     };
   }
   if (serve_feed.has_value()) {
@@ -1094,10 +1094,10 @@ int main(int argc, char** argv) {
         // Live monitoring: the simulator calls this hook on every database
         // mutation, in virtual-time order.
         sim_options.tuple_events = [&ltl_monitors](std::string_view kind,
-                                                   const std::string& node,
+                                                   const std::string& /*node*/,
                                                    const ndlog::Tuple& tuple,
-                                                   double now) {
-          ltl_monitors->on_event(ltl::tuple_event(kind, node, tuple, now));
+                                                   double /*now*/) {
+          ltl_monitors->on_event(ltl::event_kind(kind), tuple);
         };
       }
       // --serve: attach the serving plane to the same stream (the simulator

@@ -2,7 +2,7 @@
 # Repository health gate: tier-1 build + tests, the analyze-all sweep over
 # every shipped example (ctest -L analyze), the mc, dataflow, ltl, parallel
 # and serve suites, the same tests again under ASan/UBSan, the concurrent
-# `net|ltl|parallel|serve` suites once more under TSan (build-tsan),
+# `net|ltl|parallel|serve|value` suites once more under TSan (build-tsan),
 # perf-smoke gates (bench_net cluster:simulator floor, bench_ltl
 # monitor-overhead ceiling, bench_serve lookup floor + churn ratio +
 # publish-latency ceiling), and
@@ -102,12 +102,15 @@ if [ "$run_sanitize" -eq 1 ]; then
   # units) rides along. Separate tree: TSan is incompatible with ASan in one
   # binary.
   # test_serve joins the TSan matrix: its churn test races wait-free readers
-  # against epoch publication and deferred reclamation.
-  echo "== check: TSan build + ctest -L 'net|ltl|parallel|serve' =="
+  # against epoch publication and deferred reclamation. test_ndlog_value
+  # (label value) interns the same texts from several threads at once into
+  # the process-wide symbol table every Value points into.
+  echo "== check: TSan build + ctest -L 'net|ltl|parallel|serve|value' =="
   cmake -B build-tsan -S . -DFVN_SANITIZE="thread" >/dev/null
   cmake --build build-tsan -j "$jobs" --target test_net_wire test_net_cluster \
-    test_net_stats test_ltl test_ltl_crossval test_ndlog_parallel test_serve
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L 'net|ltl|parallel|serve'
+    test_net_stats test_ltl test_ltl_crossval test_ndlog_parallel test_serve \
+    test_ndlog_value
+  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L 'net|ltl|parallel|serve|value'
 fi
 
 # The perf smokes write their metrics under build/, so a full check leaves

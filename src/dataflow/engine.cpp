@@ -1,5 +1,7 @@
 #include "dataflow/engine.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <utility>
 
 namespace fvn::dataflow {
@@ -27,7 +29,23 @@ void bump(obs::Counter* c) {
   if (c != nullptr) c->add(1);
 }
 
+/// Value::hash(), except that a double, also inside a list, hashes by its
+/// value (std::hash<double> maps -0.0 and 0.0 alike).
+std::size_t equal_hash(const Value& v) noexcept {
+  if (v.is_double()) return std::hash<double>{}(v.as_double());
+  if (!v.is_list()) return v.hash();
+  std::size_t h = v.as_list().size();
+  for (const auto& item : v.as_list()) h = h * 31 + equal_hash(item);
+  return h;
+}
+
 }  // namespace
+
+std::size_t Engine::GroupKeyHash::operator()(const GroupKey& key) const noexcept {
+  std::size_t h = 0x9e3779b97f4a7c15ULL;
+  for (const auto& v : key) h ^= equal_hash(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  return h;
+}
 
 Engine::Engine(const Plan& plan, const ndlog::BuiltinRegistry& builtins,
                obs::Registry* metrics)
@@ -157,12 +175,13 @@ void Engine::exec(RunCtx& ctx, std::size_t ei) {
         }
       }
       const Value& v = regs_[static_cast<std::size_t>(e.agg_slot)];
-      if (ctx.dirty_keys != nullptr) ctx.dirty_keys->insert(key);
-      auto& group = (*ctx.groups)[key];
+      if (ctx.dirty_keys != nullptr) ctx.dirty_keys->push_back(key);
+      const auto git = ctx.groups->try_emplace(std::move(key)).first;
+      auto& group = git->second;
       auto it = group.emplace(v, 0).first;
       it->second += ctx.sign;
       if (it->second <= 0) group.erase(it);
-      if (group.empty()) ctx.groups->erase(key);
+      if (group.empty()) ctx.groups->erase(git);
       ++stats_.agg_updates;
       bump(obs.out);
       return;
@@ -175,7 +194,7 @@ void Engine::exec(RunCtx& ctx, std::size_t ei) {
 
 void Engine::run_strand(const Strand& strand, const StrandObs& obs, const Tuple& delta,
                         const Database& db, std::vector<Tuple>* out, GroupState* groups,
-                        int sign, std::set<std::vector<Value>>* dirty_keys) {
+                        int sign, std::vector<GroupKey>* dirty_keys) {
   if (strand.dead || strand.elements.empty()) return;
   if (regs_.size() < strand.nslots) regs_.resize(strand.nslots);
   RunCtx ctx;
@@ -247,17 +266,24 @@ bool Engine::flush_aggregate(std::size_t index, const Database& db,
   const ndlog::Rule& rule = plan_->program.rules[ap.rule_index];
   // Recompute plans: the whole view, and every group it or the last flush
   // holds is a candidate.
-  std::map<std::vector<Value>, Value> view;
+  std::unordered_map<GroupKey, Value, GroupKeyHash> view;
+  auto& dirty = state.dirty_keys;
   if (!ap.incremental) {
     fallback_.eval_agg_rule(rule, db, [&](Tuple t) {
-      std::vector<Value> key = t.values();
+      GroupKey key = t.values();
       Value v = std::exchange(key[ap.agg_pos], Value::nil());
-      state.dirty_keys.insert(key);
+      dirty.push_back(key);
       view.emplace(std::move(key), std::move(v));
     });
-    for (const auto& [key, v] : state.emitted) state.dirty_keys.insert(key);
+    for (const auto& [key, v] : state.emitted) dirty.push_back(key);
   }
-  for (const auto& key : state.dirty_keys) {
+  // Strictly increasing group-key order. The sort is stable so that of
+  // equal keys (-0.0 and 0.0) the first touched stays, as in a std::set.
+  if (dirty.size() > 1) {
+    std::stable_sort(dirty.begin(), dirty.end());
+    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  }
+  for (const auto& key : dirty) {
     std::optional<Value> now;
     if (ap.incremental) {
       if (auto git = state.groups.find(key); git != state.groups.end()) {
@@ -290,7 +316,7 @@ bool Engine::flush_aggregate(std::size_t index, const Database& db,
     }
     out.push_back(std::move(delta));
   }
-  state.dirty_keys.clear();
+  dirty.clear();
   return !out.empty();
 }
 

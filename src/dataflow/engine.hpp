@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "dataflow/plan.hpp"
@@ -84,18 +84,26 @@ class Engine {
     obs::Counter* out = nullptr;
   };
   using StrandObs = std::vector<ElemObs>;
+  using GroupKey = std::vector<ndlog::Value>;
+  /// Hash of a group key consistent with Value::operator==, which
+  /// Value::hash() is not for -0.0 and 0.0: doubles hash by value.
+  struct GroupKeyHash {
+    std::size_t operator()(const GroupKey& key) const noexcept;
+  };
   /// Per-group aggregate state: group key (full head-args vector, nil at the
   /// aggregate position) -> multiset of bound aggregate-variable values.
-  using GroupState = std::map<std::vector<ndlog::Value>,
-                              std::map<ndlog::Value, std::int64_t>>;
+  /// Never iterated, so its hash order is unobservable.
+  using GroupState =
+      std::unordered_map<GroupKey, std::map<ndlog::Value, std::int64_t>, GroupKeyHash>;
   struct AggState {
     GroupState groups;
     bool dirty = false;
-    /// Flush bookkeeping: groups touched since the last flush (incremental
-    /// plans), and the aggregate value last emitted per group (absent =
-    /// group never emitted / last emitted a retraction).
-    std::set<std::vector<ndlog::Value>> dirty_keys;
-    std::map<std::vector<ndlog::Value>, ndlog::Value> emitted;
+    /// Flush bookkeeping: groups touched since the last flush, in touch
+    /// order with repeats (the flush sorts and de-duplicates them), and the
+    /// aggregate value last emitted per group (absent = group never emitted
+    /// / last emitted a retraction).
+    std::vector<GroupKey> dirty_keys;
+    std::unordered_map<GroupKey, ndlog::Value, GroupKeyHash> emitted;
   };
   struct RunCtx {
     const Strand* strand = nullptr;
@@ -104,14 +112,14 @@ class Engine {
     const ndlog::Database* db = nullptr;
     std::vector<ndlog::Tuple>* out = nullptr;  // Project sink
     GroupState* groups = nullptr;              // Aggregate sink
-    std::set<std::vector<ndlog::Value>>* dirty_keys = nullptr;  // flush log
+    std::vector<GroupKey>* dirty_keys = nullptr;  // flush log
     int sign = +1;
   };
 
   void run_strand(const Strand& strand, const StrandObs& obs, const ndlog::Tuple& delta,
                   const ndlog::Database& db, std::vector<ndlog::Tuple>* out,
                   GroupState* groups, int sign,
-                  std::set<std::vector<ndlog::Value>>* dirty_keys = nullptr);
+                  std::vector<GroupKey>* dirty_keys = nullptr);
   static ndlog::Value aggregate_value(const AggregateRulePlan& ap,
                                       const std::map<ndlog::Value, std::int64_t>& group);
   void exec(RunCtx& ctx, std::size_t ei);

@@ -48,22 +48,22 @@ Valuation Monitor::pattern_valuation() const {
   return v;
 }
 
-void Monitor::on_event(const TupleEvent& event) {
+void Monitor::on_event(TupleEvent::Kind kind, const ndlog::Tuple& tuple) {
   ++events_;
   if (violated_) return;
 
-  const std::int64_t delta = event.kind == TupleEvent::Kind::Install ? 1 : -1;
+  const std::int64_t delta = kind == TupleEvent::Kind::Install ? 1 : -1;
   for (std::size_t i = 0; i < aps_.aps.size(); ++i) {
     const ApSet::Ap& ap = aps_.aps[i];
     if (ap.is_stable) continue;
-    if (ap.pattern.matches(event.tuple)) match_count_[i] += delta;
+    if (ap.pattern.matches(tuple)) match_count_[i] += delta;
   }
 
   Valuation v = pattern_valuation();
   for (std::size_t i = 0; i < aps_.aps.size(); ++i) {
     const ApSet::Ap& ap = aps_.aps[i];
     // A relation is stable across this step iff the event did not touch it.
-    if (ap.is_stable && ap.pred != event.tuple.predicate()) v |= Valuation{1} << i;
+    if (ap.is_stable && ap.pred != tuple.predicate()) v |= Valuation{1} << i;
   }
 
   live_.assign(buchi_.states.size(), 0);
@@ -152,9 +152,9 @@ MonitorSet::MonitorSet(const Spec& spec) {
   for (const auto& property : spec.properties) monitors_.emplace_back(property);
 }
 
-void MonitorSet::on_event(const TupleEvent& event) {
+void MonitorSet::on_event(TupleEvent::Kind kind, const ndlog::Tuple& tuple) {
   ++events_;
-  for (auto& m : monitors_) m.on_event(event);
+  for (auto& m : monitors_) m.on_event(kind, tuple);
 }
 
 std::vector<MonitorVerdict> MonitorSet::finish() const {
@@ -186,13 +186,17 @@ bool MonitorSet::all_satisfied() const {
 TupleEvent tuple_event(std::string_view kind, const std::string& node,
                        const ndlog::Tuple& tuple, double now) {
   TupleEvent e;
-  e.kind = kind == "install"   ? TupleEvent::Kind::Install
-           : kind == "retract" ? TupleEvent::Kind::Retract
-                               : TupleEvent::Kind::Expire;
+  e.kind = event_kind(kind);
   e.node = node;
   e.tuple = tuple;
   e.ts_us = static_cast<std::uint64_t>(std::llround(now * 1e6));
   return e;
+}
+
+TupleEvent::Kind event_kind(std::string_view kind) noexcept {
+  return kind == "install"   ? TupleEvent::Kind::Install
+         : kind == "retract" ? TupleEvent::Kind::Retract
+                             : TupleEvent::Kind::Expire;
 }
 
 std::vector<TupleEvent> events_from_trace(const std::vector<obs::TraceEvent>& events) {

@@ -45,6 +45,9 @@ std::string_view to_string(TupleEvent::Kind kind) noexcept;
 TupleEvent tuple_event(std::string_view kind, const std::string& node,
                        const ndlog::Tuple& tuple, double now);
 
+/// The TupleEvent::Kind of a hook's `kind`, read as tuple_event() reads it.
+TupleEvent::Kind event_kind(std::string_view kind) noexcept;
+
 /// Online monitor for one property. Feed events in trace order; `violated()`
 /// flips to true at the first event after which no extension can satisfy the
 /// property; `finish()` gives the end-of-trace verdict.
@@ -52,7 +55,7 @@ class Monitor {
  public:
   explicit Monitor(const Property& property);
 
-  void on_event(const TupleEvent& event);
+  void on_event(TupleEvent::Kind kind, const ndlog::Tuple& tuple);
 
   /// Definite violation seen mid-trace (bad prefix).
   bool violated() const noexcept { return violated_; }
@@ -98,7 +101,10 @@ class MonitorSet {
  public:
   explicit MonitorSet(const Spec& spec);
 
-  void on_event(const TupleEvent& event);
+  void on_event(const TupleEvent& event) { on_event(event.kind, event.tuple); }
+  /// The same step for a hook that holds the tuple (a runtime's
+  /// tuple-event hook): nothing is copied.
+  void on_event(TupleEvent::Kind kind, const ndlog::Tuple& tuple);
   std::vector<MonitorVerdict> finish() const;
   /// Convenience: all properties satisfied at end of trace?
   bool all_satisfied() const;

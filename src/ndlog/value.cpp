@@ -1,8 +1,67 @@
 #include "ndlog/value.hpp"
 
+#include <functional>
+#include <mutex>
 #include <sstream>
+#include <unordered_map>
 
 namespace fvn::ndlog {
+
+namespace {
+
+constexpr std::size_t kFnvOffset = 1469598103934665603ULL;
+constexpr std::size_t kFnvPrime = 1099511628211ULL;
+
+constexpr std::size_t fnv_mix(std::size_t h, std::size_t x) noexcept {
+  return (h ^ x) * kFnvPrime;
+}
+
+constexpr std::size_t fnv_start(ValueKind kind) noexcept {
+  return fnv_mix(kFnvOffset, static_cast<std::size_t>(kind));
+}
+
+std::size_t text_hash(ValueKind kind, std::string_view text) noexcept {
+  std::size_t h = fnv_start(kind);
+  for (char c : text) h = fnv_mix(h, static_cast<unsigned char>(c));
+  return h;
+}
+
+/// Every symbol of the process, by text (views of the symbols' own text).
+/// Append-only and never destroyed: a Value in static storage may name a
+/// symbol until the process ends.
+struct SymbolTable {
+  std::mutex mu;
+  std::unordered_map<std::string_view, const Symbol*> by_text;
+};
+
+SymbolTable& symbol_table() {
+  static auto* table = new SymbolTable;
+  return *table;
+}
+
+}  // namespace
+
+Symbol::Symbol(std::string_view text)
+    : text_(text),
+      hashes_{text_hash(ValueKind::Str, text), text_hash(ValueKind::Addr, text)} {}
+
+const Symbol& Symbol::intern(std::string_view text) {
+  // Direct-mapped cache of symbols this thread already got: a known text
+  // costs one string hash and compare, no lock and no allocation.
+  constexpr std::size_t kCacheSlots = 1024;
+  thread_local const Symbol* cache[kCacheSlots] = {};
+  const Symbol*& slot = cache[std::hash<std::string_view>{}(text) % kCacheSlots];
+  if (slot != nullptr && slot->text_ == text) return *slot;
+  SymbolTable& table = symbol_table();
+  const std::lock_guard lock(table.mu);
+  auto it = table.by_text.find(text);
+  if (it == table.by_text.end()) {
+    const auto* symbol = new Symbol(text);
+    it = table.by_text.emplace(symbol->text_, symbol).first;
+  }
+  slot = it->second;
+  return *slot;
+}
 
 std::string_view to_string(ValueKind kind) noexcept {
   switch (kind) {
@@ -38,24 +97,31 @@ Value Value::real(double d) noexcept {
   return v;
 }
 
-Value Value::str(std::string s) {
+Value Value::str(std::string_view s) {
   Value v;
   v.kind_ = ValueKind::Str;
-  v.text_ = std::make_shared<const std::string>(std::move(s));
+  v.scalar_.sym = &Symbol::intern(s);
   return v;
 }
 
-Value Value::addr(std::string node) {
+Value Value::addr(std::string_view node) {
   Value v;
   v.kind_ = ValueKind::Addr;
-  v.text_ = std::make_shared<const std::string>(std::move(node));
+  v.scalar_.sym = &Symbol::intern(node);
   return v;
 }
 
 Value Value::list(std::vector<Value> items) {
+  std::size_t h = fnv_start(ValueKind::List);
+  bool holds_double = false;
+  for (const auto& item : items) {
+    h = fnv_mix(h, item.hash());
+    holds_double = holds_double || item.is_double() ||
+                   (item.is_list() && item.list_->holds_double);
+  }
   Value v;
   v.kind_ = ValueKind::List;
-  v.list_ = std::make_shared<const std::vector<Value>>(std::move(items));
+  v.list_ = std::make_shared<const List>(List{std::move(items), h, holds_double});
   return v;
 }
 
@@ -85,22 +151,22 @@ double Value::as_double() const {
 
 const std::string& Value::as_str() const {
   if (!is_str()) bad_kind("str", kind_);
-  return *text_;
+  return scalar_.sym->text();
 }
 
 const std::string& Value::as_addr() const {
   if (!is_addr()) bad_kind("addr", kind_);
-  return *text_;
+  return scalar_.sym->text();
 }
 
 const std::string& Value::as_text() const {
   if (!is_str() && !is_addr()) bad_kind("str|addr", kind_);
-  return *text_;
+  return scalar_.sym->text();
 }
 
 const std::vector<Value>& Value::as_list() const {
   if (!is_list()) bad_kind("list", kind_);
-  return *list_;
+  return list_->items;
 }
 
 std::strong_ordering Value::operator<=>(const Value& other) const {
@@ -118,14 +184,16 @@ std::strong_ordering Value::operator<=>(const Value& other) const {
     }
     case ValueKind::Str:
     case ValueKind::Addr: {
-      const int c = text_->compare(*other.text_);
-      if (c < 0) return std::strong_ordering::less;
-      if (c > 0) return std::strong_ordering::greater;
-      return std::strong_ordering::equal;
+      if (scalar_.sym == other.scalar_.sym) return std::strong_ordering::equal;
+      // Distinct symbols have distinct texts.
+      return scalar_.sym->text().compare(other.scalar_.sym->text()) < 0
+                 ? std::strong_ordering::less
+                 : std::strong_ordering::greater;
     }
     case ValueKind::List: {
-      const auto& a = *list_;
-      const auto& b = *other.list_;
+      if (list_ == other.list_) return std::strong_ordering::equal;
+      const auto& a = list_->items;
+      const auto& b = other.list_->items;
       const std::size_t n = std::min(a.size(), b.size());
       for (std::size_t i = 0; i < n; ++i) {
         const auto c = a[i] <=> b[i];
@@ -137,8 +205,12 @@ std::strong_ordering Value::operator<=>(const Value& other) const {
   return std::strong_ordering::equal;
 }
 
-bool Value::operator==(const Value& other) const {
-  return (*this <=> other) == std::strong_ordering::equal;
+bool Value::list_equal(const List& a, const List& b) noexcept {
+  if (&a == &b) return true;
+  // Equal lists hash alike, unless both hold doubles (-0.0 == 0.0 but they
+  // hash apart): then only the items can tell.
+  if (a.hash != b.hash && !(a.holds_double && b.holds_double)) return false;
+  return a.items == b.items;
 }
 
 namespace {
@@ -198,12 +270,12 @@ std::string Value::to_string() const {
       os << scalar_.d;
       return os.str();
     }
-    case ValueKind::Str: return "\"" + *text_ + "\"";
-    case ValueKind::Addr: return *text_;
+    case ValueKind::Str: return "\"" + scalar_.sym->text() + "\"";
+    case ValueKind::Addr: return scalar_.sym->text();
     case ValueKind::List: {
       std::string out = "[";
       bool first = true;
-      for (const auto& v : *list_) {
+      for (const auto& v : list_->items) {
         if (!first) out += ",";
         first = false;
         out += v.to_string();
@@ -215,36 +287,19 @@ std::string Value::to_string() const {
   return "?";
 }
 
-std::size_t Value::hash() const noexcept {
-  constexpr std::size_t kFnvOffset = 1469598103934665603ULL;
-  constexpr std::size_t kFnvPrime = 1099511628211ULL;
-  std::size_t h = kFnvOffset;
-  auto mix = [&h](std::size_t x) {
-    h ^= x;
-    h *= kFnvPrime;
-  };
-  mix(static_cast<std::size_t>(kind_));
+std::size_t Value::scalar_hash() const noexcept {
+  const std::size_t h = fnv_start(kind_);
   switch (kind_) {
-    case ValueKind::Nil: break;
-    case ValueKind::Bool: mix(scalar_.b ? 1u : 0u); break;
-    case ValueKind::Int: mix(static_cast<std::size_t>(scalar_.i)); break;
+    case ValueKind::Bool: return fnv_mix(h, scalar_.b ? 1u : 0u);
+    case ValueKind::Int: return fnv_mix(h, static_cast<std::size_t>(scalar_.i));
     case ValueKind::Double: {
-      double d = scalar_.d;
       std::size_t bits = 0;
-      static_assert(sizeof(bits) >= sizeof(d));
-      __builtin_memcpy(&bits, &d, sizeof(d));
-      mix(bits);
-      break;
+      static_assert(sizeof(bits) >= sizeof(scalar_.d));
+      __builtin_memcpy(&bits, &scalar_.d, sizeof(scalar_.d));
+      return fnv_mix(h, bits);
     }
-    case ValueKind::Str:
-    case ValueKind::Addr:
-      for (char c : *text_) mix(static_cast<unsigned char>(c));
-      break;
-    case ValueKind::List:
-      for (const auto& v : *list_) mix(v.hash());
-      break;
+    default: return h;  // Nil; texts and lists carry their hash
   }
-  return h;
 }
 
 std::size_t hash_values(const std::vector<Value>& values) noexcept {

@@ -7,6 +7,11 @@
 //
 // Values form a total order (kind-major, then value) so they can key
 // std::map-based indices and drive aggregate selection deterministically.
+//
+// Texts are interned: every Str and Addr value points at the one immutable
+// Symbol of its text, and a list shares one payload that carries its hash,
+// so equality compares a kind and one word, hash() is one load, and a copy
+// touches no text (DESIGN.md §18).
 #pragma once
 
 #include <compare>
@@ -14,6 +19,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fvn::ndlog {
@@ -39,8 +45,32 @@ class TypeError : public std::runtime_error {
   explicit TypeError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// An immutable dynamically-typed datum. Cheap to copy: scalars are inline,
-/// strings/addresses/lists share ownership of their payload.
+/// The interned payload of every Str and Addr value with one text. Symbols
+/// live in one process-wide, append-only table and are never freed, so equal
+/// texts share one Symbol and its address stands for the text. It also
+/// holds Value::hash() of str(text) and of addr(text), computed once.
+class Symbol {
+ public:
+  /// The symbol of `text`, created on first use. Safe from any thread; a
+  /// text the calling thread interned before is found without a lock.
+  static const Symbol& intern(std::string_view text);
+
+  const std::string& text() const noexcept { return text_; }
+  /// Value::hash() of the Str (kind Str) or Addr (kind Addr) of this text.
+  std::size_t hash(ValueKind kind) const noexcept { return hashes_[kind == ValueKind::Addr]; }
+
+  Symbol(const Symbol&) = delete;
+  Symbol& operator=(const Symbol&) = delete;
+
+ private:
+  explicit Symbol(std::string_view text);
+
+  std::string text_;
+  std::size_t hashes_[2];  // Str, Addr
+};
+
+/// An immutable dynamically-typed datum. Cheap to copy: scalars and symbols
+/// are inline, lists share ownership of their payload.
 class Value {
  public:
   Value() noexcept : kind_(ValueKind::Nil) {}
@@ -49,8 +79,8 @@ class Value {
   static Value boolean(bool b) noexcept;
   static Value integer(std::int64_t i) noexcept;
   static Value real(double d) noexcept;
-  static Value str(std::string s);
-  static Value addr(std::string node);
+  static Value str(std::string_view s);
+  static Value addr(std::string_view node);
   static Value list(std::vector<Value> items);
 
   ValueKind kind() const noexcept { return kind_; }
@@ -75,9 +105,11 @@ class Value {
   /// String payload of either a Str or an Addr.
   const std::string& as_text() const;
 
-  /// Total order: kind-major, then payload. Lists compare lexicographically.
+  /// Total order: kind-major, then payload. Texts compare by their
+  /// characters (never by symbol address), lists lexicographically.
   std::strong_ordering operator<=>(const Value& other) const;
-  bool operator==(const Value& other) const;
+  /// Same as `(*this <=> other) == 0`, in one word compare for texts.
+  bool operator==(const Value& other) const noexcept;
 
   /// Arithmetic (Int/Int stays Int; any Double operand promotes).
   Value add(const Value& rhs) const;
@@ -89,20 +121,56 @@ class Value {
   /// Rendering as NDlog literal text ("[n1,n2]", "\"abc\"", "17", "n3").
   std::string to_string() const;
 
-  /// FNV-1a style hash, consistent with operator==.
+  /// FNV-1a style hash, consistent with operator== except that -0.0 and
+  /// 0.0 (equal) hash apart, as they always have.
   std::size_t hash() const noexcept;
 
  private:
+  struct List;
+  std::size_t scalar_hash() const noexcept;
+  static bool list_equal(const List& a, const List& b) noexcept;
+
   ValueKind kind_;
   union Scalar {
     bool b;
     std::int64_t i;
     double d;
+    const Symbol* sym;  // Str / Addr
     Scalar() : i(0) {}
   } scalar_{};
-  std::shared_ptr<const std::string> text_;        // Str / Addr
-  std::shared_ptr<const std::vector<Value>> list_; // List
+  std::shared_ptr<const List> list_;  // List
 };
+
+/// A list payload, shared by every copy of the list value.
+struct Value::List {
+  std::vector<Value> items;
+  std::size_t hash;   ///< Value::hash() of the list, computed once
+  bool holds_double;  ///< some item, at any depth, is a Double
+};
+
+inline bool Value::operator==(const Value& other) const noexcept {
+  if (kind_ != other.kind_) return false;
+  switch (kind_) {
+    case ValueKind::Nil: return true;
+    case ValueKind::Bool: return scalar_.b == other.scalar_.b;
+    case ValueKind::Int: return scalar_.i == other.scalar_.i;
+    case ValueKind::Double:  // as operator<=>: -0.0 == 0.0
+      return !(scalar_.d < other.scalar_.d) && !(scalar_.d > other.scalar_.d);
+    case ValueKind::Str:
+    case ValueKind::Addr: return scalar_.sym == other.scalar_.sym;
+    case ValueKind::List: return list_equal(*list_, *other.list_);
+  }
+  return true;
+}
+
+inline std::size_t Value::hash() const noexcept {
+  switch (kind_) {
+    case ValueKind::Str:
+    case ValueKind::Addr: return scalar_.sym->hash(kind_);
+    case ValueKind::List: return list_->hash;
+    default: return scalar_hash();
+  }
+}
 
 struct ValueHash {
   std::size_t operator()(const Value& v) const noexcept { return v.hash(); }

@@ -48,23 +48,32 @@ Simulator::Simulator(ndlog::Program program, SimOptions options,
   for (const auto& fact : embedded_facts(program_, builtins)) inject(fact, 0.0);
 }
 
-void Simulator::add_node(const std::string& name) { core_of(name); }
+Simulator::Node::Node(Simulator& sim, const std::string& name)
+    : core(name, sim.plan_, sim.preds_, *sim.builtins_, sim.options_.metrics,
+           [&sim, this](const NodeCore&, NodeCore::Change change, const Tuple& tuple) {
+             sim.on_change(*this, change, tuple);
+           },
+           sim.layers_.get()) {}
 
-NodeCore& Simulator::core_of(const std::string& node) {
-  auto it = cores_.find(node);
-  if (it != cores_.end()) return it->second;
-  return cores_
-      .try_emplace(node, node, plan_, preds_, *builtins_, options_.metrics,
-                   [this](const NodeCore& core, NodeCore::Change change, const Tuple& tuple) {
-                     on_change(core, change, tuple);
-                   },
-                   layers_.get())
-      .first->second;
+void Simulator::add_node(const std::string& name) { node_of(name); }
+
+Simulator::Node& Simulator::node_of(const std::string& name) {
+  auto it = nodes_.find(name);
+  if (it != nodes_.end()) return it->second;
+  return nodes_.try_emplace(name, *this, name).first->second;
+}
+
+void Simulator::count(const Node& node, obs::Counter*& slot, std::string_view what) {
+  if (options_.metrics == nullptr) return;
+  if (slot == nullptr) {
+    slot = &options_.metrics->counter("sim/node/" + node.core.name() + "/" + std::string(what));
+  }
+  slot->add(1);
 }
 
 void Simulator::set_link_delay(const std::string& from, const std::string& to,
                                double delay) {
-  link_delays_[{from, to}] = delay;
+  link_delays_[from][to] = delay;
 }
 
 void Simulator::schedule(Event event) {
@@ -117,16 +126,16 @@ void Simulator::tuple_event(std::string_view kind, const std::string& node,
   }
 }
 
-void Simulator::on_change(const NodeCore& core, NodeCore::Change change, const Tuple& tuple) {
+void Simulator::on_change(Node& target, NodeCore::Change change, const Tuple& tuple) {
   LayerClock::Scope scope(layers_.get(), LayerClock::Change);
-  const std::string& node = core.name();
+  const std::string& node = target.core.name();
   switch (change) {
     case NodeCore::Change::Remote:
-      send(node, tuple);
+      send(target, tuple);
       return;
     case NodeCore::Change::Refresh: {
       Event e;
-      e.time = core.expiry(tuple);
+      e.time = target.core.expiry(tuple);
       e.kind = Event::Kind::Expire;
       e.node = node;
       e.tuple = tuple;
@@ -152,9 +161,7 @@ void Simulator::on_change(const NodeCore& core, NodeCore::Change change, const T
   if (options_.record_trace) {
     trace_.push_back(TraceEntry{now_, TraceEntry::Kind::Install, node, tuple.to_string()});
   }
-  if (options_.metrics != nullptr) {
-    options_.metrics->counter("sim/node/" + node + "/installed").add(1);
-  }
+  count(target, target.installed, "installed");
   if (options_.obs_trace != nullptr) {
     options_.obs_trace->instant_at(sim_ts(now_), "install " + tuple.predicate(), "sim",
                                    "{\"node\":\"" + obs::json_escape(node) + "\"}");
@@ -167,16 +174,15 @@ void Simulator::on_change(const NodeCore& core, NodeCore::Change change, const T
   }
 }
 
-void Simulator::send(const std::string& from, const Tuple& tuple) {
+void Simulator::send(Node& sender, const Tuple& tuple) {
+  const std::string& from = sender.core.name();
   const std::string& to = preds_.location_of(tuple);
   ++stats_.messages_sent;
   if (options_.record_trace) {
     trace_.push_back(
         TraceEntry{now_, TraceEntry::Kind::Send, from, tuple.to_string() + " -> " + to});
   }
-  if (options_.metrics != nullptr) {
-    options_.metrics->counter("sim/node/" + from + "/sent").add(1);
-  }
+  count(sender, sender.sent, "sent");
   if (options_.obs_trace != nullptr) {
     options_.obs_trace->instant_at(sim_ts(now_), "send " + tuple.predicate(), "sim",
                                    "{\"from\":\"" + obs::json_escape(from) +
@@ -186,15 +192,15 @@ void Simulator::send(const std::string& from, const Tuple& tuple) {
     std::uniform_real_distribution<double> u(0.0, 1.0);
     if (u(loss_rng_) < options_.loss_rate) {
       ++stats_.messages_dropped;
-      if (options_.metrics != nullptr) {
-        options_.metrics->counter("sim/node/" + from + "/dropped").add(1);
-      }
+      count(sender, sender.dropped, "dropped");
       return;
     }
   }
   double delay = options_.default_link_delay;
-  auto it = link_delays_.find({from, to});
-  if (it != link_delays_.end()) delay = it->second;
+  if (auto by_from = link_delays_.find(from); by_from != link_delays_.end()) {
+    auto it = by_from->second.find(to);
+    if (it != by_from->second.end()) delay = it->second;
+  }
   if (options_.delay_jitter > 0.0) {
     std::uniform_real_distribution<double> j(0.0, options_.delay_jitter);
     delay *= 1.0 + j(rng_);
@@ -231,6 +237,7 @@ SimStats Simulator::run() {
   }
 
   stats_.quiesced = true;
+  obs::Histogram* queue_depth = nullptr;  // sim/queue_depth, once an event ran
   while (!queue_.empty()) {
     LayerClock::Scope scope(layers_.get(), LayerClock::Queue);
     Event e = pop();
@@ -243,23 +250,23 @@ SimStats Simulator::run() {
     stats_.end_time = e.time;
     now_ = e.time;
     if (options_.metrics != nullptr) {
+      if (queue_depth == nullptr) queue_depth = &options_.metrics->histogram("sim/queue_depth");
       // +1: the event just popped is still in flight conceptually.
-      options_.metrics->histogram("sim/queue_depth").observe(queue_.size() + 1);
+      queue_depth->observe(queue_.size() + 1);
     }
     if (options_.obs_trace != nullptr) {
       options_.obs_trace->counter_at(sim_ts(e.time), "sim/queue_depth", "sim",
                                      static_cast<double>(queue_.size() + 1));
     }
-    NodeCore& core = core_of(e.node);
+    Node& node = node_of(e.node);
+    NodeCore& core = node.core;
     switch (e.kind) {
       case Event::Kind::Deliver:
         if (options_.record_trace) {
           trace_.push_back(
               TraceEntry{e.time, TraceEntry::Kind::Deliver, e.node, e.tuple.to_string()});
         }
-        if (options_.metrics != nullptr) {
-          options_.metrics->counter("sim/node/" + e.node + "/received").add(1);
-        }
+        count(node, node.received, "received");
         [[fallthrough]];
       case Event::Kind::Periodic:
         core.deliver(e.tuple, e.time);
@@ -278,9 +285,7 @@ SimStats Simulator::run() {
           trace_.push_back(
               TraceEntry{e.time, TraceEntry::Kind::Expire, e.node, e.tuple.to_string()});
         }
-        if (options_.metrics != nullptr) {
-          options_.metrics->counter("sim/node/" + e.node + "/expired").add(1);
-        }
+        count(node, node.expired, "expired");
         if (options_.obs_trace != nullptr) {
           options_.obs_trace->instant_at(sim_ts(e.time), "expire " + e.tuple.predicate(),
                                          "sim");
@@ -292,10 +297,11 @@ SimStats Simulator::run() {
 }
 
 SimStats& Simulator::finish() {
-  for (const auto& [name, core] : cores_) {
-    stats_.overwrites += core.overwrites();
-    if (options_.metrics != nullptr && core.overwrites() > 0) {
-      options_.metrics->counter("sim/node/" + name + "/overwrites").add(core.overwrites());
+  for (const auto& [name, node] : nodes_) {
+    const std::size_t overwrites = node.core.overwrites();
+    stats_.overwrites += overwrites;
+    if (options_.metrics != nullptr && overwrites > 0) {
+      options_.metrics->counter("sim/node/" + name + "/overwrites").add(overwrites);
     }
   }
   if (layers_) {
@@ -312,19 +318,19 @@ SimStats& Simulator::finish() {
 
 const Database& Simulator::database(const std::string& node) const {
   static const Database empty;
-  auto it = cores_.find(node);
-  return it == cores_.end() ? empty : it->second.database();
+  auto it = nodes_.find(node);
+  return it == nodes_.end() ? empty : it->second.core.database();
 }
 
 Database Simulator::merged_database() const {
   Database out;
-  for (const auto& [name, core] : cores_) merge_into(out, core.database());
+  for (const auto& [name, node] : nodes_) merge_into(out, node.core.database());
   return out;
 }
 
 std::vector<std::string> Simulator::nodes() const {
   std::vector<std::string> out;
-  for (const auto& [name, core] : cores_) out.push_back(name);
+  for (const auto& [name, node] : nodes_) out.push_back(name);
   return out;
 }
 

@@ -195,15 +195,33 @@ class Simulator {
     }
   };
 
-  NodeCore& core_of(const std::string& node);
+  /// One simulated node: its core, and its sim/node/<name>/... counters,
+  /// each looked up on first use and kept (registry series never move), so
+  /// the registry holds exactly the series a run records.
+  struct Node {
+    Node(Simulator& sim, const std::string& name);
+    Node(const Node&) = delete;
+    Node& operator=(const Node&) = delete;
+
+    NodeCore core;
+    obs::Counter* installed = nullptr;
+    obs::Counter* sent = nullptr;
+    obs::Counter* dropped = nullptr;
+    obs::Counter* received = nullptr;
+    obs::Counter* expired = nullptr;
+  };
+  Node& node_of(const std::string& name);
+  /// Adds one to `node`'s sim/node/<name>/<what> counter (kept in `slot`)
+  /// when metrics are on.
+  void count(const Node& node, obs::Counter*& slot, std::string_view what);
   void schedule(Event event);
   /// Take the earliest event off the queue (moved, not copied).
   Event pop();
-  void send(const std::string& from, const ndlog::Tuple& tuple);
+  void send(Node& sender, const ndlog::Tuple& tuple);
   /// Every core's hook: ships remote derivations, schedules expiries, and
   /// records every table change (stats, trace, metrics, tuple events,
   /// monitors) at the current event's time.
-  void on_change(const NodeCore& core, NodeCore::Change change, const ndlog::Tuple& tuple);
+  void on_change(Node& target, NodeCore::Change change, const ndlog::Tuple& tuple);
   /// Structured tuple-event emission (SimOptions::tuple_events + cat "tuple"
   /// obs instants); `kind` is "install", "retract" or "expire".
   void tuple_event(std::string_view kind, const std::string& node,
@@ -223,8 +241,10 @@ class Simulator {
   /// is set.
   std::unique_ptr<LayerClock> layers_;
   std::chrono::steady_clock::time_point run_start_;
-  std::map<std::string, NodeCore> cores_;
-  std::map<std::pair<std::string, std::string>, double> link_delays_;
+  std::map<std::string, Node> nodes_;
+  /// Delay overrides by sender, then receiver: a send probes with the two
+  /// names it holds, copying neither.
+  std::map<std::string, std::map<std::string, double>> link_delays_;
   std::vector<Event> queue_;  // a heap: std::push_heap/pop_heap, std::greater
   std::uint64_t sequence_ = 0;
   /// Jitter stream (delay_jitter draws). Kept separate from loss_rng_ so the

@@ -125,15 +125,21 @@ class FrozenTrie {
   /// churn tests and bench readers recompute against Snapshot::checksum.
   std::uint64_t checksum() const noexcept;
 
+  /// Same routes: the arrays are built by a key-order walk, so they are a
+  /// function of the (key, row) content alone.
+  friend bool operator==(const FrozenTrie&, const FrozenTrie&) = default;
+
  private:
   struct FNode {
     std::int32_t child[2] = {-1, -1};
     std::int32_t entry = -1;  ///< index into entries_, -1 = none
+    friend bool operator==(const FNode&, const FNode&) = default;
   };
   struct FEntry {
     Key key;
     std::uint32_t row_begin = 0;
     std::uint32_t row_count = 0;
+    friend bool operator==(const FEntry&, const FEntry&) = default;
   };
 
   /// Index of the node at `key`'s bit path, creating the path (indices stay

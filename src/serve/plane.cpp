@@ -193,9 +193,17 @@ void ServePlane::publish(bool force) {
     if (table == nullptr) continue;
     if (table->dirty || !table->frozen) {
       // Only re-freeze what changed; clean nodes share their FrozenTrie with
-      // every snapshot published since they last moved.
-      table->frozen = std::make_shared<FrozenTrie>(table->shadow);
-      table->frozen_checksum = table->frozen->checksum();
+      // every snapshot published since they last moved. A table whose deltas
+      // cancelled out (a route retracted and reinstalled since the last
+      // publish) keeps its previous freeze too, so a retired snapshot holds
+      // only tables that really changed.
+      auto fresh = std::make_shared<const FrozenTrie>(table->shadow);
+      const std::uint64_t checksum = fresh->checksum();
+      if (!table->frozen || checksum != table->frozen_checksum ||
+          !(*fresh == *table->frozen)) {
+        table->frozen = std::move(fresh);
+        table->frozen_checksum = checksum;
+      }
       table->dirty = false;
     }
     snap->tables[i] = table->frozen;

@@ -1,6 +1,11 @@
 // Unit tests for the NDlog value system: construction, total order,
-// arithmetic, hashing, rendering.
+// arithmetic, hashing, rendering, and the interned text representation.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "ndlog/tuple.hpp"
 #include "ndlog/value.hpp"
@@ -96,6 +101,129 @@ TEST(Value, HashConsistentWithEquality) {
   EXPECT_EQ(a.hash(), b.hash());
   EXPECT_NE(Value::integer(1).hash(), Value::integer(2).hash());
   EXPECT_NE(Value::str("n1").hash(), Value::addr("n1").hash());
+}
+
+// Unordered containers iterate in hash order, and that order drives
+// derivation order (tests/golden/sim pins it), so the numbers themselves
+// are part of the contract. These were produced by the string-payload
+// representation that interning replaced.
+TEST(Value, HashNumbersAreTheParents) {
+  EXPECT_EQ(Value::nil().hash(), 4953163356653287321ULL);
+  EXPECT_EQ(Value::boolean(true).hash(), 11125489772821600133ULL);
+  EXPECT_EQ(Value::boolean(false).hash(), 11125488673309971922ULL);
+  EXPECT_EQ(Value::integer(7).hash(), 11124533197705245788ULL);
+  EXPECT_EQ(Value::integer(-42).hash(), 7322238363795011103ULL);
+  EXPECT_EQ(Value::real(2.5).hash(), 15245495082028109696ULL);
+  EXPECT_EQ(Value::real(-0.0).hash(), 1900203486222487424ULL);
+  EXPECT_EQ(Value::real(0.0).hash(), 11123575523077263232ULL);
+  EXPECT_EQ(Value::str("n1").hash(), 14607465314392087936ULL);
+  EXPECT_EQ(Value::addr("n1").hash(), 14109640534138269727ULL);
+  EXPECT_EQ(Value::str("").hash(), 4953167754699800165ULL);
+  EXPECT_EQ(Value::list({}).hash(), 4953165555676543743ULL);
+  EXPECT_EQ(Value::list({Value::addr("n1"),
+                         Value::list({Value::addr("n2"), Value::integer(3)}),
+                         Value::str("x")})
+                .hash(),
+            14981509367855341384ULL);
+  EXPECT_EQ(hash_values({Value::addr("n0"), Value::integer(1)}), 2500367063285120172ULL);
+  EXPECT_EQ(Tuple("link", {Value::addr("n0"), Value::addr("n1"), Value::integer(2)}).hash(),
+            3639541486022292839ULL);
+  EXPECT_EQ(Tuple("path", {Value::addr("n0"), Value::addr("n2"),
+                           Value::list({Value::addr("n0"), Value::addr("n1"),
+                                        Value::addr("n2")}),
+                           Value::integer(5)})
+                .hash(),
+            12409120920447487538ULL);
+}
+
+TEST(Value, EqualTextsShareOneSymbol) {
+  const std::string text = "x";
+  const Value a = Value::addr("x");
+  const Value b = Value::addr(text);
+  EXPECT_EQ(&a.as_addr(), &b.as_addr());
+  EXPECT_EQ(&Value::str("x").as_str(), &Value::str(text).as_str());
+  // One symbol per text, whatever the kind; the kind still tells them apart.
+  EXPECT_EQ(&Value::str("x").as_str(), &a.as_addr());
+  EXPECT_NE(Value::str("x"), Value::addr("x"));
+  EXPECT_LT(Value::str("x"), Value::addr("x"));
+  EXPECT_NE(Value::str("x").hash(), Value::addr("x").hash());
+  EXPECT_NE(&Value::addr("y").as_addr(), &a.as_addr());
+}
+
+TEST(Value, TextOrderIsLexicographicWhateverTheInternOrder) {
+  // Texts no other test uses, interned in descending order: an order by
+  // symbol address or creation would put them the other way round.
+  const Value n9 = Value::addr("order-n9");
+  const Value n10 = Value::addr("order-n10");
+  EXPECT_LT(n10, n9);
+  EXPECT_GT(n9, n10);
+  std::vector<Value> made;
+  for (int i = 20; i >= 0; --i) made.push_back(Value::str("order-" + std::to_string(100 + i)));
+  for (std::size_t i = 1; i < made.size(); ++i) {
+    EXPECT_LT(made[i], made[i - 1]) << made[i].to_string();
+  }
+  EXPECT_EQ(Value::addr("order-n9") <=> n9, std::strong_ordering::equal);
+}
+
+TEST(Value, SeparatelyBuiltListsAreEqual) {
+  auto build = [] {
+    return Value::list({Value::addr("n0"), Value::list({Value::str("s"), Value::integer(4)}),
+                        Value::boolean(true)});
+  };
+  const Value a = build();
+  const Value b = build();
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.hash(), b.hash());
+  EXPECT_EQ(a <=> b, std::strong_ordering::equal);
+  const Value c = Value::list({Value::addr("n0"), Value::list({Value::str("s"), Value::integer(5)}),
+                               Value::boolean(true)});
+  EXPECT_NE(a, c);
+  EXPECT_LT(a, c);
+  const Value copy = a;
+  EXPECT_EQ(copy, a);
+  EXPECT_EQ(&copy.as_list(), &a.as_list());
+}
+
+TEST(Value, SignedZerosStayEqualInsideLists) {
+  // -0.0 == 0.0 (the order's meaning), though their hashes differ; a list
+  // holding them must not let the hash decide.
+  EXPECT_EQ(Value::real(-0.0), Value::real(0.0));
+  EXPECT_EQ(Value::list({Value::real(-0.0)}), Value::list({Value::real(0.0)}));
+  EXPECT_EQ(Value::list({Value::addr("n1"), Value::list({Value::real(0.0)})}),
+            Value::list({Value::addr("n1"), Value::list({Value::real(-0.0)})}));
+  EXPECT_NE(Value::list({Value::real(0.0)}), Value::list({Value::real(1.0)}));
+}
+
+TEST(Value, ConcurrentInternsAgree) {
+  constexpr int kTexts = 2000;
+  constexpr int kThreads = 4;
+  std::vector<std::string> texts;
+  for (int i = 0; i < kTexts; ++i) texts.push_back("concurrent-" + std::to_string(i));
+  std::vector<std::vector<const std::string*>> seen(kThreads,
+                                                    std::vector<const std::string*>(kTexts));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      // Each thread walks all texts in its own order: forward, backward,
+      // and two strides coprime to kTexts.
+      constexpr int kStrides[kThreads] = {1, kTexts - 1, 7, 13};
+      for (int k = 0; k < kTexts; ++k) {
+        const int i = (k * kStrides[t] + t * 500) % kTexts;
+        const Value v = t % 2 == 0 ? Value::addr(texts[i]) : Value::str(texts[i]);
+        seen[t][i] = &v.as_text();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int i = 0; i < kTexts; ++i) {
+    ASSERT_NE(seen[0][i], nullptr);
+    EXPECT_EQ(*seen[0][i], texts[i]);
+    for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t][i], seen[0][i]) << texts[i];
+    EXPECT_EQ(&Value::addr(texts[i]).as_addr(), seen[0][i]);
+  }
 }
 
 TEST(Tuple, EqualityHashAndRendering) {

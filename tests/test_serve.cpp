@@ -8,7 +8,8 @@
 //   - ServeSpec parsing against a program catalog
 //   - plane projection == the simulator's fixpoint database, per node
 //   - the concurrent cluster feed reaching the same snapshot
-//   - epoch reclamation: a held lease blocks reclamation, releasing admits it
+//   - epoch reclamation: a held lease blocks reclamation, releasing admits it;
+//     a retract + reinstall keeps serving the same frozen table
 //   - churn: reader threads never observe a torn snapshot (checksums match,
 //     epochs are monotone) while the writer retracts/installs and publishes
 #include <gtest/gtest.h>
@@ -367,6 +368,47 @@ TEST(ServeEpochs, HeldLeaseBlocksReclamationReleaseAdmitsIt) {
   EXPECT_EQ(plane.stats().retired_live, 0u);
   // A fresh lease sees the latest epoch.
   EXPECT_EQ(reader.acquire()->epoch, 3u);
+}
+
+TEST(ServeEpochs, CancelledFlipKeepsThePublishedTable) {
+  auto plane = make_path_vector_plane();
+  using ndlog::Value;
+  const auto route = [](const char* dst, std::int64_t cost) {
+    return ndlog::Tuple("bestPath",
+                        {Value::addr("n0"), Value::addr(dst),
+                         Value::list({Value::addr("n0"), Value::addr(dst)}),
+                         Value::integer(cost)});
+  };
+  ASSERT_TRUE(plane.apply("install", "n0", route("n1", 1)));
+  ASSERT_TRUE(plane.apply("install", "n0", route("n2", 4)));
+  plane.publish();
+  const auto node = plane.current().names->find("n0");
+  ASSERT_TRUE(node.has_value());
+  // Held here, so that no later table can take its address.
+  const std::shared_ptr<const serve::FrozenTrie> first =
+      plane.current().tables.at(*node);
+  ASSERT_NE(first, nullptr);
+
+  // Retract and reinstall one route: the table is dirty but unchanged, so
+  // the new epoch serves the same frozen table as the one it retires.
+  ASSERT_TRUE(plane.apply("retract", "n0", route("n1", 1)));
+  ASSERT_TRUE(plane.apply("install", "n0", route("n1", 1)));
+  plane.publish();
+  EXPECT_EQ(plane.current().epoch, 2u);
+  EXPECT_EQ(plane.current().table(*node), first.get());
+  EXPECT_EQ(serve::recompute_checksum(plane.current()),
+            plane.current().checksum);
+
+  // A delta that sticks re-freezes the table.
+  ASSERT_TRUE(plane.apply("retract", "n0", route("n2", 4)));
+  ASSERT_TRUE(plane.apply("install", "n0", route("n2", 3)));
+  plane.publish();
+  const serve::FrozenTrie* moved = plane.current().table(*node);
+  ASSERT_NE(moved, nullptr);
+  EXPECT_NE(moved, first.get());
+  EXPECT_EQ(moved->routes(), 2u);
+  EXPECT_EQ(plane.query("n0", "n2"),
+            "n2 epoch=3 rows=[nexthop=[n0,n2],cost=3]");
 }
 
 // ---------------------------------------------------------------------------
