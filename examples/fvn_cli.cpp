@@ -7,11 +7,8 @@
 //   fvn_cli analyze   [--json|--dot] <prog.ndlog>...  semantic analysis:
 //                     divergence prediction + CALM convergence (ND0014..18);
 //                     --cost adds the ND0019..ND0021 cost model;
-//                     --parallel adds the shard-parallel certificate
-//                     (ND0022..ND0025: shard keys, misaligned joins,
-//                     aggregate/negation barriers);
 //                     --dot prints the dependency graph with strata/SCCs
-//                     (with --cost/--parallel: the respective annotated graph)
+//                     (with --cost: the cost-annotated graph)
 //   fvn_cli translate <prog.ndlog>                  PVS-style theory (arc 4)
 //   fvn_cli linear    <prog.ndlog>                  linear-logic view (§4.2)
 //   fvn_cli run       <prog.ndlog> <facts.txt>      centralized evaluation
@@ -116,7 +113,6 @@
 #include "ndlog/cost.hpp"
 #include "ndlog/eval.hpp"
 #include "ndlog/lint.hpp"
-#include "ndlog/parallel.hpp"
 #include "ndlog/parser.hpp"
 #include "ndlog/provenance.hpp"
 #include "ndlog/query.hpp"
@@ -183,11 +179,10 @@ int usage() {
                "[--metrics] [--trace <out.json>]\n"
                "       fvn_cli lint [--json] <prog.ndlog>...   "
                "(exit 0 clean, 1 warnings, 2 errors)\n"
-               "       fvn_cli analyze [--json|--dot|--metrics|--cost|--parallel] "
+               "       fvn_cli analyze [--json|--dot|--metrics|--cost] "
                "<prog.ndlog>...   "
                "(semantic passes ND0014..ND0018; --cost adds the ND0019..ND0021 "
-               "cost model; --parallel adds the ND0022..ND0025 shard-parallel "
-               "certificate; same exit convention)\n"
+               "cost model; same exit convention)\n"
                "       fvn_cli plan <prog.ndlog> [--dot|--json] [--cost-order]   "
                "(localize + compile to dataflow strands)\n"
                "       eval = run, sim = simulate; both take --metrics and "
@@ -248,6 +243,8 @@ int cmd_lint(const std::vector<std::string>& args) {
   for (const auto& a : args) {
     if (a == "--json") {
       json = true;
+    } else if (a.rfind("--", 0) == 0) {  // a flag, never a file name
+      throw UsageError("unknown flag " + a);
     } else {
       files.push_back(a);
     }
@@ -289,17 +286,16 @@ int cmd_lint(const std::vector<std::string>& args) {
   return errors != 0 ? 2 : warnings != 0 ? 1 : 0;
 }
 
-/// `fvn_cli analyze [--json|--dot|--metrics] <file>...` — run the core
-/// checks plus the semantic passes (ND0014–ND0018: dead rules, divergence
-/// prediction, CALM order-sensitivity). Exit convention matches lint:
-/// 0 clean, 1 warnings, 2 errors. `--dot` prints the annotated predicate
-/// dependency graph for a single file.
+/// `fvn_cli analyze [--json|--dot|--metrics|--cost] <file>...` — run the
+/// core checks plus the semantic passes (ND0014–ND0018: dead rules,
+/// divergence prediction, CALM order-sensitivity). Exit convention matches
+/// lint: 0 clean, 1 warnings, 2 errors. `--dot` prints the annotated
+/// predicate dependency graph for a single file.
 int cmd_analyze(const std::vector<std::string>& args) {
   bool json = false;
   bool dot = false;
   bool want_metrics = false;
   bool want_cost = false;
-  bool want_parallel = false;
   std::vector<std::string> files;
   for (const auto& a : args) {
     if (a == "--json") {
@@ -311,7 +307,10 @@ int cmd_analyze(const std::vector<std::string>& args) {
     } else if (a == "--cost") {
       want_cost = true;
     } else if (a == "--parallel") {
-      want_parallel = true;
+      throw UsageError("--parallel: the shard-parallel analysis was removed "
+                       "(EXPERIMENTS.md E10)");
+    } else if (a.rfind("--", 0) == 0) {  // a flag, never a file name
+      throw UsageError("unknown flag " + a);
     } else {
       files.push_back(a);
     }
@@ -329,8 +328,6 @@ int cmd_analyze(const std::vector<std::string>& args) {
     std::string summary_json;
     std::string cost_json;
     std::string cost_human;
-    std::string parallel_json;
-    std::string parallel_human;
     try {
       auto program = fvn::ndlog::parse_program(slurp(file), file);
       fvn::ndlog::check_arities(program, sink);
@@ -346,19 +343,9 @@ int cmd_analyze(const std::vector<std::string>& args) {
           auto cost_report = fvn::ndlog::cost::analyze(program, report, sink);
           cost_json = fvn::ndlog::cost::to_json(cost_report);
           if (!json && !dot) cost_human = fvn::ndlog::cost::to_human(cost_report);
-          if (dot && !want_parallel) {
-            std::cout << fvn::ndlog::cost::to_dot(program, cost_report);
-          }
-        } else if (dot && !want_parallel) {
+          if (dot) std::cout << fvn::ndlog::cost::to_dot(program, cost_report);
+        } else if (dot) {
           std::cout << fvn::ndlog::semantic_dot(program, report);
-        }
-        if (want_parallel) {
-          auto parallel_report = fvn::ndlog::parallel::analyze(program, sink);
-          parallel_json = fvn::ndlog::parallel::to_json(parallel_report);
-          if (!json && !dot) {
-            parallel_human = fvn::ndlog::parallel::to_human(parallel_report);
-          }
-          if (dot) std::cout << fvn::ndlog::parallel::to_dot(program, parallel_report);
         }
       }
       fvn::ndlog::dedupe_localized_diagnostics(program, sink);
@@ -376,12 +363,10 @@ int cmd_analyze(const std::vector<std::string>& args) {
                << "\",\"diagnostics\":" << fvn::ndlog::render_json(sink.diagnostics());
       if (!summary_json.empty()) json_out << ",\"summary\":" << summary_json;
       if (!cost_json.empty()) json_out << ",\"cost\":" << cost_json;
-      if (!parallel_json.empty()) json_out << ",\"parallel\":" << parallel_json;
       json_out << "}";
     } else if (!dot) {
       std::cout << fvn::ndlog::render_human(sink.diagnostics(), file);
       if (!cost_human.empty()) std::cout << cost_human;
-      if (!parallel_human.empty()) std::cout << parallel_human;
     }
   }
   if (json) {
@@ -953,20 +938,16 @@ int main(int argc, char** argv) {
   using namespace fvn;
   if (argc < 3) return usage();
   const std::string command = argv[1];
-  if (command == "lint") {
-    return cmd_lint(std::vector<std::string>(argv + 2, argv + argc));
-  }
-  if (command == "analyze") {
-    return cmd_analyze(std::vector<std::string>(argv + 2, argv + argc));
-  }
-  if (command == "plan" || command == "dist" || command == "verify" ||
-      command == "serve") {
+  if (command == "lint" || command == "analyze" || command == "plan" ||
+      command == "dist" || command == "verify" || command == "serve") {
     try {
       const std::vector<std::string> rest(argv + 2, argv + argc);
-      return command == "plan"     ? cmd_plan(rest)
-             : command == "dist"   ? cmd_dist(rest)
-             : command == "serve"  ? cmd_serve(rest)
-                                   : cmd_verify(rest);
+      return command == "lint"      ? cmd_lint(rest)
+             : command == "analyze" ? cmd_analyze(rest)
+             : command == "plan"    ? cmd_plan(rest)
+             : command == "dist"    ? cmd_dist(rest)
+             : command == "serve"   ? cmd_serve(rest)
+                                    : cmd_verify(rest);
     } catch (const ndlog::ParseError& e) {
       std::cerr << "error: " << e.what() << "\n";
       return 2;

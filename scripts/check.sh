@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repository health gate: tier-1 build + tests, the analyze-all sweep over
-# every shipped example (ctest -L analyze), the mc, dataflow, ltl, parallel
-# and serve suites, the same tests again under ASan/UBSan, the concurrent
-# `net|ltl|parallel|serve|value` suites once more under TSan (build-tsan),
+# every shipped example (ctest -L analyze), the mc, dataflow, ltl and serve
+# suites, the same tests again under ASan/UBSan, the concurrent
+# `net|ltl|serve|value` suites once more under TSan (build-tsan),
 # perf-smoke gates (bench_net cluster:simulator floor, bench_ltl
 # monitor-overhead ceiling, bench_serve lookup floor + churn ratio +
 # publish-latency ceiling), and
@@ -65,11 +65,6 @@ ctest --test-dir build --output-on-failure -L dataflow
 echo "== check: ltl suite (ctest -L ltl) =="
 ctest --test-dir build --output-on-failure -L ltl
 
-# parallel: the shard-parallel certificate (fvn::ndlog::parallel units +
-# golden signatures), a static analysis result behind `analyze --parallel`.
-echo "== check: parallel suite (ctest -L parallel) =="
-ctest --test-dir build --output-on-failure -L parallel
-
 # serve: the LPM mtrie differential fuzz vs the linear oracle, the epoch
 # snapshot publisher (reclamation + torn-read tripwire under churn), and the
 # feed-projection == fixpoint cross-checks on both runtimes.
@@ -98,19 +93,17 @@ if [ "$run_sanitize" -eq 1 ]; then
   # The fvn::net cluster is the genuinely concurrent subsystem; its labelled
   # tests run again under TSan, which ASan cannot subsume. The ltl
   # cross-validation suite joins them because its monitors consume the
-  # threaded cluster's tuple-event stream; the parallel label (certificate
-  # units) rides along. Separate tree: TSan is incompatible with ASan in one
-  # binary.
+  # threaded cluster's tuple-event stream. Separate tree: TSan is
+  # incompatible with ASan in one binary.
   # test_serve joins the TSan matrix: its churn test races wait-free readers
   # against epoch publication and deferred reclamation. test_ndlog_value
   # (label value) interns the same texts from several threads at once into
   # the process-wide symbol table every Value points into.
-  echo "== check: TSan build + ctest -L 'net|ltl|parallel|serve|value' =="
+  echo "== check: TSan build + ctest -L 'net|ltl|serve|value' =="
   cmake -B build-tsan -S . -DFVN_SANITIZE="thread" >/dev/null
   cmake --build build-tsan -j "$jobs" --target test_net_wire test_net_cluster \
-    test_net_stats test_ltl test_ltl_crossval test_ndlog_parallel test_serve \
-    test_ndlog_value
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L 'net|ltl|parallel|serve|value'
+    test_net_stats test_ltl test_ltl_crossval test_serve test_ndlog_value
+  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L 'net|ltl|serve|value'
 fi
 
 # The perf smokes write their metrics under build/, so a full check leaves

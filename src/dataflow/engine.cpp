@@ -29,23 +29,7 @@ void bump(obs::Counter* c) {
   if (c != nullptr) c->add(1);
 }
 
-/// Value::hash(), except that a double, also inside a list, hashes by its
-/// value (std::hash<double> maps -0.0 and 0.0 alike).
-std::size_t equal_hash(const Value& v) noexcept {
-  if (v.is_double()) return std::hash<double>{}(v.as_double());
-  if (!v.is_list()) return v.hash();
-  std::size_t h = v.as_list().size();
-  for (const auto& item : v.as_list()) h = h * 31 + equal_hash(item);
-  return h;
-}
-
 }  // namespace
-
-std::size_t Engine::GroupKeyHash::operator()(const GroupKey& key) const noexcept {
-  std::size_t h = 0x9e3779b97f4a7c15ULL;
-  for (const auto& v : key) h ^= equal_hash(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
 
 Engine::Engine(const Plan& plan, const ndlog::BuiltinRegistry& builtins,
                obs::Registry* metrics)
@@ -266,7 +250,7 @@ bool Engine::flush_aggregate(std::size_t index, const Database& db,
   const ndlog::Rule& rule = plan_->program.rules[ap.rule_index];
   // Recompute plans: the whole view, and every group it or the last flush
   // holds is a candidate.
-  std::unordered_map<GroupKey, Value, GroupKeyHash> view;
+  std::unordered_map<GroupKey, Value, ndlog::ValuesHash> view;
   auto& dirty = state.dirty_keys;
   if (!ap.incremental) {
     fallback_.eval_agg_rule(rule, db, [&](Tuple t) {

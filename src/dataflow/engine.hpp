@@ -85,16 +85,11 @@ class Engine {
   };
   using StrandObs = std::vector<ElemObs>;
   using GroupKey = std::vector<ndlog::Value>;
-  /// Hash of a group key consistent with Value::operator==, which
-  /// Value::hash() is not for -0.0 and 0.0: doubles hash by value.
-  struct GroupKeyHash {
-    std::size_t operator()(const GroupKey& key) const noexcept;
-  };
   /// Per-group aggregate state: group key (full head-args vector, nil at the
   /// aggregate position) -> multiset of bound aggregate-variable values.
   /// Never iterated, so its hash order is unobservable.
   using GroupState =
-      std::unordered_map<GroupKey, std::map<ndlog::Value, std::int64_t>, GroupKeyHash>;
+      std::unordered_map<GroupKey, std::map<ndlog::Value, std::int64_t>, ndlog::ValuesHash>;
   struct AggState {
     GroupState groups;
     bool dirty = false;
@@ -103,7 +98,7 @@ class Engine {
     /// aggregate value last emitted per group (absent = group never emitted
     /// / last emitted a retraction).
     std::vector<GroupKey> dirty_keys;
-    std::unordered_map<GroupKey, ndlog::Value, GroupKeyHash> emitted;
+    std::unordered_map<GroupKey, ndlog::Value, ndlog::ValuesHash> emitted;
   };
   struct RunCtx {
     const Strand* strand = nullptr;

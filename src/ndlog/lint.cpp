@@ -96,10 +96,6 @@ const std::vector<DiagnosticCodeInfo>& diagnostic_catalog() {
       {"ND0019", Severity::Warning, "quadratic-or-worse join order with a provably cheaper ordering"},
       {"ND0020", Severity::Warning, "unbounded message amplification on an async channel"},
       {"ND0021", Severity::Note, "recompute-heavy aggregate; incremental maintenance statically safe"},
-      {"ND0022", Severity::Note, "parallel evaluation certified: shard key chosen per predicate"},
-      {"ND0023", Severity::Warning, "key-misaligned join blocks attribute sharding"},
-      {"ND0024", Severity::Warning, "aggregate groups across shards: evaluated at the serial barrier"},
-      {"ND0025", Severity::Note, "negation is evaluated only at stratum barriers"},
   };
   return catalog;
 }

@@ -21,9 +21,9 @@
 // Codes ND0014–ND0018 (dead rules, divergence prediction, CALM
 // order-sensitivity) belong to the semantic analyzer — see semantic.hpp and
 // `fvn_cli analyze`. ND0019–ND0021 belong to the cost analyzer (cost.hpp,
-// `analyze --cost`), ND0022–ND0025 to the parallel-safety analyzer
-// (parallel.hpp, `analyze --parallel`). They share this catalog so
-// `diagnostic_catalog()` describes every code the toolchain can emit.
+// `analyze --cost`). They share this catalog so `diagnostic_catalog()`
+// describes every code the toolchain can emit. ND0022–ND0025 are retired
+// (docs/DIAGNOSTICS.md) and must never be registered again.
 #pragma once
 
 #include <string_view>

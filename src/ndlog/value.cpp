@@ -113,15 +113,10 @@ Value Value::addr(std::string_view node) {
 
 Value Value::list(std::vector<Value> items) {
   std::size_t h = fnv_start(ValueKind::List);
-  bool holds_double = false;
-  for (const auto& item : items) {
-    h = fnv_mix(h, item.hash());
-    holds_double = holds_double || item.is_double() ||
-                   (item.is_list() && item.list_->holds_double);
-  }
+  for (const auto& item : items) h = fnv_mix(h, item.hash());
   Value v;
   v.kind_ = ValueKind::List;
-  v.list_ = std::make_shared<const List>(List{std::move(items), h, holds_double});
+  v.list_ = std::make_shared<const List>(List{std::move(items), h});
   return v;
 }
 
@@ -207,9 +202,7 @@ std::strong_ordering Value::operator<=>(const Value& other) const {
 
 bool Value::list_equal(const List& a, const List& b) noexcept {
   if (&a == &b) return true;
-  // Equal lists hash alike, unless both hold doubles (-0.0 == 0.0 but they
-  // hash apart): then only the items can tell.
-  if (a.hash != b.hash && !(a.holds_double && b.holds_double)) return false;
+  if (a.hash != b.hash) return false;  // equal lists hash alike
   return a.items == b.items;
 }
 
@@ -293,9 +286,11 @@ std::size_t Value::scalar_hash() const noexcept {
     case ValueKind::Bool: return fnv_mix(h, scalar_.b ? 1u : 0u);
     case ValueKind::Int: return fnv_mix(h, static_cast<std::size_t>(scalar_.i));
     case ValueKind::Double: {
+      // -0.0 == 0.0, so both hash as +0.0; every other double by its bits.
+      const double d = scalar_.d == 0.0 ? 0.0 : scalar_.d;
       std::size_t bits = 0;
-      static_assert(sizeof(bits) >= sizeof(scalar_.d));
-      __builtin_memcpy(&bits, &scalar_.d, sizeof(scalar_.d));
+      static_assert(sizeof(bits) >= sizeof(d));
+      __builtin_memcpy(&bits, &d, sizeof(d));
       return fnv_mix(h, bits);
     }
     default: return h;  // Nil; texts and lists carry their hash

@@ -108,7 +108,8 @@ class Value {
   /// Total order: kind-major, then payload. Texts compare by their
   /// characters (never by symbol address), lists lexicographically.
   std::strong_ordering operator<=>(const Value& other) const;
-  /// Same as `(*this <=> other) == 0`, in one word compare for texts.
+  /// Same as `(*this <=> other) == 0` (NaN aside, DESIGN §18), in one
+  /// word compare for texts.
   bool operator==(const Value& other) const noexcept;
 
   /// Arithmetic (Int/Int stays Int; any Double operand promotes).
@@ -121,8 +122,8 @@ class Value {
   /// Rendering as NDlog literal text ("[n1,n2]", "\"abc\"", "17", "n3").
   std::string to_string() const;
 
-  /// FNV-1a style hash, consistent with operator== except that -0.0 and
-  /// 0.0 (equal) hash apart, as they always have.
+  /// FNV-1a style hash, consistent with operator== (-0.0 and 0.0 hash
+  /// alike) except for NaN, which the order calls equal to every double.
   std::size_t hash() const noexcept;
 
  private:
@@ -144,8 +145,7 @@ class Value {
 /// A list payload, shared by every copy of the list value.
 struct Value::List {
   std::vector<Value> items;
-  std::size_t hash;   ///< Value::hash() of the list, computed once
-  bool holds_double;  ///< some item, at any depth, is a Double
+  std::size_t hash;  ///< Value::hash() of the list, computed once
 };
 
 inline bool Value::operator==(const Value& other) const noexcept {
@@ -178,5 +178,11 @@ struct ValueHash {
 
 /// Hash of a value sequence (tuple bodies, keys).
 std::size_t hash_values(const std::vector<Value>& values) noexcept;
+
+struct ValuesHash {
+  std::size_t operator()(const std::vector<Value>& values) const noexcept {
+    return hash_values(values);
+  }
+};
 
 }  // namespace fvn::ndlog

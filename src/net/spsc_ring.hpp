@@ -1,6 +1,5 @@
-// Bounded lock-free single-producer/single-consumer ring, extracted from
-// InProcTransport's per-channel mailbox so the dataflow worker pool can reuse
-// the same core for its per-worker delta queues (DESIGN.md §12.2, §16.3).
+// Bounded lock-free single-producer/single-consumer ring: the core of
+// InProcTransport's per-channel mailbox (DESIGN.md §12.2).
 //
 // Invariants (the only memory-ordering argument in the repo — keep it here):
 //   * exactly one producer thread calls try_push(), exactly one consumer
@@ -13,8 +12,7 @@
 //     on access, so head_ <= tail_ <= head_ + Capacity at all times.
 //
 // try_push()/try_pop() never block: callers layer their own overflow policy
-// (InProcTransport spills to a mutexed deque; the worker pool sizes the ring
-// to the round and drains concurrently).
+// (InProcTransport spills to a mutexed deque).
 #pragma once
 
 #include <atomic>

@@ -46,6 +46,16 @@ class Histogram {
     ++buckets_[bucket_of(sample)];
   }
 
+  /// Add every sample `other` observed, as if observed here.
+  void merge(const Histogram& other) noexcept {
+    if (other.count_ == 0) return;
+    if (count_ == 0 || other.min_ < min_) min_ = other.min_;
+    if (other.max_ > max_) max_ = other.max_;
+    count_ += other.count_;
+    sum_ += other.sum_;
+    for (std::size_t b = 0; b < kBuckets; ++b) buckets_[b] += other.buckets_[b];
+  }
+
   std::uint64_t count() const noexcept { return count_; }
   std::uint64_t sum() const noexcept { return sum_; }
   std::uint64_t min() const noexcept { return count_ == 0 ? 0 : min_; }

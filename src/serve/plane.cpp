@@ -214,8 +214,14 @@ void ServePlane::publish(bool force) {
   publisher_.publish(std::move(snap));
 
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  publish_us_.push_back(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count()));
+  const auto us = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());
+  if (publish_us_.size() < kPublishWindow) {
+    publish_us_.push_back(us);
+  } else {
+    publish_us_[publish_hist_.count() % kPublishWindow] = us;
+  }
+  publish_hist_.observe(us);
 }
 
 /// Recompute a snapshot's checksum the way publish() built it — the churn
@@ -273,8 +279,7 @@ void ServePlane::flush_metrics() {
   reg.counter("serve/reclaimed").add(s.snapshots_reclaimed);
   reg.counter("serve/routes").add(s.routes);
   reg.counter("serve/lookups").add(s.lookups);
-  obs::Histogram& h = reg.histogram("serve/publish_us");
-  for (std::uint64_t us : publish_us_) h.observe(us);
+  reg.histogram("serve/publish_us").merge(publish_hist_);
 }
 
 std::string ServePlane::query(const std::string& node,

@@ -154,13 +154,14 @@ class ServePlane {
     std::size_t retired_live = 0;
     std::size_t routes = 0;              ///< in the latest snapshot
     std::uint64_t lookups = 0;           ///< summed over readers
+    /// Over the last kPublishWindow publishes (exact for shorter runs).
     std::uint64_t publish_p50_us = 0;
     std::uint64_t publish_p99_us = 0;
   };
   Stats stats() const;
 
-  /// Record the plane's counters + the serve/publish_us histogram into
-  /// Options::metrics (single-threaded; call after the run).
+  /// Record the plane's counters + the serve/publish_us histogram (every
+  /// publish) into Options::metrics (single-threaded; call after the run).
   void flush_metrics();
 
   /// Writer-side view of the latest snapshot (tests, CLI rendering).
@@ -195,7 +196,11 @@ class ServePlane {
   EpochPublisher publisher_;
   std::uint64_t installs_ = 0;
   std::uint64_t removes_ = 0;
-  std::vector<std::uint64_t> publish_us_;  ///< per-publish latency samples
+  /// Publish latencies: the last kPublishWindow in a ring that stats()
+  /// takes percentiles from, and all of them in a histogram.
+  static constexpr std::size_t kPublishWindow = 4096;
+  std::vector<std::uint64_t> publish_us_;
+  obs::Histogram publish_hist_;
 };
 
 /// Recompute a snapshot's checksum exactly the way ServePlane::publish()

@@ -411,14 +411,34 @@ TEST(Catalog, DiagnosticsDocCoversEveryRegisteredCodeExactly) {
         << "docs/DIAGNOSTICS.md is missing or has a stale row for "
         << info.code << "\nexpected: " << row;
   }
+  // Retired codes stay reserved: the registry never registers one again,
+  // and the doc names them only in its "Retired codes" section.
+  const std::set<std::string> retired = {"ND0022", "ND0023", "ND0024", "ND0025"};
+  const std::size_t retired_begin = doc.find("\n## Retired codes\n");
+  ASSERT_NE(retired_begin, std::string::npos) << "no Retired codes section";
+  const std::size_t retired_end = doc.find("\n## ", retired_begin + 1);
+  const auto in_retired_section = [&](std::size_t pos) {
+    return pos > retired_begin && pos < retired_end;
+  };
+  std::set<std::string> registered;
+  for (const auto& info : diagnostic_catalog()) {
+    registered.emplace(info.code);
+    EXPECT_EQ(retired.count(std::string(info.code)), 0u)
+        << info.code << " is retired and must not be registered again";
+  }
+  for (const auto& code : retired) {
+    const std::size_t pos = doc.find("| " + code + " |");
+    EXPECT_TRUE(pos != std::string::npos && in_retired_section(pos))
+        << "docs/DIAGNOSTICS.md does not list retired code " << code
+        << " under Retired codes";
+  }
   // And the doc mentions no unregistered ND codes (catches typos and rows
   // for codes that were renumbered away).
-  std::set<std::string> registered;
-  for (const auto& info : diagnostic_catalog()) registered.emplace(info.code);
   for (std::size_t pos = doc.find("ND00"); pos != std::string::npos;
        pos = doc.find("ND00", pos + 1)) {
     const std::string code = doc.substr(pos, 6);
-    EXPECT_TRUE(registered.count(code) == 1)
+    EXPECT_TRUE(registered.count(code) == 1 ||
+                (retired.count(code) == 1 && in_retired_section(pos)))
         << "docs/DIAGNOSTICS.md mentions unregistered code " << code;
   }
 }

@@ -1,5 +1,6 @@
 // Unit tests for the NDlog value system: construction, total order,
-// arithmetic, hashing, rendering, and the interned text representation.
+// arithmetic, hashing (and a Database keeping equal values as one row),
+// rendering, and the interned text representation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "ndlog/database.hpp"
 #include "ndlog/tuple.hpp"
 #include "ndlog/value.hpp"
 
@@ -114,7 +116,7 @@ TEST(Value, HashNumbersAreTheParents) {
   EXPECT_EQ(Value::integer(7).hash(), 11124533197705245788ULL);
   EXPECT_EQ(Value::integer(-42).hash(), 7322238363795011103ULL);
   EXPECT_EQ(Value::real(2.5).hash(), 15245495082028109696ULL);
-  EXPECT_EQ(Value::real(-0.0).hash(), 1900203486222487424ULL);
+  EXPECT_EQ(Value::real(-0.0).hash(), 11123575523077263232ULL);
   EXPECT_EQ(Value::real(0.0).hash(), 11123575523077263232ULL);
   EXPECT_EQ(Value::str("n1").hash(), 14607465314392087936ULL);
   EXPECT_EQ(Value::addr("n1").hash(), 14109640534138269727ULL);
@@ -185,13 +187,24 @@ TEST(Value, SeparatelyBuiltListsAreEqual) {
 }
 
 TEST(Value, SignedZerosStayEqualInsideLists) {
-  // -0.0 == 0.0 (the order's meaning), though their hashes differ; a list
-  // holding them must not let the hash decide.
+  // -0.0 == 0.0 (the order's meaning) and they hash alike, so lists
+  // holding them hash alike and compare equal too.
   EXPECT_EQ(Value::real(-0.0), Value::real(0.0));
   EXPECT_EQ(Value::list({Value::real(-0.0)}), Value::list({Value::real(0.0)}));
   EXPECT_EQ(Value::list({Value::addr("n1"), Value::list({Value::real(0.0)})}),
             Value::list({Value::addr("n1"), Value::list({Value::real(-0.0)})}));
   EXPECT_NE(Value::list({Value::real(0.0)}), Value::list({Value::real(1.0)}));
+}
+
+// Equal rows are one row: p(-0.0) is p(0.0), also inside a list.
+TEST(Database, SignedZerosAreOneRow) {
+  Database db;
+  ASSERT_NE(db.insert(Tuple("p", {Value::real(0.0)})), nullptr);
+  EXPECT_EQ(db.insert(Tuple("p", {Value::real(-0.0)})), nullptr);
+  EXPECT_EQ(db.size("p"), 1u);
+  ASSERT_NE(db.insert(Tuple("q", {Value::list({Value::real(-0.0)})})), nullptr);
+  EXPECT_TRUE(db.contains(Tuple("q", {Value::list({Value::real(0.0)})})));
+  EXPECT_EQ(db.lookup("p", 0, Value::real(-0.0)).size(), 1u);
 }
 
 TEST(Value, ConcurrentInternsAgree) {

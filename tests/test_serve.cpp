@@ -10,6 +10,8 @@
 //   - the concurrent cluster feed reaching the same snapshot
 //   - epoch reclamation: a held lease blocks reclamation, releasing admits it;
 //     a retract + reinstall keeps serving the same frozen table
+//   - publish latency: a bounded window for stats(), every publish counted
+//     in the serve/publish_us histogram
 //   - churn: reader threads never observe a torn snapshot (checksums match,
 //     epochs are monotone) while the writer retracts/installs and publishes
 #include <gtest/gtest.h>
@@ -409,6 +411,28 @@ TEST(ServeEpochs, CancelledFlipKeepsThePublishedTable) {
   EXPECT_EQ(moved->routes(), 2u);
   EXPECT_EQ(plane.query("n0", "n2"),
             "n2 epoch=3 rows=[nexthop=[n0,n2],cost=3]");
+}
+
+// The plane keeps a bounded window of publish latencies for stats() and
+// counts every publish in the serve/publish_us histogram.
+TEST(ServePlane, PublishLatencyWindowIsBoundedHistogramCountsAll) {
+  obs::Registry registry;
+  serve::ServePlane::Options options;
+  options.metrics = &registry;
+  serve::ServePlane plane(
+      serve::ServeSpec::parse("bestPath:dst,nexthop,cost",
+                              ndlog::Catalog::from_program(core::path_vector_program())),
+      options);
+  constexpr std::uint64_t kPublishes = 5000;  // more than the 4,096-entry ring
+  for (std::uint64_t i = 0; i < kPublishes; ++i) plane.publish(/*force=*/true);
+  const auto stats = plane.stats();
+  EXPECT_EQ(stats.epochs_published, kPublishes);
+  plane.flush_metrics();
+  const obs::Histogram* publish_us = registry.find_histogram("serve/publish_us");
+  ASSERT_NE(publish_us, nullptr);
+  EXPECT_EQ(publish_us->count(), kPublishes);
+  EXPECT_LE(stats.publish_p50_us, stats.publish_p99_us);
+  EXPECT_LE(stats.publish_p99_us, publish_us->max());
 }
 
 // ---------------------------------------------------------------------------

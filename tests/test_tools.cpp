@@ -705,6 +705,27 @@ TEST(CliExitCodes, MissingFactsFileIsUsageErrorExitsTwo) {
   }
 }
 
+TEST(CliExitCodes, LintAndAnalyzeRejectUnknownFlags) {
+  const auto prog = write_temp_program(
+      "ec_flags.ndlog",
+      "materialize(link, infinity, infinity, keys(1,2)).\n"
+      "materialize(reach, infinity, infinity, keys(1,2)).\n"
+      "t1 reach(@S,D) :- link(@S,D,_C).\n");
+  for (const std::string cmd : {"lint --bogus ", "analyze --bogus "}) {
+    const auto result = run_cli(cmd + prog);
+    EXPECT_EQ(result.exit_code, 2) << cmd << ": " << result.output;
+    EXPECT_NE(result.output.find("unknown flag --bogus"), std::string::npos)
+        << result.output;
+    // A usage error analyzes nothing: no per-file report, no summary line.
+    EXPECT_EQ(result.output.find("errors,"), std::string::npos) << result.output;
+  }
+  const auto result = run_cli("analyze --parallel " + prog);
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--parallel"), std::string::npos) << result.output;
+  EXPECT_NE(result.output.find("removed"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("errors,"), std::string::npos) << result.output;
+}
+
 TEST(CliExitCodes, SimulateRuntimeFailureExitsOne) {
   // Unstratifiable negation cycle: rejected by the simulator's static checks
   // at construction — a runtime failure (1), not a parse error (2).
