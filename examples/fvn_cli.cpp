@@ -960,8 +960,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Observability flags (run/eval and simulate/sim); everything else is
-  // positional: <prog.ndlog> [facts.txt] [goal|fact].
+  // Flags of the shared commands; everything else is positional:
+  // <prog.ndlog> [facts.txt] [goal|fact]. An unknown flag, or one the
+  // command would ignore, is a usage error.
+  const bool simulates = command == "simulate" || command == "sim";
+  const bool observes = simulates || command == "run" || command == "eval";
   bool want_metrics = false;
   std::string trace_path;
   std::string metrics_out;
@@ -969,44 +972,35 @@ int main(int argc, char** argv) {
   std::string monitor_path;
   bool cost_order = false;
   std::vector<std::string> args;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--metrics") {
-      want_metrics = true;
-    } else if (a == "--trace") {
-      if (i + 1 >= argc) return usage();
-      trace_path = argv[++i];
-    } else if (a.rfind("--trace=", 0) == 0) {
-      trace_path = a.substr(8);
-    } else if (a == "--metrics-out") {
-      if (i + 1 >= argc) return usage();
-      metrics_out = argv[++i];
-    } else if (a.rfind("--metrics-out=", 0) == 0) {
-      metrics_out = a.substr(14);
-    } else if (a == "--serve") {
-      if (i + 1 >= argc) return usage();
-      serve_spec_text = argv[++i];
-    } else if (a.rfind("--serve=", 0) == 0) {
-      serve_spec_text = a.substr(8);
-    } else if (a == "--monitor") {
-      if (i + 1 >= argc) return usage();
-      monitor_path = argv[++i];
-    } else if (a.rfind("--monitor=", 0) == 0) {
-      monitor_path = a.substr(10);
-    } else if (a == "--cost-order") {
-      cost_order = true;
-    } else {
-      args.push_back(a);
-    }
-  }
-  if (args.empty()) return usage();
-
   try {
+    for (int i = 2; i < argc; ++i) {
+      const std::string a = argv[i];
+      // True when `a` is `name` (with its value, "--name v" or "--name=v",
+      // stored in `*value` when the flag takes one); throws when the command
+      // would ignore it.
+      auto flag = [&](const std::string& name, bool applies, std::string* value = nullptr) {
+        if (a != name && (value == nullptr || a.rfind(name + "=", 0) != 0)) return false;
+        if (!applies) throw UsageError(name + " does not apply to " + command);
+        if (value == nullptr) return true;
+        if (a.size() == name.size() && i + 1 >= argc) throw UsageError(name + " needs a value");
+        *value = a.size() > name.size() ? a.substr(name.size() + 1) : argv[++i];
+        return true;
+      };
+      if (flag("--metrics", observes)) {
+        want_metrics = true;
+      } else if (flag("--cost-order", simulates)) {
+        cost_order = true;
+      } else if (!flag("--trace", observes, &trace_path) &&
+                 !flag("--metrics-out", observes, &metrics_out) &&
+                 !flag("--serve", simulates, &serve_spec_text) &&
+                 !flag("--monitor", simulates, &monitor_path)) {
+        if (a.rfind("--", 0) == 0) throw UsageError("unknown flag " + a);  // never a file
+        args.push_back(a);
+      }
+    }
+    if (args.empty()) return usage();
     require_writable(trace_path);
     require_writable(metrics_out);
-    if (!serve_spec_text.empty() && command != "simulate" && command != "sim") {
-      throw UsageError("--serve only applies to simulate/sim (and dist)");
-    }
     auto program = ndlog::parse_program(slurp(args[0]), "cli_program");
 
     if (command == "check") {

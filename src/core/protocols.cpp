@@ -75,8 +75,10 @@ std::string link_state_source() {
 std::string reachable_source() {
   return R"(
     materialize(link, infinity, infinity, keys(1,2)).
-    t1 reachable(@S,D) :- link(@S,D,C).
-    t2 reachable(@S,D) :- link(@S,Z,C), reachable(@Z,D).
+    materialize(reachable, infinity, infinity, keys(1,2)).
+
+    t1 reachable(@S,D) :- link(@S,D,_C).
+    t2 reachable(@S,D) :- link(@S,Z,_C), reachable(@Z,D).
   )";
 }
 
@@ -110,8 +112,9 @@ std::string policy_path_vector_source() {
 
 std::string spanning_tree_source() {
   // st1/st2 flood root candidates; st3 elects the minimum; st4/st5 compute
-  // hop distance to the elected root (bounded: costs are 1, bound 100);
-  // st6 selects the parent (a neighbor strictly closer to the root,
+  // hop distance to the elected root (bounded: costs are 1, bound 100) and
+  // st6 keeps the least; st7x ships each node's distance to its neighbors,
+  // and st7 selects the parent (a neighbor strictly closer to the root,
   // deterministically the smallest such neighbor via min<..>).
   return R"(
     materialize(node, infinity, infinity, keys(1)).
@@ -121,15 +124,16 @@ std::string spanning_tree_source() {
     materialize(distCand, infinity, infinity, keys(1,2)).
     materialize(dist, infinity, infinity, keys(1)).
     materialize(parent, infinity, infinity, keys(1)).
+    materialize(dist_sh_st7x, infinity, infinity, keys(1,2)).
 
     st1 rootCand(@N,R) :- node(@N), R=N.
-    st2 rootCand(@N,R) :- link(@N,M,C), rootCand(@M,R).
+    st2 rootCand(@N,R) :- link(@N,M,_C), rootCand(@M,R).
     st3 root(@N,min<R>) :- rootCand(@N,R).
     st4 distCand(@N,D) :- root(@N,R), N=R, D=0.
-    st5 distCand(@N,D) :- link(@N,M,C), distCand(@M,D2), D=D2+1, D<100.
+    st5 distCand(@N,D) :- link(@N,M,_C), distCand(@M,D2), D=D2+1, D<100.
     st6 dist(@N,min<D>) :- distCand(@N,D).
-    st7 parent(@N,min<M>) :- link(@N,M,C), dist(@N,D), dist_sh_st7x(@N,M,D2), D2<D.
-    st7x dist_sh_st7x(@M,N,D) :- link(@N,M,C), dist(@N,D).
+    st7 parent(@N,min<M>) :- link(@N,M,_C), dist(@N,D), dist_sh_st7x(@N,M,D2), D2<D.
+    st7x dist_sh_st7x(@M,N,D) :- link(@N,M,_C), dist(@N,D).
   )";
 }
 

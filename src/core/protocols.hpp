@@ -46,7 +46,8 @@ std::string policy_path_vector_source();
 /// parent a neighbor whose distance-to-root is smaller than its own.
 std::string spanning_tree_source();
 
-/// Parsed variants (cached parse of the sources above).
+/// The sources above, parsed (anew on every call). Each equals the shipped
+/// examples/ndlog/<name>.ndlog (`CoreSources.MatchShippedExamples`).
 ndlog::Program path_vector_program();
 ndlog::Program distance_vector_program();
 ndlog::Program link_state_program();

@@ -6,24 +6,11 @@
 
 namespace fvn::dataflow {
 
-using ndlog::CmpOp;
 using ndlog::Database;
 using ndlog::Tuple;
 using ndlog::Value;
 
 namespace {
-
-bool compare(CmpOp op, const Value& lhs, const Value& rhs) {
-  switch (op) {
-    case CmpOp::Eq: return lhs == rhs;
-    case CmpOp::Ne: return !(lhs == rhs);
-    case CmpOp::Lt: return lhs < rhs;
-    case CmpOp::Le: return lhs < rhs || lhs == rhs;
-    case CmpOp::Gt: return rhs < lhs;
-    case CmpOp::Ge: return rhs < lhs || rhs == lhs;
-  }
-  return false;
-}
 
 void bump(obs::Counter* c) {
   if (c != nullptr) c->add(1);
@@ -118,7 +105,8 @@ void Engine::exec(RunCtx& ctx, std::size_t ei) {
       return;
     }
     case Element::Kind::Select: {
-      if (!compare(e.cmp, e.lhs.eval(regs_, *builtins_), e.rhs.eval(regs_, *builtins_))) {
+      if (!ndlog::compare(e.cmp, e.lhs.eval(regs_, *builtins_),
+                          e.rhs.eval(regs_, *builtins_))) {
         return;
       }
       bump(obs.out);

@@ -18,18 +18,6 @@ Sort sort_of_value(const Value& v) {
   }
 }
 
-bool compare(ndlog::CmpOp op, const Value& lhs, const Value& rhs) {
-  switch (op) {
-    case ndlog::CmpOp::Eq: return lhs == rhs;
-    case ndlog::CmpOp::Ne: return !(lhs == rhs);
-    case ndlog::CmpOp::Lt: return lhs < rhs;
-    case ndlog::CmpOp::Le: return lhs < rhs || lhs == rhs;
-    case ndlog::CmpOp::Gt: return rhs < lhs;
-    case ndlog::CmpOp::Ge: return rhs < lhs || rhs == lhs;
-  }
-  return false;
-}
-
 }  // namespace
 
 void FiniteModel::note_domain(const Value& v) {
@@ -133,7 +121,7 @@ bool FiniteModel::eval_inner(const Formula& f, std::map<std::string, Value>& env
     case Formula::Kind::Cmp: {
       const Value lhs = eval_term(*f.terms[0], env);
       const Value rhs = eval_term(*f.terms[1], env);
-      return compare(f.cmp_op, lhs, rhs);
+      return ndlog::compare(f.cmp_op, lhs, rhs);
     }
     case Formula::Kind::Not:
       return !eval_inner(*f.subs[0], env);

@@ -34,6 +34,20 @@ std::string_view to_string(AggKind kind) noexcept;
 /// Negation of a comparison (used by the logic translator).
 CmpOp negate(CmpOp op) noexcept;
 
+/// `lhs op rhs` under Value's order. Inline: dataflow::Engine's Select
+/// elements call it on every candidate tuple.
+inline bool compare(CmpOp op, const Value& lhs, const Value& rhs) {
+  switch (op) {
+    case CmpOp::Eq: return lhs == rhs;
+    case CmpOp::Ne: return !(lhs == rhs);
+    case CmpOp::Lt: return lhs < rhs;
+    case CmpOp::Le: return lhs < rhs || lhs == rhs;
+    case CmpOp::Gt: return rhs < lhs;
+    case CmpOp::Ge: return rhs < lhs || rhs == lhs;
+  }
+  return false;
+}
+
 struct Term;
 using TermPtr = std::shared_ptr<const Term>;
 

@@ -29,15 +29,15 @@ Diagnostic& DiagnosticSink::report(Diagnostic d) {
 }
 
 Diagnostic& DiagnosticSink::error(std::string code, std::string message, SourceSpan span) {
-  return report(Diagnostic{Severity::Error, std::move(code), std::move(message), span, {}});
+  return report({Severity::Error, std::move(code), std::move(message), span, {}, -1, {}});
 }
 
 Diagnostic& DiagnosticSink::warning(std::string code, std::string message, SourceSpan span) {
-  return report(Diagnostic{Severity::Warning, std::move(code), std::move(message), span, {}});
+  return report({Severity::Warning, std::move(code), std::move(message), span, {}, -1, {}});
 }
 
 Diagnostic& DiagnosticSink::note(std::string code, std::string message, SourceSpan span) {
-  return report(Diagnostic{Severity::Note, std::move(code), std::move(message), span, {}});
+  return report({Severity::Note, std::move(code), std::move(message), span, {}, -1, {}});
 }
 
 std::size_t DiagnosticSink::count(Severity severity) const noexcept {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
 
 namespace fvn::ndlog {
 
@@ -90,22 +91,6 @@ bool match_atom(const Atom& atom, const Tuple& tuple, Bindings& bindings,
   }
   return true;
 }
-
-namespace {
-
-bool compare(CmpOp op, const Value& lhs, const Value& rhs) {
-  switch (op) {
-    case CmpOp::Eq: return lhs == rhs;
-    case CmpOp::Ne: return !(lhs == rhs);
-    case CmpOp::Lt: return lhs < rhs;
-    case CmpOp::Le: return lhs < rhs || lhs == rhs;
-    case CmpOp::Gt: return rhs < lhs;
-    case CmpOp::Ge: return rhs < lhs || rhs == lhs;
-  }
-  return false;
-}
-
-}  // namespace
 
 std::vector<const BodyAtom*> RuleEngine::positive_atoms(const Rule& rule) {
   std::vector<const BodyAtom*> out;
@@ -279,27 +264,11 @@ Tuple instantiate_head_atom(const HeadAtom& head, const Bindings& bindings,
   return Tuple(head.predicate, std::move(values));
 }
 
-namespace {
-
-Tuple instantiate_head(const HeadAtom& head, const Bindings& bindings,
-                       const BuiltinRegistry& builtins) {
-  return instantiate_head_atom(head, bindings, builtins);
-}
-
-}  // namespace
-
-void RuleEngine::eval_rule(const Rule& rule, const Database& db, const Sink& sink,
-                           EvalStats* stats) const {
-  join(rule, db, std::nullopt,
-       [&](const Bindings& env) { sink(instantiate_head(rule.head, env, *builtins_)); },
-       stats);
-}
-
 void RuleEngine::eval_rule_delta(const Rule& rule, const Database& db,
                                  std::size_t delta_index, const TupleSet& delta,
                                  const Sink& sink, EvalStats* stats) const {
   join(rule, db, std::make_pair(delta_index, &delta),
-       [&](const Bindings& env) { sink(instantiate_head(rule.head, env, *builtins_)); },
+       [&](const Bindings& env) { sink(instantiate_head_atom(rule.head, env, *builtins_)); },
        stats);
 }
 
@@ -317,6 +286,12 @@ void RuleEngine::eval_rule_delta_solutions(const Rule& rule, const Database& db,
 
 void RuleEngine::eval_agg_rule(const Rule& rule, const Database& db, const Sink& sink,
                                EvalStats* stats) const {
+  eval_agg_rule_solutions(
+      rule, db, [&](Tuple t, const Bindings& /*witness*/) { sink(std::move(t)); }, stats);
+}
+
+void RuleEngine::eval_agg_rule_solutions(const Rule& rule, const Database& db,
+                                         const AggSink& sink, EvalStats* stats) const {
   // Locate the aggregate argument (exactly one is supported, as in P2).
   std::size_t agg_pos = rule.head.args.size();
   for (std::size_t i = 0; i < rule.head.args.size(); ++i) {
@@ -330,11 +305,12 @@ void RuleEngine::eval_agg_rule(const Rule& rule, const Database& db, const Sink&
   const HeadArg& agg = rule.head.args[agg_pos];
   const AggKind kind = *agg.agg;
 
+  // Keyed by the full head args with nil at the aggregate position.
   struct Group {
-    std::vector<Value> key;   // full head args with nil at agg position
     Value best;               // min/max accumulator
     std::set<Value> distinct; // count/sum over distinct agg_var bindings
-    bool has_best = false;
+    Bindings witness;         // min/max: first solution at `best`; else the first
+    bool seen = false;
   };
   std::map<std::vector<Value>, Group> groups;
 
@@ -355,24 +331,20 @@ void RuleEngine::eval_agg_rule(const Rule& rule, const Database& db, const Sink&
          if (it == env.end()) {
            throw AnalysisError("aggregate variable '" + agg.agg_var + "' unbound");
          }
-         Group& g = groups[key];
-         g.key = key;
+         Group& g = groups[std::move(key)];
+         const bool first = !std::exchange(g.seen, true);
          const Value& v = it->second;
          switch (kind) {
            case AggKind::Min:
-             if (!g.has_best || v < g.best) {
-               g.best = v;
-               g.has_best = true;
-             }
-             break;
            case AggKind::Max:
-             if (!g.has_best || g.best < v) {
+             if (first || (kind == AggKind::Min ? v < g.best : g.best < v)) {
                g.best = v;
-               g.has_best = true;
+               g.witness = env;
              }
              break;
            case AggKind::Count:
            case AggKind::Sum:
+             if (first) g.witness = env;
              g.distinct.insert(v);
              break;
          }
@@ -380,7 +352,7 @@ void RuleEngine::eval_agg_rule(const Rule& rule, const Database& db, const Sink&
        stats);
 
   for (auto& [key, g] : groups) {
-    std::vector<Value> values = g.key;
+    std::vector<Value> values = key;
     switch (kind) {
       case AggKind::Min:
       case AggKind::Max:
@@ -396,7 +368,7 @@ void RuleEngine::eval_agg_rule(const Rule& rule, const Database& db, const Sink&
         break;
       }
     }
-    sink(Tuple(rule.head.predicate, std::move(values)));
+    sink(Tuple(rule.head.predicate, std::move(values)), g.witness);
   }
 }
 
@@ -406,24 +378,33 @@ void RuleEngine::eval_agg_rule(const Rule& rule, const Database& db, const Sink&
 
 EvalResult Evaluator::run(const Program& program, const std::vector<Tuple>& base_facts,
                           const EvalOptions& options) const {
+  return run(program, base_facts, options, nullptr);
+}
+
+EvalResult Evaluator::run(const Program& program, const std::vector<Tuple>& base_facts,
+                          const EvalOptions& options, const InsertObserver& observe) const {
   const Stratification strat = analyze(program, *builtins_);
   EvalResult result;
   Database& db = result.database;
+  auto add_fact = [&](const Tuple& fact) {
+    if (db.insert(fact) && observe) observe(fact, nullptr, nullptr);
+  };
 
-  for (const auto& fact : base_facts) db.insert(fact);
+  for (const auto& fact : base_facts) add_fact(fact);
   // Ground facts embedded in the program.
   for (const auto& rule : program.rules) {
     if (!rule.is_fact()) continue;
-    Bindings empty;
-    db.insert(instantiate_head(rule.head, empty, *builtins_));
+    add_fact(instantiate_head_atom(rule.head, Bindings{}, *builtins_));
   }
-  fixpoint(program, strat, db, options, result.stats);
+  fixpoint(program, strat, db, options, result.stats, observe);
   return result;
 }
 
 namespace {
 
-std::size_t delta_total(const std::map<std::string, TupleSet>& delta) {
+using Delta = std::map<std::string, TupleSet>;
+
+std::size_t delta_total(const Delta& delta) {
   std::size_t total = 0;
   for (const auto& [pred, tuples] : delta) total += tuples.size();
   return total;
@@ -436,8 +417,8 @@ std::string rule_label(const Rule& rule) {
 }  // namespace
 
 void Evaluator::fixpoint(const Program& program, const Stratification& strat,
-                         Database& db, const EvalOptions& options,
-                         EvalStats& stats) const {
+                         Database& db, const EvalOptions& options, EvalStats& stats,
+                         const InsertObserver& observe) const {
   RuleEngine engine(*builtins_, options.use_index);
   obs::Registry* metrics = options.metrics;
   obs::Trace* trace = options.trace;
@@ -477,6 +458,23 @@ void Evaluator::fixpoint(const Program& program, const Stratification& strat,
       trace->counter("eval/round_delta", "eval", static_cast<double>(round_delta));
     }
   };
+  // The one place the fixpoint adds a derived tuple: count it, tell the
+  // observer with the solution that derived it (an aggregate row's group
+  // witness), and log it in the round's delta. Aggregate rows run once per
+  // stratum and pass no round.
+  auto insert = [&](Tuple t, const Rule& rule, const Bindings& env, Delta* round) {
+    if (!db.insert(t)) return;
+    ++stats.tuples_derived;
+    if (observe) observe(t, &rule, &env);
+    if (round != nullptr) (*round)[t.predicate()].insert(std::move(t));
+  };
+  // Sink for `rule`'s body solutions: instantiate the head and insert it.
+  auto heads = [&](const Rule& rule, Delta& round) {
+    return [&, rule_ptr = &rule, round_ptr = &round](const Bindings& env) {
+      insert(instantiate_head_atom(rule_ptr->head, env, *builtins_), *rule_ptr, env,
+             round_ptr);
+    };
+  };
 
   for (int s = 0; s < strat.stratum_count; ++s) {
     std::vector<const Rule*> normal_rules;
@@ -494,10 +492,12 @@ void Evaluator::fixpoint(const Program& program, const Stratification& strat,
     // outputs may feed the stratum's recursive rules.
     for (const Rule* rule : agg_rules) {
       observe_rule(*rule, s, [&] {
-        engine.eval_agg_rule(*rule, db, [&](Tuple t) {
-          if (db.insert(std::move(t))) ++stats.tuples_derived;
-        },
-        &stats);
+        engine.eval_agg_rule_solutions(
+            *rule, db,
+            [&](Tuple t, const Bindings& witness) {
+              insert(std::move(t), *rule, witness, nullptr);
+            },
+            &stats);
       });
     }
 
@@ -506,33 +506,24 @@ void Evaluator::fixpoint(const Program& program, const Stratification& strat,
     if (!options.semi_naive) {
       // Naive mode: repeat full evaluation of every rule until no change.
       std::size_t last_round_new = 0;
-      bool changed = true;
-      while (changed) {
+      for (;;) {
         if (++stats.iterations > options.max_iterations) {
           throw DivergenceError("naive evaluation exceeded iteration budget in stratum " +
                                     std::to_string(s),
                                 options.max_iterations, last_round_new, stats);
         }
-        changed = false;
-        std::size_t round_new = 0;
+        Delta round;
         obs::Span round_span(trace, "round", "eval/round");
         for (const Rule* rule : normal_rules) {
-          observe_rule(*rule, s, [&] {
-            engine.eval_rule(*rule, db, [&](Tuple t) {
-              if (db.insert(std::move(t))) {
-                ++stats.tuples_derived;
-                ++round_new;
-                changed = true;
-              }
-            },
-            &stats);
-          });
+          observe_rule(*rule, s,
+                       [&] { engine.eval_rule_solutions(*rule, db, heads(*rule, round), &stats); });
         }
+        last_round_new = delta_total(round);
         if (observed) {
-          round_span.end("{\"delta\":" + std::to_string(round_new) + "}");
-          note_round(round_new);
+          round_span.end("{\"delta\":" + std::to_string(last_round_new) + "}");
+          note_round(last_round_new);
         }
-        last_round_new = round_new;
+        if (last_round_new == 0) break;
       }
       continue;
     }
@@ -540,20 +531,13 @@ void Evaluator::fixpoint(const Program& program, const Stratification& strat,
     // Semi-naive: round 0 evaluates every rule in full; subsequent rounds
     // join each rule with the previous round's delta at every positive-atom
     // position.
-    std::map<std::string, TupleSet> delta;
+    Delta delta;
     ++stats.iterations;
     {
       obs::Span round_span(trace, "round 0", "eval/round");
       for (const Rule* rule : normal_rules) {
-        observe_rule(*rule, s, [&] {
-          engine.eval_rule(*rule, db, [&](Tuple t) {
-            if (db.insert(t)) {
-              ++stats.tuples_derived;
-              delta[t.predicate()].insert(std::move(t));
-            }
-          },
-          &stats);
-        });
+        observe_rule(*rule, s,
+                     [&] { engine.eval_rule_solutions(*rule, db, heads(*rule, delta), &stats); });
       }
       if (observed) {
         round_span.end("{\"delta\":" + std::to_string(delta_total(delta)) + "}");
@@ -566,7 +550,7 @@ void Evaluator::fixpoint(const Program& program, const Stratification& strat,
                                   std::to_string(s),
                               options.max_iterations, delta_total(delta), stats);
       }
-      std::map<std::string, TupleSet> next_delta;
+      Delta next_delta;
       obs::Span round_span(trace, "round", "eval/round");
       for (const Rule* rule : normal_rules) {
         const auto atoms = RuleEngine::positive_atoms(*rule);
@@ -574,13 +558,8 @@ void Evaluator::fixpoint(const Program& program, const Stratification& strat,
           auto it = delta.find(atoms[i]->atom.predicate);
           if (it == delta.end() || it->second.empty()) continue;
           observe_rule(*rule, s, [&] {
-            engine.eval_rule_delta(*rule, db, i, it->second, [&](Tuple t) {
-              if (db.insert(t)) {
-                ++stats.tuples_derived;
-                next_delta[t.predicate()].insert(std::move(t));
-              }
-            },
-            &stats);
+            engine.eval_rule_delta_solutions(*rule, db, i, it->second,
+                                             heads(*rule, next_delta), &stats);
           });
         }
       }
@@ -658,7 +637,7 @@ Evaluator::RetractStats Evaluator::retract(const Program& program, Database& db,
 
   // Phase 2 — re-derive from the survivors.
   const std::size_t before = db.total_size();
-  fixpoint(program, strat, db, options, stats.eval);
+  fixpoint(program, strat, db, options, stats.eval, nullptr);
   stats.rederived = db.total_size() - before;
   return stats;
 }

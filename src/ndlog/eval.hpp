@@ -4,12 +4,14 @@
 //   built-in registry, and atom unification.
 // * RuleEngine — evaluates a single rule against a Database: full join,
 //   semi-naive delta join (one body atom restricted to a delta set), and
-//   aggregate rules (group-by + min/max/count/sum). Reused verbatim by the
-//   distributed runtime's per-node engines.
+//   aggregate rules (group-by + min/max/count/sum). It serves the Evaluator,
+//   dataflow::Engine's recompute fallback and the tests.
 // * Evaluator — the centralized reference evaluator: stratified, semi-naive
 //   (or naive, for the E8 ablation) bottom-up fixpoint. This realizes the
 //   declarative (proof-theoretic) semantics the paper's verification story
 //   relies on (§3.1 footnote 1: proof-theoretic ≡ operational semantics).
+//   run, query, DRed retract and provenance (eval_with_provenance) all run
+//   its one fixpoint.
 #pragma once
 
 #include <functional>
@@ -86,13 +88,10 @@ class RuleEngine {
 
   using Sink = std::function<void(Tuple)>;
 
-  /// Full evaluation of a non-aggregate rule: emit every head instantiation.
-  void eval_rule(const Rule& rule, const Database& db, const Sink& sink,
-                 EvalStats* stats = nullptr) const;
-
-  /// Semi-naive step: like eval_rule but body atom `delta_index` (an index
-  /// into the rule's *positive relational atoms*, in body order) ranges over
-  /// `delta` instead of the full relation.
+  /// Semi-naive step: emit the head instantiation of every body solution in
+  /// which body atom `delta_index` (an index into the rule's *positive
+  /// relational atoms*, in body order) ranges over `delta` instead of the
+  /// full relation.
   void eval_rule_delta(const Rule& rule, const Database& db, std::size_t delta_index,
                        const TupleSet& delta, const Sink& sink,
                        EvalStats* stats = nullptr) const;
@@ -102,12 +101,20 @@ class RuleEngine {
   void eval_agg_rule(const Rule& rule, const Database& db, const Sink& sink,
                      EvalStats* stats = nullptr) const;
 
+  /// eval_agg_rule, handing each group's row over with its witness: for
+  /// min/max the first body solution that reached the winning value, for
+  /// count/sum the group's first solution.
+  using AggSink = std::function<void(Tuple, const Bindings& witness)>;
+  void eval_agg_rule_solutions(const Rule& rule, const Database& db, const AggSink& sink,
+                               EvalStats* stats = nullptr) const;
+
   /// Positive relational atoms of a rule body, in order.
   static std::vector<const BodyAtom*> positive_atoms(const Rule& rule);
 
   using SolutionSink = std::function<void(const Bindings&)>;
-  /// Enumerate body solutions (binding environments) instead of head tuples
-  /// — used by the provenance evaluator to reconstruct premises.
+  /// Enumerate body solutions (binding environments) instead of head tuples:
+  /// the Evaluator instantiates heads itself, so it can hand each one to its
+  /// observer with the solution that derived it.
   void eval_rule_solutions(const Rule& rule, const Database& db,
                            const SolutionSink& sink, EvalStats* stats = nullptr) const;
   void eval_rule_delta_solutions(const Rule& rule, const Database& db,
@@ -147,6 +154,8 @@ struct EvalResult {
   EvalStats stats;
 };
 
+struct ProvenanceResult;
+
 /// Centralized stratified bottom-up evaluator (reference semantics).
 class Evaluator {
  public:
@@ -173,9 +182,24 @@ class Evaluator {
                        const EvalOptions& options = {}) const;
 
  private:
+  /// Told of every tuple a run adds to the database: a base or embedded fact
+  /// (rule and bindings null), a rule head with the body solution that
+  /// derived it, or an aggregate row with its group's witness solution.
+  using InsertObserver =
+      std::function<void(const Tuple&, const Rule* rule, const Bindings* bindings)>;
+
+  /// run(), telling `observe` (may be empty) of every tuple it adds.
+  EvalResult run(const Program& program, const std::vector<Tuple>& base_facts,
+                 const EvalOptions& options, const InsertObserver& observe) const;
+
   /// Stratified (semi-)naive fixpoint over whatever `db` already contains.
   void fixpoint(const Program& program, const Stratification& strat, Database& db,
-                const EvalOptions& options, EvalStats& stats) const;
+                const EvalOptions& options, EvalStats& stats,
+                const InsertObserver& observe) const;
+
+  // Records derivations by observing run(); see ndlog/provenance.hpp.
+  friend ProvenanceResult eval_with_provenance(const Program&, const std::vector<Tuple>&,
+                                               const BuiltinRegistry&, const EvalOptions&);
 
   const BuiltinRegistry* builtins_;
 };

@@ -37,6 +37,12 @@ DerivationPtr ProvenanceResult::derivation_of(const Tuple& tuple) const {
 
 namespace {
 
+DerivationPtr leaf(const Tuple& tuple) {
+  auto node = std::make_shared<Derivation>();
+  node->tuple = tuple;
+  return node;
+}
+
 /// Build the derivation node for one rule firing.
 DerivationPtr make_derivation(const Rule& rule, const Bindings& bindings,
                               const Tuple& head,
@@ -65,15 +71,9 @@ DerivationPtr make_derivation(const Rule& rule, const Bindings& bindings,
         continue;
       }
       auto it = known.find(premise);
-      if (it != known.end()) {
-        node->premises.push_back(it->second);
-      } else {
-        // Premise without recorded derivation (shouldn't happen in stratified
-        // evaluation); record as an opaque leaf to stay total.
-        auto leaf = std::make_shared<Derivation>();
-        leaf->tuple = premise;
-        node->premises.push_back(std::move(leaf));
-      }
+      // A premise was added before the head it derives, so it is known; an
+      // opaque leaf keeps the tree total should that ever fail.
+      node->premises.push_back(it != known.end() ? it->second : leaf(premise));
     } else {
       node->side_conditions.push_back(ndlog::to_string(elem));
     }
@@ -87,133 +87,17 @@ ProvenanceResult eval_with_provenance(const Program& program,
                                       const std::vector<Tuple>& base_facts,
                                       const BuiltinRegistry& builtins,
                                       const EvalOptions& options) {
-  const Stratification strat = analyze(program, builtins);
-  RuleEngine engine(builtins);
   ProvenanceResult result;
-  Database& db = result.database;
   auto& known = result.derivations;
-
-  auto record_base = [&](const Tuple& t) {
-    if (!db.insert(t)) return;
-    auto leaf = std::make_shared<Derivation>();
-    leaf->tuple = t;
-    known.emplace(t, std::move(leaf));
-  };
-  for (const auto& fact : base_facts) record_base(fact);
-  for (const auto& rule : program.rules) {
-    if (!rule.is_fact()) continue;
-    Bindings empty;
-    record_base(instantiate_head_atom(rule.head, empty, builtins));
-  }
-
-  for (int s = 0; s < strat.stratum_count; ++s) {
-    std::vector<const Rule*> normal_rules;
-    std::vector<const Rule*> agg_rules;
-    for (std::size_t r : strat.rules_by_stratum[static_cast<std::size_t>(s)]) {
-      const Rule& rule = program.rules[r];
-      if (rule.is_fact()) continue;
-      (rule.head.has_aggregate() ? agg_rules : normal_rules).push_back(&rule);
-    }
-
-    // Aggregate rules: group solutions, keep the winning solution's premises.
-    for (const Rule* rule : agg_rules) {
-      std::size_t agg_pos = rule->head.args.size();
-      for (std::size_t i = 0; i < rule->head.args.size(); ++i) {
-        if (rule->head.args[i].is_agg()) agg_pos = i;
-      }
-      const auto& agg = rule->head.args[agg_pos];
-      struct Group {
-        Value best;
-        Bindings winner;
-        bool has = false;
-        std::size_t count = 0;
-        Value sum = Value::integer(0);
-      };
-      std::map<std::vector<Value>, Group> groups;
-      engine.eval_rule_solutions(*rule, db, [&](const Bindings& env) {
-        std::vector<Value> key;
-        for (std::size_t i = 0; i < rule->head.args.size(); ++i) {
-          if (i == agg_pos) {
-            key.push_back(Value::nil());
-            continue;
-          }
-          key.push_back(*eval_term(*rule->head.args[i].term, env, builtins));
-        }
-        const Value v = env.at(agg.agg_var);
-        Group& g = groups[key];
-        ++g.count;
-        g.sum = g.sum.add(v.is_numeric() ? v : Value::integer(0));
-        const bool better = !g.has || (*agg.agg == AggKind::Min ? v < g.best : g.best < v);
-        if ((*agg.agg == AggKind::Min || *agg.agg == AggKind::Max) && better) {
-          g.best = v;
-          g.winner = env;
-          g.has = true;
-        } else if (!g.has) {
-          g.winner = env;
-          g.has = true;
-        }
-      },
-      &result.stats);
-      for (auto& [key, g] : groups) {
-        std::vector<Value> values = key;
-        switch (*agg.agg) {
-          case AggKind::Min:
-          case AggKind::Max:
-            values[agg_pos] = g.best;
-            break;
-          case AggKind::Count:
-            values[agg_pos] = Value::integer(static_cast<std::int64_t>(g.count));
-            break;
-          case AggKind::Sum:
-            values[agg_pos] = g.sum;
-            break;
-        }
-        Tuple head(rule->head.predicate, std::move(values));
-        if (db.insert(head)) {
-          ++result.stats.tuples_derived;
-          known.emplace(head, make_derivation(*rule, g.winner, head, known, builtins));
-        }
-      }
-    }
-
-    if (normal_rules.empty()) continue;
-
-    // Semi-naive fixpoint recording derivations.
-    std::map<std::string, TupleSet> delta;
-    auto fire = [&](const Rule& rule, const Bindings& env,
-                    std::map<std::string, TupleSet>& next_delta) {
-      Tuple head = instantiate_head_atom(rule.head, env, builtins);
-      if (db.insert(head)) {
-        ++result.stats.tuples_derived;
-        known.emplace(head, make_derivation(rule, env, head, known, builtins));
-        next_delta[head.predicate()].insert(std::move(head));
-      }
-    };
-    ++result.stats.iterations;
-    for (const Rule* rule : normal_rules) {
-      engine.eval_rule_solutions(
-          *rule, db, [&](const Bindings& env) { fire(*rule, env, delta); },
-          &result.stats);
-    }
-    while (!delta.empty()) {
-      if (++result.stats.iterations > options.max_iterations) {
-        throw DivergenceError("provenance evaluation exceeded iteration budget");
-      }
-      std::map<std::string, TupleSet> next_delta;
-      for (const Rule* rule : normal_rules) {
-        const auto atoms = RuleEngine::positive_atoms(*rule);
-        for (std::size_t i = 0; i < atoms.size(); ++i) {
-          auto it = delta.find(atoms[i]->atom.predicate);
-          if (it == delta.end() || it->second.empty()) continue;
-          engine.eval_rule_delta_solutions(
-              *rule, db, i, it->second,
-              [&](const Bindings& env) { fire(*rule, env, next_delta); },
-              &result.stats);
-        }
-      }
-      delta = std::move(next_delta);
-    }
-  }
+  EvalResult run = Evaluator(builtins).run(
+      program, base_facts, options,
+      [&](const Tuple& tuple, const Rule* rule, const Bindings* bindings) {
+        known.emplace(tuple, rule == nullptr
+                                 ? leaf(tuple)
+                                 : make_derivation(*rule, *bindings, tuple, known, builtins));
+      });
+  result.database = std::move(run.database);
+  result.stats = run.stats;
   return result;
 }
 

@@ -46,9 +46,12 @@ struct ProvenanceResult {
   DerivationPtr derivation_of(const Tuple& tuple) const;
 };
 
-/// Evaluate with provenance recording. Semantics identical to
-/// Evaluator::run (stratified semi-naive); aggregate-rule outputs record the
-/// contributing solution for the winning value as their premise set.
+/// Evaluator::run with provenance recording: the evaluator tells this
+/// function of every tuple it adds, with the body solution that derived it,
+/// so database, stats and options mean what they mean for run(). An
+/// aggregate row cites its group's witness as its premises: for min/max the
+/// first solution that reached the winning value, for count/sum the group's
+/// first solution.
 ProvenanceResult eval_with_provenance(
     const Program& program, const std::vector<Tuple>& base_facts,
     const BuiltinRegistry& builtins = BuiltinRegistry::standard(),

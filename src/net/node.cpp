@@ -256,8 +256,7 @@ bool Node::sweep() {
   retransmit_due();
   std::string bytes;
   std::uint64_t drained = 0;
-  while (rx_cursor_ != nullptr ? transport_->recv(rx_cursor_, bytes)
-                               : transport_->recv(name_, bytes)) {
+  while (transport_->recv(rx_cursor_, bytes)) {
     ++drained;
     handle_frame(bytes);
     activity_.fetch_add(1, std::memory_order_acq_rel);
@@ -277,6 +276,7 @@ bool Node::sweep() {
 void Node::run(const std::atomic<bool>& stop) {
   try {
     rx_cursor_ = transport_->rx_cursor(name_);
+    if (rx_cursor_ == nullptr) throw TransportError("no mailbox for " + name_);
     for (const auto& fact : seeds_) {
       core_.deliver(fact, kCoreClock);
       activity_.fetch_add(1, std::memory_order_acq_rel);

@@ -227,8 +227,7 @@ class Node {
   std::size_t outbuf_dirty_ = 0;
   std::priority_queue<Due, std::vector<Due>, std::greater<Due>> due_heap_;
 
-  /// Transport mailbox cursor for name_, cached at run() start so the sweep
-  /// loop's mailbox polls skip the name lookup. Null = use the name path.
+  /// Transport mailbox cursor for name_, looked up once at run() start.
   void* rx_cursor_ = nullptr;
 
   std::chrono::steady_clock::time_point epoch_;

@@ -189,13 +189,6 @@ void Transport::pump(const std::string& from) {
   }
 }
 
-bool Transport::recv(const std::string& node, std::string& frame) {
-  if (!poll(node, frame)) return false;
-  frames_delivered_.fetch_add(1, std::memory_order_relaxed);
-  bytes_delivered_.fetch_add(frame.size(), std::memory_order_relaxed);
-  return true;
-}
-
 bool Transport::recv(void* cursor, std::string& frame) {
   if (!poll_cursor(cursor, frame)) return false;
   frames_delivered_.fetch_add(1, std::memory_order_relaxed);
@@ -297,15 +290,6 @@ void InProcTransport::transmit(const std::string& from, const std::string& to,
   ch->push(std::move(frame));
 }
 
-bool InProcTransport::poll(const std::string& node, std::string& frame) {
-  auto it = inbound_.find(node);
-  if (it == inbound_.end()) return false;
-  for (Channel* ch : it->second) {
-    if (ch->pop(frame)) return true;
-  }
-  return false;
-}
-
 void* InProcTransport::rx_cursor(const std::string& node) {
   // No lock: the maps are immutable once node threads run, and map node
   // storage keeps the vector's address stable.
@@ -394,21 +378,6 @@ void UdpTransport::transmit(const std::string& from, const std::string& to,
                  reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
 }
 
-bool UdpTransport::poll(const std::string& node, std::string& frame) {
-  int fd = -1;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = sockets_.find(node);
-    if (it == sockets_.end()) return false;
-    fd = it->second.fd;
-  }
-  char buf[65536];
-  const ssize_t n = ::recvfrom(fd, buf, sizeof(buf), 0, nullptr, nullptr);
-  if (n < 0) return false;  // EWOULDBLOCK or transient error: nothing to read
-  frame.assign(buf, static_cast<std::size_t>(n));
-  return true;
-}
-
 void* UdpTransport::rx_cursor(const std::string& node) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = sockets_.find(node);
@@ -419,7 +388,7 @@ bool UdpTransport::poll_cursor(void* cursor, std::string& frame) {
   const Socket* sock = static_cast<Socket*>(cursor);
   char buf[65536];
   const ssize_t n = ::recvfrom(sock->fd, buf, sizeof(buf), 0, nullptr, nullptr);
-  if (n < 0) return false;
+  if (n < 0) return false;  // EWOULDBLOCK or transient error: nothing to read
   frame.assign(buf, static_cast<std::size_t>(n));
   return true;
 }

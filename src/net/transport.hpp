@@ -104,19 +104,15 @@ class Transport {
   /// elapsed. Node loops call this once per iteration.
   void pump(const std::string& from);
 
-  /// Pop the next frame for `node`; false when the mailbox is empty.
-  bool recv(const std::string& node, std::string& frame);
-
   /// Opaque handle to `node`'s mailbox, valid once add_node registration is
   /// complete (the name maps are frozen then) and for the transport's
-  /// lifetime. recv(cursor, ...) skips the per-call name lookup — the node
-  /// event loop polls its mailbox every sweep, so that lookup is pure idle
-  /// tax. Null when the implementation offers no fast path; the name-based
-  /// recv() always works.
-  virtual void* rx_cursor(const std::string& node) { (void)node; return nullptr; }
+  /// lifetime; null for an unregistered node. A receiver looks its mailbox
+  /// up once: the node event loop polls it every sweep, so a per-call name
+  /// lookup would be pure idle tax.
+  virtual void* rx_cursor(const std::string& node) = 0;
 
-  /// Cursor fast path of recv(); `cursor` must come from this transport's
-  /// rx_cursor() and be non-null.
+  /// Pop the next frame from the mailbox `cursor` (non-null, from this
+  /// transport's rx_cursor()); false when the mailbox is empty.
   bool recv(void* cursor, std::string& frame);
 
   /// Doorbell protocol — lets an idle node *block* instead of spin-polling,
@@ -161,15 +157,8 @@ class Transport {
   /// mailbox / socket. Always called from `from`'s thread (send or pump).
   virtual void transmit(const std::string& from, const std::string& to,
                         std::string frame) = 0;
-  /// Pop from the implementation mailbox for `node`.
-  virtual bool poll(const std::string& node, std::string& frame) = 0;
-  /// Cursor counterpart of poll(); only reachable when rx_cursor() returned
-  /// non-null, so the default (for transports without a fast path) is never.
-  virtual bool poll_cursor(void* cursor, std::string& frame) {
-    (void)cursor;
-    (void)frame;
-    return false;
-  }
+  /// Pop from the implementation mailbox behind an rx_cursor() handle.
+  virtual bool poll_cursor(void* cursor, std::string& frame) = 0;
   /// Implementation part of quiet() (mailboxes / socket buffers empty).
   virtual bool impl_quiet() = 0;
 
@@ -230,7 +219,6 @@ class InProcTransport final : public Transport {
  protected:
   void transmit(const std::string& from, const std::string& to,
                 std::string frame) override;
-  bool poll(const std::string& node, std::string& frame) override;
   bool poll_cursor(void* cursor, std::string& frame) override;
   bool impl_quiet() override;
 
@@ -278,7 +266,6 @@ class UdpTransport final : public Transport {
  protected:
   void transmit(const std::string& from, const std::string& to,
                 std::string frame) override;
-  bool poll(const std::string& node, std::string& frame) override;
   bool poll_cursor(void* cursor, std::string& frame) override;
   bool impl_quiet() override;
 

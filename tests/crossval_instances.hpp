@@ -1,11 +1,13 @@
 // Instances that both the checker-vs-monitor matrix (test_ltl_crossval.cpp)
-// and the replay suite (test_mc.cpp) run: the facts each shipped example
-// (examples/ndlog/<name>.ndlog) is cross-validated on, and two small
-// programs on which a checker with its own copy of the node semantics
-// diverged from the runtimes.
+// and the replay suite (test_mc.cpp) run: the shipped examples
+// (examples/ndlog/<name>.ndlog), the facts each is cross-validated on, and
+// two small programs on which a checker with its own copy of the node
+// semantics diverged from the runtimes.
 #pragma once
 
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,14 @@
 #include "ndlog/tuple.hpp"
 
 namespace fvn::crossval {
+
+/// The shipped example examples/ndlog/<name>.ndlog, parsed.
+inline ndlog::Program example_program(const std::string& name) {
+  std::ifstream in(std::string(FVN_SOURCE_DIR) + "/examples/ndlog/" + name + ".ndlog");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return ndlog::parse_program(text.str(), name + ".ndlog");
+}
 
 /// Per example: the topology documented at the top of its .ltl file, small
 /// enough that fvn::mc explores every interleaving exhaustively.

@@ -5,6 +5,7 @@
 
 #include "algebra/routing_algebra.hpp"
 #include "core/protocols.hpp"
+#include "crossval_instances.hpp"
 #include "ndlog/eval.hpp"
 #include "prover/prover.hpp"
 #include "runtime/simulator.hpp"
@@ -205,6 +206,24 @@ TEST_P(ProtocolRoundTrip, ParsePrintReparseIsStable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, ProtocolRoundTrip, ::testing::Range(0, 6));
+
+TEST(CoreSources, MatchShippedExamples) {
+  // The suites that run core::<name>_program() run the program that fvn_cli,
+  // the cross-validation matrix and the analyze goldens read from disk.
+  const std::vector<std::pair<std::string, std::string>> sources = {
+      {"path_vector", core::path_vector_source()},
+      {"distance_vector", core::distance_vector_source()},
+      {"link_state", core::link_state_source()},
+      {"reachable", core::reachable_source()},
+      {"policy_path_vector", core::policy_path_vector_source()},
+      {"spanning_tree", core::spanning_tree_source()},
+  };
+  for (const auto& [name, source] : sources) {
+    EXPECT_EQ(ndlog::parse_program(source).to_string(),
+              crossval::example_program(name).to_string())
+        << name;
+  }
+}
 
 class DistributedAgreement : public ::testing::TestWithParam<std::uint64_t> {};
 

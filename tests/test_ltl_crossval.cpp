@@ -58,8 +58,7 @@ std::vector<Case> load_cases() {
   for (const auto& [name, f] : crossval::example_facts()) {
     Case c;
     c.name = name;
-    c.program = ndlog::parse_program(slurp(example_dir() / (name + ".ndlog")),
-                                     name + ".ndlog");
+    c.program = crossval::example_program(name);
     c.spec = ltl::parse_spec(slurp(example_dir() / (name + ".ltl")),
                              name + ".ltl");
     c.violated_spec = ltl::parse_spec(

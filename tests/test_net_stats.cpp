@@ -16,16 +16,14 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/protocols.hpp"
+#include "crossval_instances.hpp"
 #include "dataflow/plan.hpp"
 #include "ndlog/parser.hpp"
 #include "net/cluster.hpp"
@@ -39,19 +37,6 @@ namespace {
 
 using ndlog::Tuple;
 using ndlog::Value;
-
-std::string slurp(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-ndlog::Program example_program(const std::string& name) {
-  const std::filesystem::path path =
-      std::filesystem::path(FVN_SOURCE_DIR) / "examples" / "ndlog" / name;
-  return ndlog::parse_program(slurp(path), name);
-}
 
 std::vector<Tuple> line_workload() {
   return core::link_facts(core::line_topology(4));
@@ -81,7 +66,7 @@ std::vector<Config> configs() {
 // ---------------------------------------------------------------------------
 
 TEST(NetStats, ObsCountersAgreeWithNodeStats) {
-  const auto program = example_program("reachable.ndlog");
+  const auto program = crossval::example_program("reachable");
   const auto facts = line_workload();
   for (const Config& cfg : configs()) {
     SCOPED_TRACE(cfg.label);
@@ -134,7 +119,7 @@ TEST(NetStats, ObsCountersAgreeWithNodeStats) {
 // ---------------------------------------------------------------------------
 
 TEST(NetStats, NodeAndTransportByteAccountingAgree) {
-  const auto program = example_program("path_vector.ndlog");
+  const auto program = crossval::example_program("path_vector");
   const auto facts = line_workload();
   for (const Config& cfg : configs()) {
     SCOPED_TRACE(cfg.label);
@@ -228,8 +213,23 @@ std::vector<std::string> raw_ship_frames(const ndlog::Program& program,
   if (out_stats != nullptr) *out_stats = node.stats();
   std::vector<std::string> frames;
   std::string frame;
-  while (transport.recv("n1", frame)) frames.push_back(frame);
+  void* mailbox = transport.rx_cursor("n1");
+  while (transport.recv(mailbox, frame)) frames.push_back(frame);
   return frames;
+}
+
+TEST(NetStats, NodeWithoutMailboxFailsWithTransportError) {
+  const auto program = ndlog::parse_program(kShipProgram, "ship");
+  const auto catalog = ndlog::Catalog::from_program(program);
+  const auto plan = dataflow::compile(program);
+  net::InProcTransport transport;
+  transport.add_node("n1");  // n0 never registers a mailbox
+  net::Node node("n0", catalog, ndlog::BuiltinRegistry::standard(), plan, transport, {},
+                 {});
+  std::atomic<bool> stop{true};
+  node.run(stop);
+  EXPECT_TRUE(node.failed());
+  EXPECT_NE(node.error().find("no mailbox for n0"), std::string::npos) << node.error();
 }
 
 TEST(NetStats, RawModeFramesCarrySeqZeroAndAreByteIdenticalAcrossRuns) {
@@ -275,6 +275,12 @@ class FlakyTransport final : public net::Transport {
     boxes_[name];
   }
 
+  void* rx_cursor(const std::string& node) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = boxes_.find(node);
+    return it == boxes_.end() ? nullptr : &it->second;  // stable map storage
+  }
+
   /// Test-side injection of a hand-built frame (e.g. a forged ack).
   void inject(const std::string& to, std::string frame) {
     transmit("test", to, std::move(frame));
@@ -289,9 +295,9 @@ class FlakyTransport final : public net::Transport {
     std::lock_guard<std::mutex> lock(mutex_);
     boxes_.at(to).push_back(std::move(frame));
   }
-  bool poll(const std::string& node, std::string& frame) override {
+  bool poll_cursor(void* cursor, std::string& frame) override {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto& box = boxes_.at(node);
+    auto& box = *static_cast<std::deque<std::string>*>(cursor);
     if (box.empty()) return false;
     frame = std::move(box.front());
     box.pop_front();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/protocols.hpp"
+#include "crossval_instances.hpp"
 #include "logic/finite_model.hpp"
 #include "ndlog/provenance.hpp"
 #include "translate/ndlog_to_logic.hpp"
@@ -25,6 +26,40 @@ TEST(Provenance, MatchesPlainEvaluation) {
   auto expected = plain.run(program, links);
   auto traced = eval_with_provenance(program, links);
   EXPECT_EQ(expected.database.dump(), traced.database.dump());
+}
+
+TEST(Provenance, StoresWhatTheEvaluatorStoresOnExamplesAndCountSum) {
+  // eval_with_provenance runs Evaluator's fixpoint, so it stores exactly
+  // what run() stores, count and sum over a repeated value included
+  // (distinct values: cnt(a,2), tot(a,3)), and derives every stored tuple.
+  std::vector<std::pair<std::string, crossval::Instance>> cases;
+  for (const auto& [name, facts] : crossval::example_facts()) {
+    cases.push_back({name, {crossval::example_program(name), facts}});
+  }
+  const auto link = [](const char* d, int c) {
+    return Tuple("link", {Value::addr("a"), Value::addr(d), Value::integer(c)});
+  };
+  const std::vector<Tuple> links = {link("b", 1), link("c", 1), link("d", 2)};
+  cases.push_back({"count",
+                   {ndlog::parse_program("materialize(link, infinity, infinity, keys(1,2)).\n"
+                                         "c1 cnt(@S,count<C>) :- link(@S,_D,C).\n"),
+                    links}});
+  cases.push_back({"sum",
+                   {ndlog::parse_program("materialize(link, infinity, infinity, keys(1,2)).\n"
+                                         "s1 tot(@S,sum<C>) :- link(@S,_D,C).\n"),
+                    links}});
+  for (const auto& [name, instance] : cases) {
+    SCOPED_TRACE(name);
+    const auto expected = ndlog::Evaluator().run(instance.program, instance.facts);
+    const auto traced = eval_with_provenance(instance.program, instance.facts);
+    EXPECT_EQ(traced.database.dump(), expected.database.dump());
+    EXPECT_GT(traced.database.total_size(), instance.facts.size());
+    for (const auto& pred : traced.database.predicates()) {
+      for (const auto& t : traced.database.relation(pred)) {
+        EXPECT_NE(traced.derivation_of(t), nullptr) << t.to_string();
+      }
+    }
+  }
 }
 
 TEST(Provenance, EveryTupleHasADerivation) {

@@ -49,12 +49,6 @@ std::string slurp(const std::filesystem::path& path) {
   return os.str();
 }
 
-ndlog::Program example(const std::string& name) {
-  const auto path = std::filesystem::path(FVN_SOURCE_DIR) / "examples" / "ndlog" /
-                    (name + ".ndlog");
-  return ndlog::parse_program(slurp(path), name + ".ndlog");
-}
-
 const char* kind_name(TraceEntry::Kind kind) {
   switch (kind) {
     case TraceEntry::Kind::Send: return "send";
@@ -99,7 +93,7 @@ Run simulate(const ndlog::Program& program, const std::vector<Tuple>& facts, dou
 
 /// The pinned text of one example: a header per run, then the run.
 std::string example_runs(const std::string& name) {
-  const auto program = example(name);
+  const auto program = crossval::example_program(name);
   const auto facts = crossval::example_facts().at(name);
   std::ostringstream os;
   const auto add = [&](double jitter, std::uint64_t seed) {

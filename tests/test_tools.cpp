@@ -726,6 +726,48 @@ TEST(CliExitCodes, LintAndAnalyzeRejectUnknownFlags) {
   EXPECT_EQ(result.output.find("errors,"), std::string::npos) << result.output;
 }
 
+TEST(CliExitCodes, SharedCommandsRejectUnknownAndInapplicableFlags) {
+  // check/translate/linear/run/query/simulate/explain share one argument
+  // loop: an unknown flag, or one the command would ignore, is a usage error
+  // before any work is done, never a positional argument or a no-op.
+  const auto prog = write_temp_program(
+      "ec_shared.ndlog",
+      "materialize(link, infinity, infinity, keys(1,2)).\n"
+      "materialize(reach, infinity, infinity, keys(1,2)).\n"
+      "t1 reach(@S,D) :- link(@S,D,_C).\n");
+  const auto facts = write_temp_program("ec_shared_facts.txt", "link(@n0,n1,1)\n");
+  const auto spec = write_temp_program("ec_shared.ltl", "p1: F reach(@n0, n1).\n");
+  const std::string pf = prog + " " + facts;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"check " + prog + " --bogus", "unknown flag --bogus"},
+      {"run " + pf + " --bogus", "unknown flag --bogus"},
+      {"simulate " + pf + " --bogus", "unknown flag --bogus"},
+      {"explain " + pf + " 'reach(@n0,n1)' --bogus", "unknown flag --bogus"},
+      {"run " + pf + " --monitor " + spec, "--monitor does not apply to run"},
+      {"check " + prog + " --cost-order", "--cost-order does not apply to check"},
+      {"explain " + pf + " 'reach(@n0,n1)' --cost-order",
+       "--cost-order does not apply to explain"},
+      {"check " + prog + " --metrics", "--metrics does not apply to check"},
+      {"query " + pf + " 'reach(@S,D)' --trace " + (temp_dir() / "q.json").string(),
+       "--trace does not apply to query"},
+      {"explain " + pf + " 'reach(@n0,n1)' --metrics-out=" +
+           (temp_dir() / "m.json").string(),
+       "--metrics-out does not apply to explain"},
+      {"run " + pf + " --serve reach", "--serve does not apply to run"},
+      {"simulate " + pf + " --trace", "--trace needs a value"},
+  };
+  for (const auto& [args, message] : cases) {
+    const auto result = run_cli(args);
+    EXPECT_EQ(result.exit_code, 2) << args << ": " << result.output;
+    EXPECT_NE(result.output.find("error: " + message), std::string::npos)
+        << args << ": " << result.output;
+    EXPECT_EQ(result.output.find("cannot read"), std::string::npos) << result.output;
+  }
+  // The same flags where they apply.
+  EXPECT_EQ(run_cli("simulate " + pf + " --cost-order --monitor " + spec).exit_code, 0);
+  EXPECT_EQ(run_cli("run " + pf + " --metrics").exit_code, 0);
+}
+
 TEST(CliExitCodes, SimulateRuntimeFailureExitsOne) {
   // Unstratifiable negation cycle: rejected by the simulator's static checks
   // at construction — a runtime failure (1), not a parse error (2).
@@ -750,6 +792,35 @@ TEST(CliExitCodes, RunDivergenceExitsOne) {
   const auto result = run_cli("run " + prog + " " + facts);
   EXPECT_EQ(result.exit_code, 1) << result.output;
   EXPECT_NE(result.output.find("error:"), std::string::npos) << result.output;
+}
+
+// ---------------------------------------------------------------------------
+// fvn_cli explain — a derivation tree from the evaluator that `run` runs
+// ---------------------------------------------------------------------------
+
+TEST(CliExplain, CountDerivationAgreesWithRun) {
+  // count<C> folds distinct values: three links with costs 1, 1, 2 count 2.
+  const auto prog = write_temp_program(
+      "explain_count.ndlog",
+      "materialize(link, infinity, infinity, keys(1,2)).\n"
+      "materialize(cnt, infinity, infinity, keys(1)).\n"
+      "c1 cnt(@S,count<C>) :- link(@S,_D,C).\n");
+  const auto facts = write_temp_program("explain_count.txt",
+                                        "link(@a,b,1)\nlink(@a,c,1)\nlink(@a,d,2)\n");
+  const auto run = run_cli("run " + prog + " " + facts);
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("cnt(a,2)"), std::string::npos) << run.output;
+
+  const auto explained = run_cli("explain " + prog + " " + facts + " 'cnt(@a,2)'");
+  EXPECT_EQ(explained.exit_code, 0) << explained.output;
+  EXPECT_NE(explained.output.find("cnt(a,2)  [by c1]"), std::string::npos)
+      << explained.output;
+  EXPECT_NE(explained.output.find("[base fact]"), std::string::npos) << explained.output;
+
+  const auto refused = run_cli("explain " + prog + " " + facts + " 'cnt(@a,3)'");
+  EXPECT_EQ(refused.exit_code, 1) << refused.output;
+  EXPECT_NE(refused.output.find("cnt(a,3) is not derivable"), std::string::npos)
+      << refused.output;
 }
 
 // ---------------------------------------------------------------------------
