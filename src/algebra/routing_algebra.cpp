@@ -263,14 +263,6 @@ RoutingAlgebra lex_product(const RoutingAlgebra& a, const RoutingAlgebra& b) {
   return out;
 }
 
-RoutingAlgebra reverse_preference(const RoutingAlgebra& a, Value new_phi) {
-  RoutingAlgebra out = a;
-  out.name = "rev[" + a.name + "]";
-  out.phi = std::move(new_phi);
-  out.leq = [inner = a.leq](const Value& x, const Value& y) { return inner(y, x); };
-  return out;
-}
-
 RoutingAlgebra direct_product(const RoutingAlgebra& a, const RoutingAlgebra& b) {
   RoutingAlgebra out = lex_product(a, b);  // same carrier/apply/φ machinery
   out.name = "directProduct[" + a.name + "," + b.name + "]";

@@ -114,10 +114,6 @@ RoutingAlgebra reliability_algebra();
 /// the paper's `lexProduct` (BGPSystem = lexProduct[LP, RC]).
 RoutingAlgebra lex_product(const RoutingAlgebra& a, const RoutingAlgebra& b);
 
-/// Reverse preference (unary composition): same carrier, ⪯ flipped,
-/// φ becomes the most preferred element's dual — callers provide a new phi.
-RoutingAlgebra reverse_preference(const RoutingAlgebra& a, Value new_phi);
-
 /// Direct (componentwise) product: prefer (a1,b1) over (a2,b2) only when both
 /// components agree. The induced preference is a *partial* order in general —
 /// the discharge machinery reports the totality failure, which is exactly why

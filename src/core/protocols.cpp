@@ -186,12 +186,6 @@ std::vector<Link> full_mesh_topology(std::size_t count, std::int64_t cost) {
   return out;
 }
 
-std::vector<Link> star_topology(std::size_t leaves, std::int64_t cost) {
-  std::vector<Link> out;
-  for (std::size_t i = 1; i <= leaves; ++i) add_bidi(out, 0, i, cost);
-  return out;
-}
-
 std::vector<Link> random_topology(std::size_t count, std::size_t extra_edges,
                                   std::uint64_t seed, std::int64_t max_cost) {
   std::mt19937_64 rng(seed);

@@ -74,8 +74,6 @@ std::vector<Link> line_topology(std::size_t count, std::int64_t cost = 1);
 std::vector<Link> ring_topology(std::size_t count, std::int64_t cost = 1);
 /// Full mesh.
 std::vector<Link> full_mesh_topology(std::size_t count, std::int64_t cost = 1);
-/// Star centered at n0.
-std::vector<Link> star_topology(std::size_t leaves, std::int64_t cost = 1);
 /// Random connected graph: a random spanning tree plus `extra_edges`
 /// additional random edges; costs uniform in [1, max_cost]. Deterministic in
 /// `seed`.

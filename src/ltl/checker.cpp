@@ -4,7 +4,6 @@
 #include <optional>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "ndlog/diagnostics.hpp"  // json_escape
 
@@ -164,11 +163,18 @@ struct NestedDfs {
   const CheckOptions& options;
   PropertyResult& result;
 
-  std::unordered_set<std::uint64_t> blue_visited;
-  std::unordered_set<std::uint64_t> red_visited;
-  std::unordered_map<std::uint64_t, std::size_t> stack_pos;  // key -> blue stack index
-  std::vector<std::uint64_t> lasso_stem;   // filled on success
-  std::vector<std::uint64_t> lasso_cycle;  // filled on success
+  static constexpr std::uint32_t kOffStack = ~std::uint32_t{0};
+  /// What the search knows of one product state.
+  struct Mark {
+    bool blue = false;
+    bool red = false;
+    std::uint32_t stack_pos = kOffStack;  ///< its index on the blue DFS stack
+  };
+  /// By product key: system ids are dense, so keys are too.
+  std::vector<Mark> marks{};
+  std::size_t blue_visits = 0;
+  std::vector<std::uint64_t> lasso_stem{};   // filled on success
+  std::vector<std::uint64_t> lasso_cycle{};  // filled on success
   bool budget_hit = false;
 
   std::uint64_t key(std::size_t s, std::size_t q) const {
@@ -176,6 +182,19 @@ struct NestedDfs {
   }
   std::size_t sys_of(std::uint64_t k) const { return k / buchi.states.size(); }
   std::size_t buchi_of(std::uint64_t k) const { return k % buchi.states.size(); }
+
+  Mark& mark(std::uint64_t k) {
+    if (k >= marks.size()) marks.resize(k + 1);
+    return marks[k];
+  }
+  /// Marks `k` blue; false when it already was.
+  bool visit_blue(std::uint64_t k) {
+    Mark& m = mark(k);
+    if (m.blue) return false;
+    m.blue = true;
+    ++blue_visits;
+    return true;
+  }
 
   std::vector<std::uint64_t> product_successors(std::uint64_t k) {
     const auto s = static_cast<SystemGraph::Id>(sys_of(k));
@@ -202,7 +221,7 @@ struct NestedDfs {
   bool red_dfs(std::uint64_t seed, std::vector<std::uint64_t>& red_path) {
     std::vector<Frame> stack;
     stack.push_back(Frame{seed, product_successors(seed), 0});
-    red_visited.insert(seed);
+    mark(seed).red = true;
     while (!stack.empty()) {
       Frame& top = stack.back();
       if (top.next >= top.succs.size()) {
@@ -210,14 +229,16 @@ struct NestedDfs {
         continue;
       }
       const std::uint64_t next = top.succs[top.next++];
-      if (stack_pos.count(next)) {
+      Mark& m = mark(next);
+      if (m.stack_pos != kOffStack) {
         // Cycle closed: seed ->* next, next is an ancestor of (or is) seed.
         red_path.clear();
         for (const Frame& f : stack) red_path.push_back(f.key);
         red_path.push_back(next);
         return true;
       }
-      if (red_visited.insert(next).second) {
+      if (!m.red) {
+        m.red = true;
         stack.push_back(Frame{next, product_successors(next), 0});
       }
     }
@@ -226,21 +247,20 @@ struct NestedDfs {
 
   /// Blue search; true when a violation (accepting lasso) was found.
   bool blue_dfs(std::uint64_t root) {
-    if (blue_visited.count(root)) return false;
+    if (!visit_blue(root)) return false;
     std::vector<Frame> stack;
     stack.push_back(Frame{root, product_successors(root), 0});
-    blue_visited.insert(root);
-    stack_pos.emplace(root, 0);
+    mark(root).stack_pos = 0;
     while (!stack.empty()) {
       Frame& top = stack.back();
-      if (blue_visited.size() > options.max_product_states) {
+      if (blue_visits > options.max_product_states) {
         budget_hit = true;
         return false;
       }
       if (top.next < top.succs.size()) {
         const std::uint64_t next = top.succs[top.next++];
-        if (blue_visited.insert(next).second) {
-          stack_pos.emplace(next, stack.size());
+        if (visit_blue(next)) {
+          mark(next).stack_pos = static_cast<std::uint32_t>(stack.size());
           stack.push_back(Frame{next, product_successors(next), 0});
         }
         continue;
@@ -252,7 +272,7 @@ struct NestedDfs {
         if (red_dfs(done, red_path)) {
           // red_path = done ->* x where x is on the blue stack.
           const std::uint64_t x = red_path.back();
-          const std::size_t x_pos = stack_pos.at(x);
+          const std::size_t x_pos = marks[x].stack_pos;
           lasso_stem.clear();
           for (std::size_t i = 0; i <= x_pos; ++i) lasso_stem.push_back(stack[i].key);
           lasso_cycle.clear();
@@ -266,7 +286,7 @@ struct NestedDfs {
           return true;
         }
       }
-      stack_pos.erase(done);
+      marks[done].stack_pos = kOffStack;
       stack.pop_back();
     }
     return false;
@@ -291,7 +311,7 @@ PropertyResult check_property(const mc::NdlogTransitionSystem& ts,
   const SystemGraph::Id s0 = sys.intern(initial);
   const Valuation v0 = sys.initial_valuation(s0);
 
-  NestedDfs dfs{sys, buchi, options, result, {}, {}, {}, {}, {}, false};
+  NestedDfs dfs{sys, buchi, options, result};
   bool violated = false;
   for (std::size_t q : buchi.initial) {
     if (!buchi.states[q].admits(v0)) continue;
@@ -301,7 +321,7 @@ PropertyResult check_property(const mc::NdlogTransitionSystem& ts,
     }
     if (dfs.budget_hit) break;
   }
-  result.product_states = dfs.blue_visited.size();
+  result.product_states = dfs.blue_visits;
   result.exhausted = !dfs.budget_hit;
   result.system_states = sys.space().size();
   result.local_steps = sys.space().local_steps();

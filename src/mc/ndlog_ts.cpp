@@ -97,7 +97,7 @@ NetState NdlogTransitionSystem::initial(const std::vector<Tuple>& facts) const {
 }
 
 NdlogTransitionSystem::LocalStep NdlogTransitionSystem::local_step(
-    const std::string& node, const std::set<Tuple>& table, const Tuple& arriving) const {
+    const std::string& node, std::span<const Tuple* const> table, const Tuple& arriving) const {
   LocalStep step;
   runtime::NodeCore core(node, plan_, preds_, *builtins_, nullptr,
                          [&](const runtime::NodeCore&, runtime::NodeCore::Change change,
@@ -110,8 +110,9 @@ NdlogTransitionSystem::LocalStep NdlogTransitionSystem::local_step(
   core.deliver(arriving, 0.0);
   core.settle(0.0);
   const ndlog::Database& db = core.database();
+  step.table.reserve(db.total_size());
   for (const auto& pred : db.predicates()) {
-    for (const auto& t : db.relation(pred)) step.table.insert(t);
+    for (const auto& t : db.relation(pred)) step.table.push_back(t);
   }
   return step;
 }
@@ -123,8 +124,11 @@ NetState NdlogTransitionSystem::deliver(const NetState& state, std::size_t index
   const auto [dest, tuple] = *it;
   next.inflight.erase(it);
   auto& table = next.stored[dest];
-  LocalStep step = local_step(dest, table, tuple);
-  table = std::move(step.table);
+  std::vector<const Tuple*> rows;
+  for (const auto& t : table) rows.push_back(&t);
+  LocalStep step = local_step(dest, rows, tuple);
+  table = std::set<Tuple>(std::make_move_iterator(step.table.begin()),
+                          std::make_move_iterator(step.table.end()));
   for (auto& [to, t] : step.outbound) {
     // Duplicates in flight are allowed (message multiset). operator[] gives
     // a node that has received nothing an empty entry.
@@ -219,6 +223,26 @@ std::size_t mix(std::size_t h, std::uint32_t x) noexcept {
   return h ^ (h >> 29);
 }
 
+/// The splitmix64 finalizer of the id pair (a, b), salted.
+std::uint64_t scramble(std::uint32_t a, std::uint32_t b, std::uint64_t salt) noexcept {
+  std::uint64_t x = ((static_cast<std::uint64_t>(a) << 32) | b) ^ salt;
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// A state's hash sums one term per entry and one per in-flight message (a
+// message in flight twice counts twice). The two kinds are salted apart, and
+// an entry holding kEmptyTable has a term like any other, so it hashes apart
+// from no entry at all.
+std::uint64_t entry_term(std::uint32_t node, std::uint32_t table) noexcept {
+  return scramble(node, table, 0x2545f4914f6cdd1dULL);
+}
+std::uint64_t message_term(std::uint32_t node, std::uint32_t tuple) noexcept {
+  return scramble(node, tuple, 0xd6e8feb86659fd93ULL);
+}
+
 }  // namespace
 
 std::size_t detail::IdsHash::operator()(const std::vector<std::uint32_t>& ids) const noexcept {
@@ -227,39 +251,30 @@ std::size_t detail::IdsHash::operator()(const std::vector<std::uint32_t>& ids) c
   return h;
 }
 
-std::size_t StateSpace::PackedHash::operator()(const Packed& state) const noexcept {
-  std::size_t h = state.tables.size();
-  for (const Entry& e : state.tables) h = mix(mix(h, e.node), e.table);
-  for (const Message& m : state.inflight) h = mix(mix(h, m.node), m.tuple);
-  return h;
-}
-
-std::size_t StateSpace::StepKeyHash::operator()(const StepKey& key) const noexcept {
-  return mix(mix(mix(0, key.node), key.table), key.tuple);
-}
-
 StateSpace::StateSpace(const NdlogTransitionSystem& ts) : ts_(&ts) {
-  tables_.intern({});  // kEmptyTable
+  tables_.intern(std::vector<TupleId>{});  // kEmptyTable
 }
 
-StateSpace::TableId StateSpace::intern_table(const std::set<Tuple>& rows) {
-  std::vector<TupleId> ids;
-  ids.reserve(rows.size());
-  for (const auto& t : rows) ids.push_back(tuples_.intern(t));
-  std::sort(ids.begin(), ids.end());
-  return tables_.intern(std::move(ids));
+StateSpace::TableId StateSpace::intern_table(std::vector<TupleId>& rows) {
+  std::sort(rows.begin(), rows.end());
+  return tables_.intern(rows);
 }
 
 StateSpace::Id StateSpace::intern(const NetState& state) {
   Packed packed;
   for (const auto& [node, rows] : state.stored) {
-    packed.tables.push_back(Entry{nodes_.intern(node), intern_table(rows)});
+    const NodeId id = nodes_.intern(node);
+    row_ids_.clear();
+    for (const auto& t : rows) row_ids_.push_back(tuples_.intern(t));
+    packed.tables.push_back(Entry{id, intern_table(row_ids_)});
   }
   std::sort(packed.tables.begin(), packed.tables.end(),
             [](const Entry& a, const Entry& b) { return a.node < b.node; });
   for (const auto& [node, tuple] : state.inflight) {
     packed.inflight.push_back(Message{nodes_.intern(node), tuples_.intern(tuple)});
   }
+  for (const Entry& e : packed.tables) packed.hash += entry_term(e.node, e.table);
+  for (const Message& m : packed.inflight) packed.hash += message_term(m.node, m.tuple);
   return states_.intern(std::move(packed));
 }
 
@@ -282,51 +297,71 @@ bool StateSpace::before(const Message& a, const Message& b) const {
 }
 
 const StateSpace::Step& StateSpace::local(NodeId node, TableId table, TupleId tuple) {
-  const StepKey key{node, table, tuple};
-  if (auto it = steps_.find(key); it != steps_.end()) return it->second;
-  std::set<Tuple> rows;
-  for (TupleId t : tables_[table]) rows.insert(tuples_[t]);
-  auto result = ts_->local_step(nodes_[node], rows, tuples_[tuple]);
-  ++local_steps_;
-  Step step{intern_table(result.table), {}};
+  if (table < steps_by_table_.size()) {
+    for (const StepRef& ref : steps_by_table_[table]) {
+      if (ref.node == node && ref.tuple == tuple) return steps_[ref.step];
+    }
+  }
+  row_tuples_.clear();
+  for (TupleId t : tables_[table]) row_tuples_.push_back(&tuples_[t]);
+  auto result = ts_->local_step(nodes_[node], row_tuples_, tuples_[tuple]);
+  row_ids_.clear();
+  for (auto& t : result.table) row_ids_.push_back(tuples_.intern(std::move(t)));
+  Step& step = steps_.emplace_back(Step{intern_table(row_ids_), {}});
   step.outbound.reserve(result.outbound.size());
   for (auto& [dest, t] : result.outbound) {
     const bool permanent = ts_->permanent(t.predicate());
     step.outbound.push_back(
         Send{Message{nodes_.intern(std::move(dest)), tuples_.intern(std::move(t))}, permanent});
   }
-  return steps_.emplace(key, std::move(step)).first->second;
+  if (table >= steps_by_table_.size()) steps_by_table_.resize(table + 1);
+  steps_by_table_[table].push_back(
+      StepRef{node, tuple, static_cast<std::uint32_t>(steps_.size() - 1)});
+  return step;
+}
+
+StateSpace::Entry& StateSpace::entry(NodeId node) {
+  auto& tables = scratch_.tables;
+  auto it = std::lower_bound(tables.begin(), tables.end(), node,
+                             [](const Entry& e, NodeId n) { return e.node < n; });
+  if (it == tables.end() || it->node != node) {
+    it = tables.insert(it, Entry{node, kEmptyTable});
+    scratch_.hash += entry_term(node, kEmptyTable);
+  }
+  return *it;
 }
 
 std::vector<StateSpace::Id> StateSpace::successors(Id id) {
-  // A copy: no reference into the interners is held across an intern.
-  const Packed state = states_[id];
+  // Interned states stay in place, so the source is read where it is
+  // stored while its successors are interned.
+  const Packed& state = states_[id];
   std::vector<Id> out;
   for (std::size_t i = 0; i < state.inflight.size(); ++i) {
     const Message m = state.inflight[i];
     if (i > 0 && state.inflight[i - 1] == m) continue;  // identical message: same successor
-    Packed next = state;
-    next.inflight.erase(next.inflight.begin() + static_cast<std::ptrdiff_t>(i));
-    // The node's table slot, created empty for a node that has none yet.
-    auto slot = [&next](NodeId node) -> TableId& {
-      auto it = std::lower_bound(next.tables.begin(), next.tables.end(), node,
-                                 [](const Entry& e, NodeId n) { return e.node < n; });
-      if (it == next.tables.end() || it->node != node) {
-        it = next.tables.insert(it, Entry{node, kEmptyTable});
-      }
-      return it->table;
-    };
-    const Step& step = local(m.node, slot(m.node), m.tuple);
-    slot(m.node) = step.table;
+    // The successor is built in scratch_ and copied in only when it is new.
+    Packed& next = scratch_;
+    next.tables = state.tables;
+    next.inflight.assign(state.inflight.begin(),
+                         state.inflight.begin() + static_cast<std::ptrdiff_t>(i));
+    next.inflight.insert(next.inflight.end(),
+                         state.inflight.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                         state.inflight.end());
+    next.hash = state.hash - message_term(m.node, m.tuple);
+    const TableId from = entry(m.node).table;
+    const Step& step = local(m.node, from, m.tuple);
+    entry(m.node).table = step.table;
+    next.hash += entry_term(m.node, step.table) - entry_term(m.node, from);
     for (const auto& [sent, permanent] : step.outbound) {
-      const auto stored = rows(slot(sent.node));
+      const auto stored = rows(entry(sent.node).table);
       if (permanent && std::binary_search(stored.begin(), stored.end(), sent.tuple)) continue;
       next.inflight.insert(
           std::upper_bound(next.inflight.begin(), next.inflight.end(), sent,
                            [this](const Message& a, const Message& b) { return before(a, b); }),
           sent);
+      next.hash += message_term(sent.node, sent.tuple);
     }
-    out.push_back(states_.intern(std::move(next)));
+    out.push_back(states_.intern(next));
   }
   return out;
 }

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <set>
@@ -72,16 +73,17 @@ class NdlogTransitionSystem {
 
   /// What one delivery does at its destination node.
   struct LocalStep {
-    std::set<ndlog::Tuple> table;  ///< the node's table after the fixpoint
+    /// The node's table after the fixpoint, each row once, in no set order.
+    std::vector<ndlog::Tuple> table;
     /// Messages to other nodes in derivation order; a tuple derived twice is
     /// sent twice.
     std::vector<std::pair<std::string, ndlog::Tuple>> outbound;
   };
   /// Deliver `arriving` to a runtime::NodeCore restored from `node`'s
-  /// `table` and settle it, as a Simulator does for one event. A pure
-  /// function of its arguments, so StateSpace runs it once per distinct
-  /// (node, table, tuple).
-  LocalStep local_step(const std::string& node, const std::set<ndlog::Tuple>& table,
+  /// `table` (distinct rows, in any order) and settle it, as a Simulator
+  /// does for one event. A pure function of its arguments, so StateSpace
+  /// runs it once per distinct (node, table, tuple).
+  LocalStep local_step(const std::string& node, std::span<const ndlog::Tuple* const> table,
                        const ndlog::Tuple& arriving) const;
 
   /// True when a stored row of `predicate` can never leave its table: its
@@ -158,7 +160,12 @@ class Interner {
   Interner(Interner&&) = default;
   Interner& operator=(Interner&&) = default;
 
-  std::uint32_t intern(Key key) {
+  /// Copies `key` in only when it is new.
+  std::uint32_t intern(const Key& key) {
+    if (const auto it = ids_.find(key); it != ids_.end()) return it->second;
+    return intern(Key(key));
+  }
+  std::uint32_t intern(Key&& key) {
     const auto [it, fresh] =
         ids_.try_emplace(std::move(key), static_cast<std::uint32_t>(keys_.size()));
     if (fresh) keys_.push_back(&it->first);
@@ -221,7 +228,7 @@ class StateSpace {
   /// Distinct system states interned so far.
   std::size_t size() const noexcept { return states_.size(); }
   /// Local fixpoints actually run (cache misses).
-  std::size_t local_steps() const noexcept { return local_steps_; }
+  std::size_t local_steps() const noexcept { return steps_.size(); }
 
  private:
   struct Message {
@@ -230,21 +237,16 @@ class StateSpace {
     bool operator==(const Message&) const = default;
   };
   struct Packed {
+    /// One term per entry plus one per in-flight message, summed: the sum
+    /// ignores order, so a successor's hash is its parent's adjusted by
+    /// what the delivery changed.
+    std::uint64_t hash = 0;
     std::vector<Entry> tables;      // ascending node id
     std::vector<Message> inflight;  // NetState::inflight order
-    bool operator==(const Packed&) const = default;
+    bool operator==(const Packed&) const = default;  // hash first
   };
   struct PackedHash {
-    std::size_t operator()(const Packed& state) const noexcept;
-  };
-  struct StepKey {
-    NodeId node;
-    TableId table;
-    TupleId tuple;
-    bool operator==(const StepKey&) const = default;
-  };
-  struct StepKeyHash {
-    std::size_t operator()(const StepKey& key) const noexcept;
+    std::size_t operator()(const Packed& state) const noexcept { return state.hash; }
   };
   struct Send {
     Message message;
@@ -254,9 +256,19 @@ class StateSpace {
     TableId table;
     std::vector<Send> outbound;
   };
+  /// A cached step of the table it is filed under.
+  struct StepRef {
+    NodeId node;
+    TupleId tuple;
+    std::uint32_t step;  ///< index into steps_
+  };
 
-  TableId intern_table(const std::set<ndlog::Tuple>& rows);
+  /// Sorts `rows` and interns the table they make.
+  TableId intern_table(std::vector<TupleId>& rows);
   const Step& local(NodeId node, TableId table, TupleId tuple);
+  /// `node`'s entry in `scratch_`, inserted holding kEmptyTable when the
+  /// node has none.
+  Entry& entry(NodeId node);
   /// NetState::inflight order: destination name, then tuple.
   bool before(const Message& a, const Message& b) const;
 
@@ -265,8 +277,15 @@ class StateSpace {
   detail::Interner<ndlog::Tuple, ndlog::TupleHash> tuples_;
   detail::Interner<std::vector<TupleId>, detail::IdsHash> tables_;
   detail::Interner<Packed, PackedHash> states_;
-  std::unordered_map<StepKey, Step, StepKeyHash> steps_;
-  std::size_t local_steps_ = 0;
+  /// The local-step cache: steps in a deque, which keeps them in place as
+  /// it grows, filed by the table they start from.
+  std::deque<Step> steps_;
+  std::vector<std::vector<StepRef>> steps_by_table_;
+  /// Scratch reused across calls: the successor being built, and a table's
+  /// rows as ids or as tuples.
+  Packed scratch_;
+  std::vector<TupleId> row_ids_;
+  std::vector<const ndlog::Tuple*> row_tuples_;
 };
 
 }  // namespace fvn::mc

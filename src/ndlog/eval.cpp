@@ -460,8 +460,8 @@ void Evaluator::fixpoint(const Program& program, const Stratification& strat,
   };
   // The one place the fixpoint adds a derived tuple: count it, tell the
   // observer with the solution that derived it (an aggregate row's group
-  // witness), and log it in the round's delta. Aggregate rows run once per
-  // stratum and pass no round.
+  // witness), and log it in the round's delta. Aggregate rows, derived in
+  // their stratum's single aggregate round, feed no semi-naive delta.
   auto insert = [&](Tuple t, const Rule& rule, const Bindings& env, Delta* round) {
     if (!db.insert(t)) return;
     ++stats.tuples_derived;
@@ -489,16 +489,26 @@ void Evaluator::fixpoint(const Program& program, const Stratification& strat,
 
     // Aggregate rules read only strictly-lower strata (enforced by
     // stratification), so a single pass suffices and must come first: their
-    // outputs may feed the stratum's recursive rules.
-    for (const Rule* rule : agg_rules) {
-      observe_rule(*rule, s, [&] {
-        engine.eval_agg_rule_solutions(
-            *rule, db,
-            [&](Tuple t, const Bindings& witness) {
-              insert(std::move(t), *rule, witness, nullptr);
-            },
-            &stats);
-      });
+    // outputs may feed the stratum's recursive rules. The pass is a round.
+    if (!agg_rules.empty()) {
+      ++stats.iterations;
+      const std::size_t derived_before = stats.tuples_derived;
+      obs::Span round_span(trace, "aggregate round", "eval/round");
+      for (const Rule* rule : agg_rules) {
+        observe_rule(*rule, s, [&] {
+          engine.eval_agg_rule_solutions(
+              *rule, db,
+              [&](Tuple t, const Bindings& witness) {
+                insert(std::move(t), *rule, witness, nullptr);
+              },
+              &stats);
+        });
+      }
+      if (observed) {
+        const std::size_t derived = stats.tuples_derived - derived_before;
+        round_span.end("{\"delta\":" + std::to_string(derived) + "}");
+        note_round(derived);
+      }
     }
 
     if (normal_rules.empty()) continue;

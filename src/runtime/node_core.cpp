@@ -1,5 +1,7 @@
 #include "runtime/node_core.hpp"
 
+#include <algorithm>
+
 #include "ndlog/analysis.hpp"
 #include "ndlog/eval.hpp"
 
@@ -114,10 +116,13 @@ void NodeCore::retract(const Tuple& tuple) {
   hook_(*this, Change::Retract, tuple);
 }
 
-void NodeCore::restore(const std::set<Tuple>& rows) {
-  for (const auto& row : rows) {
-    by_key_.insert(KeyedRow(*db_.insert(row), preds_->info(row.predicate())));
-    on_insert(row);
+void NodeCore::restore(std::span<const Tuple* const> rows) {
+  std::vector<const Tuple*> ordered(rows.begin(), rows.end());
+  std::sort(ordered.begin(), ordered.end(),
+            [](const Tuple* a, const Tuple* b) { return *a < *b; });
+  for (const Tuple* row : ordered) {
+    by_key_.insert(KeyedRow(*db_.insert(*row), preds_->info(row->predicate())));
+    on_insert(*row);
   }
   for (std::size_t i = 0; i < engine_.aggregate_count(); ++i) {
     engine_.flush_aggregate(i, db_, deltas_);

@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -149,8 +149,11 @@ class NodeCore {
   /// exact — the result is the core that stored the table — only for a
   /// table a settle() left, where no aggregate has a pending delta; those
   /// are the only tables mc::NdlogTransitionSystem stores. Rows get no
-  /// lifetime: the checker models hard state only.
-  void restore(const std::set<ndlog::Tuple>& rows);
+  /// lifetime: the checker models hard state only. `rows` are distinct and
+  /// may come in any order: they are installed in ascending tuple order,
+  /// because a database bucket keeps insertion order, and that order can
+  /// decide which of two derivations with one key is installed last.
+  void restore(std::span<const ndlog::Tuple* const> rows);
 
   const std::string& name() const noexcept { return name_; }
   const ndlog::Database& database() const noexcept { return db_; }

@@ -314,12 +314,79 @@ TEST(LtlChecker, PathVectorSearchSizeIsPinned) {
   EXPECT_EQ(result.properties[1].product_states, 226u);
   EXPECT_EQ(result.properties[1].transitions, 1832u);
   // Both explore all 121 system states; the local-step cache runs one
-  // fixpoint per distinct (node, table, delivered tuple), a few dozen.
-  for (const auto& p : result.properties) {
-    EXPECT_EQ(p.system_states, 121u) << p.name;
-    EXPECT_LT(p.local_steps, 50u) << p.name;
-    EXPECT_GT(p.local_steps, 0u) << p.name;
-  }
+  // fixpoint per distinct (node, table, delivered tuple) the search reaches.
+  for (const auto& p : result.properties) EXPECT_EQ(p.system_states, 121u) << p.name;
+  EXPECT_EQ(result.properties[0].local_steps, 45u);
+  EXPECT_EQ(result.properties[1].local_steps, 46u);
+}
+
+/// What one property's search did: a change to which states or edges the
+/// product search visits, or to which local fixpoints it runs, moves one.
+struct SearchSize {
+  std::size_t product_states;
+  std::size_t transitions;
+  std::size_t system_states;
+  std::size_t local_steps;
+  std::size_t lasso_steps;  ///< stem plus cycle; 0 when the property holds
+
+  bool operator==(const SearchSize&) const = default;
+};
+
+SearchSize search_size(const PropertyResult& p) {
+  return {p.product_states, p.transitions, p.system_states, p.local_steps,
+          p.stem.size() + p.cycle.size()};
+}
+
+void PrintTo(const SearchSize& s, std::ostream* os) {
+  *os << s.product_states << "/" << s.transitions << "/" << s.system_states << "/"
+      << s.local_steps << " lasso " << s.lasso_steps;
+}
+
+TEST(LtlChecker, VerifyWorkloadSearchSizeIsPinned) {
+  // The shape the verify benchmark checks: path-vector on a 4-node line, one
+  // property that holds (the whole product) and one violated (first lasso).
+  mc::NdlogTransitionSystem ts(core::path_vector_program());
+  const auto spec = parse_spec(
+      "reach: F bestPath(@n0, n3, _, _).\n"
+      "wrong: G !bestPath(@n0, n3, _, _).\n");
+  const auto result =
+      check_ltl(ts, ts.initial(core::link_facts(core::line_topology(4))), spec);
+  ASSERT_EQ(result.properties.size(), 2u);
+  EXPECT_TRUE(result.properties[0].holds);
+  EXPECT_FALSE(result.properties[1].holds);
+  EXPECT_TRUE(result.exhausted());
+  EXPECT_EQ(search_size(result.properties[0]), (SearchSize{1845, 15276, 2025, 130, 0}));
+  EXPECT_EQ(search_size(result.properties[1]), (SearchSize{19, 73, 71, 30, 20}));
+}
+
+TEST(LtlChecker, EqualCostTriangleSearchSizeIsPinned) {
+  // n0-n1 and n1-n2 cost 1, n0-n2 cost 2, every link both ways: n0 reaches
+  // n2 at cost 2 two ways, so which path bestPath keeps depends on the
+  // delivery order. The runs end in 4 distinct quiescent states.
+  mc::NdlogTransitionSystem ts(core::path_vector_program());
+  const auto facts = core::link_facts(
+      {{"n0", "n1", 1}, {"n1", "n0", 1}, {"n1", "n2", 1}, {"n2", "n1", 1},
+       {"n0", "n2", 2}, {"n2", "n0", 2}});
+  const auto initial = ts.initial(facts);
+  const auto quiescence = ts.check_quiescent_states(
+      initial, [](const mc::NetState&) { return true; });
+  EXPECT_TRUE(quiescence.exhausted);
+  EXPECT_EQ(quiescence.quiescent_states, 4u);
+  EXPECT_FALSE(quiescence.confluent);
+
+  const auto spec = parse_spec(
+      "reach: F bestPath(@n0, n2, _, _).\n"
+      "conv: F G stable(bestPath).\n"
+      "never: G !bestPath(@n0, n2, _, _).\n");
+  const auto result = check_ltl(ts, initial, spec);
+  ASSERT_EQ(result.properties.size(), 3u);
+  EXPECT_TRUE(result.properties[0].holds);
+  EXPECT_TRUE(result.properties[1].holds);
+  EXPECT_FALSE(result.properties[2].holds);
+  EXPECT_TRUE(result.exhausted());
+  EXPECT_EQ(search_size(result.properties[0]), (SearchSize{515, 3420, 1169, 113, 0}));
+  EXPECT_EQ(search_size(result.properties[1]), (SearchSize{6923, 78160, 3687, 276, 0}));
+  EXPECT_EQ(search_size(result.properties[2]), (SearchSize{19, 84, 81, 36, 20}));
 }
 
 // ---------------------------------------------------------------------------

@@ -333,7 +333,7 @@ TEST(NdlogTs, StateSpaceMatchesSnapshotSemantics) {
     return ndlog::Tuple("link", {ndlog::Value::addr(from), ndlog::Value::addr(to),
                                  ndlog::Value::integer(1)});
   };
-  const std::vector<Case> cases = {
+  std::vector<Case> cases = {
       {"path_vector line 3", core::path_vector_program(),
        core::link_facts(core::line_topology(3))},
       {"reachable line 3", core::reachable_program(),
@@ -346,6 +346,12 @@ TEST(NdlogTs, StateSpaceMatchesSnapshotSemantics) {
        )", "notes"),
        {link("b", "a"), link("a", "b")}},
   };
+  // Every shipped example on its cross-validation instance: keyed
+  // overwrites, aggregates that settle and withdraw, and embedded facts.
+  const auto examples = crossval::example_facts();
+  for (const auto& [name, facts] : examples) {
+    cases.push_back({name.c_str(), crossval::example_program(name), facts});
+  }
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
     NdlogTransitionSystem ts(c.program);

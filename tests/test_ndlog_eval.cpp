@@ -352,5 +352,25 @@ TEST(EvalModes, DerivationsAndCountersAgreeAcrossModes) {
   EXPECT_GT(indexed.stats.join_probes, 0u);
 }
 
+TEST(EvalModes, AggregatePassCountsAsARound) {
+  // An aggregate-only stratum derives its rows in one pass, and that pass
+  // is a round: in both modes, in the stats and in the round series.
+  const auto program = ndlog::parse_program("c1 cnt(@S,count<C>) :- link(@S,D,C).\n");
+  const std::vector<Tuple> facts = {ndlog::parse_fact("link(@a,b,1)"),
+                                    ndlog::parse_fact("link(@a,c,2)")};
+  for (const bool semi : {true, false}) {
+    SCOPED_TRACE(semi ? "semi-naive" : "naive");
+    obs::Registry registry;
+    EvalOptions options;
+    options.semi_naive = semi;
+    options.metrics = &registry;
+    const auto result = Evaluator().run(program, facts, options);
+    EXPECT_EQ(result.stats.tuples_derived, 1u);
+    EXPECT_EQ(result.stats.iterations, 1u);
+    EXPECT_EQ(registry.find_counter("eval/rounds")->value(), 1u);
+    EXPECT_EQ(registry.find_histogram("eval/round_delta")->count(), 1u);
+  }
+}
+
 }  // namespace
 }  // namespace fvn

@@ -440,13 +440,41 @@ TEST(NodeCore, RestoredRowIsOverwrittenByADelivery) {
   const auto route = [](const char* d, std::int64_t c) {
     return Tuple("route", {Value::addr("n0"), Value::addr(d), Value::integer(c)});
   };
-  rig.core.restore({route("n1", 5), route("n2", 7)});
+  const std::vector<Tuple> rows = {route("n1", 5), route("n2", 7)};
+  rig.core.restore(std::vector<const Tuple*>{&rows[0], &rows[1]});
   EXPECT_TRUE(rig.take().empty());
   rig.core.deliver(route("n1", 3), 0.0);
   EXPECT_EQ(rig.take(), (Log{"retract route(n0,n1,5)", "install route(n0,n1,3)"}));
   EXPECT_EQ(rig.core.overwrites(), 1u);
   EXPECT_EQ(rig.core.database().dump(),
             (std::vector<std::string>{"route(n0,n1,3)", "route(n0,n2,7)"}));
+}
+
+TEST(NodeCore, RestoreOrderDoesNotDecideADelivery) {
+  // trig joins both cand rows, and pick keeps one row per node, so the
+  // cand row the join meets last wins. restore installs in tuple order,
+  // whatever order it is handed, so both cores pick the same row.
+  const char* source = R"(
+    materialize(trig, infinity, infinity, keys(1)).
+    materialize(cand, infinity, infinity, keys(1,2)).
+    materialize(pick, infinity, infinity, keys(1)).
+    p1 pick(@N,X) :- trig(@N), cand(@N,X).
+  )";
+  const auto cand = [](std::int64_t x) {
+    return Tuple("cand", {Value::addr("n0"), Value::integer(x)});
+  };
+  const std::vector<Tuple> rows = {cand(1), cand(2)};
+  CoreRig ascending(source);
+  CoreRig descending(source);
+  ascending.core.restore(std::vector<const Tuple*>{&rows[0], &rows[1]});
+  descending.core.restore(std::vector<const Tuple*>{&rows[1], &rows[0]});
+  const Tuple trig("trig", {Value::addr("n0")});
+  ascending.core.deliver(trig, 0.0);
+  descending.core.deliver(trig, 0.0);
+  EXPECT_EQ(ascending.take(), descending.take());
+  EXPECT_EQ(ascending.core.database().dump(), descending.core.database().dump());
+  EXPECT_EQ(ascending.core.overwrites(), 1u);
+  EXPECT_EQ(descending.core.overwrites(), 1u);
 }
 
 TEST(KeyIndex, EveryKeyFieldFeedsTheHashAndTheIdentity) {
