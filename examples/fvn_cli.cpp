@@ -21,11 +21,7 @@
 //                     --transport=<inproc|udp>  mailboxes (default) or loopback
 //                                            UDP sockets
 //                     --loss=<p> --seed=<s>  seeded per-frame drop injection
-//                     --no-retransmit        disable the ack+retransmit layer
-//                     --no-batch             one wire frame per tuple (A/B
-//                                            baseline for batched channels)
-//                     --poll-ms=<ms>         coordinator quiescence-scan
-//                                            timeout (default 0.25)
+//                                            (masked by ack+retransmit)
 //                     --cost-order, --metrics, --trace
 //   fvn_cli plan      <prog.ndlog> [--dot|--json]   compiled dataflow graph
 //                     --cost-order  cost-guided join order
@@ -175,7 +171,7 @@ int usage() {
                "properties as online monitors (violation => exit 1)\n"
                "       fvn_cli dist <prog.ndlog> <facts.txt> [--nodes=<n>] "
                "[--transport=<inproc|udp>] [--loss=<p>] [--seed=<s>] "
-               "[--no-retransmit] [--no-batch] [--poll-ms=<ms>] [--cost-order] "
+               "[--cost-order] "
                "[--metrics] [--trace <out.json>]\n"
                "       fvn_cli lint [--json] <prog.ndlog>...   "
                "(exit 0 clean, 1 warnings, 2 errors)\n"
@@ -214,6 +210,8 @@ int cmd_plan(const std::vector<std::string>& args) {
       json = true;
     } else if (a == "--cost-order") {
       cost_order = true;
+    } else if (a.rfind("--", 0) == 0) {  // a flag, never a file name
+      throw UsageError("unknown flag " + a);
     } else {
       files.push_back(a);
     }
@@ -786,9 +784,6 @@ int cmd_dist(const std::vector<std::string>& args) {
   double loss = 0.0;
   std::uint64_t seed = 1;
   std::int64_t expected_nodes = -1;
-  bool retransmit = true;
-  bool batch = true;
-  double poll_ms = -1.0;  // < 0 = keep the ClusterOptions default
   std::vector<std::string> positional;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
@@ -799,12 +794,6 @@ int cmd_dist(const std::vector<std::string>& args) {
     };
     if (a == "--metrics") {
       want_metrics = true;
-    } else if (a == "--no-retransmit") {
-      retransmit = false;
-    } else if (a == "--no-batch") {
-      batch = false;
-    } else if (a == "--poll-ms" || a.rfind("--poll-ms=", 0) == 0) {
-      poll_ms = parse_double_flag("--poll-ms", value_of("--poll-ms"));
     } else if (a == "--trace" || a.rfind("--trace=", 0) == 0) {
       trace_path = value_of("--trace");
     } else if (a == "--metrics-out" || a.rfind("--metrics-out=", 0) == 0) {
@@ -836,9 +825,6 @@ int cmd_dist(const std::vector<std::string>& args) {
                      "' (expected inproc or udp)");
   }
   if (loss < 0.0 || loss >= 1.0) throw UsageError("--loss must be in [0,1)");
-  if (poll_ms == 0.0 || poll_ms > 1000.0) {
-    throw UsageError("--poll-ms must be in (0,1000]");
-  }
   require_writable(trace_path);
   require_writable(metrics_out);
 
@@ -871,9 +857,6 @@ int cmd_dist(const std::vector<std::string>& args) {
                                               : fvn::net::TransportKind::InProc;
   options.faults.drop_rate = loss;
   options.faults.seed = seed;
-  options.reliability.enabled = retransmit;
-  options.reliability.batch = batch;
-  if (poll_ms > 0.0) options.poll_interval_ms = poll_ms;
   if (collect_metrics) options.metrics = &registry;
   if (!trace_path.empty()) options.trace = &obs_trace;
   // --monitor: node threads call the hook concurrently, so the monitors

@@ -56,7 +56,7 @@ int main() {
   // 4. Arc 7: distributed execution on a 5-node random topology.
   auto links = core::link_facts(core::random_topology(5, 3, /*seed=*/7));
   ndlog::Database merged;
-  auto stats = fvn.execute(links, {}, {}, &merged);
+  auto stats = fvn.execute(links, {}, &merged);
   std::cout << "=== Distributed execution (arc 7) ===\n"
             << "events=" << stats.events_processed << " messages=" << stats.messages_sent
             << " converged_at=" << stats.last_change_time << "s\n"

@@ -95,10 +95,8 @@ VerificationOutcome Fvn::model_check(
 
 runtime::SimStats Fvn::execute(const std::vector<ndlog::Tuple>& facts,
                                runtime::SimOptions options,
-                               std::vector<runtime::Monitor> monitors,
                                ndlog::Database* merged_out) {
-  runtime::Simulator sim(program_, options);
-  for (auto& m : monitors) sim.add_monitor(std::move(m));
+  runtime::Simulator sim(program_, std::move(options));
   sim.inject_all(facts);
   auto stats = sim.run();
   if (merged_out != nullptr) *merged_out = sim.merged_database();

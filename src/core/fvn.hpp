@@ -76,10 +76,10 @@ class Fvn {
                                   const std::function<bool(const mc::NetState&)>& invariant,
                                   std::size_t max_states = 50000);
 
-  /// Arc 7: distributed execution; monitors double as runtime verification.
+  /// Arc 7: distributed execution. Runtime verification watches the run
+  /// through `options.tuple_events`.
   runtime::SimStats execute(const std::vector<ndlog::Tuple>& facts,
                             runtime::SimOptions options = {},
-                            std::vector<runtime::Monitor> monitors = {},
                             ndlog::Database* merged_out = nullptr);
 
  private:

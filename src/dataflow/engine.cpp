@@ -22,17 +22,17 @@ Engine::Engine(const Plan& plan, const ndlog::BuiltinRegistry& builtins,
                obs::Registry* metrics)
     : plan_(&plan), builtins_(&builtins), metrics_(metrics), fallback_(builtins) {
   strand_obs_.reserve(plan.strands.size());
-  for (const auto& s : plan.strands) strand_obs_.push_back(make_obs(s));
+  for (const auto& s : plan.strands) strand_obs_.push_back(series_of(s));
   agg_.resize(plan.aggregates.size());
   agg_obs_.resize(plan.aggregates.size());
   for (std::size_t i = 0; i < plan.aggregates.size(); ++i) {
     for (const auto& s : plan.aggregates[i].strands) {
-      agg_obs_[i].push_back(make_obs(s));
+      agg_obs_[i].push_back(series_of(s));
     }
   }
 }
 
-Engine::StrandObs Engine::make_obs(const Strand& strand) const {
+Engine::StrandObs Engine::series_of(const Strand& strand) const {
   StrandObs obs(strand.elements.size());
   if (metrics_ == nullptr) return obs;
   const std::string base = "dataflow/elem/" + strand.rule_label + "[d" +

@@ -120,7 +120,7 @@ class Engine {
   void exec(RunCtx& ctx, std::size_t ei);
   bool match(const Element& element, const ndlog::Tuple& tuple);
   void touch(const ndlog::Tuple& tuple, int sign, const ndlog::Database& db);
-  StrandObs make_obs(const Strand& strand) const;
+  StrandObs series_of(const Strand& strand) const;
 
   const Plan* plan_;
   const ndlog::BuiltinRegistry* builtins_;

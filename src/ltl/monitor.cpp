@@ -5,8 +5,6 @@
 #include <deque>
 #include <sstream>
 
-#include "obs/json.hpp"
-
 namespace fvn::ltl {
 
 std::string_view to_string(TupleEvent::Kind kind) noexcept {
@@ -197,27 +195,6 @@ TupleEvent::Kind event_kind(std::string_view kind) noexcept {
   return kind == "install"   ? TupleEvent::Kind::Install
          : kind == "retract" ? TupleEvent::Kind::Retract
                              : TupleEvent::Kind::Expire;
-}
-
-std::vector<TupleEvent> events_from_trace(const std::vector<obs::TraceEvent>& events) {
-  std::vector<TupleEvent> out;
-  for (const auto& e : events) {
-    if (e.phase != 'i' || e.cat != "tuple") continue;
-    const std::string_view kind = std::string_view(e.name).substr(0, e.name.find(' '));
-    if (kind != "install" && kind != "retract" && kind != "expire") continue;
-    auto doc = obs::json_parse(e.args_json);
-    if (!doc || !doc->is_object()) continue;
-    const obs::JsonValue* node = doc->find("node");
-    const obs::JsonValue* tuple = doc->find("tuple");
-    if (node == nullptr || tuple == nullptr) continue;
-    try {
-      out.push_back(tuple_event(kind, node->string, ndlog::parse_fact(tuple->string),
-                                static_cast<double>(e.ts_us) / 1e6));
-    } catch (const ndlog::ParseError&) {
-      continue;
-    }
-  }
-  return out;
 }
 
 std::string render_verdicts(const std::vector<MonitorVerdict>& verdicts) {

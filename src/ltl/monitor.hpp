@@ -22,12 +22,11 @@
 
 #include "ltl/buchi.hpp"
 #include "ltl/formula.hpp"
-#include "obs/trace.hpp"
 
 namespace fvn::ltl {
 
-/// One engine-agnostic tuple lifecycle event (the shape both the simulator
-/// and fvn::net nodes emit as cat "tuple" obs instants).
+/// One engine-agnostic tuple lifecycle event: what a runtime's tuple-event
+/// hook reports (the simulator also exports it as cat "tuple" obs instants).
 struct TupleEvent {
   enum class Kind : std::uint8_t { Install, Retract, Expire };
   Kind kind = Kind::Install;
@@ -114,12 +113,6 @@ class MonitorSet {
   std::vector<Monitor> monitors_;
   std::size_t events_ = 0;
 };
-
-/// Decode the engine-agnostic tuple-event stream out of recorded obs events:
-/// instants with cat "tuple", name "<kind> <predicate>" and args
-/// {"node":"...","tuple":"<ground fact>"}. Events that do not match the
-/// shape are skipped.
-std::vector<TupleEvent> events_from_trace(const std::vector<obs::TraceEvent>& events);
 
 /// Render verdicts for the CLI (one line per property).
 std::string render_verdicts(const std::vector<MonitorVerdict>& verdicts);

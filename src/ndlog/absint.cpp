@@ -5,6 +5,8 @@
 #include <limits>
 #include <sstream>
 
+#include "ndlog/analysis.hpp"
+
 namespace fvn::ndlog::absint {
 
 namespace {
@@ -382,13 +384,6 @@ AbstractValue eval_term(const Term& term,
 
 namespace {
 
-/// Plain-variable name of a term, or "" when it is not a bare variable.
-const std::string& var_name(const TermPtr& t) {
-  static const std::string kEmpty;
-  if (t && t->kind == Term::Kind::Var) return t->name;
-  return kEmpty;
-}
-
 const std::vector<AbstractValue>* pred_abstraction(const PredicateMap& preds,
                                                    const std::string& name) {
   auto it = preds.find(name);
@@ -497,27 +492,6 @@ RuleAbstraction abstract_rule(const Rule& rule, const PredicateMap& preds) {
 // ---------------------------------------------------------------------------
 // Program fixpoint
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/// First-seen arity of every predicate (heads and bodies).
-std::map<std::string, std::size_t> arities_of(const Program& program) {
-  std::map<std::string, std::size_t> arity;
-  auto note = [&](const std::string& pred, std::size_t n) {
-    arity.emplace(pred, n);
-  };
-  for (const auto& rule : program.rules) {
-    note(rule.head.predicate, rule.head.args.size());
-    for (const auto& elem : rule.body) {
-      if (const auto* ba = std::get_if<BodyAtom>(&elem)) {
-        note(ba->atom.predicate, ba->atom.args.size());
-      }
-    }
-  }
-  return arity;
-}
-
-}  // namespace
 
 PredicateMap analyze_program(const Program& program, int widen_after) {
   PredicateMap preds;

@@ -46,6 +46,90 @@ std::vector<DependencyEdge> dependency_edges(const Program& program) {
   return out;
 }
 
+DependencySccs dependency_sccs(const Program& program) {
+  // Predicates by name, and each head's bodies in name order, so components
+  // come out in one deterministic order whatever order the rules are in.
+  const auto names = predicates_of(program);
+  const std::vector<std::string> preds(names.begin(), names.end());
+  const auto id = [&preds](const std::string& pred) {
+    return static_cast<int>(std::lower_bound(preds.begin(), preds.end(), pred) -
+                            preds.begin());
+  };
+  const int n = static_cast<int>(preds.size());
+  std::vector<std::vector<int>> adj(n);
+  std::vector<bool> self_loop(n, false);
+  for (const auto& e : dependency_edges(program)) {
+    const int head = id(e.head);
+    const int body = id(e.body);
+    adj[head].push_back(body);
+    if (head == body) self_loop[head] = true;
+  }
+  for (auto& bodies : adj) {
+    std::sort(bodies.begin(), bodies.end());
+    bodies.erase(std::unique(bodies.begin(), bodies.end()), bodies.end());
+  }
+
+  // Tarjan: a component is emitted once everything it depends on has been.
+  DependencySccs result;
+  std::vector<int> index(n, -1), low(n, 0), stack;
+  std::vector<bool> on_stack(n, false);
+  int next_index = 0;
+  std::function<void(int)> strongconnect = [&](int v) {
+    index[v] = low[v] = next_index++;
+    stack.push_back(v);
+    on_stack[v] = true;
+    for (const int w : adj[v]) {
+      if (index[w] == -1) {
+        strongconnect(w);
+        low[v] = std::min(low[v], low[w]);
+      } else if (on_stack[w]) {
+        low[v] = std::min(low[v], index[w]);
+      }
+    }
+    if (low[v] != index[v]) return;
+    std::vector<int> members;
+    int w = -1;
+    do {
+      w = stack.back();
+      stack.pop_back();
+      on_stack[w] = false;
+      members.push_back(w);
+    } while (w != v);
+    std::sort(members.begin(), members.end());
+    const int c = static_cast<int>(result.components.size());
+    const bool recursive = members.size() > 1 || self_loop[v];
+    auto& component = result.components.emplace_back();
+    for (const int m : members) {
+      component.push_back(preds[m]);
+      result.component_of[preds[m]] = c;
+      if (recursive) result.recursive.insert(preds[m]);
+    }
+  };
+  for (int v = 0; v < n; ++v) {
+    if (index[v] == -1) strongconnect(v);
+  }
+  return result;
+}
+
+std::map<std::string, std::size_t> arities_of(const Program& program) {
+  std::map<std::string, std::size_t> arity;
+  for (const auto& rule : program.rules) {
+    arity.emplace(rule.head.predicate, rule.head.args.size());
+    for (const auto& elem : rule.body) {
+      if (const auto* ba = std::get_if<BodyAtom>(&elem)) {
+        arity.emplace(ba->atom.predicate, ba->atom.args.size());
+      }
+    }
+  }
+  return arity;
+}
+
+const std::string& var_name(const TermPtr& term) {
+  static const std::string kEmpty;
+  if (term && term->kind == Term::Kind::Var) return term->name;
+  return kEmpty;
+}
+
 std::string location_var_of(const Atom& atom) {
   if (atom.loc_index < 0 ||
       static_cast<std::size_t>(atom.loc_index) >= atom.args.size()) {
@@ -275,51 +359,15 @@ void check_safety(const Program& program, const BuiltinRegistry& builtins,
 }
 
 std::optional<Stratification> stratify(const Program& program, DiagnosticSink& sink) {
-  const auto preds_set = predicates_of(program);
-  std::vector<std::string> preds(preds_set.begin(), preds_set.end());
-  std::map<std::string, int> index;
-  for (std::size_t i = 0; i < preds.size(); ++i) index[preds[i]] = static_cast<int>(i);
-
   const auto edges = dependency_edges(program);
-  const int n = static_cast<int>(preds.size());
-  std::vector<std::vector<int>> adj(n);
-  for (const auto& e : edges) adj[index[e.body]].push_back(index[e.head]);
-
-  // Tarjan SCC.
-  std::vector<int> comp(n, -1), low(n, 0), disc(n, -1), stack;
-  std::vector<bool> on_stack(n, false);
-  int timer = 0, comp_count = 0;
-  std::function<void(int)> dfs = [&](int u) {
-    disc[u] = low[u] = timer++;
-    stack.push_back(u);
-    on_stack[u] = true;
-    for (int v : adj[u]) {
-      if (disc[v] == -1) {
-        dfs(v);
-        low[u] = std::min(low[u], low[v]);
-      } else if (on_stack[v]) {
-        low[u] = std::min(low[u], disc[v]);
-      }
-    }
-    if (low[u] == disc[u]) {
-      while (true) {
-        int v = stack.back();
-        stack.pop_back();
-        on_stack[v] = false;
-        comp[v] = comp_count;
-        if (v == u) break;
-      }
-      ++comp_count;
-    }
-  };
-  for (int u = 0; u < n; ++u) {
-    if (disc[u] == -1) dfs(u);
-  }
+  const DependencySccs sccs = dependency_sccs(program);
+  const auto comp = [&sccs](const std::string& pred) { return sccs.component_of.at(pred); };
+  const int comp_count = static_cast<int>(sccs.components.size());
 
   // Negation/aggregation edges may not stay within one SCC.
   bool ok = true;
   for (const auto& e : edges) {
-    if ((e.negated || e.through_aggregate) && comp[index[e.body]] == comp[index[e.head]]) {
+    if ((e.negated || e.through_aggregate) && comp(e.body) == comp(e.head)) {
       ok = false;
       const Rule& rule = program.rules[e.rule_index];
       sink.error("ND0005",
@@ -343,8 +391,8 @@ std::optional<Stratification> stratify(const Program& program, DiagnosticSink& s
   while (changed && guard-- > 0) {
     changed = false;
     for (const auto& e : edges) {
-      const int cb = comp[index[e.body]];
-      const int ch = comp[index[e.head]];
+      const int cb = comp(e.body);
+      const int ch = comp(e.head);
       const int need = stratum[cb] + ((e.negated || e.through_aggregate) ? 1 : 0);
       if (cb != ch && stratum[ch] < need) {
         stratum[ch] = need;
@@ -355,9 +403,9 @@ std::optional<Stratification> stratify(const Program& program, DiagnosticSink& s
 
   Stratification out;
   int max_stratum = 0;
-  for (int u = 0; u < n; ++u) {
-    out.stratum_of[preds[u]] = stratum[comp[u]];
-    max_stratum = std::max(max_stratum, stratum[comp[u]]);
+  for (const auto& [pred, c] : sccs.component_of) {
+    out.stratum_of[pred] = stratum[c];
+    max_stratum = std::max(max_stratum, stratum[c]);
   }
   out.stratum_count = max_stratum + 1;
   out.rule_stratum.resize(program.rules.size(), 0);

@@ -62,6 +62,24 @@ std::set<std::string> derived_predicates(const Program& program);
 /// The dependency edges of the program.
 std::vector<DependencyEdge> dependency_edges(const Program& program);
 
+/// Strongly connected components of the predicate dependency graph (one
+/// Tarjan pass; stratification and the semantic passes both read it).
+struct DependencySccs {
+  /// Components in dependency order (callees first); members sorted.
+  std::vector<std::vector<std::string>> components;
+  /// Predicate → index into `components`.
+  std::map<std::string, int> component_of;
+  /// Members of every component with more than one predicate or a self-edge.
+  std::set<std::string> recursive;
+};
+DependencySccs dependency_sccs(const Program& program);
+
+/// First-seen arity of every predicate (heads and bodies, in rule order).
+std::map<std::string, std::size_t> arities_of(const Program& program);
+
+/// Plain-variable name of a term, or "" when it is not a bare variable.
+const std::string& var_name(const TermPtr& term);
+
 /// Location-specifier variable of an atom, or "" when the location argument
 /// is not a plain variable (or the atom carries no '@').
 std::string location_var_of(const Atom& atom);

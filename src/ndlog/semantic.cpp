@@ -1,7 +1,6 @@
 #include "ndlog/semantic.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 
 #include "ndlog/analysis.hpp"
@@ -11,25 +10,6 @@ namespace fvn::ndlog {
 
 namespace {
 
-const std::string& var_name(const TermPtr& t) {
-  static const std::string kEmpty;
-  if (t && t->kind == Term::Kind::Var) return t->name;
-  return kEmpty;
-}
-
-std::map<std::string, std::size_t> arities_of(const Program& program) {
-  std::map<std::string, std::size_t> arity;
-  for (const auto& rule : program.rules) {
-    arity.emplace(rule.head.predicate, rule.head.args.size());
-    for (const auto& elem : rule.body) {
-      if (const auto* ba = std::get_if<BodyAtom>(&elem)) {
-        arity.emplace(ba->atom.predicate, ba->atom.args.size());
-      }
-    }
-  }
-  return arity;
-}
-
 std::string join_names(const std::set<std::string>& names) {
   std::string out;
   for (const auto& n : names) {
@@ -37,70 +17,6 @@ std::string join_names(const std::set<std::string>& names) {
     out += n;
   }
   return out;
-}
-
-// -------------------------------------------------------------------------
-// Tarjan SCC over the predicate dependency graph (head → body edges).
-// Components are emitted dependencies-first.
-// -------------------------------------------------------------------------
-
-struct SccResult {
-  std::vector<std::vector<std::string>> components;
-  std::map<std::string, int> component_of;
-  std::set<std::string> recursive;  // |scc| > 1 or self-edge
-};
-
-SccResult compute_sccs(const Program& program) {
-  std::map<std::string, std::set<std::string>> adj;
-  std::set<std::string> self_loop;
-  for (const auto& p : predicates_of(program)) adj[p];
-  for (const auto& e : dependency_edges(program)) {
-    adj[e.head].insert(e.body);
-    if (e.head == e.body) self_loop.insert(e.head);
-  }
-
-  SccResult result;
-  std::map<std::string, int> index;
-  std::map<std::string, int> lowlink;
-  std::set<std::string> on_stack;
-  std::vector<std::string> stack;
-  int next_index = 0;
-
-  std::function<void(const std::string&)> strongconnect =
-      [&](const std::string& v) {
-        index[v] = lowlink[v] = next_index++;
-        stack.push_back(v);
-        on_stack.insert(v);
-        for (const auto& w : adj[v]) {
-          if (index.find(w) == index.end()) {
-            strongconnect(w);
-            lowlink[v] = std::min(lowlink[v], lowlink[w]);
-          } else if (on_stack.count(w) != 0) {
-            lowlink[v] = std::min(lowlink[v], index[w]);
-          }
-        }
-        if (lowlink[v] == index[v]) {
-          std::vector<std::string> comp;
-          while (true) {
-            const std::string w = stack.back();
-            stack.pop_back();
-            on_stack.erase(w);
-            comp.push_back(w);
-            if (w == v) break;
-          }
-          std::sort(comp.begin(), comp.end());
-          const int id = static_cast<int>(result.components.size());
-          for (const auto& m : comp) result.component_of[m] = id;
-          if (comp.size() > 1 || self_loop.count(v) != 0) {
-            for (const auto& m : comp) result.recursive.insert(m);
-          }
-          result.components.push_back(std::move(comp));
-        }
-      };
-  for (const auto& [pred, _] : adj) {
-    if (index.find(pred) == index.end()) strongconnect(pred);
-  }
-  return result;
 }
 
 // -------------------------------------------------------------------------
@@ -677,7 +593,7 @@ SemanticReport analyze_semantics(const Program& program, DiagnosticSink& sink,
       report.stratum_of = strat->stratum_of;
     }
   }
-  const SccResult sccs = compute_sccs(program);
+  const DependencySccs sccs = dependency_sccs(program);
   report.sccs = sccs.components;
   report.recursive_predicates = sccs.recursive;
 

@@ -12,6 +12,35 @@ namespace fvn::net {
 using ndlog::Tuple;
 using ndlog::Value;
 
+namespace {
+
+/// Consecutive quiescent-looking scans that declare quiescence.
+constexpr std::size_t kConfirmingScans = 3;
+/// Longest the coordinator parks between scans while the cluster is busy:
+/// the progress doorbell normally wakes it first, so this only backstops a
+/// missed ring.
+constexpr double kScanBackstopMs = 0.25;
+
+/// Add one node's books into `m` under net/node/<name>/.
+void add_books(obs::Registry& m, const std::string& name, const NodeStats& s) {
+  const std::string base = "net/node/" + name + "/";
+  m.counter(base + "sent").add(s.sent);
+  m.counter(base + "received").add(s.received);
+  m.counter(base + "retransmitted").add(s.retransmitted);
+  m.counter(base + "acked").add(s.acked);
+  m.counter(base + "installed").add(s.installed);
+  m.counter(base + "bytes_sent").add(s.bytes_sent);
+  m.counter(base + "bytes_received").add(s.bytes_received);
+  m.counter(base + "ack_bytes").add(s.ack_bytes);
+  m.counter(base + "tuples_shipped").add(s.tuples_shipped);
+  m.histogram(base + "mailbox_depth").merge(s.mailbox_depth);
+  m.histogram(base + "batch_size").merge(s.batch_size);
+  m.timer(base + "encode").merge(s.encode);
+  m.timer(base + "decode").merge(s.decode);
+}
+
+}  // namespace
+
 Cluster::Cluster(ndlog::Program program, ClusterOptions options,
                  const ndlog::BuiltinRegistry& builtins)
     : program_(runtime::localize(program)),
@@ -56,28 +85,6 @@ void Cluster::inject_all(const std::vector<Tuple>& facts) {
   for (const auto& f : facts) inject(f);
 }
 
-NodeObs Cluster::make_obs(const std::string& name) {
-  NodeObs obs;
-  if (options_.tuple_events) obs.tuple_events = &options_.tuple_events;
-  if (options_.metrics == nullptr) return obs;
-  obs::Registry& m = *options_.metrics;
-  const std::string base = "net/node/" + name + "/";
-  obs.sent = &m.counter(base + "sent");
-  obs.received = &m.counter(base + "received");
-  obs.retransmitted = &m.counter(base + "retransmitted");
-  obs.acked = &m.counter(base + "acked");
-  obs.installed = &m.counter(base + "installed");
-  obs.bytes_sent = &m.counter(base + "bytes_sent");
-  obs.bytes_received = &m.counter(base + "bytes_received");
-  obs.ack_bytes = &m.counter(base + "ack_bytes");
-  obs.tuples_shipped = &m.counter(base + "tuples_shipped");
-  obs.mailbox_depth = &m.histogram(base + "mailbox_depth");
-  obs.batch_size = &m.histogram(base + "batch_size");
-  obs.encode = &m.timer(base + "encode");
-  obs.decode = &m.timer(base + "decode");
-  return obs;
-}
-
 ClusterStats Cluster::run() {
   assert(!ran_ && "Cluster::run may be called once");
   ran_ = true;
@@ -91,13 +98,13 @@ ClusterStats Cluster::run() {
       transport_ = std::make_unique<UdpTransport>(options_.faults);
       break;
   }
-  // Everything that touches shared structures (transport registration, obs
-  // series creation, node construction, seeding) happens here, before any
-  // thread starts; afterwards node threads only touch their own state.
+  // Everything that touches shared structures (transport registration, node
+  // construction, seeding) happens here, before any thread starts;
+  // afterwards node threads only touch their own state.
   for (const auto& [name, facts] : seeds_) transport_->add_node(name);
   for (const auto& [name, facts] : seeds_) {
     auto node = std::make_unique<Node>(name, catalog_, *builtins_, plan_, *transport_,
-                                       options_.reliability, make_obs(name));
+                                       &options_.tuple_events, options_.metrics != nullptr);
     for (const auto& fact : facts) node->seed(fact);
     nodes_.emplace(name, std::move(node));
   }
@@ -131,15 +138,14 @@ ClusterStats Cluster::run() {
   for (;;) {
     // The stability argument counts *scans*, not wall time: once a scan looks
     // quiescent, confirming rescans only need to be distinct, so take them a
-    // yield apart instead of a full poll interval — detection then costs
-    // microseconds instead of quiescence_rounds * poll_interval. While the
-    // cluster is visibly busy, park on the progress doorbell: nodes ring it
-    // when they go idle, so the scan that will observe quiescence starts one
-    // wakeup after the last node parks, not a poll interval later.
+    // yield apart — detection then costs microseconds. While the cluster is
+    // visibly busy, park on the progress doorbell: nodes ring it when they
+    // go idle, so the scan that will observe quiescence starts one wakeup
+    // after the last node parks, not a backstop timeout later.
     if (stable > 0) {
       std::this_thread::yield();
     } else {
-      transport_->progress_wait(ticket, options_.poll_interval_ms);
+      transport_->progress_wait(ticket, kScanBackstopMs);
     }
     ticket = transport_->progress_ticket();
     ++stats.coordinator_polls;
@@ -166,7 +172,7 @@ ClusterStats Cluster::run() {
       stable = 0;
     }
     last_activity = activity;
-    if (stable >= options_.quiescence_rounds) {
+    if (stable >= kConfirmingScans) {
       stats.quiesced = true;
       break;
     }
@@ -200,6 +206,8 @@ ClusterStats Cluster::run() {
     stats.bytes_sent += ns.bytes_sent;
     stats.bytes_received += ns.bytes_received;
     stats.ack_bytes += ns.ack_bytes;
+    stats.retransmit_bytes += ns.retransmit_bytes;
+    if (options_.metrics != nullptr) add_books(*options_.metrics, name, ns);
   }
   stats.transport = transport_->stats();
   if (options_.trace != nullptr) {

@@ -8,7 +8,7 @@
 // synthesized, only copied, so this is the complete node universe), starts
 // one thread per node, then polls for quiescence:
 //
-//   quiesced  :=  for `quiescence_rounds` consecutive polls:
+//   quiesced  :=  for kConfirmingScans (3, cluster.cpp) consecutive scans:
 //                 every node idle  AND  transport quiet (mailboxes, hold
 //                 queues, kernel buffers empty)  AND  total unacked == 0
 //                 AND  the summed activity counter did not change
@@ -20,6 +20,10 @@
 // between polls). Requiring all of them stable across consecutive scans
 // closes the window in which a frame hops between the categories unseen.
 // See DESIGN.md §12 for the full argument.
+//
+// Books: each node keeps its own NodeStats; after join, run() sums them into
+// ClusterStats and, with a registry, adds them under net/node/<n>/..., so
+// the registry is never written while node threads run.
 //
 // Scope: hard-state programs only. Soft state (finite lifetimes) and
 // `periodic` need per-node clocks and never quiesce; the constructor rejects
@@ -54,27 +58,22 @@ enum class TransportKind : std::uint8_t { InProc, Udp };
 
 struct ClusterOptions {
   TransportKind transport = TransportKind::InProc;
-  /// Seeded transport misbehavior; masked by reliability when enabled.
+  /// Seeded transport misbehavior, masked by the nodes' ack+retransmit
+  /// channels.
   FaultOptions faults;
-  ReliabilityOptions reliability;
-  /// Consecutive stable coordinator polls required to declare quiescence.
-  std::size_t quiescence_rounds = 3;
-  /// Coordinator sleep between quiescence scans. Small programs converge in a
-  /// handful of milliseconds, so the poll interval is a direct wall-clock tax
-  /// (quiescence_rounds * interval at minimum) — keep it well under 1ms.
-  double poll_interval_ms = 0.25;
   /// Wall-clock budget; exceeded => stats.quiesced = false.
   double max_seconds = 30.0;
   bool require_stratified = true;
   bool incremental_aggregates = true;
   /// Compile with cost-guided join ordering.
   bool cost_order = false;
-  /// Observability sinks (null = off). With `metrics`, per-node series
-  /// net/node/<n>/{sent,received,retransmitted,acked,installed,bytes_sent,
-  /// bytes_received,ack_bytes,tuples_shipped,mailbox_depth,batch_size,
-  /// encode,decode} are pre-created before the threads start (the registry is not thread-safe; each node only ever
-  /// touches its own series). With `trace`, the *coordinator* emits
-  /// cluster-level counter samples each poll.
+  /// Observability sinks (null = off). With `metrics`, nodes also record
+  /// their histograms and timers, and run() adds every node's books after
+  /// join as net/node/<n>/{sent,received,retransmitted,acked,installed,
+  /// bytes_sent,bytes_received,ack_bytes,tuples_shipped} (counters),
+  /// {mailbox_depth,batch_size} (histograms) and {encode,decode} (timers).
+  /// With `trace`, the *coordinator* emits cluster-level counter samples each
+  /// poll.
   obs::Registry* metrics = nullptr;
   obs::Trace* trace = nullptr;
   /// Live engine-agnostic tuple-event hook, invoked inline from node threads
@@ -102,10 +101,11 @@ struct ClusterStats {
   std::uint64_t tuples_installed = 0;
   std::uint64_t overwrites = 0;
   /// Payload bytes handed to the transport: batches, retransmits, *and acks*
-  /// (`ack_bytes` breaks the ack share out).
+  /// (`ack_bytes` and `retransmit_bytes` break those shares out).
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t ack_bytes = 0;
+  std::uint64_t retransmit_bytes = 0;
   TransportStats transport;
   std::size_t coordinator_polls = 0;
   double wall_ms = 0.0;
@@ -136,7 +136,7 @@ class Cluster {
 
   /// Valid after run().
   const ndlog::Database& database(const std::string& node) const;
-  /// Per-node protocol counters (valid after run(); throws on unknown node).
+  /// Per-node books (valid after run(); throws on unknown node).
   const NodeStats& node_stats(const std::string& node) const;
   /// Union of all nodes' relations — the object the differential suite
   /// compares against runtime::Simulator::merged_database().
@@ -146,7 +146,6 @@ class Cluster {
 
  private:
   void register_addrs(const ndlog::Value& value);
-  NodeObs make_obs(const std::string& name);
 
   ndlog::Program program_;
   ndlog::Catalog catalog_;

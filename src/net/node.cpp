@@ -13,15 +13,21 @@ namespace {
 /// no row here ever expires and the core's lifetime clock can stand still.
 constexpr double kCoreClock = 0.0;
 
+/// Retransmit deadline of a first transmission; each re-send doubles it, up
+/// to kMaxBackoffMs.
+constexpr double kInitialBackoffMs = 2.0;
+constexpr double kMaxBackoffMs = 50.0;
+
 }  // namespace
 
 Node::Node(std::string name, const ndlog::Catalog& catalog,
            const ndlog::BuiltinRegistry& builtins, const dataflow::Plan& plan,
-           Transport& transport, ReliabilityOptions reliability, NodeObs obs)
+           Transport& transport, const runtime::TupleEventHook* tuple_events,
+           bool metered)
     : name_(std::move(name)),
       transport_(&transport),
-      reliability_(reliability),
-      obs_(obs),
+      tuple_events_(tuple_events),
+      metered_(metered),
       preds_(catalog),
       // Null registry: obs::Registry is not thread-safe and the shared
       // element counters would race across node threads.
@@ -49,14 +55,13 @@ void Node::on_change(runtime::NodeCore::Change change, const Tuple& tuple) {
       return;  // hard state only: nothing here ever expires
     case Change::Install:
       ++stats_.installed;
-      if (obs_.installed != nullptr) obs_.installed->add(1);
       break;
     case Change::Retract:
       break;
   }
-  if (obs_.tuple_events != nullptr && *obs_.tuple_events) {
-    (*obs_.tuple_events)(change == Change::Install ? "install" : "retract", name_, tuple,
-                         now_ms() / 1000.0);
+  if (tuple_events_ != nullptr && *tuple_events_) {
+    (*tuple_events_)(change == Change::Install ? "install" : "retract", name_, tuple,
+                     now_ms() / 1000.0);
   }
 }
 
@@ -64,7 +69,6 @@ void Node::ship(const Tuple& tuple) {
   auto& buf = outbuf_[preds_.location_of(tuple)];
   if (buf.empty()) ++outbuf_dirty_;
   buf.push_back(tuple);
-  if (!reliability_.batch) flush_channels();
 }
 
 void Node::flush_channels() {
@@ -79,38 +83,27 @@ void Node::flush_channels() {
     frame.tuples = std::move(buf);
     buf.clear();
     const std::size_t tuple_count = frame.tuples.size();
-    auto oit = out_.end();
-    if (reliability_.enabled) {
-      oit = out_.try_emplace(dest).first;
-      frame.seq = oit->second.next_seq++;
-    }
-    // Raw mode: seq stays 0 — no receiver checks it, and a per-ship counter
-    // would make otherwise-identical runs byte-diverge for nothing.
+    auto oit = out_.try_emplace(dest).first;
+    frame.seq = oit->second.next_seq++;
     std::string bytes;
     {
-      obs::Timer::Scope scope(obs_.encode);
+      obs::Timer::Scope scope(metered_ ? &stats_.encode : nullptr);
       bytes = encode_frame(frame);
     }
-    if (oit != out_.end()) {
-      const double due = now_ms() + reliability_.initial_backoff_ms;
-      oit->second.pending.emplace(
-          frame.seq, Pending{bytes, due, reliability_.initial_backoff_ms});
-      due_heap_.push(Due{due, &oit->first, frame.seq});
-      unacked_.fetch_add(1, std::memory_order_acq_rel);
-    }
+    const double due = now_ms() + kInitialBackoffMs;
+    oit->second.pending.emplace(frame.seq, Pending{bytes, due, kInitialBackoffMs});
+    due_heap_.push(Due{due, &oit->first, frame.seq});
+    unacked_.fetch_add(1, std::memory_order_acq_rel);
     ++stats_.sent;
     stats_.tuples_shipped += tuple_count;
     stats_.bytes_sent += bytes.size();
-    if (obs_.sent != nullptr) obs_.sent->add(1);
-    if (obs_.tuples_shipped != nullptr) obs_.tuples_shipped->add(tuple_count);
-    if (obs_.bytes_sent != nullptr) obs_.bytes_sent->add(bytes.size());
-    if (obs_.batch_size != nullptr) obs_.batch_size->observe(tuple_count);
+    if (metered_) stats_.batch_size.observe(tuple_count);
     transport_->send(name_, dest, std::move(bytes));
   }
 }
 
 void Node::retransmit_due() {
-  if (!reliability_.enabled || due_heap_.empty()) return;
+  if (due_heap_.empty()) return;
   const double now = now_ms();
   while (!due_heap_.empty()) {
     const Due top = due_heap_.top();
@@ -132,12 +125,11 @@ void Node::retransmit_due() {
       due_heap_.push(Due{p.due_ms, &oit->first, top.seq});
       continue;
     }
-    p.backoff_ms = std::min(p.backoff_ms * 2.0, reliability_.max_backoff_ms);
+    p.backoff_ms = std::min(p.backoff_ms * 2.0, kMaxBackoffMs);
     p.due_ms = now + p.backoff_ms;
     ++stats_.retransmitted;
+    stats_.retransmit_bytes += p.bytes.size();
     stats_.bytes_sent += p.bytes.size();
-    if (obs_.retransmitted != nullptr) obs_.retransmitted->add(1);
-    if (obs_.bytes_sent != nullptr) obs_.bytes_sent->add(p.bytes.size());
     due_heap_.push(Due{p.due_ms, &oit->first, top.seq});
   }
 }
@@ -150,12 +142,10 @@ void Node::send_ack(const std::string& dest, std::uint64_t cumulative_seq) {
   ack.dst = dest;
   std::string bytes = encode_frame(ack);
   // Acks are wire traffic too: count them into the node's byte totals (and
-  // separately, so the protocol overhead stays visible in stats and obs).
+  // separately, so the protocol overhead stays visible).
   ++stats_.acks_sent;
   stats_.ack_bytes += bytes.size();
   stats_.bytes_sent += bytes.size();
-  if (obs_.ack_bytes != nullptr) obs_.ack_bytes->add(bytes.size());
-  if (obs_.bytes_sent != nullptr) obs_.bytes_sent->add(bytes.size());
   transport_->send(name_, dest, std::move(bytes));
 }
 
@@ -167,14 +157,6 @@ void Node::deliver_tuples(const std::vector<Tuple>& tuples) {
 }
 
 void Node::handle_batch(Frame&& frame) {
-  if (!reliability_.enabled) {
-    // Raw mode: process in arrival order, no dedup (fault-free transports only).
-    ++stats_.received;
-    stats_.tuples_received += frame.tuples.size();
-    if (obs_.received != nullptr) obs_.received->add(1);
-    deliver_tuples(frame.tuples);
-    return;
-  }
   const std::string src = frame.src;
   InChannel& in = in_[src];
   if (frame.seq < in.next_expected || in.reassembly.count(frame.seq) > 0) {
@@ -196,7 +178,6 @@ void Node::handle_batch(Frame&& frame) {
     ++in.next_expected;
     ++stats_.received;
     stats_.tuples_received += batch.size();
-    if (obs_.received != nullptr) obs_.received->add(1);
     deliver_tuples(batch);
     auto it = in.reassembly.find(in.next_expected);
     if (it == in.reassembly.end()) break;
@@ -208,10 +189,9 @@ void Node::handle_batch(Frame&& frame) {
 
 void Node::handle_frame(const std::string& bytes) {
   stats_.bytes_received += bytes.size();
-  if (obs_.bytes_received != nullptr) obs_.bytes_received->add(bytes.size());
   Frame frame;
   try {
-    obs::Timer::Scope scope(obs_.decode);
+    obs::Timer::Scope scope(metered_ ? &stats_.decode : nullptr);
     frame = decode_frame(bytes);
   } catch (const WireError&) {
     // Corrupt frame: count and drop; the sender's retransmit recovers it.
@@ -232,25 +212,19 @@ void Node::handle_frame(const std::string& bytes) {
       }
       if (cleared > 0) {
         stats_.acked += cleared;
-        if (obs_.acked != nullptr) obs_.acked->add(cleared);
         unacked_.fetch_sub(cleared, std::memory_order_acq_rel);
       }
     }
     return;
-  }
-  if (frame.kind == Frame::Kind::Data) {
-    // Legacy single-tuple frame: same channel machinery, batch of one.
-    frame.kind = Frame::Kind::DataBatch;
-    frame.tuples.clear();
-    frame.tuples.push_back(std::move(frame.tuple));
   }
   handle_batch(std::move(frame));
 }
 
 bool Node::sweep() {
   // Busy before the mailbox is touched: a frame this sweep pops has left the
-  // transport and, with reliability off, nothing else the coordinator reads
-  // shows it until activity_ moves after handle_frame.
+  // transport, and its ack (which clears the sender's unacked count) leaves
+  // before the derivations it triggers are flushed, so nothing else the
+  // coordinator reads shows that work until this sweep ends.
   idle_.store(false, std::memory_order_release);
   transport_->pump(name_);
   retransmit_due();
@@ -269,7 +243,7 @@ bool Node::sweep() {
     idle_.store(true, std::memory_order_release);
     return false;
   }
-  if (obs_.mailbox_depth != nullptr) obs_.mailbox_depth->observe(drained);
+  if (metered_) stats_.mailbox_depth.observe(drained);
   return true;
 }
 

@@ -10,9 +10,9 @@
 //
 // and settles the core's aggregates once per delivered batch.
 //
-// Shipping is *batched*: derived tuples bound for a remote node accumulate in
-// a per-destination channel buffer and flush as one DataBatch wire frame per
-// sweep — a whole delta round's worth of tuples pays for one encode, one
+// Delivery has one path: derived tuples bound for a remote node accumulate
+// in a per-destination channel buffer and flush as one DataBatch wire frame
+// per sweep — a whole delta round's worth of tuples pays for one encode, one
 // mailbox crossing, one seq number, and one pending/retransmit entry instead
 // of one each per tuple.
 //
@@ -22,8 +22,9 @@
 //   sender    every DataBatch carries a per-(src,dst) sequence number and
 //             stays in a pending map until acked; a min-heap of due times
 //             finds overdue batches in O(log n), and each retransmission
-//             doubles the backoff up to a cap — but backoff and counters
-//             only advance after the transport actually accepted the send.
+//             doubles the backoff (kInitialBackoffMs up to kMaxBackoffMs in
+//             node.cpp) — but backoff and counters only advance after the
+//             transport actually accepted the send.
 //   receiver  delivers batches exactly once and in sequence order via a
 //             reassembly buffer, and answers every DataBatch (including
 //             duplicates — the previous ack may have been the casualty) with
@@ -36,8 +37,9 @@
 // Thread model: everything mutable on a Node is owned by its thread, except
 // the std::atomic signals (idle/activity/unacked/failed) the coordinator
 // polls for termination detection, and the transport (internally
-// synchronized). The obs series pointers are wired before the thread starts
-// and point into a Registry nobody else touches concurrently per-node.
+// synchronized). A node keeps its own books (NodeStats, histograms and
+// timers included); the Cluster adds them into its obs::Registry after
+// join, so no node thread touches a shared registry.
 //
 // Idle discipline: `idle` goes false *before* a sweep looks at the mailbox
 // and true only after a sweep that popped nothing, so a node reads busy for
@@ -62,52 +64,11 @@
 
 namespace fvn::net {
 
-/// Channel-layer knobs (cluster-wide; see Cluster).
-struct ReliabilityOptions {
-  /// Off = fire-and-forget raw frames (only sane on a fault-free transport;
-  /// the differential suite uses it as the zero-overhead baseline). Raw
-  /// frames carry seq 0 — nothing checks a raw seq, so allocating one per
-  /// ship would only make otherwise-identical runs byte-diverge.
-  bool enabled = true;
-  double initial_backoff_ms = 2.0;  ///< first retransmit deadline
-  double max_backoff_ms = 50.0;     ///< backoff doubles up to this cap
-  /// Accumulate a sweep's derived tuples per destination and flush them as
-  /// one DataBatch frame (both modes). Off = flush after every ship, i.e.
-  /// one single-tuple batch per derived tuple (the A/B baseline).
-  bool batch = true;
-};
-
-/// Per-node observability series, wired by the Cluster before the node's
-/// thread starts (all null when metrics are off). Each node gets its own
-/// series — obs::Registry is not thread-safe, so no two threads may share one.
-struct NodeObs {
-  obs::Counter* sent = nullptr;
-  obs::Counter* received = nullptr;
-  obs::Counter* retransmitted = nullptr;
-  obs::Counter* acked = nullptr;
-  obs::Counter* installed = nullptr;
-  obs::Counter* bytes_sent = nullptr;
-  obs::Counter* bytes_received = nullptr;
-  obs::Counter* ack_bytes = nullptr;       ///< ack-frame bytes within bytes_sent
-  obs::Counter* tuples_shipped = nullptr;  ///< tuples carried by sent batches
-  /// Frames drained per non-empty mailbox sweep (the observable backlog).
-  obs::Histogram* mailbox_depth = nullptr;
-  /// Tuples per flushed DataBatch (the batching win, observable).
-  obs::Histogram* batch_size = nullptr;
-  obs::Timer* encode = nullptr;
-  obs::Timer* decode = nullptr;
-  /// Live engine-agnostic tuple-event hook (ClusterOptions::tuple_events),
-  /// invoked inline on this node's thread for every install/retract with the
-  /// node clock in seconds, before the derivations the change triggers are
-  /// shipped. Shared across nodes — the callee must be internally
-  /// synchronized.
-  const runtime::TupleEventHook* tuple_events = nullptr;
-};
-
-/// Plain counters, safe to read after the node's thread has been joined.
+/// A node's books, safe to read after its thread has been joined.
 /// `bytes_sent`/`bytes_received` count every payload byte handed to / taken
-/// from the transport — data batches, retransmissions, *and acks* (acks are
-/// also broken out separately so the protocol overhead stays visible).
+/// from the transport — data batches, retransmissions, *and acks*; the ack
+/// and retransmission shares are broken out so the protocol overhead stays
+/// visible.
 struct NodeStats {
   std::uint64_t sent = 0;            ///< DataBatch frames first-transmitted
   std::uint64_t received = 0;        ///< DataBatch frames delivered in-order
@@ -122,20 +83,34 @@ struct NodeStats {
   std::uint64_t overwrites = 0;      ///< keyed overwrites among installed
   std::uint64_t bytes_sent = 0;      ///< payload bytes handed to the transport
   std::uint64_t bytes_received = 0;
-  std::uint64_t ack_bytes = 0;       ///< ack-frame bytes within bytes_sent
+  std::uint64_t ack_bytes = 0;        ///< ack-frame bytes within bytes_sent
+  std::uint64_t retransmit_bytes = 0; ///< re-sent batch bytes within bytes_sent
   /// Node-clock ms of the last frame/seed processed — max over nodes is when
   /// the cluster actually finished; wall_ms minus that is the detection tail.
   double last_active_ms = 0.0;
+  // Recorded only by a metered node (the Cluster has a registry):
+  /// Frames drained per non-empty mailbox sweep (the observable backlog).
+  obs::Histogram mailbox_depth;
+  /// Tuples per first-transmitted DataBatch (the batching win, observable).
+  obs::Histogram batch_size;
+  obs::Timer encode;
+  obs::Timer decode;
 };
 
 /// One distributed NDlog node. Construct, seed(), then start(); the Cluster
 /// owns the lifecycle.
 class Node {
  public:
-  /// `catalog`, `builtins`, `plan` and `transport` must outlive the node.
+  /// `catalog`, `builtins`, `plan`, `transport` and `tuple_events` must
+  /// outlive the node. `tuple_events` (null or empty = none) is called
+  /// inline on this node's thread for every install/retract with the node
+  /// clock in seconds, before the derivations the change triggers are
+  /// shipped; nodes share it, so the callee must be internally synchronized.
+  /// `metered` turns on the histograms and timers of NodeStats.
   Node(std::string name, const ndlog::Catalog& catalog,
        const ndlog::BuiltinRegistry& builtins, const dataflow::Plan& plan,
-       Transport& transport, ReliabilityOptions reliability, NodeObs obs);
+       Transport& transport, const runtime::TupleEventHook* tuple_events = nullptr,
+       bool metered = false);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -158,7 +133,7 @@ class Node {
   std::uint64_t activity() const noexcept {
     return activity_.load(std::memory_order_acquire);
   }
-  /// DataBatch frames sent but not yet acked (0 when reliability is off).
+  /// DataBatch frames sent but not yet acked.
   std::uint64_t unacked() const noexcept {
     return unacked_.load(std::memory_order_acquire);
   }
@@ -210,8 +185,8 @@ class Node {
 
   std::string name_;
   Transport* transport_;
-  ReliabilityOptions reliability_;
-  NodeObs obs_;
+  const runtime::TupleEventHook* tuple_events_;
+  bool metered_;
 
   runtime::PredTable preds_;
   runtime::NodeCore core_;

@@ -230,7 +230,6 @@ std::string encode_frame(const Frame& frame) {
   append_varint(out, frame.seq);
   append_str(out, frame.src);
   append_str(out, frame.dst);
-  if (frame.kind == Frame::Kind::Data) append_tuple(out, frame.tuple);
   if (frame.kind == Frame::Kind::DataBatch) {
     append_varint(out, frame.tuples.size());
     for (const auto& t : frame.tuples) append_tuple(out, t);
@@ -263,7 +262,8 @@ Frame decode_frame(std::string_view bytes) {
     fail(WireErrorKind::BadVersion, "version " + std::to_string(version));
   }
   const std::uint8_t kind = r.byte("frame kind");
-  if (kind > static_cast<std::uint8_t>(Frame::Kind::DataBatch)) {
+  if (kind != static_cast<std::uint8_t>(Frame::Kind::Ack) &&
+      kind != static_cast<std::uint8_t>(Frame::Kind::DataBatch)) {
     fail(WireErrorKind::BadKind, "kind " + std::to_string(kind));
   }
   Frame frame;
@@ -271,7 +271,6 @@ Frame decode_frame(std::string_view bytes) {
   frame.seq = r.varint("frame seq");
   frame.src = r.str("frame src");
   frame.dst = r.str("frame dst");
-  if (frame.kind == Frame::Kind::Data) frame.tuple = read_tuple(r);
   if (frame.kind == Frame::Kind::DataBatch) {
     const std::uint64_t count = r.varint("batch count");
     // Every tuple costs at least its predicate length byte + arity byte; a

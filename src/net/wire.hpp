@@ -16,8 +16,8 @@
 // Layout (version 2, all multi-byte integers as LEB128 varints unless noted):
 //
 //   frame     := 0x46 0x56 ('F' 'V')  version(2)  kind  payload
-//   kind      := 0x00 Data | 0x01 Ack | 0x02 DataBatch
-//   Data      := varint(seq) str(src) str(dst) tuple
+//   kind      := 0x01 Ack | 0x02 DataBatch   (0x00, version 1's single-tuple
+//                                             frame, is retired: BadKind)
 //   Ack       := varint(seq) str(src) str(dst)      // src = acker; seq is the
 //                                                   // *cumulative* highest
 //                                                   // in-order batch delivered
@@ -61,7 +61,7 @@ enum class WireErrorKind : std::uint8_t {
   Truncated,       ///< input ended before the announced structure did
   BadMagic,        ///< frame does not start with 'F' 'V'
   BadVersion,      ///< version byte is not kWireVersion
-  BadKind,         ///< frame kind byte is neither Data nor Ack
+  BadKind,         ///< frame kind byte is neither Ack nor DataBatch
   BadTag,          ///< value tag is not a ValueKind
   BadBool,         ///< bool payload byte is neither 0 nor 1
   VarintOverflow,  ///< varint longer than 10 bytes or overflowing 64 bits
@@ -84,30 +84,21 @@ class WireError : public std::runtime_error {
   WireErrorKind kind_;
 };
 
-/// One transport frame: a single-tuple data message, the cumulative ack for a
-/// channel, or a batch carrying one delta round's worth of tuples. `seq`
-/// numbers are per directed (sender, receiver) channel and count *frames*
-/// (a batch consumes one seq regardless of how many tuples it carries).
+/// One transport frame: the cumulative ack for a channel, or a batch
+/// carrying one delta round's worth of tuples. `seq` numbers are per
+/// directed (sender, receiver) channel and count *frames* (a batch consumes
+/// one seq regardless of how many tuples it carries).
 struct Frame {
-  enum class Kind : std::uint8_t { Data = 0, Ack = 1, DataBatch = 2 };
-  Kind kind = Kind::Data;
+  enum class Kind : std::uint8_t { Ack = 1, DataBatch = 2 };
+  Kind kind = Kind::DataBatch;
   std::uint64_t seq = 0;
-  std::string src;  ///< Data/DataBatch: sending node. Ack: the acking node.
-  std::string dst;  ///< Data/DataBatch: receiving node. Ack: the original sender.
-  ndlog::Tuple tuple;  ///< Data only; ignored (and not encoded) otherwise.
+  std::string src;  ///< DataBatch: sending node. Ack: the acking node.
+  std::string dst;  ///< DataBatch: receiving node. Ack: the original sender.
   std::vector<ndlog::Tuple> tuples;  ///< DataBatch only; in-order payload.
 
   bool operator==(const Frame& other) const {
-    if (kind != other.kind || seq != other.seq || src != other.src ||
-        dst != other.dst) {
-      return false;
-    }
-    switch (kind) {
-      case Kind::Data: return tuple == other.tuple;
-      case Kind::DataBatch: return tuples == other.tuples;
-      case Kind::Ack: return true;
-    }
-    return false;
+    return kind == other.kind && seq == other.seq && src == other.src &&
+           dst == other.dst && (kind == Kind::Ack || tuples == other.tuples);
   }
 };
 

@@ -90,6 +90,11 @@ class Timer {
     total_ns_ += ns;
     ++count_;
   }
+  /// Add every measurement `other` recorded, as if recorded here.
+  void merge(const Timer& other) noexcept {
+    total_ns_ += other.total_ns_;
+    count_ += other.count_;
+  }
   std::uint64_t total_ns() const noexcept { return total_ns_; }
   std::uint64_t count() const noexcept { return count_; }
   double total_ms() const noexcept { return static_cast<double>(total_ns_) / 1e6; }

@@ -113,8 +113,6 @@ void Simulator::retract(const Tuple& fact, double time) {
   schedule(std::move(e));
 }
 
-void Simulator::add_monitor(Monitor monitor) { monitors_.push_back(std::move(monitor)); }
-
 void Simulator::tuple_event(std::string_view kind, const std::string& node,
                             const Tuple& tuple) {
   if (options_.tuple_events) options_.tuple_events(kind, node, tuple, now_);
@@ -163,15 +161,10 @@ void Simulator::on_change(Node& target, NodeCore::Change change, const Tuple& tu
   }
   count(target, target.installed, "installed");
   if (options_.obs_trace != nullptr) {
-    options_.obs_trace->instant_at(sim_ts(now_), "install " + tuple.predicate(), "sim",
-                                   "{\"node\":\"" + obs::json_escape(node) + "\"}");
     options_.obs_trace->counter_at(sim_ts(now_), "sim/installs", "sim",
                                    static_cast<double>(stats_.tuples_derived));
   }
   tuple_event("install", node, tuple);
-  for (const auto& m : monitors_) {
-    if (!m(node, tuple, now_)) ++stats_.monitor_violations;
-  }
 }
 
 void Simulator::send(Node& sender, const Tuple& tuple) {
@@ -286,10 +279,6 @@ SimStats Simulator::run() {
               TraceEntry{e.time, TraceEntry::Kind::Expire, e.node, e.tuple.to_string()});
         }
         count(node, node.expired, "expired");
-        if (options_.obs_trace != nullptr) {
-          options_.obs_trace->instant_at(sim_ts(e.time), "expire " + e.tuple.predicate(),
-                                         "sim");
-        }
         break;
     }
   }

@@ -13,7 +13,8 @@
 //   * soft state: tuples with finite lifetime expire; `periodic(@N,I)`
 //     events re-fire every I seconds (the native alternative to §4.2's
 //     hard-state rewrite, experiment E8),
-//   * runtime invariant monitors (the runtime-verification arc of §1),
+//   * a live tuple-event hook that runtime monitors watch (the
+//     runtime-verification arc of §1),
 //   * quiescence detection: convergence time and message counts (E5).
 //
 // Cadence: each delivered event (a message, a base fact, a periodic tick or
@@ -24,7 +25,6 @@
 #pragma once
 
 #include <chrono>
-#include <functional>
 #include <map>
 #include <memory>
 #include <random>
@@ -94,7 +94,7 @@ struct SimOptions {
   /// runtime monitors (`sim --monitor`, bench_ltl) attach here, as on
   /// ClusterOptions::tuple_events; the same stream is exported as cat
   /// "tuple" obs instants when obs_trace is set, with args
-  /// {"node":...,"tuple":...} (decoded by ltl::events_from_trace).
+  /// {"node":...,"tuple":...}, one per table change.
   TupleEventHook tuple_events;
   /// Maintain aggregate views via per-group ± deltas where the planner
   /// proves it exact (false forces the recompute fallback for every
@@ -130,14 +130,7 @@ struct SimStats {
   std::map<std::string, double> last_change_by_predicate;
   double end_time = 0.0;
   bool quiesced = false;           // queue drained before budget exhausted
-  std::size_t monitor_violations = 0;
 };
-
-/// A runtime-verification monitor: called for every newly installed tuple.
-/// Return false to flag an invariant violation (recorded in stats; the run
-/// continues, like Pip-style online checkers).
-using Monitor =
-    std::function<bool(const std::string& node, const ndlog::Tuple& tuple, double now)>;
 
 /// Discrete-event distributed executor for one NDlog program.
 class Simulator {
@@ -164,8 +157,6 @@ class Simulator {
   /// cascade is performed (P2-style); soft state re-derives around it. The
   /// node's aggregates settle right after, like after a delivery.
   void retract(const ndlog::Tuple& fact, double time);
-
-  void add_monitor(Monitor monitor);
 
   /// Run to quiescence (or budget exhaustion). May be called once.
   SimStats run();
@@ -219,8 +210,8 @@ class Simulator {
   Event pop();
   void send(Node& sender, const ndlog::Tuple& tuple);
   /// Every core's hook: ships remote derivations, schedules expiries, and
-  /// records every table change (stats, trace, metrics, tuple events,
-  /// monitors) at the current event's time.
+  /// records every table change (stats, trace, metrics, tuple events) at the
+  /// current event's time.
   void on_change(Node& target, NodeCore::Change change, const ndlog::Tuple& tuple);
   /// Structured tuple-event emission (SimOptions::tuple_events + cat "tuple"
   /// obs instants); `kind` is "install", "retract" or "expire".
@@ -253,7 +244,6 @@ class Simulator {
   std::mt19937_64 rng_;
   /// Loss stream (loss_rate draws), seeded from `seed` via splitmix64.
   std::mt19937_64 loss_rng_;
-  std::vector<Monitor> monitors_;
   std::vector<TraceEntry> trace_;
   SimStats stats_;
   double now_ = 0.0;  ///< virtual time of the event being processed

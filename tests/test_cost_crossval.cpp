@@ -249,26 +249,24 @@ TEST(CostBounds, ClusterWireBytesStayWithinStaticBounds) {
     const auto env = measured_env(report, base);
     const double byte_bound = report.total_bytes.evaluate(env);
 
-    obs::Registry metrics;
-    net::ClusterOptions options;
-    // Lossless in-process transport, fire-and-forget: the static model
-    // bounds first transmissions, so keep retransmits out of the measure.
-    options.reliability.enabled = false;
-    options.metrics = &metrics;
-    net::Cluster cluster(program, options);
+    // Lossless in-process transport. The static model bounds first
+    // transmissions, so the measure leaves out the protocol's own bytes:
+    // acks and re-sent batches.
+    const auto first_transmissions = [](const auto& books) {
+      return static_cast<double>(books.bytes_sent - books.ack_bytes -
+                                 books.retransmit_bytes);
+    };
+    net::Cluster cluster(program, net::ClusterOptions{});
     cluster.inject_all(base);
     const auto stats = cluster.run();
     EXPECT_TRUE(stats.quiesced) << c.stem;
 
-    EXPECT_LE(static_cast<double>(stats.bytes_sent), byte_bound)
-        << c.stem << ": " << stats.bytes_sent
-        << " total wire bytes exceed static bound "
+    EXPECT_LE(first_transmissions(stats), byte_bound)
+        << c.stem << ": " << first_transmissions(stats)
+        << " first-transmission wire bytes exceed static bound "
         << report.total_bytes.to_string();
     for (const auto& node : cluster.nodes()) {
-      const auto* counter = metrics.find_counter("net/node/" + node + "/bytes_sent");
-      const double measured =
-          counter == nullptr ? 0.0 : static_cast<double>(counter->value());
-      EXPECT_LE(measured, byte_bound)
+      EXPECT_LE(first_transmissions(cluster.node_stats(node)), byte_bound)
           << c.stem << " node " << node << ": channel bytes exceed bound";
     }
   }

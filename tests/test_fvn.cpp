@@ -57,7 +57,7 @@ TEST(FvnPipeline, FullPathVectorWorkflow) {
   EXPECT_TRUE(cex[0].verified) << cex[0].detail;
 
   ndlog::Database merged;
-  auto stats = fvn.execute(links, {}, {}, &merged);
+  auto stats = fvn.execute(links, {}, &merged);
   EXPECT_TRUE(stats.quiesced);
   EXPECT_GT(merged.size("bestPath"), 0u);
 }
@@ -72,7 +72,7 @@ TEST(FvnPipeline, ComponentDesignFlowsToExecution) {
   facts.emplace_back("activeAS", std::vector<Value>{Value::addr("u"), Value::addr("w"),
                                                     Value::integer(1)});
   ndlog::Database merged;
-  auto stats = fvn.execute(facts, {}, {}, &merged);
+  auto stats = fvn.execute(facts, {}, &merged);
   EXPECT_TRUE(stats.quiesced);
   ASSERT_EQ(merged.size("ptOut"), 1u);
   EXPECT_EQ(merged.relation("ptOut").begin()->at(2).as_int(), 10);  // 7+1+2
@@ -98,12 +98,14 @@ TEST(FvnPipeline, ModelCheckBackend) {
 
 TEST(FvnPipeline, RuntimeMonitorBackend) {
   Fvn fvn = Fvn::from_ndlog(core::path_vector_program());
-  std::vector<runtime::Monitor> monitors;
-  monitors.push_back([](const std::string&, const ndlog::Tuple& t, double) {
-    return t.predicate() != "path" || t.at(3).as_int() >= 1;
-  });
-  auto stats = fvn.execute(core::link_facts(core::line_topology(4)), {}, monitors);
-  EXPECT_EQ(stats.monitor_violations, 0u);
+  std::size_t violations = 0;
+  runtime::SimOptions options;
+  options.tuple_events = [&violations](std::string_view kind, const std::string&,
+                                       const ndlog::Tuple& t, double) {
+    if (kind == "install" && t.predicate() == "path" && t.at(3).as_int() < 1) ++violations;
+  };
+  fvn.execute(core::link_facts(core::line_topology(4)), std::move(options));
+  EXPECT_EQ(violations, 0u);
 }
 
 TEST(FvnPipeline, FalsePropertyCaughtByBothBackends) {

@@ -471,24 +471,5 @@ TEST(LtlMonitor, StablePredicateOverEvents) {
   EXPECT_TRUE(monitors.all_satisfied());
 }
 
-TEST(LtlMonitor, EventsFromTraceRoundTrip) {
-  obs::Trace trace;
-  trace.instant_at(1000, "install p", "tuple",
-                   "{\"node\":\"n0\",\"tuple\":\"p(a)\"}");
-  trace.instant_at(2000, "retract p", "tuple",
-                   "{\"node\":\"n1\",\"tuple\":\"p(b)\"}");
-  trace.instant_at(2500, "expire p", "tuple",
-                   "{\"node\":\"n1\",\"tuple\":\"p(c)\"}");
-  trace.instant_at(3000, "unrelated", "sim", "{}");  // skipped: wrong category
-  const auto events = events_from_trace(trace.events());
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].kind, TupleEvent::Kind::Install);
-  EXPECT_EQ(events[0].node, "n0");
-  EXPECT_EQ(events[0].tuple.to_string(), "p(a)");
-  EXPECT_EQ(events[0].ts_us, 1000u);
-  EXPECT_EQ(events[1].kind, TupleEvent::Kind::Retract);
-  EXPECT_EQ(events[2].kind, TupleEvent::Kind::Expire);
-}
-
 }  // namespace
 }  // namespace fvn

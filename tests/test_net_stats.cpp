@@ -1,13 +1,12 @@
 // fvn::net stats-consistency suite — every counter the runtime exposes must
 // tell the same story through every surface. Three layers report on the same
-// run: NodeStats (plain counters read post-join), the obs Registry series the
-// Cluster wires per node, and TransportStats (what actually crossed the
-// wire). This suite pins their agreement across reliability on/off ×
+// run: NodeStats (each node's books, read post-join), the obs Registry
+// series the Cluster adds from those books after join, and TransportStats
+// (what actually crossed the wire). This suite pins their agreement across
 // inproc/udp × loss seeds, plus two protocol-level regressions:
 //
-//   * raw (non-reliable) frames carry seq 0 and are byte-identical across
-//     runs — fire-and-forget mode must not consume per-channel sequence
-//     numbers it never uses;
+//   * a single-pass node's wire bytes are byte-identical across runs: one
+//     batch per destination, numbered from seq 1;
 //   * a TransportError during retransmission commits *nothing*: no backoff
 //     escalation, no retransmitted/bytes_sent bump, no node failure — the
 //     frame is simply retried later at the same backoff.
@@ -44,7 +43,6 @@ std::vector<Tuple> line_workload() {
 
 struct Config {
   std::string label;
-  bool reliable = true;
   net::TransportKind transport = net::TransportKind::InProc;
   double drop_rate = 0.0;
   std::uint64_t seed = 1;
@@ -52,12 +50,11 @@ struct Config {
 
 std::vector<Config> configs() {
   return {
-      {"reliable/inproc/lossless", true, net::TransportKind::InProc, 0.0, 1},
-      {"reliable/inproc/loss=0.2 seed=3", true, net::TransportKind::InProc, 0.2, 3},
-      {"reliable/inproc/loss=0.2 seed=17", true, net::TransportKind::InProc, 0.2, 17},
-      {"raw/inproc/lossless", false, net::TransportKind::InProc, 0.0, 1},
-      {"reliable/udp/lossless", true, net::TransportKind::Udp, 0.0, 1},
-      {"reliable/udp/loss=0.2 seed=3", true, net::TransportKind::Udp, 0.2, 3},
+      {"inproc/lossless", net::TransportKind::InProc, 0.0, 1},
+      {"inproc/loss=0.2 seed=3", net::TransportKind::InProc, 0.2, 3},
+      {"inproc/loss=0.2 seed=17", net::TransportKind::InProc, 0.2, 17},
+      {"udp/lossless", net::TransportKind::Udp, 0.0, 1},
+      {"udp/loss=0.2 seed=3", net::TransportKind::Udp, 0.2, 3},
   };
 }
 
@@ -72,7 +69,6 @@ TEST(NetStats, ObsCountersAgreeWithNodeStats) {
     SCOPED_TRACE(cfg.label);
     obs::Registry registry;
     net::ClusterOptions options;
-    options.reliability.enabled = cfg.reliable;
     options.transport = cfg.transport;
     options.faults.drop_rate = cfg.drop_rate;
     options.faults.seed = cfg.seed;
@@ -124,7 +120,6 @@ TEST(NetStats, NodeAndTransportByteAccountingAgree) {
   for (const Config& cfg : configs()) {
     SCOPED_TRACE(cfg.label);
     net::ClusterOptions options;
-    options.reliability.enabled = cfg.reliable;
     options.transport = cfg.transport;
     options.faults.drop_rate = cfg.drop_rate;
     options.faults.seed = cfg.seed;
@@ -150,32 +145,26 @@ TEST(NetStats, NodeAndTransportByteAccountingAgree) {
       EXPECT_EQ(stats.bytes_sent, stats.transport.bytes_sent);
       EXPECT_EQ(stats.transport.frames_delivered, stats.transport.frames_sent);
       EXPECT_EQ(stats.bytes_sent, stats.bytes_received);
-      if (cfg.reliable) {
-        // FIFO transport, no reorder => every arriving batch (first copy or
-        // re-delivered retransmit) draws exactly one cumulative ack.
-        // (Retransmits happen even losslessly when a receiver is slower than
-        // the backoff, e.g. under sanitizers or a loaded machine.)
-        EXPECT_EQ(stats.acks_sent, stats.messages_received + stats.duplicates);
-      }
+      // FIFO transport, no reorder => every arriving batch (first copy or
+      // re-delivered retransmit) draws exactly one cumulative ack.
+      // (Retransmits happen even losslessly when a receiver is slower than
+      // the backoff, e.g. under sanitizers or a loaded machine.)
+      EXPECT_EQ(stats.acks_sent, stats.messages_received + stats.duplicates);
     }
-    if (cfg.reliable) {
-      EXPECT_EQ(stats.messages_received, stats.messages_sent);
-      EXPECT_EQ(stats.acked, stats.messages_sent);
-      EXPECT_EQ(stats.tuples_received, stats.tuples_shipped);
-      EXPECT_GT(stats.ack_bytes, 0u);
-      EXPECT_LT(stats.ack_bytes, stats.bytes_sent);
-    } else {
-      EXPECT_EQ(stats.acks_sent, 0u);
-      EXPECT_EQ(stats.ack_bytes, 0u);
-      EXPECT_EQ(stats.acked, 0u);
-      EXPECT_EQ(stats.retransmitted, 0u);
-      EXPECT_EQ(stats.tuples_received, stats.tuples_shipped);
-    }
+    EXPECT_EQ(stats.messages_received, stats.messages_sent);
+    EXPECT_EQ(stats.acked, stats.messages_sent);
+    EXPECT_EQ(stats.tuples_received, stats.tuples_shipped);
+    EXPECT_GT(stats.ack_bytes, 0u);
+    EXPECT_LT(stats.ack_bytes, stats.bytes_sent);
+    // Re-sent bytes are a share of bytes_sent, present exactly when a batch
+    // was re-sent.
+    EXPECT_EQ(stats.retransmit_bytes > 0, stats.retransmitted > 0);
+    EXPECT_LT(stats.ack_bytes + stats.retransmit_bytes, stats.bytes_sent);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Raw mode: seq 0, byte-identical across runs
+// A single-pass node: one batch from seq 1, byte-identical across runs
 // ---------------------------------------------------------------------------
 
 /// An already-local two-node program: a link fact at @S derives hops at @D.
@@ -192,24 +181,21 @@ std::vector<Tuple> ship_seeds() {
 
 /// Run a single sender node over a fault-free transport and return every
 /// frame that lands in n1's mailbox, in order.
-std::vector<std::string> raw_ship_frames(const ndlog::Program& program,
-                                         const ndlog::Catalog& catalog,
-                                         bool batch, net::NodeStats* out_stats) {
+std::vector<std::string> ship_frames(const ndlog::Program& program,
+                                     const ndlog::Catalog& catalog,
+                                     net::NodeStats* out_stats) {
   const auto plan = dataflow::compile(program);
   net::InProcTransport transport;
   transport.add_node("n0");
   transport.add_node("n1");
-  net::ReliabilityOptions reliability;
-  reliability.enabled = false;
-  reliability.batch = batch;
-  net::Node node("n0", catalog, ndlog::BuiltinRegistry::standard(), plan, transport,
-                 reliability, {});
+  net::Node node("n0", catalog, ndlog::BuiltinRegistry::standard(), plan, transport);
   for (const auto& fact : ship_seeds()) node.seed(fact);
   // Seeds are processed (and channels flushed) before the event loop starts,
   // so a pre-set stop flag gives a deterministic single-pass run.
   std::atomic<bool> stop{true};
   node.run(stop);
   EXPECT_FALSE(node.failed()) << node.error();
+  EXPECT_EQ(node.unacked(), 1u) << "n1 never runs, so nobody acks the batch";
   if (out_stats != nullptr) *out_stats = node.stats();
   std::vector<std::string> frames;
   std::string frame;
@@ -224,39 +210,36 @@ TEST(NetStats, NodeWithoutMailboxFailsWithTransportError) {
   const auto plan = dataflow::compile(program);
   net::InProcTransport transport;
   transport.add_node("n1");  // n0 never registers a mailbox
-  net::Node node("n0", catalog, ndlog::BuiltinRegistry::standard(), plan, transport, {},
-                 {});
+  net::Node node("n0", catalog, ndlog::BuiltinRegistry::standard(), plan, transport);
   std::atomic<bool> stop{true};
   node.run(stop);
   EXPECT_TRUE(node.failed());
   EXPECT_NE(node.error().find("no mailbox for n0"), std::string::npos) << node.error();
 }
 
-TEST(NetStats, RawModeFramesCarrySeqZeroAndAreByteIdenticalAcrossRuns) {
+TEST(NetStats, SinglePassFramesAreByteIdenticalAcrossRuns) {
   const auto program = ndlog::parse_program(kShipProgram, "ship");
   const auto catalog = ndlog::Catalog::from_program(program);
-  for (const bool batch : {true, false}) {
-    SCOPED_TRACE(batch ? "batched" : "unbatched");
-    net::NodeStats stats;
-    const auto first = raw_ship_frames(program, catalog, batch, &stats);
-    const auto second = raw_ship_frames(program, catalog, batch, nullptr);
-    EXPECT_EQ(first, second) << "raw-mode wire bytes must be reproducible";
-    ASSERT_EQ(first.size(), batch ? 1u : 2u);
-    std::size_t tuples_seen = 0;
-    for (const auto& bytes : first) {
-      const net::Frame decoded = net::decode_frame(bytes);
-      EXPECT_EQ(decoded.kind, net::Frame::Kind::DataBatch);
-      EXPECT_EQ(decoded.seq, 0u) << "raw frames must not consume seq numbers";
-      EXPECT_EQ(decoded.src, "n0");
-      EXPECT_EQ(decoded.dst, "n1");
-      tuples_seen += decoded.tuples.size();
-    }
-    EXPECT_EQ(tuples_seen, 2u);
-    EXPECT_EQ(stats.sent, first.size());
-    EXPECT_EQ(stats.tuples_shipped, 2u);
-    EXPECT_EQ(stats.acks_sent, 0u);
-    EXPECT_EQ(stats.ack_bytes, 0u);
-  }
+  net::NodeStats stats;
+  const auto first = ship_frames(program, catalog, &stats);
+  const auto second = ship_frames(program, catalog, nullptr);
+  EXPECT_EQ(first, second) << "a single pass's wire bytes must be reproducible";
+  // Both derivations leave in the one batch the seeds' pass flushes, and the
+  // channel numbers it 1.
+  ASSERT_EQ(first.size(), 1u);
+  const net::Frame decoded = net::decode_frame(first[0]);
+  EXPECT_EQ(decoded.kind, net::Frame::Kind::DataBatch);
+  EXPECT_EQ(decoded.seq, 1u);
+  EXPECT_EQ(decoded.src, "n0");
+  EXPECT_EQ(decoded.dst, "n1");
+  EXPECT_EQ(decoded.tuples.size(), 2u);
+  EXPECT_EQ(stats.sent, 1u);
+  EXPECT_EQ(stats.tuples_shipped, 2u);
+  EXPECT_EQ(stats.bytes_sent, first[0].size());
+  EXPECT_EQ(stats.acks_sent, 0u);
+  EXPECT_EQ(stats.ack_bytes, 0u);
+  EXPECT_EQ(stats.retransmitted, 0u);
+  EXPECT_EQ(stats.retransmit_bytes, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -323,8 +306,7 @@ TEST(NetStats, RefusedRetransmitCommitsNoBackoffOrCounters) {
   FlakyTransport transport;
   transport.add_node("n0");
   transport.add_node("n1");
-  net::Node node("n0", catalog, ndlog::BuiltinRegistry::standard(), plan, transport, {},
-                 {});
+  net::Node node("n0", catalog, ndlog::BuiltinRegistry::standard(), plan, transport);
   for (const auto& fact : ship_seeds()) node.seed(fact);
 
   const auto spin = [&node](std::chrono::milliseconds for_ms) {
@@ -353,6 +335,7 @@ TEST(NetStats, RefusedRetransmitCommitsNoBackoffOrCounters) {
   spin(std::chrono::milliseconds(40));
   EXPECT_FALSE(node.failed()) << node.error();
   EXPECT_EQ(node.stats().retransmitted, 0u);
+  EXPECT_EQ(node.stats().retransmit_bytes, 0u);
   EXPECT_EQ(node.stats().bytes_sent, bytes_after_send);
   EXPECT_EQ(node.unacked(), 1u);
 
@@ -363,6 +346,8 @@ TEST(NetStats, RefusedRetransmitCommitsNoBackoffOrCounters) {
   EXPECT_FALSE(node.failed()) << node.error();
   EXPECT_GE(node.stats().retransmitted, 1u);
   EXPECT_GT(node.stats().bytes_sent, bytes_after_send);
+  // Everything sent since the first transmission was a re-send.
+  EXPECT_EQ(node.stats().retransmit_bytes, node.stats().bytes_sent - bytes_after_send);
   EXPECT_EQ(node.unacked(), 1u);
 
   // Phase 4: a cumulative ack for seq 1 clears the pending batch.

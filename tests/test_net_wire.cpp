@@ -134,20 +134,20 @@ TEST(WireTuple, MixedKindsRoundTrip) {
 
 TEST(WireFrame, DataAndAckRoundTrip) {
   Frame data;
-  data.kind = Frame::Kind::Data;
+  data.kind = Frame::Kind::DataBatch;
   data.seq = 12345678;
   data.src = "n0";
   data.dst = "n1";
-  data.tuple = Tuple("hop", {Value::addr("n1"), Value::addr("n2"), Value::integer(3)});
+  data.tuples = {Tuple("hop", {Value::addr("n1"), Value::addr("n2"), Value::integer(3)})};
   EXPECT_EQ(decode_frame(encode_frame(data)), data);
 
   Frame ack = make_ack(12345678, "n1", "n0");
   EXPECT_EQ(decode_frame(encode_frame(ack)), ack);
-  // Acks carry no tuples: the encoding must not change with the payload fields.
+  // Acks carry no tuples: the encoding must not change with the payload field.
   Frame ack2 = ack;
-  ack2.tuple = data.tuple;
-  ack2.tuples = {data.tuple};
+  ack2.tuples = data.tuples;
   EXPECT_EQ(encode_frame(ack2), encode_frame(ack));
+  EXPECT_EQ(ack2, ack);
 }
 
 TEST(WireFrame, DataBatchRoundTrips) {
@@ -171,8 +171,7 @@ TEST(WireFrame, DataBatchRoundTrips) {
   empty.tuples.clear();
   EXPECT_EQ(decode_frame(encode_frame(empty)), empty);
 
-  // The single-tuple Data frame and a one-tuple batch are distinct kinds on
-  // the wire, both accepted.
+  // A one-tuple batch is still a batch on the wire.
   Frame one = batch;
   one.tuples.resize(1);
   const Frame decoded = decode_frame(encode_frame(one));
@@ -183,11 +182,11 @@ TEST(WireFrame, DataBatchRoundTrips) {
 
 TEST(WireFrame, EncodingIsDeterministic) {
   Frame f;
-  f.kind = Frame::Kind::Data;
+  f.kind = Frame::Kind::DataBatch;
   f.seq = 7;
   f.src = "alpha";
   f.dst = "beta";
-  f.tuple = Tuple("p", {Value::addr("beta"), Value::integer(-300)});
+  f.tuples = {Tuple("p", {Value::addr("beta"), Value::integer(-300)})};
   EXPECT_EQ(encode_frame(f), encode_frame(f));
   EXPECT_EQ(encode_frame(decode_frame(encode_frame(f))), encode_frame(f));
 }
@@ -197,19 +196,12 @@ TEST(WireFrame, EncodingIsDeterministic) {
 // ---------------------------------------------------------------------------
 
 TEST(WireDecode, EveryStrictPrefixOfAFrameIsRejected) {
-  Frame f;
-  f.kind = Frame::Kind::Data;
-  f.seq = 300;
-  f.src = "n0";
-  f.dst = "n1";
-  f.tuple = Tuple("hop", {Value::addr("n1"), Value::str("payload"),
-                          Value::list({Value::integer(-5), Value::real(2.5)})});
-  const std::string bytes = encode_frame(f);
+  const std::string bytes = encode_frame(make_ack(300, "n1", "n0"));
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     EXPECT_THROW((void)decode_frame(bytes.substr(0, len)), WireError)
         << "prefix length " << len;
   }
-  EXPECT_EQ(decode_frame(bytes), f);
+  EXPECT_EQ(decode_frame(bytes), make_ack(300, "n1", "n0"));
 
   // Same property for a multi-tuple batch: truncating anywhere — frame
   // header, batch count, or mid-tuple — must reject, never deliver a
@@ -219,7 +211,9 @@ TEST(WireDecode, EveryStrictPrefixOfAFrameIsRejected) {
   batch.seq = 300;
   batch.src = "n0";
   batch.dst = "n1";
-  batch.tuples = {f.tuple, Tuple("p", {Value::integer(1)}),
+  batch.tuples = {Tuple("hop", {Value::addr("n1"), Value::str("payload"),
+                                Value::list({Value::integer(-5), Value::real(2.5)})}),
+                  Tuple("p", {Value::integer(1)}),
                   Tuple("q", {Value::addr("n1"), Value::boolean(true)})};
   const std::string batch_bytes = encode_frame(batch);
   for (std::size_t len = 0; len < batch_bytes.size(); ++len) {
@@ -274,18 +268,21 @@ TEST(WireDecode, BadMagicVersionKind) {
   bad[2] = '\x03';  // future version
   EXPECT_EQ(kind_of(bad), WireErrorKind::BadVersion);
   bad = good;
-  bad[3] = '\x07';  // kind not Data, Ack or DataBatch
+  bad[3] = '\x07';  // kind neither Ack nor DataBatch
+  EXPECT_EQ(kind_of(bad), WireErrorKind::BadKind);
+  bad = good;
+  bad[3] = '\x00';  // the single-tuple frame of version 1, never sent since
   EXPECT_EQ(kind_of(bad), WireErrorKind::BadKind);
 }
 
 TEST(WireDecode, BadTagAndBadBool) {
-  // frame header + seq + src + dst + tuple("p", 1 value)
+  // frame header + seq + src + dst + count 1 + tuple("p", 1 value)
   Frame f;
-  f.kind = Frame::Kind::Data;
+  f.kind = Frame::Kind::DataBatch;
   f.seq = 0;
   f.src = "a";
   f.dst = "b";
-  f.tuple = Tuple("p", {Value::boolean(true)});
+  f.tuples = {Tuple("p", {Value::boolean(true)})};
   std::string bytes = encode_frame(f);
   // Last two bytes are the Bool tag and its payload byte.
   std::string bad = bytes;
@@ -364,22 +361,18 @@ TEST(WireDecode, DepthExceededBothDirections) {
 }
 
 TEST(WireDecode, RandomMutationsNeverCrash) {
-  Frame f;
-  f.kind = Frame::Kind::Data;
-  f.seq = 99;
-  f.src = "n0";
-  f.dst = "n1";
-  f.tuple = Tuple("hop", {Value::addr("n1"), Value::list({Value::str("abc")}),
-                          Value::integer(-1234567), Value::real(0.5)});
   Frame batch;
   batch.kind = Frame::Kind::DataBatch;
   batch.seq = 99;
   batch.src = "n0";
   batch.dst = "n1";
-  batch.tuples = {f.tuple, Tuple("p", {Value::integer(7)}),
+  batch.tuples = {Tuple("hop", {Value::addr("n1"), Value::list({Value::str("abc")}),
+                                Value::integer(-1234567), Value::real(0.5)}),
+                  Tuple("p", {Value::integer(7)}),
                   Tuple("q", {Value::addr("n1"), Value::str("xyz")})};
   std::mt19937_64 rng(42);
-  for (const std::string& base : {encode_frame(f), encode_frame(batch)}) {
+  for (const std::string& base :
+       {encode_frame(make_ack(99, "n1", "n0")), encode_frame(batch)}) {
     std::size_t rejected = 0;
     for (int round = 0; round < 2000; ++round) {
       std::string mutated = base;
@@ -440,13 +433,6 @@ std::string golden_dump() {
   emit("tuple_empty", encode_tuple(Tuple("unit", {})));
   emit("tuple_link", encode_tuple(Tuple("link", {Value::addr("n0"), Value::addr("n1"),
                                                  Value::integer(1)})));
-  Frame data;
-  data.kind = Frame::Kind::Data;
-  data.seq = 300;
-  data.src = "n0";
-  data.dst = "n1";
-  data.tuple = Tuple("hop", {Value::addr("n1"), Value::addr("n2"), Value::integer(2)});
-  emit("frame_data", encode_frame(data));
   emit("frame_ack", encode_frame(make_ack(300, "n1", "n0")));
   Frame batch;
   batch.kind = Frame::Kind::DataBatch;

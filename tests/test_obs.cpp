@@ -102,6 +102,37 @@ TEST(ObsTimer, RecordsAndScopes) {
   EXPECT_EQ(t.count(), 3u);
 }
 
+TEST(ObsTimer, MergeEqualsRecordingHere) {
+  // Per-thread books added into one registry after join (net::Cluster) must
+  // read as if every sample had been recorded in the registry's series.
+  Timer a, b, both;
+  for (std::uint64_t ns : {700u, 50u}) {
+    a.record_ns(ns);
+    both.record_ns(ns);
+  }
+  b.record_ns(1'000);
+  both.record_ns(1'000);
+  a.merge(b);
+  a.merge(Timer{});
+  EXPECT_EQ(a.count(), both.count());
+  EXPECT_EQ(a.total_ns(), both.total_ns());
+
+  Histogram h, g, all;
+  for (std::uint64_t s : {3u, 8u}) {
+    h.observe(s);
+    all.observe(s);
+  }
+  g.observe(1);
+  all.observe(1);
+  h.merge(g);
+  h.merge(Histogram{});
+  EXPECT_EQ(h.count(), all.count());
+  EXPECT_EQ(h.sum(), all.sum());
+  EXPECT_EQ(h.min(), all.min());
+  EXPECT_EQ(h.max(), all.max());
+  EXPECT_EQ(h.buckets(), all.buckets());
+}
+
 TEST(ObsRegistry, LookupCreatesAndFindDoesNot) {
   Registry registry;
   EXPECT_TRUE(registry.empty());

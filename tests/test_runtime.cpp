@@ -138,14 +138,18 @@ TEST(Simulator, LossyLinksDropMessages) {
 
 TEST(Simulator, RuntimeMonitorFlagsViolations) {
   // Monitor asserting all path costs stay below 3 — violated on a longer line.
-  Simulator sim(core::path_vector_program(), SimOptions{});
+  std::size_t violations = 0;
+  SimOptions options;
+  options.tuple_events = [&violations](std::string_view kind, const std::string&,
+                                       const Tuple& t, double) {
+    if (kind == "install" && t.predicate() == "path" && t.at(3).as_int() >= 3) {
+      ++violations;
+    }
+  };
+  Simulator sim(core::path_vector_program(), options);
   sim.inject_all(link_facts(core::line_topology(6)));
-  sim.add_monitor([](const std::string&, const Tuple& t, double) {
-    if (t.predicate() != "path") return true;
-    return t.at(3).as_int() < 3;
-  });
-  auto stats = sim.run();
-  EXPECT_GT(stats.monitor_violations, 0u);
+  sim.run();
+  EXPECT_GT(violations, 0u);
 }
 
 TEST(Simulator, PolicyPathVectorRunsDistributed) {

@@ -64,6 +64,13 @@ CtiRun run_soft_dv(const char* source, double fail_at, std::size_t rounds) {
   // The adv/bestHop feedback loop is unstratified by design — time, not
   // strata, breaks it (see SimOptions::require_stratified).
   options.require_stratified = false;
+  CtiRun result;
+  options.tuple_events = [&result](std::string_view kind, const std::string&,
+                                   const Tuple& t, double) {
+    if (kind != "install" || t.predicate() != "bestHopCost") return;
+    result.max_cost_seen = std::max(result.max_cost_seen, t.at(2).as_int());
+    if (t.at(2).as_int() >= 10) ++result.violations;
+  };
   runtime::Simulator sim(program, options);
 
   // Line n0 - n1 - n2, destination n0.
@@ -75,16 +82,6 @@ CtiRun run_soft_dv(const char* source, double fail_at, std::size_t rounds) {
   sim.retract(Tuple("link", {Value::addr("n1"), Value::addr("n0"), Value::integer(1)}),
               fail_at);
 
-  CtiRun result;
-  sim.add_monitor([&result](const std::string&, const Tuple& t, double) {
-    if (t.predicate() != "bestHopCost") return true;
-    result.max_cost_seen = std::max(result.max_cost_seen, t.at(2).as_int());
-    if (t.at(2).as_int() >= 10) {
-      ++result.violations;
-      return false;
-    }
-    return true;
-  });
   sim.run();
   return result;
 }

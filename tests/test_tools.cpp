@@ -726,6 +726,24 @@ TEST(CliExitCodes, LintAndAnalyzeRejectUnknownFlags) {
   EXPECT_EQ(result.output.find("errors,"), std::string::npos) << result.output;
 }
 
+TEST(CliExitCodes, PlanRejectsUnknownFlags) {
+  // Before or after the program, an unknown flag is a usage error that
+  // names the flag, never a file name to read or a reason to print usage.
+  const auto prog = write_temp_program(
+      "ec_plan.ndlog",
+      "materialize(link, infinity, infinity, keys(1,2)).\n"
+      "materialize(reach, infinity, infinity, keys(1,2)).\n"
+      "t1 reach(@S,D) :- link(@S,D,_C).\n");
+  for (const std::string& args : {"--bogus " + prog, prog + " --bogus"}) {
+    const auto result = run_cli("plan " + args);
+    EXPECT_EQ(result.exit_code, 2) << args << ": " << result.output;
+    EXPECT_NE(result.output.find("unknown flag --bogus"), std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("usage:"), std::string::npos) << result.output;
+  }
+  EXPECT_EQ(run_cli("plan " + prog).exit_code, 0);
+}
+
 TEST(CliExitCodes, SharedCommandsRejectUnknownAndInapplicableFlags) {
   // check/translate/linear/run/query/simulate/explain share one argument
   // loop: an unknown flag, or one the command would ignore, is a usage error
@@ -863,9 +881,11 @@ TEST(CliDist, LossWithRetransmitStillExitsZero) {
 
 TEST(CliDist, BadFlagsAreUsageErrors) {
   const auto [prog, facts] = dist_inputs();
+  // The cluster has one delivery path and no scan-timeout setting, so these
+  // three are unknown flags like any other.
   for (const std::string bad :
        {" --transport=carrier-pigeon", " --loss=1.5", " --loss=abc", " --bogus-flag",
-        " --nodes="}) {
+        " --nodes=", " --no-retransmit", " --no-batch", " --poll-ms=-5"}) {
     const auto result = run_cli("dist " + prog + " " + facts + bad);
     EXPECT_EQ(result.exit_code, 2) << bad << ": " << result.output;
   }
