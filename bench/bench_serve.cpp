@@ -12,8 +12,8 @@
 //
 // Recorded in BENCH_serve.json (serve/bench/*), gated by scripts/check.sh.
 // The box running this may be a single core: the churn writer sleeps ~50us
-// between ops so readers actually get scheduled — the same pacing the CLI
-// `serve --churn` mode uses.
+// between ops so readers actually get scheduled — the same pacing as
+// `fvn_cli serve --readers <n>`.
 #include <benchmark/benchmark.h>
 
 #include <atomic>

@@ -81,7 +81,7 @@ struct ClusterOptions {
   /// SimOptions::tuple_events, timestamped with the emitting node's clock in
   /// seconds. Fires concurrently from every node thread: the callee must be
   /// internally synchronized (`dist --monitor` locks a mutex around its
-  /// ltl::MonitorSet; serve::Feed with thread_safe=true locks its own). A
+  /// ltl::MonitorSet; the concurrent serve::Feed locks its own). A
   /// node's call returns before the derivations the change triggers are
   /// shipped, so the serialized stream is a linearization of the run.
   runtime::TupleEventHook tuple_events;

@@ -328,10 +328,14 @@ std::string ServePlane::query(const std::string& node,
 // Feed
 // ---------------------------------------------------------------------------
 
-Feed::Feed(ServePlane& plane) : Feed(plane, Options()) {}
+Feed::Feed(ServePlane& plane) : plane_(&plane) {}
 
-Feed::Feed(ServePlane& plane, Options options)
-    : plane_(&plane), options_(options) {}
+Feed::Feed(ServePlane& plane, std::size_t publish_every)
+    : plane_(&plane), publish_every_(publish_every) {
+  if (publish_every == 0) {
+    throw ServeError("a concurrent serve feed publishes every n >= 1 changes");
+  }
+}
 
 std::function<void(std::string_view, const std::string&, const ndlog::Tuple&,
                    double)>
@@ -344,26 +348,25 @@ Feed::hook() {
 
 void Feed::on_event(std::string_view kind, const std::string& node,
                     const ndlog::Tuple& tuple, double now) {
-  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
-  if (options_.thread_safe) lock.lock();
-  // Publish *before* applying an event from a later virtual time: everything
-  // seen so far is a completed delta round, so the snapshot is a consistent
-  // cut of the fixpoint computation.
-  if (options_.publish_on_time_advance && seen_any_ && now > last_now_) {
-    plane_->publish();
+  if (publish_every_ == 0) {
+    // Publish *before* applying an event from a later virtual time:
+    // everything seen so far is a completed delta round, so the snapshot is
+    // a consistent cut of the fixpoint computation.
+    if (seen_any_ && now > last_now_) plane_->publish();
+    seen_any_ = true;
+    if (now > last_now_) last_now_ = now;
+    plane_->apply(kind, node, tuple);
+    return;
   }
-  seen_any_ = true;
-  if (now > last_now_) last_now_ = now;
-  if (plane_->apply(kind, node, tuple) && options_.publish_every != 0 &&
-      ++since_publish_ >= options_.publish_every) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (plane_->apply(kind, node, tuple) && ++since_publish_ >= publish_every_) {
     plane_->publish();
     since_publish_ = 0;
   }
 }
 
 void Feed::finish() {
-  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
-  if (options_.thread_safe) lock.lock();
+  const std::lock_guard<std::mutex> lock(mu_);
   plane_->publish(/*force=*/true);
 }
 

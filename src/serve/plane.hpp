@@ -211,21 +211,13 @@ std::uint64_t recompute_checksum(const Snapshot& snapshot);
 /// every event and decides when to publish.
 class Feed {
  public:
-  struct Options {
-    /// Publish when the event timestamp advances past the last one seen —
-    /// the simulator's delta-round boundary. (The threaded cluster stamps
-    /// per-node clocks, so leave this off there.)
-    bool publish_on_time_advance = true;
-    /// Publish every N applied (changing) events; 0 = off. The cluster's
-    /// cadence knob.
-    std::size_t publish_every = 0;
-    /// Serialize on_event() with a mutex: required when events arrive from
-    /// concurrent node threads (fvn::net), pointless in the simulator.
-    bool thread_safe = false;
-  };
-
+  /// The simulator's feed: publishes when the event timestamp advances past
+  /// the last one seen, the delta-round boundary. Not thread-safe.
   explicit Feed(ServePlane& plane);
-  Feed(ServePlane& plane, Options options);
+  /// A concurrent runtime's feed (fvn::net): node threads call on_event at
+  /// once and stamp per-node clocks, so it serializes on_event with a mutex
+  /// and publishes every `publish_every` (>= 1) applied changes.
+  Feed(ServePlane& plane, std::size_t publish_every);
 
   /// The hook both runtimes accept (SimOptions::tuple_events /
   /// ClusterOptions::tuple_events signature).
@@ -241,7 +233,8 @@ class Feed {
 
  private:
   ServePlane* plane_;
-  Options options_;
+  /// 0 for the simulator's feed, the cadence of a concurrent one.
+  std::size_t publish_every_ = 0;
   std::mutex mu_;
   double last_now_ = 0.0;
   bool seen_any_ = false;

@@ -316,11 +316,9 @@ TEST(ServePlane, ClusterFeedReachesTheSameSnapshot) {
   // node threads through the thread-safe feed; the final forced publish must
   // equal the merged fixpoint projection. (Runs under TSan in check.sh.)
   auto plane = make_path_vector_plane();
-  serve::Feed::Options fo;
-  fo.publish_on_time_advance = false;  // node clocks are not comparable
-  fo.publish_every = 16;
-  fo.thread_safe = true;
-  serve::Feed feed(plane, fo);
+  EXPECT_THROW(serve::Feed(plane, 0), serve::ServeError);
+  // 30 changes on this line: a cadence of 16 still publishes mid-run.
+  serve::Feed feed(plane, 16);
 
   net::ClusterOptions options;
   options.tuple_events = feed.hook();

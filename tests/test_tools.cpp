@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <tuple>
 
@@ -445,8 +446,7 @@ TEST(CliServe, AnswersQueriesFromTheFixpoint) {
                                           "n0 nowhere\n");
   const auto result =
       run_cli("serve " + prog + " " + facts +
-              " --serve-pred bestPath --serve-cols dst,nexthop,cost"
-              " --queries " + queries);
+              " --serve bestPath:dst,nexthop,cost --queries " + queries);
   EXPECT_EQ(result.exit_code, 0) << result.output;
   // n0 -> n3 along the line: cost 3.
   EXPECT_NE(result.output.find("n3 epoch="), std::string::npos) << result.output;
@@ -461,7 +461,7 @@ TEST(CliServe, UnknownPredicateIsAUsageError) {
   const auto prog = serve_fixture_program();
   const auto facts = serve_fixture_facts();
   const auto result =
-      run_cli("serve " + prog + " " + facts + " --serve-pred nosuch");
+      run_cli("serve " + prog + " " + facts + " --serve nosuch");
   EXPECT_EQ(result.exit_code, 2) << result.output;
 }
 
@@ -477,7 +477,7 @@ TEST(CliServe, UnwritableMetricsOutExitsTwo) {
   const auto facts = serve_fixture_facts();
   const auto result =
       run_cli("serve " + prog + " " + facts +
-              " --serve-pred bestPath --metrics-out " + kUnwritable);
+              " --serve bestPath --metrics-out " + kUnwritable);
   EXPECT_EQ(result.exit_code, 2) << result.output;
   EXPECT_NE(result.output.find("cannot write"), std::string::npos)
       << result.output;
@@ -488,14 +488,38 @@ TEST(CliServe, ChurnModeReportsConsistentLookups) {
   const auto facts = serve_fixture_facts();
   const auto result =
       run_cli("serve " + prog + " " + facts +
-              " --serve-pred bestPath --serve-cols dst,nexthop,cost"
-              " --readers 2 --churn --churn-seconds 0.2");
+              " --serve bestPath:dst,nexthop,cost --readers 2 --churn-seconds 0.2");
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("churn: readers=2"), std::string::npos)
       << result.output;
   EXPECT_NE(result.output.find("consistent"), std::string::npos)
       << result.output;
   EXPECT_EQ(result.output.find("TORN"), std::string::npos) << result.output;
+}
+
+TEST(CliServe, ChurnFlagsThatWouldDoNothingAreUsageErrors) {
+  // --readers n (1..64) selects the churn phase, and its flags go with it.
+  // The checks come before any input is read, so before any thread starts.
+  const auto queries = write_temp_program("serve_rq.txt", "n0 n3\n");
+  const std::string base =
+      "serve /nonexistent/serve.ndlog /nonexistent/serve_facts.txt --serve bestPath ";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--readers 65", "--readers must be in [1,64]"},
+      {"--readers 1000000", "--readers must be in [1,64]"},
+      {"--readers 0", "--readers must be in [1,64]"},
+      {"--churn-seconds 0.1", "--churn-seconds needs --readers"},
+      {"--readers 1 --queries " + queries, "--queries does not apply with --readers"},
+      {"--readers 1 --churn", "unknown flag --churn"},
+      {"--serve-pred bestPath", "unknown flag --serve-pred"},
+      {"--serve-cols dst,nexthop,cost", "unknown flag --serve-cols"},
+  };
+  for (const auto& [flags, message] : cases) {
+    const auto result = run_cli(base + flags);
+    EXPECT_EQ(result.exit_code, 2) << flags << ": " << result.output;
+    EXPECT_NE(result.output.find("error: " + message), std::string::npos)
+        << flags << ": " << result.output;
+    EXPECT_EQ(result.output.find("cannot read"), std::string::npos) << result.output;
+  }
 }
 
 TEST(CliServe, SimServeFlagReportsTheSummary) {
@@ -745,9 +769,9 @@ TEST(CliExitCodes, PlanRejectsUnknownFlags) {
 }
 
 TEST(CliExitCodes, SharedCommandsRejectUnknownAndInapplicableFlags) {
-  // check/translate/linear/run/query/simulate/explain share one argument
-  // loop: an unknown flag, or one the command would ignore, is a usage error
-  // before any work is done, never a positional argument or a no-op.
+  // Every command reads its flags with one parser: an unknown flag, or one
+  // the command would ignore, is a usage error before any work is done,
+  // never a positional argument or a no-op.
   const auto prog = write_temp_program(
       "ec_shared.ndlog",
       "materialize(link, infinity, infinity, keys(1,2)).\n"
@@ -784,6 +808,49 @@ TEST(CliExitCodes, SharedCommandsRejectUnknownAndInapplicableFlags) {
   // The same flags where they apply.
   EXPECT_EQ(run_cli("simulate " + pf + " --cost-order --monitor " + spec).exit_code, 0);
   EXPECT_EQ(run_cli("run " + pf + " --metrics").exit_code, 0);
+}
+
+TEST(CliExitCodes, ExtraArgumentsAreUsageErrors) {
+  // Each command takes a fixed number of positional arguments (lint and
+  // analyze: any number of files). One more is a usage error that names it,
+  // before any input is read.
+  const auto spec = write_temp_program("ec_extra.ltl", "p1: F reach(@n0, n1).\n");
+  const std::string prog = "/nonexistent/ec_extra.ndlog";
+  const std::string pf = prog + " /nonexistent/ec_extra_facts.txt";
+  for (const std::string& args :
+       {"check " + prog + " junk1 junk2", "translate " + prog + " junk1",
+        "linear " + prog + " junk1", "plan " + prog + " junk1", "run " + pf + " junk1",
+        "eval " + pf + " junk1", "simulate " + pf + " junk1 extra", "sim " + pf + " junk1",
+        "dist " + pf + " junk1", "query " + pf + " 'reach(@S,D)' junk1",
+        "explain " + pf + " 'reach(@n0,n1)' junk1", "verify " + pf + " junk1 --ltl " + spec,
+        "serve " + pf + " junk1 --serve reach"}) {
+    const auto result = run_cli(args);
+    EXPECT_EQ(result.exit_code, 2) << args << ": " << result.output;
+    EXPECT_NE(result.output.find("error: unexpected argument junk1"), std::string::npos)
+        << args << ": " << result.output;
+    EXPECT_EQ(result.output.find("cannot read"), std::string::npos) << result.output;
+  }
+}
+
+TEST(CliExitCodes, BadFactsLineIsReportedWhereItIs) {
+  const auto prog = write_temp_program(
+      "ec_badline.ndlog",
+      "materialize(link, infinity, infinity, keys(1,2)).\n"
+      "materialize(reach, infinity, infinity, keys(1,2)).\n"
+      "t1 reach(@S,D) :- link(@S,D,_C).\n");
+  const auto facts = write_temp_program(
+      "ec_badline.txt", "# a line, two facts, a blank line, a bad fact\nlink(@n0,n1,1)\n"
+                        "link(@n1,n2,1)\n\nlink(@n2,n3\n");
+  const auto spec = write_temp_program("ec_badline.ltl", "p1: F reach(@n0, n1).\n");
+  const std::string pf = prog + " " + facts;
+  for (const std::string& args : {"run " + pf, "sim " + pf, "dist " + pf,
+                                  "serve " + pf + " --serve reach < /dev/null",
+                                  "verify " + pf + " --ltl " + spec}) {
+    const auto result = run_cli(args);
+    EXPECT_EQ(result.exit_code, 2) << args << ": " << result.output;
+    EXPECT_NE(result.output.find("error: " + facts + ":5:12: expected ')'"), std::string::npos)
+        << args << ": " << result.output;
+  }
 }
 
 TEST(CliExitCodes, SimulateRuntimeFailureExitsOne) {
@@ -1034,6 +1101,128 @@ TEST(CliMonitor, SpecParseErrorExitsTwo) {
   const auto result = run_cli("sim " + prog + " " + facts + " --monitor " + broken);
   EXPECT_EQ(result.exit_code, 2) << result.output;
   EXPECT_NE(result.output.find("LT0001"), std::string::npos) << result.output;
+}
+
+TEST(CliServe, SimAndDistServeWithMonitor) {
+  // path_vector on the 3-node line of path_vector.ltl, links both ways:
+  // --serve and --monitor watch the same tuple events on either runtime.
+  const auto examples = std::filesystem::path(FVN_SOURCE_DIR) / "examples" / "ndlog";
+  const auto facts = write_temp_program(
+      "serve_monitor_line3.txt",
+      "link(@n0,n1,1)\nlink(@n1,n0,1)\nlink(@n1,n2,1)\nlink(@n2,n1,1)\n");
+  for (const std::string cmd : {"sim", "dist"}) {
+    const auto result = run_cli(cmd + " " + (examples / "path_vector.ndlog").string() + " " +
+                                facts + " --serve bestPath:dst,_,cost --monitor " +
+                                (examples / "path_vector.ltl").string());
+    EXPECT_EQ(result.exit_code, 0) << cmd << ": " << result.output;
+    for (const std::string property : {"reach", "no_self_route", "converges"}) {
+      EXPECT_NE(result.output.find("monitor " + property + ": "), std::string::npos)
+          << cmd << ": " << result.output;
+    }
+    EXPECT_EQ(result.output.find("VIOLATED"), std::string::npos) << cmd << ": " << result.output;
+    // The plane serves exactly the bestPath rows the run prints.
+    std::size_t rows = 0;
+    for (std::size_t at = result.output.find("\nbestPath("); at != std::string::npos;
+         at = result.output.find("\nbestPath(", at + 1)) {
+      ++rows;
+    }
+    EXPECT_EQ(rows, 6u) << cmd << ": " << result.output;
+    EXPECT_NE(result.output.find("serve: routes=6 "), std::string::npos)
+        << cmd << ": " << result.output;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The CLI surface: every flag that some command takes, tried on every
+// command. A flag the command does not take is a usage error that names it
+// before any input is read; one it takes, used validly, is not.
+// ---------------------------------------------------------------------------
+
+TEST(CliFlags, EveryCommandAcceptsExactlyItsFlags) {
+  const auto prog = write_temp_program("flags.ndlog",
+                                       "materialize(link, infinity, infinity, keys(1,2)).\n"
+                                       "materialize(reach, infinity, infinity, keys(1,2)).\n"
+                                       "t1 reach(@S,D) :- link(@S,D,_C).\n");
+  const auto facts = write_temp_program("flags_facts.txt", "link(@n0,n1,1)\n");
+  const auto spec = write_temp_program("flags.ltl", "p1: F reach(@n0, n1).\n");
+  const auto queries = write_temp_program("flags_queries.txt", "n0 n1\n");
+  const std::string out = (temp_dir() / "flags_out.json").string();
+  // Each flag, and a valid use of it (the flag comes first).
+  const std::vector<std::pair<std::string, std::string>> flags = {
+      {"--json", "--json"},
+      {"--dot", "--dot"},
+      {"--cost", "--cost"},
+      {"--metrics", "--metrics"},
+      {"--metrics-out", "--metrics-out=" + out},
+      {"--trace", "--trace=" + out},
+      {"--cost-order", "--cost-order"},
+      {"--monitor", "--monitor=" + spec},
+      {"--serve", "--serve=reach"},
+      {"--ltl", "--ltl=" + spec},
+      {"--max-states", "--max-states=1000"},
+      {"--nodes", "--nodes=2"},
+      {"--transport", "--transport=inproc"},
+      {"--loss", "--loss=0.1"},
+      {"--seed", "--seed=3"},
+      {"--serve-pred", "--serve-pred=reach"},
+      {"--serve-cols", "--serve-cols=dst"},
+      {"--queries", "--queries=" + queries},
+      {"--readers", "--readers=1 --churn-seconds=0.05"},
+      {"--churn", "--churn"},
+      {"--churn-seconds", "--churn-seconds=0.05 --readers=1"},
+  };
+  struct Command {
+    std::string name;
+    bool takes_facts;
+    std::string tail;   // positional arguments after prog (and facts)
+    std::string base;   // flags every run of the command needs
+    std::set<std::string> accepts;
+  };
+  const std::set<std::string> observe = {"--metrics", "--metrics-out", "--trace"};
+  const std::set<std::string> simulate = {"--metrics", "--metrics-out", "--trace",
+                                          "--cost-order", "--monitor", "--serve"};
+  std::set<std::string> dist = simulate;
+  dist.insert({"--nodes", "--transport", "--loss", "--seed"});
+  const std::vector<Command> commands = {
+      {"check", false, "", "", {}},
+      {"lint", false, "", "", {"--json"}},
+      {"analyze", false, "", "", {"--json", "--dot", "--cost", "--metrics"}},
+      {"translate", false, "", "", {}},
+      {"linear", false, "", "", {}},
+      {"run", true, "", "", observe},
+      {"eval", true, "", "", observe},
+      {"query", true, " 'reach(@S,D)'", "", {}},
+      {"simulate", true, "", "", simulate},
+      {"sim", true, "", "", simulate},
+      {"dist", true, "", "", dist},
+      {"plan", false, "", "", {"--json", "--dot", "--cost-order"}},
+      {"explain", true, " 'reach(@n0,n1)'", "", {}},
+      {"verify", true, "", " --ltl=" + spec, {"--ltl", "--trace", "--max-states"}},
+      {"serve", true, "", " --serve=reach < /dev/null",
+       {"--serve", "--queries", "--readers", "--churn-seconds", "--metrics", "--metrics-out",
+        "--trace"}},
+  };
+  for (const auto& command : commands) {
+    for (const auto& [flag, use] : flags) {
+      const bool accepts = command.accepts.count(flag) != 0;
+      // A rejected flag must not read the (missing) input files.
+      const std::string p = accepts ? prog : "/nonexistent/flags.ndlog";
+      const std::string f = accepts ? facts : "/nonexistent/flags_facts.txt";
+      const std::string args = command.name + " " + p +
+                               (command.takes_facts ? " " + f : "") + command.tail +
+                               " " + use + command.base;
+      const auto result = run_cli(args);
+      if (accepts) {
+        EXPECT_NE(result.exit_code, 2) << args << ": " << result.output;
+      } else {
+        EXPECT_EQ(result.exit_code, 2) << args << ": " << result.output;
+        EXPECT_NE(result.output.find("error: "), std::string::npos) << args << ": " << result.output;
+        EXPECT_NE(result.output.find(flag), std::string::npos) << args << ": " << result.output;
+        EXPECT_EQ(result.output.find("cannot read"), std::string::npos)
+            << args << ": " << result.output;
+      }
+    }
+  }
 }
 
 #endif  // FVN_CLI_PATH
