@@ -14,8 +14,11 @@
 // usage error (exit 2), not a silent or late failure.
 //
 // facts.txt: one ground fact per line, e.g. `link(@n0,n1,1)`; blank lines
-// and lines starting with `#` are ignored. A bad line is reported as
-// <facts.txt>:<line>:<col>.
+// and lines starting with `#` are ignored. Every parse error reads
+// `error: <source>:<line>:<col>: <message>` (exit 2): the source is the
+// program or facts file, or `goal`/`fact` for query's and explain's last
+// argument. lint and analyze report it as ND0001 instead, an .ltl spec as
+// LT0001, at the same position.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -42,6 +45,7 @@
 #include "ndlog/query.hpp"
 #include "ndlog/semantic.hpp"
 #include "net/cluster.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/localize.hpp"
@@ -54,8 +58,8 @@ namespace {
 
 using namespace fvn;
 
-/// Bad invocation (unreadable input, malformed flag value): exit 2, like a
-/// usage error — distinct from runtime failures (exit 1).
+/// Bad invocation (unreadable or malformed input, malformed flag value):
+/// exit 2, like a usage error — distinct from runtime failures (exit 1).
 struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -198,8 +202,24 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-ndlog::Program load_program(const std::string& path) {
-  return ndlog::parse_program(slurp(path), path);
+/// Runs `parse`; a ParseError becomes the usage error
+/// `<source>:<line>:<col>: <message>`. `first_line` is the line of the text
+/// `parse` reads within `source` (a facts line).
+template <typename Parse>
+auto read_located(const std::string& source, Parse parse, int first_line = 1) {
+  try {
+    return parse();
+  } catch (const ndlog::ParseError& e) {
+    throw UsageError(source + ":" + std::to_string(first_line - 1 + e.line()) + ":" +
+                     std::to_string(e.column()) + ": " + e.what());
+  }
+}
+
+/// The program in `path`, named `name` (the path when empty).
+ndlog::Program load_program(const std::string& path, const std::string& name = {}) {
+  const std::string source = slurp(path);
+  return read_located(path,
+                      [&] { return ndlog::parse_program(source, name.empty() ? path : name); });
 }
 
 std::vector<ndlog::Tuple> load_facts(const std::string& path) {
@@ -210,15 +230,7 @@ std::vector<ndlog::Tuple> load_facts(const std::string& path) {
   for (int number = 1; std::getline(in, line); ++number) {
     const auto first = line.find_first_not_of(" \t");
     if (first == std::string::npos || line[first] == '#') continue;
-    try {
-      facts.push_back(ndlog::parse_fact(line));
-    } catch (const ndlog::ParseError& e) {
-      // parse_fact sees the line alone, so its position reads "(line 1,
-      // col c)": report the file's line instead.
-      const std::string what = e.what();
-      throw UsageError(path + ":" + std::to_string(number) + ":" + std::to_string(e.column()) +
-                       ": " + what.substr(0, what.rfind(" (line ")));
-    }
+    facts.push_back(read_located(path, [&] { return ndlog::parse_fact(line); }, number));
   }
   return facts;
 }
@@ -264,20 +276,31 @@ int cmd_check(const Args& args) {
 
 // translate and linear print the program's name; it is not the file's path.
 int cmd_translate(const Args& args) {
-  const auto program = ndlog::parse_program(slurp(args.positional[0]), "cli_program");
+  const auto program = load_program(args.positional[0], "cli_program");
   std::cout << logic::to_pvs_source(translate::to_logic(program));
   return 0;
 }
 
 int cmd_linear(const Args& args) {
-  const auto program = ndlog::parse_program(slurp(args.positional[0]), "cli_program");
+  const auto program = load_program(args.positional[0], "cli_program");
   std::cout << translate::render_linear_view(program);
   return 0;
 }
 
-/// Run every diagnostic pass over each file, printing human-readable or JSON
-/// output. Parse failures become ND0001 diagnostics instead of aborting.
-int cmd_lint(const Args& args) {
+/// What analyze adds to a file's report: members of its JSON record and
+/// text after its human diagnostics.
+struct FileExtras {
+  std::string json;
+  std::string human;
+};
+
+/// lint and analyze: parse each file and run `check` on it (a parse failure
+/// is a located ND0001), then print each file's diagnostics and extras, or
+/// one JSON document, and the `<cmd>: N errors, M warnings` line. `print`
+/// false leaves the output to `check` (analyze --dot). Exit 0 clean,
+/// 1 warnings, 2 errors.
+template <typename Check>
+int diagnose_files(const Args& args, bool print, Check check) {
   const bool json = args.has("--json");
   std::size_t errors = 0;
   std::size_t warnings = 0;
@@ -286,9 +309,9 @@ int cmd_lint(const Args& args) {
   for (std::size_t f = 0; f < args.positional.size(); ++f) {
     const std::string& file = args.positional[f];
     ndlog::DiagnosticSink sink;
+    FileExtras extras;
     try {
-      auto program = load_program(file);
-      ndlog::lint_program(program, sink);
+      extras = check(ndlog::parse_program(slurp(file), file), sink);
     } catch (const ndlog::ParseError& e) {
       sink.error("ND0001", e.what(), ndlog::SourceSpan::at({e.line(), e.column()}));
     } catch (const std::exception& e) {
@@ -297,19 +320,29 @@ int cmd_lint(const Args& args) {
     errors += sink.count(ndlog::Severity::Error);
     warnings += sink.count(ndlog::Severity::Warning);
     if (json) {
-      json_out << (f != 0 ? "," : "") << "{\"file\":\"" << ndlog::json_escape(file)
-               << "\",\"diagnostics\":" << ndlog::render_json(sink.diagnostics()) << "}";
-    } else {
-      std::cout << ndlog::render_human(sink.diagnostics(), file);
+      json_out << (f != 0 ? "," : "") << "{\"file\":\"" << obs::json_escape(file)
+               << "\",\"diagnostics\":" << ndlog::render_json(sink.diagnostics()) << extras.json
+               << "}";
+    } else if (print) {
+      std::cout << ndlog::render_human(sink.diagnostics(), file) << extras.human;
     }
   }
   if (json) {
     json_out << "],\"errors\":" << errors << ",\"warnings\":" << warnings << "}";
     std::cout << json_out.str() << "\n";
-  } else {
-    std::cout << "lint: " << errors << " errors, " << warnings << " warnings\n";
+  } else if (print) {
+    std::cout << args.command->name << ": " << errors << " errors, " << warnings
+              << " warnings\n";
   }
   return errors != 0 ? 2 : warnings != 0 ? 1 : 0;
+}
+
+/// Every diagnostic pass over each file.
+int cmd_lint(const Args& args) {
+  return diagnose_files(args, true, [](const ndlog::Program& program, ndlog::DiagnosticSink& sink) {
+    ndlog::lint_program(program, sink);
+    return FileExtras{};
+  });
 }
 
 /// The core checks plus the semantic passes (ND0014–ND0018: dead rules,
@@ -320,67 +353,35 @@ int cmd_analyze(const Args& args) {
   const bool dot = args.has("--dot");
   const bool want_metrics = args.has("--metrics");
   const bool want_cost = args.has("--cost");
-  const auto& files = args.positional;
-  if ((dot && json) || (dot && files.size() != 1)) return usage();
+  if ((dot && json) || (dot && args.positional.size() != 1)) return usage();
 
   obs::Registry registry;
-  std::size_t errors = 0;
-  std::size_t warnings = 0;
-  std::ostringstream json_out;
-  json_out << "{\"files\":[";
-  for (std::size_t f = 0; f < files.size(); ++f) {
-    const std::string& file = files[f];
-    ndlog::DiagnosticSink sink;
-    std::string summary_json;
-    std::string cost_json;
-    std::string cost_human;
-    try {
-      auto program = load_program(file);
-      ndlog::check_arities(program, sink);
-      ndlog::check_safety(program, ndlog::BuiltinRegistry::standard(), sink);
-      ndlog::stratify(program, sink);
-      if (!sink.has_errors()) {
-        ndlog::SemanticOptions options;
-        if (want_metrics) options.metrics = &registry;
-        auto report = ndlog::analyze_semantics(program, sink, options);
-        summary_json = ndlog::semantic_json(report);
-        if (want_cost) {
-          auto cost_report = ndlog::cost::analyze(program, report, sink);
-          cost_json = ndlog::cost::to_json(cost_report);
-          if (!json && !dot) cost_human = ndlog::cost::to_human(cost_report);
-          if (dot) std::cout << ndlog::cost::to_dot(program, cost_report);
-        } else if (dot) {
-          std::cout << ndlog::semantic_dot(program, report);
-        }
+  const int code = diagnose_files(args, !dot, [&](const ndlog::Program& program,
+                                                  ndlog::DiagnosticSink& sink) {
+    FileExtras extras;
+    ndlog::check_arities(program, sink);
+    ndlog::check_safety(program, ndlog::BuiltinRegistry::standard(), sink);
+    ndlog::stratify(program, sink);
+    if (!sink.has_errors()) {
+      ndlog::SemanticOptions options;
+      if (want_metrics) options.metrics = &registry;
+      auto report = ndlog::analyze_semantics(program, sink, options);
+      extras.json = ",\"summary\":" + ndlog::semantic_json(report);
+      if (want_cost) {
+        auto cost_report = ndlog::cost::analyze(program, report, sink);
+        extras.json += ",\"cost\":" + ndlog::cost::to_json(cost_report);
+        if (!json && !dot) extras.human = ndlog::cost::to_human(cost_report);
+        if (dot) std::cout << ndlog::cost::to_dot(program, cost_report);
+      } else if (dot) {
+        std::cout << ndlog::semantic_dot(program, report);
       }
-      ndlog::dedupe_localized_diagnostics(program, sink);
-      sink.sort_by_location();
-    } catch (const ndlog::ParseError& e) {
-      sink.error("ND0001", e.what(), ndlog::SourceSpan::at({e.line(), e.column()}));
-    } catch (const std::exception& e) {
-      sink.error("ND0001", e.what());
     }
-    errors += sink.count(ndlog::Severity::Error);
-    warnings += sink.count(ndlog::Severity::Warning);
-    if (json) {
-      json_out << (f != 0 ? "," : "") << "{\"file\":\"" << ndlog::json_escape(file)
-               << "\",\"diagnostics\":" << ndlog::render_json(sink.diagnostics());
-      if (!summary_json.empty()) json_out << ",\"summary\":" << summary_json;
-      if (!cost_json.empty()) json_out << ",\"cost\":" << cost_json;
-      json_out << "}";
-    } else if (!dot) {
-      std::cout << ndlog::render_human(sink.diagnostics(), file);
-      if (!cost_human.empty()) std::cout << cost_human;
-    }
-  }
-  if (json) {
-    json_out << "],\"errors\":" << errors << ",\"warnings\":" << warnings << "}";
-    std::cout << json_out.str() << "\n";
-  } else if (!dot) {
-    std::cout << "analyze: " << errors << " errors, " << warnings << " warnings\n";
-  }
+    ndlog::dedupe_localized_diagnostics(program, sink);
+    sink.sort_by_location();
+    return extras;
+  });
   if (want_metrics) std::cerr << registry.render_summary();
-  return errors != 0 ? 2 : warnings != 0 ? 1 : 0;
+  return code;
 }
 
 /// Localize the program and compile it to the fvn::dataflow element graph:
@@ -406,7 +407,8 @@ int cmd_plan(const Args& args) {
 int cmd_query(const Args& args) {
   const auto program = load_program(args.positional[0]);
   const auto facts = load_facts(args.positional[1]);
-  auto result = ndlog::query(program, args.positional[2], facts);
+  const auto goal = read_located("goal", [&] { return ndlog::parse_atom(args.positional[2]); });
+  auto result = ndlog::query(program, goal, facts);
   for (const auto& t : ndlog::sorted_strings(result.answers)) std::cout << t << "\n";
   std::cerr << result.answers.size() << " answers; evaluated " << result.rules_relevant << "/"
             << result.rules_total << " relevant rules\n";
@@ -416,8 +418,8 @@ int cmd_query(const Args& args) {
 int cmd_explain(const Args& args) {
   const auto program = load_program(args.positional[0]);
   const auto facts = load_facts(args.positional[1]);
+  const auto target = read_located("fact", [&] { return ndlog::parse_fact(args.positional[2]); });
   auto result = ndlog::eval_with_provenance(program, facts);
-  auto target = ndlog::parse_fact(args.positional[2]);
   auto derivation = result.derivation_of(target);
   if (!derivation) {
     std::cerr << target.to_string() << " is not derivable\n";
@@ -905,12 +907,9 @@ int main(int argc, char** argv) {
     require_writable(args.value("--trace"));
     require_writable(args.value("--metrics-out"));
     return command->run(args);
-  } catch (const ndlog::ParseError& e) {
-    // Malformed input exits 2, as lint and analyze do; runtime failures
-    // (divergence, budget exhaustion, transport errors) exit 1.
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
   } catch (const UsageError& e) {
+    // Usage errors and malformed input exit 2, as lint and analyze do;
+    // runtime failures (divergence, budget exhaustion, transport errors) 1.
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   } catch (const std::exception& e) {

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "ndlog/diagnostics.hpp"  // json_escape
+#include "obs/json.hpp"
 
 namespace fvn::ltl {
 
@@ -382,9 +382,9 @@ void counterexample_to_trace(const PropertyResult& result, obs::Trace& trace) {
     for (const auto& step : steps) {
       const std::uint64_t ts_us = static_cast<std::uint64_t>(index) * 1000;
       std::ostringstream args;
-      args << "{\"property\":\"" << ndlog::json_escape(result.name) << "\",\"phase\":\""
+      args << "{\"property\":\"" << obs::json_escape(result.name) << "\",\"phase\":\""
            << phase << "\",\"valuation\":\""
-           << ndlog::json_escape(render_valuation(result.aps, step.valuation)) << "\"}";
+           << obs::json_escape(render_valuation(result.aps, step.valuation)) << "\"}";
       trace.instant_at(ts_us, "ltl step " + std::to_string(index), "ltl", args.str());
       for (const auto& [node, tuples] : step.state.stored) {
         std::string rows;
@@ -393,8 +393,8 @@ void counterexample_to_trace(const PropertyResult& result, obs::Trace& trace) {
           rows += t.to_string();
         }
         trace.instant_at(ts_us, "node " + node, "ltl-state",
-                         "{\"node\":\"" + ndlog::json_escape(node) + "\",\"tuples\":\"" +
-                             ndlog::json_escape(rows) + "\"}");
+                         "{\"node\":\"" + obs::json_escape(node) + "\",\"tuples\":\"" +
+                             obs::json_escape(rows) + "\"}");
       }
       ++index;
     }

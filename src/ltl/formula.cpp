@@ -1,7 +1,6 @@
 #include "ltl/formula.hpp"
 
-#include <cctype>
-#include <sstream>
+#include <algorithm>
 #include <stdexcept>
 
 namespace fvn::ltl {
@@ -134,214 +133,35 @@ std::string Formula::to_string() const {
 }
 
 // ---------------------------------------------------------------------------
-// Lexer
+// Parser over NDlog's tokens (recursive descent; precedence
+// ->  <  ||  <  &&  <  U/R  <  unary)
 // ---------------------------------------------------------------------------
 
 namespace {
 
-enum class TokKind : std::uint8_t {
-  Ident,    // lowercase initial
-  Var,      // uppercase initial or '_'
-  Number,
-  String,
-  LParen,
-  RParen,
-  Comma,
-  Period,
-  Colon,
-  At,
-  Bang,
-  AndAnd,
-  OrOr,
-  Arrow,
-  End,
-};
-
-struct Tok {
-  TokKind kind = TokKind::End;
-  std::string text;
-  double number = 0.0;
-  bool number_is_int = true;
-  std::int64_t int_value = 0;
-  int line = 1;
-  int column = 1;
-};
-
-class Lexer {
- public:
-  explicit Lexer(std::string_view src) : src_(src) {}
-
-  std::vector<Tok> run() {
-    std::vector<Tok> out;
-    for (;;) {
-      skip_ws_and_comments();
-      Tok t;
-      t.line = line_;
-      t.column = column_;
-      if (eof()) {
-        t.kind = TokKind::End;
-        out.push_back(t);
-        return out;
-      }
-      const char c = peek();
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        while (!eof() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                          peek() == '_')) {
-          t.text += get();
-        }
-        t.kind = (std::isupper(static_cast<unsigned char>(t.text[0])) ||
-                  t.text[0] == '_')
-                     ? TokKind::Var
-                     : TokKind::Ident;
-        out.push_back(std::move(t));
-        continue;
-      }
-      if (std::isdigit(static_cast<unsigned char>(c)) ||
-          (c == '-' && std::isdigit(next_char()))) {
-        lex_number(t);
-        out.push_back(std::move(t));
-        continue;
-      }
-      switch (c) {
-        case '"': lex_string(t); break;
-        case '(': get(); t.kind = TokKind::LParen; break;
-        case ')': get(); t.kind = TokKind::RParen; break;
-        case ',': get(); t.kind = TokKind::Comma; break;
-        case '.': get(); t.kind = TokKind::Period; break;
-        case ':': get(); t.kind = TokKind::Colon; break;
-        case '@': get(); t.kind = TokKind::At; break;
-        case '!': get(); t.kind = TokKind::Bang; break;
-        case '&':
-          get();
-          if (eof() || peek() != '&') throw err("expected '&&'");
-          get();
-          t.kind = TokKind::AndAnd;
-          break;
-        case '|':
-          get();
-          if (eof() || peek() != '|') throw err("expected '||'");
-          get();
-          t.kind = TokKind::OrOr;
-          break;
-        case '-':
-          get();
-          if (eof() || peek() != '>') throw err("expected '->'");
-          get();
-          t.kind = TokKind::Arrow;
-          break;
-        default:
-          throw err(std::string("unexpected character '") + c + "'");
-      }
-      out.push_back(std::move(t));
-    }
-  }
-
- private:
-  bool eof() const { return pos_ >= src_.size(); }
-  char peek() const { return src_[pos_]; }
-  char next_char() const { return pos_ + 1 < src_.size() ? src_[pos_ + 1] : '\0'; }
-  char get() {
-    const char c = src_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      column_ = 1;
-    } else {
-      ++column_;
-    }
-    return c;
-  }
-  ParseError err(const std::string& message) const {
-    return ParseError("ltl: " + message, line_, column_);
-  }
-
-  void skip_ws_and_comments() {
-    for (;;) {
-      while (!eof() && std::isspace(static_cast<unsigned char>(peek()))) get();
-      if (!eof() && peek() == '/' && next_char() == '/') {
-        while (!eof() && peek() != '\n') get();
-        continue;
-      }
-      if (!eof() && peek() == '/' && next_char() == '*') {
-        const int open_line = line_;
-        const int open_col = column_;
-        get();
-        get();
-        while (!(peek_is('*') && next_char() == '/')) {
-          if (eof()) {
-            throw ParseError("ltl: unterminated block comment", open_line, open_col);
-          }
-          get();
-        }
-        get();
-        get();
-        continue;
-      }
-      return;
-    }
-  }
-  bool peek_is(char c) const { return !eof() && peek() == c; }
-
-  void lex_number(Tok& t) {
-    std::string text;
-    if (peek() == '-') text += get();
-    bool is_int = true;
-    while (!eof() && (std::isdigit(static_cast<unsigned char>(peek())) ||
-                      peek() == '.')) {
-      // A '.' followed by a non-digit terminates the property instead.
-      if (peek() == '.' && !std::isdigit(static_cast<unsigned char>(next_char()))) break;
-      if (peek() == '.') is_int = false;
-      text += get();
-    }
-    t.kind = TokKind::Number;
-    t.number = std::stod(text);
-    t.number_is_int = is_int;
-    if (is_int) t.int_value = std::stoll(text);
-  }
-
-  void lex_string(Tok& t) {
-    const int open_line = line_;
-    const int open_col = column_;
-    get();  // opening quote
-    t.kind = TokKind::String;
-    while (!eof() && peek() != '"') {
-      char c = get();
-      if (c == '\\' && !eof()) c = get();
-      t.text += c;
-    }
-    if (eof()) throw ParseError("ltl: unterminated string", open_line, open_col);
-    get();  // closing quote
-  }
-
-  std::string_view src_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-  int column_ = 1;
-};
-
-// ---------------------------------------------------------------------------
-// Parser (recursive descent; precedence ->  <  ||  <  &&  <  U/R  <  unary)
-// ---------------------------------------------------------------------------
+using ndlog::Token;
+using ndlog::TokenKind;
 
 class Parser {
  public:
-  explicit Parser(std::vector<Tok> toks) : toks_(std::move(toks)) {}
+  explicit Parser(std::string_view source) : toks_(ndlog::tokenize(source)) {}
 
   Spec parse_spec(std::string name) {
     Spec spec;
     spec.name = std::move(name);
-    while (peek().kind != TokKind::End) {
+    while (peek().kind != TokenKind::End) {
       Property prop;
       prop.span = span_of(peek());
       // Optional `name :` prefix (the name is a lowercase identifier that is
       // immediately followed by a colon; otherwise it starts a pattern).
-      if (peek().kind == TokKind::Ident && peek(1).kind == TokKind::Colon) {
+      if (peek().kind == TokenKind::Ident && peek(1).kind == TokenKind::Colon) {
         prop.name = get().text;
         get();  // ':'
       } else {
         prop.name = "p" + std::to_string(spec.properties.size() + 1);
       }
       prop.formula = parse_formula();
-      expect(TokKind::Period, "'.' after property");
+      expect(TokenKind::Period, "'.' after property");
       spec.properties.push_back(std::move(prop));
     }
     return spec;
@@ -349,24 +169,24 @@ class Parser {
 
   FormulaPtr parse_single() {
     FormulaPtr f = parse_formula();
-    if (peek().kind == TokKind::Period) get();
-    expect(TokKind::End, "end of input");
+    if (peek().kind == TokenKind::Period) get();
+    expect(TokenKind::End, "end of input");
     return f;
   }
 
  private:
-  const Tok& peek(std::size_t ahead = 0) const {
+  const Token& peek(std::size_t ahead = 0) const {
     const std::size_t i = pos_ + ahead;
     return i < toks_.size() ? toks_[i] : toks_.back();
   }
-  const Tok& get() { return toks_[std::min(pos_++, toks_.size() - 1)]; }
-  static SourceSpan span_of(const Tok& t) {
+  const Token& get() { return toks_[std::min(pos_++, toks_.size() - 1)]; }
+  static SourceSpan span_of(const Token& t) {
     return SourceSpan::token({t.line, t.column}, t.text.empty() ? 1 : t.text.size());
   }
-  ParseError err(const std::string& message, const Tok& at) const {
-    return ParseError("ltl: " + message, at.line, at.column);
+  static ParseError err(const std::string& message, const Token& at) {
+    return ParseError(message, at.line, at.column);
   }
-  void expect(TokKind kind, const std::string& what) {
+  void expect(TokenKind kind, const std::string& what) {
     if (peek().kind != kind) throw err("expected " + what, peek());
     get();
   }
@@ -375,8 +195,8 @@ class Parser {
 
   FormulaPtr parse_implies() {
     FormulaPtr lhs = parse_or();
-    if (peek().kind == TokKind::Arrow) {
-      const Tok& t = get();
+    if (peek().kind == TokenKind::Arrow) {
+      const Token& t = get();
       FormulaPtr rhs = parse_implies();  // right-assoc
       return make_binary(Op::Implies, std::move(lhs), std::move(rhs), span_of(t));
     }
@@ -385,8 +205,8 @@ class Parser {
 
   FormulaPtr parse_or() {
     FormulaPtr lhs = parse_and();
-    while (peek().kind == TokKind::OrOr) {
-      const Tok& t = get();
+    while (peek().kind == TokenKind::OrOr) {
+      const Token& t = get();
       lhs = make_binary(Op::Or, std::move(lhs), parse_and(), span_of(t));
     }
     return lhs;
@@ -394,8 +214,8 @@ class Parser {
 
   FormulaPtr parse_and() {
     FormulaPtr lhs = parse_until();
-    while (peek().kind == TokKind::AndAnd) {
-      const Tok& t = get();
+    while (peek().kind == TokenKind::AndAnd) {
+      const Token& t = get();
       lhs = make_binary(Op::And, std::move(lhs), parse_until(), span_of(t));
     }
     return lhs;
@@ -403,8 +223,8 @@ class Parser {
 
   FormulaPtr parse_until() {
     FormulaPtr lhs = parse_unary();
-    if (peek().kind == TokKind::Var && (peek().text == "U" || peek().text == "R")) {
-      const Tok& t = get();
+    if (peek().kind == TokenKind::Variable && (peek().text == "U" || peek().text == "R")) {
+      const Token& t = get();
       const Op op = t.text == "U" ? Op::Until : Op::Release;
       return make_binary(op, std::move(lhs), parse_until(), span_of(t));  // right-assoc
     }
@@ -412,12 +232,12 @@ class Parser {
   }
 
   FormulaPtr parse_unary() {
-    const Tok& t = peek();
-    if (t.kind == TokKind::Bang) {
+    const Token& t = peek();
+    if (t.kind == TokenKind::Bang) {
       get();
       return make_unary(Op::Not, parse_unary(), span_of(t));
     }
-    if (t.kind == TokKind::Var && t.text.size() == 1) {
+    if (t.kind == TokenKind::Variable && t.text.size() == 1) {
       Op op = Op::True;
       switch (t.text[0]) {
         case 'G': op = Op::Always; break;
@@ -434,14 +254,14 @@ class Parser {
   }
 
   FormulaPtr parse_atom() {
-    const Tok& t = peek();
-    if (t.kind == TokKind::LParen) {
+    const Token& t = peek();
+    if (t.kind == TokenKind::LParen) {
       get();
       FormulaPtr f = parse_formula();
-      expect(TokKind::RParen, "')'");
+      expect(TokenKind::RParen, "')'");
       return f;
     }
-    if (t.kind != TokKind::Ident) {
+    if (t.kind != TokenKind::Ident) {
       throw err("expected an atom (pattern, stable(pred), true or false)", t);
     }
     if (t.text == "true") {
@@ -454,47 +274,54 @@ class Parser {
     }
     if (t.text == "stable") {
       get();
-      expect(TokKind::LParen, "'(' after stable");
-      const Tok& pred = peek();
-      if (pred.kind != TokKind::Ident) throw err("expected a predicate name", pred);
+      expect(TokenKind::LParen, "'(' after stable");
+      const Token& pred = peek();
+      if (pred.kind != TokenKind::Ident) throw err("expected a predicate name", pred);
       get();
-      expect(TokKind::RParen, "')'");
+      expect(TokenKind::RParen, "')'");
       return make_stable(pred.text, span_of(t));
     }
     // Tuple pattern.
     Pattern pattern;
     pattern.predicate = get().text;
-    expect(TokKind::LParen, "'(' after predicate " + pattern.predicate);
-    if (peek().kind != TokKind::RParen) {
+    expect(TokenKind::LParen, "'(' after predicate " + pattern.predicate);
+    if (peek().kind != TokenKind::RParen) {
       for (;;) {
         pattern.args.push_back(parse_pattern_arg());
-        if (peek().kind != TokKind::Comma) break;
+        if (peek().kind != TokenKind::Comma) break;
         get();
       }
     }
-    expect(TokKind::RParen, "')'");
+    expect(TokenKind::RParen, "')'");
     return make_atom(std::move(pattern), span_of(t));
   }
 
   PatternArg parse_pattern_arg() {
-    if (peek().kind == TokKind::At) get();  // '@' location marker: ignored
-    const Tok& t = peek();
+    if (peek().kind == TokenKind::At) get();  // '@' location marker: ignored
+    const Token& t = peek();
     PatternArg arg;
     switch (t.kind) {
-      case TokKind::Var:  // uppercase / '_': wildcard
+      case TokenKind::Variable:  // uppercase / '_': wildcard
         get();
         return arg;
-      case TokKind::Ident:
+      case TokenKind::Ident:
         get();
         arg.wildcard = false;
         arg.value = Value::addr(t.text);  // matches Addr or Str text
         return arg;
-      case TokKind::Number:
-        get();
+      case TokenKind::Minus:
+      case TokenKind::Number: {
+        // A negative constant is '-' then a number, as in an NDlog program.
+        const bool negative = t.kind == TokenKind::Minus;
+        if (negative) get();
+        const Token& n = peek();
+        expect(TokenKind::Number, "number after unary minus");
         arg.wildcard = false;
-        arg.value = t.number_is_int ? Value::integer(t.int_value) : Value::real(t.number);
+        arg.value = n.number_is_int ? Value::integer(negative ? -n.int_value : n.int_value)
+                                    : Value::real(negative ? -n.number : n.number);
         return arg;
-      case TokKind::String:
+      }
+      case TokenKind::String:
         get();
         arg.wildcard = false;
         arg.value = Value::str(t.text);
@@ -504,21 +331,17 @@ class Parser {
     }
   }
 
-  std::vector<Tok> toks_;
+  std::vector<Token> toks_;
   std::size_t pos_ = 0;
 };
 
 }  // namespace
 
 Spec parse_spec(std::string_view source, std::string name) {
-  Parser parser(Lexer(source).run());
-  return parser.parse_spec(std::move(name));
+  return Parser(source).parse_spec(std::move(name));
 }
 
-FormulaPtr parse_formula(std::string_view source) {
-  Parser parser(Lexer(source).run());
-  return parser.parse_single();
-}
+FormulaPtr parse_formula(std::string_view source) { return Parser(source).parse_single(); }
 
 // ---------------------------------------------------------------------------
 // Spec / catalog consistency

@@ -26,10 +26,13 @@
 // the initial state), so `F G stable(bestPath)` is "bestPath eventually
 // converges and stays converged".
 //
-// Parsing reuses the ndlog diagnostics machinery: errors throw
-// ndlog::ParseError with 1-based positions, every formula carries a
-// SourceSpan, and check_spec() reports pattern/catalog mismatches (LT0001..)
-// through a DiagnosticSink.
+// A spec shares NDlog's lexical syntax: it is read with ndlog::tokenize, so
+// comments, identifiers, string escapes and numbers (int64 integers, doubles,
+// a negative constant as '-' then a number) read as they do in a program or
+// a fact line. Errors throw ndlog::ParseError with 1-based positions (the
+// CLI reports them as LT0001), every formula carries a SourceSpan, and
+// check_spec() reports pattern/catalog mismatches (LT0002..) through a
+// DiagnosticSink.
 #pragma once
 
 #include <memory>
@@ -122,7 +125,7 @@ struct Spec {
 };
 
 /// Parse a `.ltl` spec. Throws ndlog::ParseError (1-based line/column) on
-/// malformed input — the CLI renders it as an LT0001 diagnostic.
+/// malformed input; the CLI renders it as an LT0001 diagnostic.
 Spec parse_spec(std::string_view source, std::string name = "spec");
 
 /// Parse a single formula (tests / ad-hoc properties).

@@ -420,8 +420,8 @@ std::optional<Stratification> stratify(const Program& program, DiagnosticSink& s
 
 namespace {
 
-/// Throw the sink's first error as an AnalysisError, with the source
-/// position (when known) appended the way ParseError renders it.
+/// Throw the sink's first error as an AnalysisError, with its source
+/// position (when known) appended as " (line L, col C)".
 [[noreturn]] void throw_first(const DiagnosticSink& sink) {
   const Diagnostic* d = sink.first_error();
   std::string what = d != nullptr ? d->message : "analysis failed";

@@ -5,6 +5,8 @@
 #include <limits>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace fvn::ndlog::cost {
 
 // ---------------------------------------------------------------------------
@@ -836,32 +838,32 @@ std::string to_json(const CostReport& report) {
   for (std::size_t i = 0; i < report.predicates.size(); ++i) {
     const auto& p = report.predicates[i];
     if (i != 0) os << ",";
-    os << "{\"predicate\":\"" << json_escape(p.predicate) << "\""
+    os << "{\"predicate\":\"" << obs::json_escape(p.predicate) << "\""
        << ",\"base\":" << (p.base ? "true" : "false")
-       << ",\"derivations\":\"" << json_escape(p.derivations.to_string()) << "\""
-       << ",\"class\":\"" << json_escape(p.derivations.complexity_class())
+       << ",\"derivations\":\"" << obs::json_escape(p.derivations.to_string()) << "\""
+       << ",\"class\":\"" << obs::json_escape(p.derivations.complexity_class())
        << "\"}";
   }
   os << "],\"rules\":[";
   for (std::size_t i = 0; i < report.rules.size(); ++i) {
     const auto& r = report.rules[i];
     if (i != 0) os << ",";
-    os << "{\"index\":" << r.rule_index << ",\"rule\":\"" << json_escape(r.rule)
-       << "\",\"head\":\"" << json_escape(r.head) << "\""
+    os << "{\"index\":" << r.rule_index << ",\"rule\":\"" << obs::json_escape(r.rule)
+       << "\",\"head\":\"" << obs::json_escape(r.head) << "\""
        << ",\"ships\":" << (r.ships ? "true" : "false")
        << ",\"aggregate\":" << (r.aggregate ? "true" : "false")
        << ",\"order\":" << json_index_list(r.order)
-       << ",\"solutions\":\"" << json_escape(r.solutions.to_string()) << "\""
-       << ",\"firings\":\"" << json_escape(r.firings.to_string()) << "\""
-       << ",\"messages\":\"" << json_escape(r.messages.to_string()) << "\""
-       << ",\"bytes\":\"" << json_escape(r.bytes.to_string()) << "\""
-       << ",\"class\":\"" << json_escape(r.message_class) << "\""
+       << ",\"solutions\":\"" << obs::json_escape(r.solutions.to_string()) << "\""
+       << ",\"firings\":\"" << obs::json_escape(r.firings.to_string()) << "\""
+       << ",\"messages\":\"" << obs::json_escape(r.messages.to_string()) << "\""
+       << ",\"bytes\":\"" << obs::json_escape(r.bytes.to_string()) << "\""
+       << ",\"class\":\"" << obs::json_escape(r.message_class) << "\""
        << ",\"best_order\":" << json_index_list(r.best_order)
-       << ",\"best_solutions\":\"" << json_escape(r.best_solutions.to_string())
+       << ",\"best_solutions\":\"" << obs::json_escape(r.best_solutions.to_string())
        << "\",\"reorder_safe\":" << (r.reorder_safe ? "true" : "false") << "}";
   }
-  os << "],\"total_messages\":\"" << json_escape(report.total_messages.to_string())
-     << "\",\"total_bytes\":\"" << json_escape(report.total_bytes.to_string())
+  os << "],\"total_messages\":\"" << obs::json_escape(report.total_messages.to_string())
+     << "\",\"total_bytes\":\"" << obs::json_escape(report.total_bytes.to_string())
      << "\"}";
   return os.str();
 }

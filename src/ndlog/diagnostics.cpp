@@ -1,9 +1,9 @@
 #include "ndlog/diagnostics.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cstdio>
 #include <sstream>
+
+#include "obs/json.hpp"
 
 namespace fvn::ndlog {
 
@@ -74,29 +74,6 @@ std::string render_human(const std::vector<Diagnostic>& diags, std::string_view 
   return os.str();
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::array<char, 8> buf{};
-          std::snprintf(buf.data(), buf.size(), "\\u%04x", c);
-          out += buf.data();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string render_json(const std::vector<Diagnostic>& diags) {
   std::ostringstream os;
   os << "[";
@@ -104,13 +81,13 @@ std::string render_json(const std::vector<Diagnostic>& diags) {
     const auto& d = diags[i];
     if (i != 0) os << ",";
     os << "{\"severity\":\"" << to_string(d.severity) << "\""
-       << ",\"code\":\"" << json_escape(d.code) << "\""
-       << ",\"message\":\"" << json_escape(d.message) << "\""
+       << ",\"code\":\"" << obs::json_escape(d.code) << "\""
+       << ",\"message\":\"" << obs::json_escape(d.message) << "\""
        << ",\"line\":" << d.span.begin.line << ",\"column\":" << d.span.begin.column
        << ",\"end_line\":" << d.span.end.line << ",\"end_column\":" << d.span.end.column
        << ",\"rule_index\":" << d.rule_index
-       << ",\"predicate\":\"" << json_escape(d.predicate) << "\"";
-    if (!d.hint.empty()) os << ",\"hint\":\"" << json_escape(d.hint) << "\"";
+       << ",\"predicate\":\"" << obs::json_escape(d.predicate) << "\"";
+    if (!d.hint.empty()) os << ",\"hint\":\"" << obs::json_escape(d.hint) << "\"";
     os << "}";
   }
   os << "]";

@@ -97,9 +97,6 @@ class DiagnosticSink {
 std::string render_human(const std::vector<Diagnostic>& diags,
                          std::string_view filename = {});
 
-/// Escape a string for embedding in a JSON string literal (no quotes added).
-std::string json_escape(std::string_view s);
-
 /// Render a JSON array of diagnostic objects:
 ///   [{"severity":"error","code":"ND0003","message":"...","line":3,
 ///     "column":7,"end_line":3,"end_column":11,"rule_index":2,

@@ -391,22 +391,18 @@ void dedupe_localized_diagnostics(const Program& program, DiagnosticSink& sink) 
 }
 
 void lint_program(const Program& program, DiagnosticSink& sink,
-                  const BuiltinRegistry& builtins, const LintOptions& options) {
+                  const BuiltinRegistry& builtins) {
   check_arities(program, sink);
   check_safety(program, builtins, sink);
   (void)stratify(program, sink);
-  if (options.style_passes) {
-    lint_unused_predicates(program, sink);
-    lint_underivable_predicates(program, sink);
-    lint_duplicate_rules(program, sink);
-    lint_singleton_variables(program, sink);
-    lint_cartesian_products(program, sink);
-    lint_aggregate_empty_groups(program, sink);
-  }
-  if (options.localization_pass) {
-    lint_localizability(program, sink);
-    lint_link_restriction(program, sink);
-  }
+  lint_unused_predicates(program, sink);
+  lint_underivable_predicates(program, sink);
+  lint_duplicate_rules(program, sink);
+  lint_singleton_variables(program, sink);
+  lint_cartesian_products(program, sink);
+  lint_aggregate_empty_groups(program, sink);
+  lint_localizability(program, sink);
+  lint_link_restriction(program, sink);
   dedupe_localized_diagnostics(program, sink);
   sink.sort_by_location();
 }

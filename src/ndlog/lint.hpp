@@ -45,11 +45,6 @@ struct DiagnosticCodeInfo {
 /// Every code the engine can emit (ND0001 is the CLI's parse-error wrapper).
 const std::vector<DiagnosticCodeInfo>& diagnostic_catalog();
 
-struct LintOptions {
-  bool style_passes = true;         // ND0006..ND0011
-  bool localization_pass = true;    // ND0012 / ND0013
-};
-
 // Individual lint passes (each appends to the sink; never throws).
 void lint_unused_predicates(const Program& program, DiagnosticSink& sink);       // ND0006
 void lint_underivable_predicates(const Program& program, DiagnosticSink& sink);  // ND0007
@@ -67,11 +62,10 @@ void lint_link_restriction(const Program& program, DiagnosticSink& sink);       
 /// dropped. No-op for programs without ship rules.
 void dedupe_localized_diagnostics(const Program& program, DiagnosticSink& sink);
 
-/// Run the core checks plus every enabled lint pass, collecting all findings
-/// into `sink` (localized ship-rule findings folded onto their origin rules,
+/// Run the core checks plus every lint pass, collecting all findings into
+/// `sink` (localized ship-rule findings folded onto their origin rules,
 /// sorted by source location on return).
 void lint_program(const Program& program, DiagnosticSink& sink,
-                  const BuiltinRegistry& builtins = BuiltinRegistry::standard(),
-                  const LintOptions& options = {});
+                  const BuiltinRegistry& builtins = BuiltinRegistry::standard());
 
 }  // namespace fvn::ndlog

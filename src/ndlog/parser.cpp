@@ -2,15 +2,11 @@
 
 #include <cctype>
 #include <charconv>
-#include <sstream>
 
 namespace fvn::ndlog {
 
 ParseError::ParseError(const std::string& message, int line, int column)
-    : std::runtime_error(message + " (line " + std::to_string(line) + ", col " +
-                         std::to_string(column) + ")"),
-      line_(line),
-      column_(column) {}
+    : std::runtime_error(message), line_(line), column_(column) {}
 
 namespace {
 
@@ -147,6 +143,9 @@ std::vector<Token> tokenize(std::string_view src) {
     if (two == "!=") { out.push_back(make(TokenKind::Ne, "!=")); advance(2); continue; }
     if (two == "<=") { out.push_back(make(TokenKind::Le, "<=")); advance(2); continue; }
     if (two == ">=") { out.push_back(make(TokenKind::Ge, ">=")); advance(2); continue; }
+    if (two == "&&") { out.push_back(make(TokenKind::AndAnd, "&&")); advance(2); continue; }
+    if (two == "||") { out.push_back(make(TokenKind::OrOr, "||")); advance(2); continue; }
+    if (two == "->") { out.push_back(make(TokenKind::Arrow, "->")); advance(2); continue; }
     switch (c) {
       case '@': out.push_back(make(TokenKind::At, "@")); advance(); continue;
       case ',': out.push_back(make(TokenKind::Comma, ",")); advance(); continue;
@@ -164,6 +163,7 @@ std::vector<Token> tokenize(std::string_view src) {
       case '/': out.push_back(make(TokenKind::Slash, "/")); advance(); continue;
       case '%': out.push_back(make(TokenKind::Percent, "%")); advance(); continue;
       case '!': out.push_back(make(TokenKind::Bang, "!")); advance(); continue;
+      case ':': out.push_back(make(TokenKind::Colon, ":")); advance(); continue;
       default:
         throw ParseError(std::string("unexpected character '") + c + "'", line, col);
     }
@@ -192,20 +192,11 @@ class Parser {
     return prog;
   }
 
-  Tuple parse_single_fact() {
+  Atom parse_single_atom() {
     Atom atom = parse_atom();
     if (at(TokenKind::Period)) next();
-    expect(TokenKind::End, "end of fact");
-    std::vector<Value> values;
-    values.reserve(atom.args.size());
-    for (const auto& t : atom.args) {
-      if (t->kind != Term::Kind::Const) {
-        throw ParseError("fact arguments must be constants", atom.loc.line,
-                         atom.loc.column);
-      }
-      values.push_back(t->constant);
-    }
-    return Tuple(atom.predicate, std::move(values));
+    expect(TokenKind::End, "end of input");
+    return atom;
   }
 
  private:
@@ -520,9 +511,22 @@ Program parse_program(std::string_view source, std::string program_name) {
   return parser.parse_program(std::move(program_name));
 }
 
-Tuple parse_fact(std::string_view source) {
+Atom parse_atom(std::string_view source) {
   Parser parser(tokenize(source));
-  return parser.parse_single_fact();
+  return parser.parse_single_atom();
+}
+
+Tuple parse_fact(std::string_view source) {
+  const Atom atom = parse_atom(source);
+  std::vector<Value> values;
+  values.reserve(atom.args.size());
+  for (const auto& t : atom.args) {
+    if (t->kind != Term::Kind::Const) {
+      throw ParseError("fact arguments must be constants", atom.loc.line, atom.loc.column);
+    }
+    values.push_back(t->constant);
+  }
+  return Tuple(atom.predicate, std::move(values));
 }
 
 }  // namespace fvn::ndlog

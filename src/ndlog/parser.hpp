@@ -21,7 +21,9 @@
 
 namespace fvn::ndlog {
 
-/// Syntax error with 1-based line/column position.
+/// Syntax error: what() is the message alone, line() and column() its
+/// 1-based position (a reader that names the source prints
+/// `<source>:<line>:<col>: <message>`).
 class ParseError : public std::runtime_error {
  public:
   ParseError(const std::string& message, int line, int column);
@@ -60,6 +62,10 @@ enum class TokenKind : std::uint8_t {
   Slash,
   Percent,
   Bang,      // !
+  Colon,     // :  (an .ltl property name)
+  AndAnd,    // && (.ltl)
+  OrOr,      // || (.ltl)
+  Arrow,     // -> (.ltl)
   End,
 };
 
@@ -73,15 +79,21 @@ struct Token {
   int column = 1;
 };
 
-/// Tokenize an NDlog source string. `//`, `%%`-free: comments are `//` to
-/// end-of-line and `/* ... */` blocks.
+/// Tokenize NDlog text: programs, fact lines, query goals and `.ltl` specs
+/// all read this one token set, and each parser rejects the tokens it does
+/// not use. Comments are `//` to end of line and `/* ... */` blocks; an
+/// integer literal must fit int64; `\n` and `\t` escape in strings.
 std::vector<Token> tokenize(std::string_view source);
 
 /// Parse a full NDlog program. Throws ParseError on malformed input.
 Program parse_program(std::string_view source, std::string program_name = "program");
 
-/// Parse a single ground fact like `link(@n1,n2,3)` (no trailing period
-/// required). Used by tests and the simulator's input loaders.
+/// Parse one atom, e.g. the query goal `bestPath(@n0, D, P, C)`: the atom,
+/// an optional `.`, then the end of input.
+Atom parse_atom(std::string_view source);
+
+/// Parse a single ground fact like `link(@n1,n2,3)`: parse_atom, whose
+/// arguments must all be constants.
 Tuple parse_fact(std::string_view source);
 
 }  // namespace fvn::ndlog

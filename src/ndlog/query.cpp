@@ -1,6 +1,5 @@
 #include "ndlog/query.hpp"
 
-#include <algorithm>
 #include <deque>
 
 #include "ndlog/analysis.hpp"
@@ -71,19 +70,7 @@ QueryResult query(const Program& program, const Atom& goal,
 QueryResult query(const Program& program, std::string_view goal_text,
                   const std::vector<Tuple>& facts, const QueryOptions& options,
                   const BuiltinRegistry& builtins) {
-  // Parse "pred(arg,...)" by wrapping it as a rule body of a dummy program.
-  const std::string wrapped = "q__(@X) :- " + std::string(goal_text) + ", X = n0.";
-  Program parsed = parse_program(wrapped, "goal");
-  const auto* ba = std::get_if<BodyAtom>(&parsed.rules.at(0).body.at(0));
-  if (ba == nullptr) {
-    // The goal parsed as a comparison, not an atom. Report its position in
-    // the caller's goal text by undoing the "q__(@X) :- " wrapper offset.
-    const auto* cmp = std::get_if<Comparison>(&parsed.rules.at(0).body.at(0));
-    const int col =
-        cmp != nullptr ? std::max(1, cmp->loc.column - 11) : 1;
-    throw ParseError("goal must be a single atom", 1, col);
-  }
-  return query(program, ba->atom, facts, options, builtins);
+  return query(program, parse_atom(goal_text), facts, options, builtins);
 }
 
 }  // namespace fvn::ndlog

@@ -35,7 +35,8 @@ QueryResult query(const Program& program, const Atom& goal,
                   const std::vector<Tuple>& facts, const QueryOptions& options = {},
                   const BuiltinRegistry& builtins = BuiltinRegistry::standard());
 
-/// Convenience: parse the goal from text, e.g. "bestPath(@n0, n3, P, C)".
+/// The goal read with parse_atom, e.g. "bestPath(@n0, n3, P, C)": one atom
+/// and nothing after it.
 QueryResult query(const Program& program, std::string_view goal_text,
                   const std::vector<Tuple>& facts, const QueryOptions& options = {},
                   const BuiltinRegistry& builtins = BuiltinRegistry::standard());

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "ndlog/analysis.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace fvn::ndlog {
@@ -840,7 +841,7 @@ void append_string_array(std::ostringstream& os, const char* key,
   os << "\"" << key << "\":[";
   bool first = true;
   for (const auto& v : values) {
-    os << (first ? "" : ",") << "\"" << json_escape(v) << "\"";
+    os << (first ? "" : ",") << "\"" << obs::json_escape(v) << "\"";
     first = false;
   }
   os << "]";
@@ -860,7 +861,7 @@ std::string semantic_json(const SemanticReport& report) {
   for (std::size_t i = 0; i < report.sccs.size(); ++i) {
     os << (i != 0 ? "," : "") << "[";
     for (std::size_t j = 0; j < report.sccs[i].size(); ++j) {
-      os << (j != 0 ? "," : "") << "\"" << json_escape(report.sccs[i][j]) << "\"";
+      os << (j != 0 ? "," : "") << "\"" << obs::json_escape(report.sccs[i][j]) << "\"";
     }
     os << "]";
   }

@@ -3,11 +3,15 @@
 // compiled runtime monitor (including the recorded-trace decoder).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
+#include <tuple>
 
 #include "core/protocols.hpp"
+#include "crossval_instances.hpp"
 #include "ltl/buchi.hpp"
 #include "ltl/checker.hpp"
 #include "ltl/formula.hpp"
@@ -119,6 +123,214 @@ TEST(LtlParser, CheckSpecDiagnostics) {
   EXPECT_TRUE(has("LT0004"));
   EXPECT_TRUE(has("LT0005"));
   EXPECT_EQ(sink.count(ndlog::Severity::Error), 0u);  // warnings never block
+  // Codes, positions and messages, as the CLI prints them.
+  EXPECT_EQ(ndlog::render_human(sink.diagnostics(), "diag.ltl"),
+            "diag.ltl:1:6: warning: LT0002: pattern predicate 'nosuch' is not declared or "
+            "derived by the program\n"
+            "diag.ltl:2:6: warning: LT0003: pattern link(n0,n1,1,extra) has 4 arguments but "
+            "'link' has arity 3\n"
+            "diag.ltl:3:4: note: LT0004: X is not stutter-invariant: the model checker steps "
+            "per message delivery but the monitor steps per tuple event, so mc and monitor "
+            "verdicts may disagree under X\n"
+            "diag.ltl:4:8: warning: LT0005: stable() names predicate 'nosuchrel' which the "
+            "program never stores\n");
+}
+
+// ---------------------------------------------------------------------------
+// What every shipped spec reads as: the name and rendering of each property,
+// and a clean check against its program.
+// ---------------------------------------------------------------------------
+
+struct PinnedSpec {
+  std::string file;  ///< under examples/ndlog/
+  std::vector<std::pair<std::string, std::string>> properties;  ///< name, to_string()
+};
+
+const std::vector<PinnedSpec>& pinned_specs() {
+  static const std::vector<PinnedSpec> specs = {
+      {"distance_vector.ltl",
+       {{"reach", "F bestHop(n0,n2,n1,_)"},
+        {"no_backward", "G !hop(n2,n0,_,_)"},
+        {"converges", "F G stable(bestHop)"}}},
+      {"distance_vector_violated.ltl", {{"never_reaches", "G !hop(n0,n2,_,_)"}}},
+      {"link_state.ltl",
+       {{"flooded", "F lsdb(n1,n0,n1,400)"},
+        {"best_cost", "F lsBestCost(n0,n0,n1,400)"},
+        {"converges", "F G stable(lsdb)"}}},
+      {"link_state_violated.ltl", {{"never_floods", "G !lsdb(n1,n0,n1,_)"}}},
+      {"path_vector.ltl",
+       {{"reach", "F bestPath(n0,n2,_,_)"},
+        {"no_self_route", "G !path(n0,n0,_,_)"},
+        {"converges", "F G stable(bestPath)"}}},
+      {"path_vector_violated.ltl", {{"never_reaches", "G !bestPath(n0,n2,_,_)"}}},
+      {"policy_path_vector.ltl",
+       {{"reach", "F bestRoute(n0,n1,_,_,_)"}, {"converges", "F G stable(bestRoute)"}}},
+      {"policy_path_vector_violated.ltl", {{"never_routes", "G !bestRoute(n0,n1,_,_,_)"}}},
+      {"reachable.ltl",
+       {{"reach", "F reachable(n0,n2)"},
+        {"bounded", "G !reachable(n0,n9)"},
+        {"converges", "F G stable(reachable)"}}},
+      {"reachable_violated.ltl", {{"never_reaches", "G !reachable(n0,n2)"}}},
+      {"spanning_tree.ltl",
+       {{"elects_min_root", "F root(n1,n0)"}, {"converges", "F G stable(root)"}}},
+      {"spanning_tree_violated.ltl", {{"never_elects", "G !root(n1,n0)"}}},
+  };
+  return specs;
+}
+
+std::string slurp_example(const std::string& file) {
+  std::ifstream in(std::filesystem::path(FVN_SOURCE_DIR) / "examples" / "ndlog" / file);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+void expect_reads_as(const Spec& spec,
+                     const std::vector<std::pair<std::string, std::string>>& expected) {
+  ASSERT_EQ(spec.properties.size(), expected.size()) << spec.name;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(spec.properties[i].name, expected[i].first) << spec.name;
+    EXPECT_EQ(spec.properties[i].formula->to_string(), expected[i].second) << spec.name;
+  }
+}
+
+TEST(LtlParser, ShippedSpecsReadAsPinned) {
+  for (const auto& pinned : pinned_specs()) {
+    expect_reads_as(parse_spec(slurp_example(pinned.file), pinned.file), pinned.properties);
+  }
+}
+
+TEST(LtlParser, ShippedSpecsCheckCleanAgainstTheirPrograms) {
+  for (const auto& pinned : pinned_specs()) {
+    std::string name = pinned.file.substr(0, pinned.file.find('.'));
+    if (const auto cut = name.find("_violated"); cut != std::string::npos) name.resize(cut);
+    const auto catalog = ndlog::Catalog::from_program(crossval::example_program(name));
+    ndlog::DiagnosticSink sink;
+    check_spec(parse_spec(slurp_example(pinned.file), pinned.file), catalog, sink);
+    EXPECT_EQ(ndlog::render_human(sink.diagnostics(), pinned.file), "") << pinned.file;
+  }
+}
+
+TEST(LtlParser, BenchmarkSpecShapesReadAsPinned) {
+  // The converge and verify workloads' specs, as the benchmark builds them.
+  expect_reads_as(parse_spec("delivers: F bestPath(@n0, n15, _, _).\n"
+                             "converges: F G stable(bestPath).\n",
+                             "converge.ltl"),
+                  {{"delivers", "F bestPath(n0,n15,_,_)"},
+                   {"converges", "F G stable(bestPath)"}});
+  expect_reads_as(parse_spec("reach: F bestPath(@n0, n3, _, _).\n"
+                             "wrong: G !bestPath(@n0, n3, _, _).\n",
+                             "verify.ltl"),
+                  {{"reach", "F bestPath(n0,n3,_,_)"}, {"wrong", "G !bestPath(n0,n3,_,_)"}});
+}
+
+TEST(LtlParser, NegativeAndDoubleConstantsMatchTheStoredFacts) {
+  // A pattern constant reads as the fact line that stores it, so the
+  // property holds once that fact is installed.
+  const std::vector<std::tuple<std::string, std::string, std::string>> cases = {
+      {"F link(@n0, n1, -1)", "F link(n0,n1,-1)", "link(@n0,n1,-1)"},
+      {"F weight(@n0, 2.5)", "F weight(n0,2.5)", "weight(@n0,2.5)"},
+  };
+  for (const auto& [text, rendered, fact] : cases) {
+    const auto spec = parse_spec("p: " + text + ".\n");
+    EXPECT_EQ(spec.properties.at(0).formula->to_string(), rendered);
+    MonitorSet monitors(spec);
+    EXPECT_FALSE(monitors.all_satisfied()) << text;
+    monitors.on_event(TupleEvent::Kind::Install, ndlog::parse_fact(fact));
+    EXPECT_TRUE(monitors.all_satisfied()) << text;
+  }
+}
+
+TEST(LtlParser, OutOfRangeIntegerIsALocatedParseError) {
+  // NDlog's integers are int64; a longer literal is a parse error at the
+  // literal, in a spec as in a program.
+  try {
+    parse_spec("p1: F path(@n0, 99999999999999999999).\n", "big.ltl");
+    FAIL() << "expected ParseError";
+  } catch (const ndlog::ParseError& e) {
+    EXPECT_EQ(e.line(), 1);
+    EXPECT_EQ(e.column(), 17);
+    EXPECT_EQ(std::string(e.what()), "bad integer literal '99999999999999999999'");
+  }
+}
+
+TEST(LtlParser, StringEscapesReadAsTheProgramStoresThem) {
+  // `\n` in a quoted constant is a newline, as in an NDlog fact or program.
+  const auto f = parse_formula("path(@n0, \"a\\nb\")");
+  ASSERT_EQ(f->op, Op::Atom);
+  ASSERT_EQ(f->pattern.args.size(), 2u);
+  EXPECT_TRUE(f->pattern.args[1].value.is_str());
+  EXPECT_EQ(f->pattern.args[1].value.as_text(), "a\nb");
+  EXPECT_TRUE(f->pattern.matches(ndlog::parse_fact("path(@n0, \"a\\nb\")")));
+}
+
+// ---------------------------------------------------------------------------
+// Every reader (program, spec, fact line, query goal) rejects malformed text
+// with a located ParseError and nothing else.
+// ---------------------------------------------------------------------------
+
+/// `text` with one to three byte-level edits: replace, delete or insert a
+/// byte, or insert a run of 15-40 digits (most past int64's 19).
+std::string mutate(std::string text, std::mt19937_64& rng) {
+  const int edits = 1 + static_cast<int>(rng() % 3);
+  for (int m = 0; m < edits; ++m) {
+    if (text.empty()) text = "x";
+    const std::size_t pos = rng() % text.size();
+    switch (rng() % 4) {
+      case 0: text[pos] = static_cast<char>(rng() & 0xFF); break;
+      case 1: text.erase(pos, 1); break;
+      case 2: text.insert(pos, 1, static_cast<char>(rng() & 0xFF)); break;
+      default: {
+        std::string digits(15 + rng() % 26, '0');
+        for (char& d : digits) d = static_cast<char>('0' + rng() % 10);
+        text.insert(pos, digits);
+      }
+    }
+  }
+  return text;
+}
+
+TEST(ReaderMutation, EveryReaderThrowsOnlyLocatedParseErrors) {
+  std::vector<std::string> inputs = {"link(@n0,n1,-1)", "path(@n0,n2,[n0,n1,n2],2.5).",
+                                     "name(@n0,\"a\\nb\")", "bestPath(@n0, D, P, C)"};
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::filesystem::path(FVN_SOURCE_DIR) / "examples" /
+                                           "ndlog")) {
+    const auto ext = entry.path().extension();
+    if (ext == ".ndlog" || ext == ".ltl") files.push_back(entry.path().filename());
+  }
+  std::sort(files.begin(), files.end());  // one mutant sequence per seed
+  for (const auto& file : files) inputs.push_back(slurp_example(file));
+  ASSERT_EQ(inputs.size(), 4u + 6u + 12u);
+  const std::vector<std::pair<const char*, void (*)(const std::string&)>> readers = {
+      {"parse_program", [](const std::string& s) { (void)ndlog::parse_program(s); }},
+      {"parse_spec", [](const std::string& s) { (void)parse_spec(s); }},
+      {"parse_fact", [](const std::string& s) { (void)ndlog::parse_fact(s); }},
+      {"parse_atom", [](const std::string& s) { (void)ndlog::parse_atom(s); }},
+  };
+  std::mt19937_64 rng(7);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (const std::string& input : inputs) {
+    for (int round = 0; round < 100; ++round) {
+      const std::string mutant = mutate(input, rng);
+      for (const auto& [name, read] : readers) {
+        try {
+          read(mutant);
+          ++parsed;
+        } catch (const ndlog::ParseError& e) {
+          ++rejected;
+          ASSERT_GE(e.line(), 1) << name << ": " << e.what() << "\n" << mutant;
+          ASSERT_GE(e.column(), 1) << name << ": " << e.what() << "\n" << mutant;
+        } catch (const std::exception& e) {
+          FAIL() << name << " threw " << e.what() << " on:\n" << mutant;
+        }
+      }
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <tuple>
@@ -195,6 +196,40 @@ TEST(Query, UnknownGoalPredicateYieldsNoAnswers) {
   EXPECT_TRUE(result.answers.empty());
 }
 
+/// The ParseError that querying `goal` raises, or nullopt.
+std::optional<ndlog::ParseError> goal_error(const std::string& goal) {
+  try {
+    ndlog::query(core::path_vector_program(), goal, core::link_facts(core::line_topology(3)));
+  } catch (const ndlog::ParseError& e) {
+    return e;
+  }
+  return std::nullopt;
+}
+
+TEST(Query, GoalIsOneAtomAndNothingAfterIt) {
+  // A filter or a rule after the atom is not silently dropped.
+  for (const auto& [goal, column, message] :
+       std::vector<std::tuple<std::string, int, std::string>>{
+           {"bestPath(@n0,D,P,C), C > 5", 20, "expected end of input, found ','"},
+           {"bestPath(@n0,D,P,C). x(@a) :- y(@a).", 22, "expected end of input, found 'x'"},
+           {"C > 5", 1, "expected predicate name, found 'C'"}}) {
+    const auto e = goal_error(goal);
+    ASSERT_TRUE(e.has_value()) << goal;
+    EXPECT_EQ(e->line(), 1) << goal;
+    EXPECT_EQ(e->column(), column) << goal;
+    EXPECT_EQ(std::string(e->what()), message) << goal;
+  }
+  EXPECT_FALSE(goal_error("bestPath(@n0,D,P,C).").has_value());
+}
+
+TEST(Query, GoalErrorIsLocatedInTheGoal) {
+  const auto e = goal_error("path(@S,D,P,C");
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->line(), 1);
+  EXPECT_EQ(e->column(), 14);
+  EXPECT_EQ(std::string(e->what()), "expected ')', found ''");
+}
+
 // ---------------------------------------------------------------------------
 // fvn_cli lint (subprocess: exit codes and --json shape)
 // ---------------------------------------------------------------------------
@@ -267,6 +302,24 @@ TEST(CliLint, SyntaxErrorBecomesND0001) {
   const auto result = run_cli("lint " + path);
   EXPECT_EQ(result.exit_code, 2) << result.output;
   EXPECT_NE(result.output.find("ND0001"), std::string::npos) << result.output;
+}
+
+TEST(CliLint, SyntaxErrorIsLocatedOnce) {
+  // ND0001 takes its position from the diagnostic's span: the message is
+  // the parser's alone, in lint and analyze, human and JSON.
+  const auto path = write_temp_program("syntax_once.ndlog", "r1 a(@X :- b(@X).\n");
+  for (const std::string cmd : {"lint", "analyze"}) {
+    const auto result = run_cli(cmd + " " + path);
+    EXPECT_EQ(result.exit_code, 2) << result.output;
+    EXPECT_EQ(result.output, path + ":1:9: error: ND0001: expected ')', found ':-'\n" + cmd +
+                                 ": 1 errors, 0 warnings\n");
+    const auto json = run_cli(cmd + " --json " + path);
+    EXPECT_EQ(json.exit_code, 2) << json.output;
+    EXPECT_NE(json.output.find("\"message\":\"expected ')', found ':-'\",\"line\":1,"
+                               "\"column\":9"),
+              std::string::npos)
+        << json.output;
+  }
 }
 
 TEST(CliLint, JsonOutputCarriesShapeAndCounts) {
@@ -853,6 +906,55 @@ TEST(CliExitCodes, BadFactsLineIsReportedWhereItIs) {
   }
 }
 
+TEST(CliExitCodes, ProgramParseErrorNamesTheFileOnce) {
+  // Every command that reads a program reports a syntax error as
+  // <file>:<line>:<col>: <message>, the position once.
+  const auto prog = write_temp_program("ec_syn.ndlog", "r1 a(@X :- b(@X).\n");
+  const auto facts = write_temp_program("ec_syn_facts.txt", "b(@n0)\n");
+  const auto spec = write_temp_program("ec_syn.ltl", "p1: F a(@n0).\n");
+  const std::string pf = prog + " " + facts;
+  for (const std::string& args :
+       {"check " + prog, "translate " + prog, "linear " + prog, "plan " + prog, "run " + pf,
+        "sim " + pf, "dist " + pf, "query " + pf + " 'a(@X)'", "explain " + pf + " 'a(@n0)'",
+        "verify " + pf + " --ltl " + spec, "serve " + pf + " --serve a < /dev/null"}) {
+    const auto result = run_cli(args);
+    EXPECT_EQ(result.exit_code, 2) << args << ": " << result.output;
+    EXPECT_EQ(result.output, "error: " + prog + ":1:9: expected ')', found ':-'\n") << args;
+  }
+}
+
+TEST(CliExitCodes, QueryGoalIsReadWholeAndLocated) {
+  const std::string pf = std::string(FVN_SOURCE_DIR) + "/examples/ndlog/path_vector.ndlog " +
+                         write_temp_program("ec_goal_facts.txt",
+                                            "link(@n0,n1,1)\nlink(@n1,n0,1)\n"
+                                            "link(@n1,n2,1)\nlink(@n2,n1,1)\n");
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"'bestPath(@n0,D,P,C), C > 5'", "error: goal:1:20: expected end of input, found ','\n"},
+      {"'path(@S,D,P,C'", "error: goal:1:14: expected ')', found ''\n"},
+  };
+  for (const auto& [goal, message] : cases) {
+    const auto result = run_cli("query " + pf + " " + goal);
+    EXPECT_EQ(result.exit_code, 2) << goal << ": " << result.output;
+    EXPECT_EQ(result.output, message) << goal;
+  }
+  const auto answered = run_cli("query " + pf + " 'bestPath(@n0,n2,P,C)'");
+  EXPECT_EQ(answered.exit_code, 0) << answered.output;
+  EXPECT_NE(answered.output.find("bestPath(n0,n2,[n0,n1,n2],2)"), std::string::npos)
+      << answered.output;
+}
+
+TEST(CliExitCodes, ExplainFactErrorIsLocatedInTheFact) {
+  const auto prog = write_temp_program(
+      "ec_explain.ndlog",
+      "materialize(link, infinity, infinity, keys(1,2)).\n"
+      "materialize(reachable, infinity, infinity, keys(1,2)).\n"
+      "t1 reachable(@S,D) :- link(@S,D,_C).\n");
+  const auto facts = write_temp_program("ec_explain.txt", "link(@n0,n1,1)\n");
+  const auto result = run_cli("explain " + prog + " " + facts + " 'reachable(@n0,'");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_EQ(result.output, "error: fact:1:15: expected expression, found ''\n");
+}
+
 TEST(CliExitCodes, SimulateRuntimeFailureExitsOne) {
   // Unstratifiable negation cycle: rejected by the simulator's static checks
   // at construction — a runtime failure (1), not a parse error (2).
@@ -1038,6 +1140,34 @@ TEST(CliVerify, SpecParseErrorExitsTwoWithLT0001) {
   const auto result = run_cli("verify " + prog + " " + facts + " --ltl " + broken);
   EXPECT_EQ(result.exit_code, 2) << result.output;
   EXPECT_NE(result.output.find("LT0001"), std::string::npos) << result.output;
+}
+
+TEST(CliVerify, SpecParseErrorIsLocatedOnce) {
+  // LT0001 takes its position from the span, and its message is the
+  // parser's alone: no second position, no prefix.
+  const auto [prog, facts, good, bad] = ltl_inputs();
+  const auto broken = write_temp_program("ltl_broken_once.ltl", "p: F reachable(@n0\n");
+  for (const std::string& args : {"verify " + prog + " " + facts + " --ltl " + broken,
+                                  "sim " + prog + " " + facts + " --monitor " + broken}) {
+    const auto result = run_cli(args);
+    EXPECT_EQ(result.exit_code, 2) << result.output;
+    EXPECT_EQ(result.output, broken + ":2:1: error: LT0001: expected ')'\n" +
+                                 "error: cannot parse LTL spec " + broken + "\n");
+  }
+}
+
+TEST(CliVerify, OutOfRangeIntegerInSpecIsLT0001) {
+  // An integer literal past int64 is a parse error (exit 2), not a runtime
+  // failure (exit 1 is a violated property).
+  const auto [prog, facts, good, bad] = ltl_inputs();
+  const auto big =
+      write_temp_program("ltl_big.ltl", "p1: F reachable(@n0, 99999999999999999999).\n");
+  const auto result = run_cli("verify " + prog + " " + facts + " --ltl " + big);
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find(big + ":1:22: error: LT0001: bad integer literal "
+                                     "'99999999999999999999'\n"),
+            std::string::npos)
+      << result.output;
 }
 
 TEST(CliVerify, SoftStateProgramIsRefusedWithExitTwo) {
