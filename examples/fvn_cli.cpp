@@ -360,7 +360,7 @@ int cmd_analyze(const Args& args) {
                                                   ndlog::DiagnosticSink& sink) {
     FileExtras extras;
     ndlog::check_arities(program, sink);
-    ndlog::check_safety(program, ndlog::BuiltinRegistry::standard(), sink);
+    ndlog::check_safety(program, sink);
     ndlog::stratify(program, sink);
     if (!sink.has_errors()) {
       ndlog::SemanticOptions options;

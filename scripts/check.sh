@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repository health gate: tier-1 build + tests, the analyze-all sweep over
 # every shipped example (ctest -L analyze), the mc, dataflow, ltl and serve
-# suites, the same tests again under ASan/UBSan, the concurrent
+# suites, the repository benchmark's own tests (perfbench/tests), the same
+# tests again under ASan/UBSan, the concurrent
 # `net|ltl|serve|value` suites once more under TSan (build-tsan),
 # perf-smoke gates (bench_net cluster:simulator floor, bench_ltl
 # monitor-overhead ceiling, bench_serve lookup floor + churn ratio +
@@ -70,6 +71,15 @@ ctest --test-dir build --output-on-failure -L ltl
 # feed-projection == fixpoint cross-checks on both runtimes.
 echo "== check: serve suite (ctest -L serve) =="
 ctest --test-dir build --output-on-failure -L serve
+
+# The repository benchmark (BENCHMARK.json, perfbench/) builds its own
+# Release binary into .bench_build/ and calls the library's constructors
+# (Simulator, NdlogTransitionSystem, Evaluator) directly; its tests run every
+# workload on reduced inputs, so a change that breaks the benchmark fails
+# here rather than on the benchmark's first run. About a minute, most of it
+# the fresh Release build.
+echo "== check: benchmark tests (perfbench/tests/test_perfbench.py) =="
+python3 perfbench/tests/test_perfbench.py
 
 if [ "$run_tidy" -eq 1 ]; then
   if command -v clang-tidy >/dev/null 2>&1; then

@@ -18,9 +18,8 @@ void bump(obs::Counter* c) {
 
 }  // namespace
 
-Engine::Engine(const Plan& plan, const ndlog::BuiltinRegistry& builtins,
-               obs::Registry* metrics)
-    : plan_(&plan), builtins_(&builtins), metrics_(metrics), fallback_(builtins) {
+Engine::Engine(const Plan& plan, obs::Registry* metrics)
+    : plan_(&plan), metrics_(metrics) {
   strand_obs_.reserve(plan.strands.size());
   for (const auto& s : plan.strands) strand_obs_.push_back(series_of(s));
   agg_.resize(plan.aggregates.size());
@@ -56,7 +55,7 @@ bool Engine::match(const Element& element, const Tuple& tuple) {
         if (!(regs_[static_cast<std::size_t>(step.slot)] == v)) return false;
         break;
       case ArgStep::Kind::TestExpr:
-        if (!(step.expr.eval(regs_, *builtins_) == v)) return false;
+        if (!(step.expr.eval(regs_) == v)) return false;
         break;
     }
   }
@@ -76,7 +75,7 @@ void Engine::exec(RunCtx& ctx, std::size_t ei) {
       return;
     }
     case Element::Kind::IndexJoin: {
-      const Value key = e.probe.eval(regs_, *builtins_);
+      const Value key = e.probe.eval(regs_);
       // The lookup reference is stable here: strand execution never mutates
       // the database (produced tuples are buffered by the executive).
       const auto& bucket =
@@ -99,14 +98,14 @@ void Engine::exec(RunCtx& ctx, std::size_t ei) {
       return;
     }
     case Element::Kind::Bind: {
-      regs_[static_cast<std::size_t>(e.slot)] = e.rhs.eval(regs_, *builtins_);
+      regs_[static_cast<std::size_t>(e.slot)] = e.rhs.eval(regs_);
       bump(obs.out);
       exec(ctx, ei + 1);
       return;
     }
     case Element::Kind::Select: {
-      if (!ndlog::compare(e.cmp, e.lhs.eval(regs_, *builtins_),
-                          e.rhs.eval(regs_, *builtins_))) {
+      if (!ndlog::compare(e.cmp, e.lhs.eval(regs_),
+                          e.rhs.eval(regs_))) {
         return;
       }
       bump(obs.out);
@@ -116,7 +115,7 @@ void Engine::exec(RunCtx& ctx, std::size_t ei) {
     case Element::Kind::NegProbe: {
       std::vector<Value> values;
       values.reserve(e.args.size());
-      for (const auto& a : e.args) values.push_back(a.eval(regs_, *builtins_));
+      for (const auto& a : e.args) values.push_back(a.eval(regs_));
       if (ctx.db->contains(Tuple(e.predicate, std::move(values)))) return;
       bump(obs.out);
       exec(ctx, ei + 1);
@@ -125,7 +124,7 @@ void Engine::exec(RunCtx& ctx, std::size_t ei) {
     case Element::Kind::Project: {
       std::vector<Value> values;
       values.reserve(e.head_args.size());
-      for (const auto& a : e.head_args) values.push_back(a.eval(regs_, *builtins_));
+      for (const auto& a : e.head_args) values.push_back(a.eval(regs_));
       bump(obs.out);
       // The Demux element is the strand terminal: count the routed tuple and
       // hand it to the executive (which resolves the location specifier).
@@ -143,7 +142,7 @@ void Engine::exec(RunCtx& ctx, std::size_t ei) {
         if (i == e.agg_pos) {
           key.push_back(Value::nil());
         } else {
-          key.push_back(e.head_args[i].eval(regs_, *builtins_));
+          key.push_back(e.head_args[i].eval(regs_));
         }
       }
       const Value& v = regs_[static_cast<std::size_t>(e.agg_slot)];

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "dataflow/plan.hpp"
-#include "ndlog/builtins.hpp"
 #include "ndlog/database.hpp"
 #include "ndlog/eval.hpp"
 #include "obs/metrics.hpp"
@@ -34,8 +33,7 @@ class Engine {
   /// `plan` must outlive the engine. `metrics` may be null; when set, every
   /// element gets dataflow/elem/<rule>[d<pos>]/<elem>/{in,out} counters
   /// (shared across engines — i.e. across simulated nodes).
-  Engine(const Plan& plan, const ndlog::BuiltinRegistry& builtins,
-         obs::Registry* metrics = nullptr);
+  explicit Engine(const Plan& plan, obs::Registry* metrics = nullptr);
 
   /// Push one delta tuple through every strand whose delta predicate
   /// matches, in plan order, appending head tuples to `out` in exactly the
@@ -123,7 +121,6 @@ class Engine {
   StrandObs series_of(const Strand& strand) const;
 
   const Plan* plan_;
-  const ndlog::BuiltinRegistry* builtins_;
   obs::Registry* metrics_;
   std::vector<StrandObs> strand_obs_;               // parallel to plan_->strands
   std::vector<std::vector<StrandObs>> agg_obs_;     // parallel to aggregates

@@ -21,8 +21,7 @@ CompiledExpr CompiledExpr::of_const(ndlog::Value v) {
   return e;
 }
 
-ndlog::Value CompiledExpr::eval(const std::vector<ndlog::Value>& regs,
-                                const ndlog::BuiltinRegistry& builtins) const {
+ndlog::Value CompiledExpr::eval(const std::vector<ndlog::Value>& regs) const {
   switch (kind) {
     case Kind::Slot:
       return regs[static_cast<std::size_t>(slot)];
@@ -31,12 +30,12 @@ ndlog::Value CompiledExpr::eval(const std::vector<ndlog::Value>& regs,
     case Kind::Func: {
       std::vector<ndlog::Value> vals;
       vals.reserve(args.size());
-      for (const auto& a : args) vals.push_back(a.eval(regs, builtins));
-      return builtins.call(func, vals);
+      for (const auto& a : args) vals.push_back(a.eval(regs));
+      return fn->call(vals);
     }
     case Kind::Binary: {
-      const ndlog::Value lhs = args[0].eval(regs, builtins);
-      const ndlog::Value rhs = args[1].eval(regs, builtins);
+      const ndlog::Value lhs = args[0].eval(regs);
+      const ndlog::Value rhs = args[1].eval(regs);
       switch (op) {
         case ndlog::BinOp::Add: return lhs.add(rhs);
         case ndlog::BinOp::Sub: return lhs.sub(rhs);
@@ -58,7 +57,7 @@ std::string CompiledExpr::to_string() const {
       return constant.to_string();
     case Kind::Func: {
       std::ostringstream os;
-      os << func << '(';
+      os << fn->name << '(';
       for (std::size_t i = 0; i < args.size(); ++i) {
         if (i) os << ',';
         os << args[i].to_string();
@@ -104,7 +103,10 @@ CompiledExpr compile_term(const ndlog::Term& term, const SlotMap& slots) {
     case Term::Kind::Func: {
       CompiledExpr e;
       e.kind = CompiledExpr::Kind::Func;
-      e.func = term.name;
+      e.fn = ndlog::find_builtin(term.name);
+      if (e.fn == nullptr) {
+        throw ndlog::AnalysisError("dataflow planner: unknown function '" + term.name + "'");
+      }
       e.args.reserve(term.args.size());
       for (const auto& a : term.args) e.args.push_back(compile_term(*a, slots));
       return e;

@@ -24,7 +24,7 @@ struct CompiledExpr {
   int slot = -1;                   // Slot payload
   ndlog::Value constant;           // Const payload
   ndlog::BinOp op = ndlog::BinOp::Add;  // Binary payload
-  std::string func;                // Func payload
+  const ndlog::Builtin* fn = nullptr;   // Func payload, bound by compile_term
   std::vector<CompiledExpr> args;  // Func arguments / Binary operands
 
   static CompiledExpr of_slot(int s);
@@ -32,8 +32,7 @@ struct CompiledExpr {
 
   /// Evaluate against a register file. The planner only emits an expression
   /// once every slot it reads is bound, so evaluation is total.
-  ndlog::Value eval(const std::vector<ndlog::Value>& regs,
-                    const ndlog::BuiltinRegistry& builtins) const;
+  ndlog::Value eval(const std::vector<ndlog::Value>& regs) const;
 
   /// "$3", "f_concatPath($0,$2)", "$1+$2" — used by DOT/JSON plan dumps.
   std::string to_string() const;
@@ -55,10 +54,11 @@ class SlotMap {
   std::vector<std::string> names_;
 };
 
-/// Compile `term` against `slots`. Throws ndlog::AnalysisError when the term
-/// mentions a variable without a slot — the planner's scheduling guarantees
-/// boundness for well-formed (safe) rules, so this indicates a planner bug
-/// or an unsafe rule that bypassed check_safety.
+/// Compile `term` against `slots`, binding each function call to its
+/// builtin. Throws ndlog::AnalysisError when the term mentions a variable
+/// without a slot — the planner's scheduling guarantees boundness for
+/// well-formed (safe) rules, so this indicates a planner bug or an unsafe
+/// rule that bypassed check_safety — or calls a function with no builtin.
 CompiledExpr compile_term(const ndlog::Term& term, const SlotMap& slots);
 
 }  // namespace fvn::dataflow

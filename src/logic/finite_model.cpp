@@ -1,6 +1,9 @@
 #include "logic/finite_model.hpp"
 
 #include <algorithm>
+#include <functional>
+
+#include "ndlog/builtins.hpp"
 
 namespace fvn::logic {
 
@@ -81,7 +84,7 @@ Value FiniteModel::eval_term(const LTerm& term,
       std::vector<Value> args;
       args.reserve(term.args.size());
       for (const auto& a : term.args) args.push_back(eval_term(*a, env));
-      return builtins_->call(term.name, args);
+      return ndlog::call_builtin(term.name, args);
     }
     case LTerm::Kind::Arith: {
       const Value lhs = eval_term(*term.args[0], env);

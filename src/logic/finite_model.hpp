@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "logic/formula.hpp"
-#include "ndlog/builtins.hpp"
 #include "ndlog/database.hpp"
 
 namespace fvn::logic {
@@ -20,10 +19,6 @@ namespace fvn::logic {
 /// A finite first-order structure.
 class FiniteModel {
  public:
-  explicit FiniteModel(const ndlog::BuiltinRegistry& builtins =
-                           ndlog::BuiltinRegistry::standard())
-      : builtins_(&builtins) {}
-
   /// Interpret every relation of `db` and (by default) harvest the domain:
   /// every value occurring in any tuple joins the domain of its matching
   /// sort (addresses → Node, ints/doubles → Metric, lists → Path, ...).
@@ -49,7 +44,6 @@ class FiniteModel {
   std::size_t last_instantiations() const noexcept { return instantiations_; }
 
  private:
-  const ndlog::BuiltinRegistry* builtins_;
   std::map<std::string, ndlog::TupleSet> relations_;
   std::map<Sort, std::vector<Value>> domains_;
   std::vector<Value> universe_;  // union, deduplicated

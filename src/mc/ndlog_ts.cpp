@@ -46,14 +46,13 @@ namespace {
 
 /// The plan a delivery runs: the runtimes' static checks and compilation,
 /// after refusing what an untimed model cannot check.
-dataflow::Plan model_plan(const ndlog::Program& program, const ndlog::Catalog& catalog,
-                          const ndlog::BuiltinRegistry& builtins) {
+dataflow::Plan model_plan(const ndlog::Program& program, const ndlog::Catalog& catalog) {
   if (const auto feature = runtime::soft_state_feature(program, catalog); !feature.empty()) {
     throw ndlog::AnalysisError("model checker: " + feature +
                                "; states carry no clock, so only hard-state programs "
                                "can be verified");
   }
-  return runtime::checked_plan(program, builtins, /*require_stratified=*/true, {});
+  return runtime::checked_plan(program, /*require_stratified=*/true, {});
 }
 
 std::set<std::string> permanent_predicates(const ndlog::Program& program,
@@ -78,19 +77,17 @@ std::set<std::string> permanent_predicates(const ndlog::Program& program,
 
 }  // namespace
 
-NdlogTransitionSystem::NdlogTransitionSystem(ndlog::Program program,
-                                             const ndlog::BuiltinRegistry& builtins)
+NdlogTransitionSystem::NdlogTransitionSystem(ndlog::Program program)
     : program_(runtime::localize(program)),
       catalog_(ndlog::Catalog::from_program(program_)),
-      builtins_(&builtins),
-      plan_(model_plan(program_, catalog_, builtins)),
+      plan_(model_plan(program_, catalog_)),
       preds_(catalog_),
       permanent_(permanent_predicates(program_, catalog_)) {}
 
 NetState NdlogTransitionSystem::initial(const std::vector<Tuple>& facts) const {
   NetState state;
   for (const auto& f : facts) state.inflight.emplace(preds_.location_of(f), f);
-  for (auto& f : runtime::embedded_facts(program_, *builtins_)) {
+  for (auto& f : runtime::embedded_facts(program_)) {
     state.inflight.emplace(preds_.location_of(f), std::move(f));
   }
   return state;
@@ -99,7 +96,7 @@ NetState NdlogTransitionSystem::initial(const std::vector<Tuple>& facts) const {
 NdlogTransitionSystem::LocalStep NdlogTransitionSystem::local_step(
     const std::string& node, std::span<const Tuple* const> table, const Tuple& arriving) const {
   LocalStep step;
-  runtime::NodeCore core(node, plan_, preds_, *builtins_, nullptr,
+  runtime::NodeCore core(node, plan_, preds_, nullptr,
                          [&](const runtime::NodeCore&, runtime::NodeCore::Change change,
                              const Tuple& tuple) {
                            if (change != runtime::NodeCore::Change::Remote) return;

@@ -31,7 +31,6 @@
 
 #include "dataflow/plan.hpp"
 #include "mc/checker.hpp"
-#include "ndlog/builtins.hpp"
 #include "ndlog/catalog.hpp"
 #include "runtime/pred_table.hpp"
 
@@ -62,9 +61,7 @@ class NdlogTransitionSystem {
   /// Runs the runtimes' static checks (arities, safety, stratification)
   /// and compiles their plan; throws ndlog::AnalysisError on a program that
   /// fails them or that has soft state (runtime::soft_state_feature).
-  explicit NdlogTransitionSystem(
-      ndlog::Program program,
-      const ndlog::BuiltinRegistry& builtins = ndlog::BuiltinRegistry::standard());
+  explicit NdlogTransitionSystem(ndlog::Program program);
   NdlogTransitionSystem(const NdlogTransitionSystem&) = delete;
   NdlogTransitionSystem& operator=(const NdlogTransitionSystem&) = delete;
 
@@ -139,7 +136,6 @@ class NdlogTransitionSystem {
  private:
   ndlog::Program program_;
   ndlog::Catalog catalog_;
-  const ndlog::BuiltinRegistry* builtins_;
   dataflow::Plan plan_;
   runtime::PredTable preds_;
   std::set<std::string> permanent_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 
+#include "ndlog/builtins.hpp"
+
 namespace fvn::ndlog {
 
 std::set<std::string> predicates_of(const Program& program) {
@@ -249,6 +251,15 @@ void check_arities(const Program& program, DiagnosticSink& sink) {
 
 namespace {
 
+std::string builtin_names_hint() {
+  std::string names;
+  for (const Builtin& fn : builtin_table()) {
+    if (!names.empty()) names += ", ";
+    names += fn.name;
+  }
+  return "the builtins are " + names;
+}
+
 bool term_vars_bound(const Term& term, const std::set<std::string>& bound) {
   std::vector<std::string> vars;
   term.collect_vars(vars);
@@ -258,22 +269,25 @@ bool term_vars_bound(const Term& term, const std::set<std::string>& bound) {
 
 }  // namespace
 
-void check_safety(const Program& program, const BuiltinRegistry& builtins,
-                  DiagnosticSink& sink) {
+void check_safety(const Program& program, DiagnosticSink& sink) {
   for (std::size_t rule_i = 0; rule_i < program.rules.size(); ++rule_i) {
     const auto& rule = program.rules[rule_i];
     const int ri = static_cast<int>(rule_i);
-    // Unknown built-in functions anywhere in the rule (ND0004), reported once
-    // per function name per rule.
-    std::set<std::string> unknown_reported;
+    // Calls of unknown functions, or with a wrong argument count, anywhere in
+    // the rule (ND0004), reported once per function name per rule.
+    std::set<std::string> reported;
     std::function<void(const Term&, SourceSpan)> check_fns = [&](const Term& t,
                                                                  SourceSpan span) {
-      if (t.kind == Term::Kind::Func && !builtins.contains(t.name) &&
-          unknown_reported.insert(t.name).second) {
-        sink.error("ND0004",
-                   rule_label(rule) + ": unknown function '" + t.name + "'", span)
+      const Builtin* fn = t.kind == Term::Kind::Func ? find_builtin(t.name) : nullptr;
+      if (t.kind == Term::Kind::Func && (fn == nullptr || !fn->accepts(t.args.size())) &&
+          reported.insert(t.name).second) {
+        const std::string problem =
+            fn == nullptr ? "unknown function '" + t.name + "'"
+                          : t.name + " takes " + std::to_string(fn->arity) +
+                                " arguments, got " + std::to_string(t.args.size());
+        sink.error("ND0004", rule_label(rule) + ": " + problem, span)
             .in_rule(ri, rule.head.predicate)
-            .hint = "register it on the BuiltinRegistry or use a standard f_* builtin";
+            .hint = fn == nullptr ? builtin_names_hint() : "";
       }
       for (const auto& a : t.args) check_fns(*a, span);
     };
@@ -440,9 +454,9 @@ void check_arities(const Program& program) {
   if (sink.has_errors()) throw_first(sink);
 }
 
-void check_safety(const Program& program, const BuiltinRegistry& builtins) {
+void check_safety(const Program& program) {
   DiagnosticSink sink;
-  check_safety(program, builtins, sink);
+  check_safety(program, sink);
   if (sink.has_errors()) throw_first(sink);
 }
 
@@ -453,9 +467,9 @@ Stratification stratify(const Program& program) {
   return *std::move(strat);
 }
 
-Stratification analyze(const Program& program, const BuiltinRegistry& builtins) {
+Stratification analyze(const Program& program) {
   check_arities(program);
-  check_safety(program, builtins);
+  check_safety(program);
   return stratify(program);
 }
 

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "ndlog/ast.hpp"
-#include "ndlog/builtins.hpp"
 #include "ndlog/diagnostics.hpp"
 
 namespace fvn::ndlog {
@@ -127,9 +126,9 @@ void check_arities(const Program& program, DiagnosticSink& sink);
 
 /// Rule safety: every head variable bound by a positive body atom or a chain
 /// of `=` bindings (ND0003); every variable of a negated atom or comparison
-/// bound (ND0003); all function names known built-ins (ND0004).
-void check_safety(const Program& program, const BuiltinRegistry& builtins,
-                  DiagnosticSink& sink);
+/// bound (ND0003); every function call names a builtin and passes it as many
+/// arguments as it takes (ND0004).
+void check_safety(const Program& program, DiagnosticSink& sink);
 
 /// Stratify the program, reporting every negation/aggregation edge inside a
 /// recursive component as ND0005. Returns nullopt iff any ND0005 was
@@ -142,7 +141,7 @@ std::optional<Stratification> stratify(const Program& program, DiagnosticSink& s
 
 /// Check rule safety; throws AnalysisError (with source position when the
 /// program was parsed from text) naming the offending rule and variable.
-void check_safety(const Program& program, const BuiltinRegistry& builtins);
+void check_safety(const Program& program);
 
 /// Check arity consistency. Throws AnalysisError on conflict.
 void check_arities(const Program& program);
@@ -152,7 +151,6 @@ void check_arities(const Program& program);
 Stratification stratify(const Program& program);
 
 /// Convenience: run all checks (arities, safety, stratification).
-Stratification analyze(const Program& program,
-                       const BuiltinRegistry& builtins = BuiltinRegistry::standard());
+Stratification analyze(const Program& program);
 
 }  // namespace fvn::ndlog

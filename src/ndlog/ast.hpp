@@ -34,16 +34,17 @@ std::string_view to_string(AggKind kind) noexcept;
 /// Negation of a comparison (used by the logic translator).
 CmpOp negate(CmpOp op) noexcept;
 
-/// `lhs op rhs` under Value's order. Inline: dataflow::Engine's Select
-/// elements call it on every candidate tuple.
+/// `lhs op rhs`: `=`/`!=` by Value equality, the others by order_by_value
+/// (numbers by value). Inline: dataflow::Engine's Select elements call it on
+/// every candidate tuple.
 inline bool compare(CmpOp op, const Value& lhs, const Value& rhs) {
   switch (op) {
     case CmpOp::Eq: return lhs == rhs;
     case CmpOp::Ne: return !(lhs == rhs);
-    case CmpOp::Lt: return lhs < rhs;
-    case CmpOp::Le: return lhs < rhs || lhs == rhs;
-    case CmpOp::Gt: return rhs < lhs;
-    case CmpOp::Ge: return rhs < lhs || rhs == lhs;
+    case CmpOp::Lt: return order_by_value(lhs, rhs) < 0;
+    case CmpOp::Le: return order_by_value(lhs, rhs) <= 0;
+    case CmpOp::Gt: return order_by_value(lhs, rhs) > 0;
+    case CmpOp::Ge: return order_by_value(lhs, rhs) >= 0;
   }
   return false;
 }

@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 
+#include "ndlog/builtins.hpp"
 #include "obs/json.hpp"
 
 namespace fvn::ndlog::cost {
@@ -184,11 +185,6 @@ Shape shape_of_value(const Value& v) {
   return Shape::Top;
 }
 
-bool is_path_builtin(const std::string& name) {
-  return name == "f_concatPath" || name == "f_init" || name == "f_initPath" ||
-         name == "f_append" || name == "f_list" || name == "f_cons";
-}
-
 Shape term_shape(const TermPtr& term, const std::map<std::string, Shape>& vars) {
   if (term == nullptr) return Shape::Top;
   switch (term->kind) {
@@ -198,14 +194,14 @@ Shape term_shape(const TermPtr& term, const std::map<std::string, Shape>& vars) 
     }
     case Term::Kind::Const: return shape_of_value(term->constant);
     case Term::Kind::Binary: return Shape::Num;
-    case Term::Kind::Func:
-      if (is_path_builtin(term->name)) return Shape::Path;
-      if (term->name == "f_inPath") return Shape::Bool;
-      if (term->name == "f_size" || term->name == "f_count" ||
-          term->name == "f_length") {
-        return Shape::Num;
-      }
+    case Term::Kind::Func: {
+      const Builtin* fn = find_builtin(term->name);
+      if (fn == nullptr) return Shape::Top;
+      if (fn->builds_list) return Shape::Path;
+      if (fn->membership) return Shape::Bool;
+      if (fn->length) return Shape::Num;
       return Shape::Top;
+    }
   }
   return Shape::Top;
 }

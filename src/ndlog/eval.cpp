@@ -5,6 +5,8 @@
 #include <set>
 #include <utility>
 
+#include "ndlog/builtins.hpp"
+
 namespace fvn::ndlog {
 
 DivergenceError::DivergenceError(const std::string& context, std::size_t budget,
@@ -19,8 +21,7 @@ DivergenceError::DivergenceError(const std::string& context, std::size_t budget,
       last_delta_(last_delta),
       stats_(stats) {}
 
-std::optional<Value> eval_term(const Term& term, const Bindings& bindings,
-                               const BuiltinRegistry& builtins) {
+std::optional<Value> eval_term(const Term& term, const Bindings& bindings) {
   switch (term.kind) {
     case Term::Kind::Const:
       return term.constant;
@@ -33,15 +34,15 @@ std::optional<Value> eval_term(const Term& term, const Bindings& bindings,
       std::vector<Value> args;
       args.reserve(term.args.size());
       for (const auto& a : term.args) {
-        auto v = eval_term(*a, bindings, builtins);
+        auto v = eval_term(*a, bindings);
         if (!v) return std::nullopt;
         args.push_back(std::move(*v));
       }
-      return builtins.call(term.name, args);
+      return call_builtin(term.name, args);
     }
     case Term::Kind::Binary: {
-      auto lhs = eval_term(*term.args[0], bindings, builtins);
-      auto rhs = eval_term(*term.args[1], bindings, builtins);
+      auto lhs = eval_term(*term.args[0], bindings);
+      auto rhs = eval_term(*term.args[1], bindings);
       if (!lhs || !rhs) return std::nullopt;
       switch (term.op) {
         case BinOp::Add: return lhs->add(*rhs);
@@ -57,7 +58,7 @@ std::optional<Value> eval_term(const Term& term, const Bindings& bindings,
 }
 
 bool match_atom(const Atom& atom, const Tuple& tuple, Bindings& bindings,
-                const BuiltinRegistry& builtins, std::vector<std::string>* added_keys) {
+                std::vector<std::string>* added_keys) {
   if (atom.predicate != tuple.predicate() || atom.args.size() != tuple.arity()) {
     return false;
   }
@@ -86,7 +87,7 @@ bool match_atom(const Atom& atom, const Tuple& tuple, Bindings& bindings,
       }
       continue;
     }
-    auto v = eval_term(arg, bindings, builtins);
+    auto v = eval_term(arg, bindings);
     if (!v || !(*v == tuple.at(i))) return fail();
   }
   return true;
@@ -157,7 +158,7 @@ void RuleEngine::join(
           if (!all_bound) continue;
           std::vector<Value> values;
           values.reserve(atom.args.size());
-          for (const auto& a : atom.args) values.push_back(*eval_term(*a, env, *builtins_));
+          for (const auto& a : atom.args) values.push_back(*eval_term(*a, env));
           if (db.contains(Tuple(atom.predicate, std::move(values)))) return false;
           flags[i] = true;
           progressed = true;
@@ -168,14 +169,13 @@ void RuleEngine::join(
         const bool rhs_ok = term_bound(*cmp.rhs, env);
         if (cmp.op == CmpOp::Eq) {
           if (lhs_ok && rhs_ok) {
-            if (!compare(CmpOp::Eq, *eval_term(*cmp.lhs, env, *builtins_),
-                         *eval_term(*cmp.rhs, env, *builtins_))) {
+            if (!compare(CmpOp::Eq, *eval_term(*cmp.lhs, env), *eval_term(*cmp.rhs, env))) {
               return false;
             }
           } else if (!lhs_ok && rhs_ok && cmp.lhs->kind == Term::Kind::Var) {
-            env[cmp.lhs->name] = *eval_term(*cmp.rhs, env, *builtins_);
+            env[cmp.lhs->name] = *eval_term(*cmp.rhs, env);
           } else if (lhs_ok && !rhs_ok && cmp.rhs->kind == Term::Kind::Var) {
-            env[cmp.rhs->name] = *eval_term(*cmp.lhs, env, *builtins_);
+            env[cmp.rhs->name] = *eval_term(*cmp.lhs, env);
           } else {
             continue;  // not ready yet
           }
@@ -184,8 +184,7 @@ void RuleEngine::join(
           continue;
         }
         if (!lhs_ok || !rhs_ok) continue;
-        if (!compare(cmp.op, *eval_term(*cmp.lhs, env, *builtins_),
-                     *eval_term(*cmp.rhs, env, *builtins_))) {
+        if (!compare(cmp.op, *eval_term(*cmp.lhs, env), *eval_term(*cmp.rhs, env))) {
           return false;
         }
         flags[i] = true;
@@ -213,7 +212,7 @@ void RuleEngine::join(
       // probe costs no environment copy; only a successful match pays for
       // the child environment that deeper levels are free to mutate.
       std::vector<std::string> added;
-      if (!match_atom(atom, tuple, env, *builtins_, &added)) return;
+      if (!match_atom(atom, tuple, env, &added)) return;
       Bindings child = env;
       std::vector<bool> child_flags = flags;
       run(atom_index + 1, child, child_flags);
@@ -252,12 +251,11 @@ void RuleEngine::join(
   for (const auto& env : solutions) on_solution(env);
 }
 
-Tuple instantiate_head_atom(const HeadAtom& head, const Bindings& bindings,
-                            const BuiltinRegistry& builtins) {
+Tuple instantiate_head_atom(const HeadAtom& head, const Bindings& bindings) {
   std::vector<Value> values;
   values.reserve(head.args.size());
   for (const auto& arg : head.args) {
-    auto v = eval_term(*arg.term, bindings, builtins);
+    auto v = eval_term(*arg.term, bindings);
     if (!v) throw AnalysisError("unbound head variable in " + head.to_string());
     values.push_back(std::move(*v));
   }
@@ -268,7 +266,7 @@ void RuleEngine::eval_rule_delta(const Rule& rule, const Database& db,
                                  std::size_t delta_index, const TupleSet& delta,
                                  const Sink& sink, EvalStats* stats) const {
   join(rule, db, std::make_pair(delta_index, &delta),
-       [&](const Bindings& env) { sink(instantiate_head_atom(rule.head, env, *builtins_)); },
+       [&](const Bindings& env) { sink(instantiate_head_atom(rule.head, env)); },
        stats);
 }
 
@@ -323,7 +321,7 @@ void RuleEngine::eval_agg_rule_solutions(const Rule& rule, const Database& db,
              key.push_back(Value::nil());
              continue;
            }
-           auto v = eval_term(*rule.head.args[i].term, env, *builtins_);
+           auto v = eval_term(*rule.head.args[i].term, env);
            if (!v) throw AnalysisError("unbound head variable in aggregate rule");
            key.push_back(std::move(*v));
          }
@@ -383,7 +381,7 @@ EvalResult Evaluator::run(const Program& program, const std::vector<Tuple>& base
 
 EvalResult Evaluator::run(const Program& program, const std::vector<Tuple>& base_facts,
                           const EvalOptions& options, const InsertObserver& observe) const {
-  const Stratification strat = analyze(program, *builtins_);
+  const Stratification strat = analyze(program);
   EvalResult result;
   Database& db = result.database;
   auto add_fact = [&](const Tuple& fact) {
@@ -394,7 +392,7 @@ EvalResult Evaluator::run(const Program& program, const std::vector<Tuple>& base
   // Ground facts embedded in the program.
   for (const auto& rule : program.rules) {
     if (!rule.is_fact()) continue;
-    add_fact(instantiate_head_atom(rule.head, Bindings{}, *builtins_));
+    add_fact(instantiate_head_atom(rule.head, Bindings{}));
   }
   fixpoint(program, strat, db, options, result.stats, observe);
   return result;
@@ -419,7 +417,7 @@ std::string rule_label(const Rule& rule) {
 void Evaluator::fixpoint(const Program& program, const Stratification& strat,
                          Database& db, const EvalOptions& options, EvalStats& stats,
                          const InsertObserver& observe) const {
-  RuleEngine engine(*builtins_, options.use_index);
+  RuleEngine engine(options.use_index);
   obs::Registry* metrics = options.metrics;
   obs::Trace* trace = options.trace;
   const bool observed = metrics != nullptr || trace != nullptr;
@@ -471,8 +469,7 @@ void Evaluator::fixpoint(const Program& program, const Stratification& strat,
   // Sink for `rule`'s body solutions: instantiate the head and insert it.
   auto heads = [&](const Rule& rule, Delta& round) {
     return [&, rule_ptr = &rule, round_ptr = &round](const Bindings& env) {
-      insert(instantiate_head_atom(rule_ptr->head, env, *builtins_), *rule_ptr, env,
-             round_ptr);
+      insert(instantiate_head_atom(rule_ptr->head, env), *rule_ptr, env, round_ptr);
     };
   };
 
@@ -585,8 +582,8 @@ void Evaluator::fixpoint(const Program& program, const Stratification& strat,
 Evaluator::RetractStats Evaluator::retract(const Program& program, Database& db,
                                            const Tuple& fact,
                                            const EvalOptions& options) const {
-  const Stratification strat = analyze(program, *builtins_);
-  RuleEngine engine(*builtins_, options.use_index);
+  const Stratification strat = analyze(program);
+  RuleEngine engine(options.use_index);
   RetractStats stats;
   if (!db.contains(fact)) return stats;
 
@@ -627,7 +624,7 @@ Evaluator::RetractStats Evaluator::retract(const Program& program, Database& db,
               bool same_group = true;
               for (std::size_t k = 0; k < rule.head.args.size(); ++k) {
                 if (rule.head.args[k].is_agg()) continue;
-                auto v = eval_term(*rule.head.args[k].term, env, *builtins_);
+                auto v = eval_term(*rule.head.args[k].term, env);
                 if (!v || !(*v == row.at(k))) same_group = false;
               }
               if (same_group) note(row);

@@ -1,7 +1,7 @@
 // NDlog evaluation.
 //
-// * TermEval / match_atom — binding environments, term evaluation against the
-//   built-in registry, and atom unification.
+// * TermEval / match_atom — binding environments, term evaluation, and atom
+//   unification.
 // * RuleEngine — evaluates a single rule against a Database: full join,
 //   semi-naive delta join (one body atom restricted to a delta set), and
 //   aggregate rules (group-by + min/max/count/sum). It serves the Evaluator,
@@ -20,7 +20,6 @@
 
 #include "ndlog/analysis.hpp"
 #include "ndlog/ast.hpp"
-#include "ndlog/builtins.hpp"
 #include "ndlog/database.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -61,8 +60,7 @@ class DivergenceError : public std::runtime_error {
 
 /// Evaluate `term` under `bindings`; nullopt if it mentions an unbound
 /// variable. Throws TypeError on ill-typed operations.
-std::optional<Value> eval_term(const Term& term, const Bindings& bindings,
-                               const BuiltinRegistry& builtins);
+std::optional<Value> eval_term(const Term& term, const Bindings& bindings);
 
 /// Unify `atom`'s arguments against `tuple`'s values, extending `bindings`.
 /// Restore-on-failure: on mismatch, every binding this call added is rolled
@@ -71,20 +69,16 @@ std::optional<Value> eval_term(const Term& term, const Bindings& bindings,
 /// bindings are appended to `*added_keys` (when non-null) so the caller can
 /// roll them back itself after exploring the match.
 bool match_atom(const Atom& atom, const Tuple& tuple, Bindings& bindings,
-                const BuiltinRegistry& builtins,
                 std::vector<std::string>* added_keys = nullptr);
 
 /// Instantiate a (non-aggregate) rule head under a binding environment.
 /// Throws AnalysisError on unbound head variables.
-Tuple instantiate_head_atom(const HeadAtom& head, const Bindings& bindings,
-                            const BuiltinRegistry& builtins);
+Tuple instantiate_head_atom(const HeadAtom& head, const Bindings& bindings);
 
 /// Evaluates individual rules against a database.
 class RuleEngine {
  public:
-  explicit RuleEngine(const BuiltinRegistry& builtins = BuiltinRegistry::standard(),
-                      bool use_index = true)
-      : builtins_(&builtins), use_index_(use_index) {}
+  explicit RuleEngine(bool use_index = true) : use_index_(use_index) {}
 
   using Sink = std::function<void(Tuple)>;
 
@@ -122,15 +116,12 @@ class RuleEngine {
                                  const SolutionSink& sink,
                                  EvalStats* stats = nullptr) const;
 
-  const BuiltinRegistry& builtins() const noexcept { return *builtins_; }
-
  private:
   void join(const Rule& rule, const Database& db,
             const std::optional<std::pair<std::size_t, const TupleSet*>>& delta,
             const std::function<void(const Bindings&)>& on_solution,
             EvalStats* stats) const;
 
-  const BuiltinRegistry* builtins_;
   bool use_index_;  // probe column indexes instead of scanning (ablation hook)
 };
 
@@ -159,9 +150,6 @@ struct ProvenanceResult;
 /// Centralized stratified bottom-up evaluator (reference semantics).
 class Evaluator {
  public:
-  explicit Evaluator(const BuiltinRegistry& builtins = BuiltinRegistry::standard())
-      : builtins_(&builtins) {}
-
   /// Evaluate `program` over `base_facts` to fixpoint. Runs analyze() first;
   /// throws AnalysisError / DivergenceError accordingly.
   EvalResult run(const Program& program, const std::vector<Tuple>& base_facts,
@@ -199,9 +187,7 @@ class Evaluator {
 
   // Records derivations by observing run(); see ndlog/provenance.hpp.
   friend ProvenanceResult eval_with_provenance(const Program&, const std::vector<Tuple>&,
-                                               const BuiltinRegistry&, const EvalOptions&);
-
-  const BuiltinRegistry* builtins_;
+                                               const EvalOptions&);
 };
 
 }  // namespace fvn::ndlog

@@ -78,7 +78,7 @@ const std::vector<DiagnosticCodeInfo>& diagnostic_catalog() {
       {"ND0001", Severity::Error, "syntax error (parse failure)"},
       {"ND0002", Severity::Error, "predicate used with inconsistent arity"},
       {"ND0003", Severity::Error, "unsafe rule: variable is not bound"},
-      {"ND0004", Severity::Error, "unknown built-in function"},
+      {"ND0004", Severity::Error, "unknown built-in function or wrong argument count"},
       {"ND0005", Severity::Error, "program is not stratifiable"},
       {"ND0006", Severity::Warning, "predicate derived but never read (and not materialized)"},
       {"ND0007", Severity::Warning, "predicate read but never derived or declared"},
@@ -390,10 +390,9 @@ void dedupe_localized_diagnostics(const Program& program, DiagnosticSink& sink) 
   for (auto& d : kept) sink.report(std::move(d));
 }
 
-void lint_program(const Program& program, DiagnosticSink& sink,
-                  const BuiltinRegistry& builtins) {
+void lint_program(const Program& program, DiagnosticSink& sink) {
   check_arities(program, sink);
-  check_safety(program, builtins, sink);
+  check_safety(program, sink);
   (void)stratify(program, sink);
   lint_unused_predicates(program, sink);
   lint_underivable_predicates(program, sink);

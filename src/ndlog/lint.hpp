@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "ndlog/analysis.hpp"
-#include "ndlog/builtins.hpp"
 #include "ndlog/diagnostics.hpp"
 
 namespace fvn::ndlog {
@@ -65,7 +64,6 @@ void dedupe_localized_diagnostics(const Program& program, DiagnosticSink& sink);
 /// Run the core checks plus every lint pass, collecting all findings into
 /// `sink` (localized ship-rule findings folded onto their origin rules,
 /// sorted by source location on return).
-void lint_program(const Program& program, DiagnosticSink& sink,
-                  const BuiltinRegistry& builtins = BuiltinRegistry::standard());
+void lint_program(const Program& program, DiagnosticSink& sink);
 
 }  // namespace fvn::ndlog

@@ -221,17 +221,17 @@ class Parser {
     m.loc = SourceLoc{kw.line, kw.column};
     m.predicate = expect(TokenKind::Ident, "predicate name").text;
     expect(TokenKind::Comma, "','");
-    m.lifetime_seconds = parse_inf_or_number();
+    if (auto n = parse_inf_or_number()) m.lifetime_seconds = n->number;
     expect(TokenKind::Comma, "','");
-    if (auto size = parse_inf_or_number()) m.max_size = static_cast<std::size_t>(*size);
+    if (auto n = parse_inf_or_number()) m.max_size = integer_at_least(*n, 0, "table size");
     expect(TokenKind::Comma, "','");
     Token keys = expect(TokenKind::Ident, "'keys'");
     if (keys.text != "keys") throw ParseError("expected 'keys'", keys.line, keys.column);
     expect(TokenKind::LParen, "'('");
     if (!at(TokenKind::RParen)) {
       for (;;) {
-        Token n = expect(TokenKind::Number, "key field index");
-        m.key_fields.push_back(static_cast<std::size_t>(n.int_value));
+        const Token n = expect(TokenKind::Number, "key field index");
+        m.key_fields.push_back(integer_at_least(n, 1, "key field index"));
         if (!at(TokenKind::Comma)) break;
         next();
       }
@@ -242,13 +242,24 @@ class Parser {
     return m;
   }
 
-  std::optional<double> parse_inf_or_number() {
+  /// The number token next, or nullopt for `infinity`.
+  std::optional<Token> parse_inf_or_number() {
     if (at(TokenKind::Ident) && peek().text == "infinity") {
       next();
       return std::nullopt;
     }
-    Token n = expect(TokenKind::Number, "number or 'infinity'");
-    return n.number;
+    return expect(TokenKind::Number, "number or 'infinity'");
+  }
+
+  /// The integer literal `n` when it is at least `min`; a ParseError at the
+  /// token for any other number (1.5, or 0 when `min` is 1).
+  static std::size_t integer_at_least(const Token& n, std::int64_t min, const char* what) {
+    if (!n.number_is_int || n.int_value < min) {
+      throw ParseError(std::string(what) + " must be an integer of at least " +
+                           std::to_string(min) + ", found '" + n.text + "'",
+                       n.line, n.column);
+    }
+    return static_cast<std::size_t>(n.int_value);
   }
 
   Rule parse_rule() {

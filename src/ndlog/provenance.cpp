@@ -46,8 +46,7 @@ DerivationPtr leaf(const Tuple& tuple) {
 /// Build the derivation node for one rule firing.
 DerivationPtr make_derivation(const Rule& rule, const Bindings& bindings,
                               const Tuple& head,
-                              const std::map<Tuple, DerivationPtr>& known,
-                              const BuiltinRegistry& builtins) {
+                              const std::map<Tuple, DerivationPtr>& known) {
   auto node = std::make_shared<Derivation>();
   node->tuple = head;
   node->rule = rule.name.empty() ? rule.head.predicate : rule.name;
@@ -57,7 +56,7 @@ DerivationPtr make_derivation(const Rule& rule, const Bindings& bindings,
       values.reserve(ba->atom.args.size());
       bool ok = true;
       for (const auto& a : ba->atom.args) {
-        auto v = eval_term(*a, bindings, builtins);
+        auto v = eval_term(*a, bindings);
         if (!v) {
           ok = false;
           break;
@@ -85,16 +84,15 @@ DerivationPtr make_derivation(const Rule& rule, const Bindings& bindings,
 
 ProvenanceResult eval_with_provenance(const Program& program,
                                       const std::vector<Tuple>& base_facts,
-                                      const BuiltinRegistry& builtins,
                                       const EvalOptions& options) {
   ProvenanceResult result;
   auto& known = result.derivations;
-  EvalResult run = Evaluator(builtins).run(
+  EvalResult run = Evaluator().run(
       program, base_facts, options,
       [&](const Tuple& tuple, const Rule* rule, const Bindings* bindings) {
         known.emplace(tuple, rule == nullptr
                                  ? leaf(tuple)
-                                 : make_derivation(*rule, *bindings, tuple, known, builtins));
+                                 : make_derivation(*rule, *bindings, tuple, known));
       });
   result.database = std::move(run.database);
   result.stats = run.stats;

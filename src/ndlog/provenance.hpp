@@ -52,9 +52,8 @@ struct ProvenanceResult {
 /// aggregate row cites its group's witness as its premises: for min/max the
 /// first solution that reached the winning value, for count/sum the group's
 /// first solution.
-ProvenanceResult eval_with_provenance(
-    const Program& program, const std::vector<Tuple>& base_facts,
-    const BuiltinRegistry& builtins = BuiltinRegistry::standard(),
-    const EvalOptions& options = {});
+ProvenanceResult eval_with_provenance(const Program& program,
+                                      const std::vector<Tuple>& base_facts,
+                                      const EvalOptions& options = {});
 
 }  // namespace fvn::ndlog

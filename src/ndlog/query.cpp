@@ -47,20 +47,18 @@ Program restrict_to_goal(const Program& program, const std::string& goal_predica
 }
 
 QueryResult query(const Program& program, const Atom& goal,
-                  const std::vector<Tuple>& facts, const QueryOptions& options,
-                  const BuiltinRegistry& builtins) {
+                  const std::vector<Tuple>& facts, const QueryOptions& options) {
   QueryResult result;
   result.rules_total = program.rules.size();
   Program restricted = restrict_to_goal(program, goal.predicate);
   result.rules_relevant = restricted.rules.size();
 
-  Evaluator eval(builtins);
-  auto evaluated = eval.run(restricted, facts, options.eval);
+  auto evaluated = Evaluator().run(restricted, facts, options.eval);
   result.stats = evaluated.stats;
 
   for (const auto& t : evaluated.database.relation(goal.predicate)) {
     Bindings env;
-    if (!match_atom(goal, t, env, builtins)) continue;
+    if (!match_atom(goal, t, env)) continue;
     result.answers.insert(t);
     result.bindings.push_back(std::move(env));
   }
@@ -68,9 +66,8 @@ QueryResult query(const Program& program, const Atom& goal,
 }
 
 QueryResult query(const Program& program, std::string_view goal_text,
-                  const std::vector<Tuple>& facts, const QueryOptions& options,
-                  const BuiltinRegistry& builtins) {
-  return query(program, parse_atom(goal_text), facts, options, builtins);
+                  const std::vector<Tuple>& facts, const QueryOptions& options) {
+  return query(program, parse_atom(goal_text), facts, options);
 }
 
 }  // namespace fvn::ndlog

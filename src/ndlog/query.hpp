@@ -32,13 +32,11 @@ Program restrict_to_goal(const Program& program, const std::string& goal_predica
 /// Evaluate the restricted program over `facts` and match `goal` (an atom
 /// whose arguments are constants — filters — or variables — outputs).
 QueryResult query(const Program& program, const Atom& goal,
-                  const std::vector<Tuple>& facts, const QueryOptions& options = {},
-                  const BuiltinRegistry& builtins = BuiltinRegistry::standard());
+                  const std::vector<Tuple>& facts, const QueryOptions& options = {});
 
 /// The goal read with parse_atom, e.g. "bestPath(@n0, n3, P, C)": one atom
 /// and nothing after it.
 QueryResult query(const Program& program, std::string_view goal_text,
-                  const std::vector<Tuple>& facts, const QueryOptions& options = {},
-                  const BuiltinRegistry& builtins = BuiltinRegistry::standard());
+                  const std::vector<Tuple>& facts, const QueryOptions& options = {});
 
 }  // namespace fvn::ndlog

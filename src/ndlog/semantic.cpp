@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "ndlog/analysis.hpp"
+#include "ndlog/builtins.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
@@ -29,20 +30,18 @@ bool is_const_bool(const TermPtr& t, bool value) {
          t->constant.as_bool() == value;
 }
 
-bool is_func_named(const TermPtr& t, std::initializer_list<const char*> names) {
-  if (!t || t->kind != Term::Kind::Func) return false;
-  for (const char* n : names) {
-    if (t->name == n) return true;
-  }
-  return false;
+/// The builtin `t` calls; nullptr when `t` is not a call of one.
+const Builtin* called_builtin(const Term* t) {
+  return t != nullptr && t->kind == Term::Kind::Func ? find_builtin(t->name) : nullptr;
 }
 
-/// `f_inPath(...) = false` / `f_member(...) = false` (either orientation,
-/// also `!= true`): the idiom that makes path recursion terminate on cyclic
+/// A membership test (`f_inPath(...)`) `= false` (either orientation, also
+/// `!= true`): the idiom that makes path recursion terminate on cyclic
 /// topologies.
 bool is_cycle_guard(const Comparison& cmp) {
-  const auto guard = [](const TermPtr& fn, const TermPtr& cst, CmpOp op) {
-    if (!is_func_named(fn, {"f_inPath", "f_member"})) return false;
+  const auto guard = [](const TermPtr& call, const TermPtr& cst, CmpOp op) {
+    const Builtin* fn = called_builtin(call.get());
+    if (fn == nullptr || !fn->membership) return false;
     return (op == CmpOp::Eq && is_const_bool(cst, false)) ||
            (op == CmpOp::Ne && is_const_bool(cst, true));
   };
@@ -104,11 +103,10 @@ class GrowthScan {
           return has_scc_origin(term, origin_visiting);
         }
         return false;
-      case Term::Kind::Func:
-        if (term.name == "f_concatPath" || term.name == "f_append") {
-          return has_scc_origin(term, origin_visiting);
-        }
-        return false;
+      case Term::Kind::Func: {
+        const Builtin* fn = called_builtin(&term);
+        return fn != nullptr && fn->grows_list && has_scc_origin(term, origin_visiting);
+      }
       case Term::Kind::Var: {
         if (atom_vars_.count(term.name) != 0) return false;
         auto it = bindings_.find(term.name);
@@ -153,12 +151,6 @@ bool bounded_above_by_comparison(const Rule& rule, const std::string& v,
 // Functional-dependency inference (ND0017)
 // -------------------------------------------------------------------------
 
-bool is_injective_builtin(const std::string& name) {
-  // Reconstructible constructors: the output determines every input.
-  return name == "f_init" || name == "f_concatPath" || name == "f_append" ||
-         name == "f_list";
-}
-
 /// All vars of `term` are in `determined` (constants trivially qualify).
 bool fully_determined(const Term& term, const std::set<std::string>& determined) {
   if (term.kind == Term::Kind::Var) return determined.count(term.name) != 0;
@@ -169,15 +161,15 @@ bool fully_determined(const Term& term, const std::set<std::string>& determined)
 }
 
 /// Mark the variables of `term` determined where the term's value pins them
-/// down: a bare variable, an injective constructor's arguments, or the
-/// non-constant side of an add/sub with a constant.
+/// down: a bare variable, a list builder's arguments (the list determines
+/// each), or the non-constant side of an add/sub with a constant.
 void invert_into(const Term& term, std::set<std::string>& determined) {
   switch (term.kind) {
     case Term::Kind::Var:
       determined.insert(term.name);
       return;
     case Term::Kind::Func:
-      if (is_injective_builtin(term.name)) {
+      if (const Builtin* fn = called_builtin(&term); fn != nullptr && fn->builds_list) {
         for (const auto& a : term.args) {
           if (a) invert_into(*a, determined);
         }
@@ -265,13 +257,31 @@ bool fd_copy_rule(const Rule& rule, const Fd& fd) {
   return false;
 }
 
+/// True when head constructors `a` and `b` never build one value: distinct
+/// constants, or a list builder against a constant that is no list or
+/// against another list builder. Any other call (f_abs(X), f_head(P), ...)
+/// may equal any value. Two list builders can build one list (f_init(S,D)
+/// and f_list(S,D)); they count as distinct so that path-vector's
+/// f_init/f_concatPath keys stay separate (ROADMAP item 2).
+bool distinct_constructors(const Term& a, const Term& b) {
+  if (a.kind == Term::Kind::Const && b.kind == Term::Kind::Const) {
+    return !(a.constant == b.constant);
+  }
+  const Builtin* fa = called_builtin(&a);
+  const Builtin* fb = called_builtin(&b);
+  const bool list_a = fa != nullptr && fa->builds_list;
+  const bool list_b = fb != nullptr && fb->builds_list;
+  if (list_a && list_b) return fa != fb;
+  if (list_a && b.kind == Term::Kind::Const) return !b.constant.is_list();
+  if (list_b && a.kind == Term::Kind::Const) return !a.constant.is_list();
+  return false;
+}
+
 /// True when two defining rules can never derive tuples that agree on the
-/// FD's determinant: some determinant position is built by provably disjoint
-/// constructors (distinct constants, distinct function symbols, or a constant
-/// vs. a constructor application — built-ins like f_init/f_concatPath are
-/// injective with disjoint ranges). Aggregate dependents of the same kind are
-/// also fine: the final-state aggregate stores one merged value per group no
-/// matter which rules contributed.
+/// FD's determinant: some determinant position is built by distinct
+/// constructors (distinct_constructors). Aggregate dependents of the same
+/// kind are also fine: the final-state aggregate stores one merged value per
+/// group no matter which rules contributed.
 bool fd_pair_separated(const Rule& a, const Rule& b, const Fd& fd) {
   const auto& da = a.head.args[static_cast<std::size_t>(fd.dependent)];
   const auto& db = b.head.args[static_cast<std::size_t>(fd.dependent)];
@@ -286,10 +296,7 @@ bool fd_pair_separated(const Rule& a, const Rule& b, const Fd& fd) {
     if (ha.is_agg() || hb.is_agg()) continue;
     const Term* ca = resolve_constructor(a, ha.term);
     const Term* cb = resolve_constructor(b, hb.term);
-    if (ca == nullptr || cb == nullptr) continue;
-    if (ca->kind != cb->kind) return true;
-    if (ca->kind == Term::Kind::Const && !(ca->constant == cb->constant)) return true;
-    if (ca->kind == Term::Kind::Func && ca->name != cb->name) return true;
+    if (ca != nullptr && cb != nullptr && distinct_constructors(*ca, *cb)) return true;
   }
   return false;
 }

@@ -1,6 +1,7 @@
 #include "ndlog/value.hpp"
 
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
@@ -164,8 +165,40 @@ const std::vector<Value>& Value::as_list() const {
   return list_->items;
 }
 
+namespace {
+
+/// Two numbers by value, exactly: a long double holds every int64 and every
+/// double, so neither is rounded. NaN, unordered, counts as equivalent, as
+/// operator<=> makes it equal to every double.
+std::weak_ordering numbers_by_value(const Value& a, const Value& b) {
+  static_assert(std::numeric_limits<long double>::digits >= 64);
+  const auto exact = [](const Value& v) -> long double {
+    return v.is_int() ? static_cast<long double>(v.as_int()) : v.as_double();
+  };
+  const auto c = exact(a) <=> exact(b);
+  if (c < 0) return std::weak_ordering::less;
+  if (c > 0) return std::weak_ordering::greater;
+  return std::weak_ordering::equivalent;
+}
+
+}  // namespace
+
+std::weak_ordering order_by_value(const Value& lhs, const Value& rhs) {
+  if (lhs.kind() != rhs.kind() && lhs.is_numeric() && rhs.is_numeric()) {
+    return numbers_by_value(lhs, rhs);
+  }
+  return lhs <=> rhs;
+}
+
 std::strong_ordering Value::operator<=>(const Value& other) const {
-  if (kind_ != other.kind_) return kind_ <=> other.kind_;
+  if (kind_ != other.kind_) {
+    if (is_numeric() && other.is_numeric()) {
+      const auto by_value = numbers_by_value(*this, other);
+      if (by_value < 0) return std::strong_ordering::less;
+      if (by_value > 0) return std::strong_ordering::greater;
+    }
+    return kind_ <=> other.kind_;
+  }
   switch (kind_) {
     case ValueKind::Nil: return std::strong_ordering::equal;
     case ValueKind::Bool: return scalar_.b <=> other.scalar_.b;
@@ -263,7 +296,19 @@ std::string Value::to_string() const {
       os << scalar_.d;
       return os.str();
     }
-    case ValueKind::Str: return "\"" + scalar_.sym->text() + "\"";
+    case ValueKind::Str: {
+      std::string out = "\"";
+      for (const char c : scalar_.sym->text()) {
+        switch (c) {
+          case '\\': out += "\\\\"; break;
+          case '"': out += "\\\""; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          default: out += c; break;
+        }
+      }
+      return out + "\"";
+    }
     case ValueKind::Addr: return scalar_.sym->text();
     case ValueKind::List: {
       std::string out = "[";

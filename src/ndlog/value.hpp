@@ -5,8 +5,9 @@
 // integers (metrics), node addresses ("@S"), booleans (f_inPath(P,S)=false),
 // strings, doubles and path vectors (lists built by f_init / f_concatPath).
 //
-// Values form a total order (kind-major, then value) so they can key
-// std::map-based indices and drive aggregate selection deterministically.
+// Values form a total order (kind-major, then value; Int and Double share
+// one rank and order by value) so they can key std::map-based indices and
+// drive aggregate selection deterministically.
 //
 // Texts are interned: every Str and Addr value points at the one immutable
 // Symbol of its text, and a list shares one payload that carries its hash,
@@ -105,7 +106,8 @@ class Value {
   /// String payload of either a Str or an Addr.
   const std::string& as_text() const;
 
-  /// Total order: kind-major, then payload. Texts compare by their
+  /// Total order: kind-major, then payload; an Int and a Double compare by
+  /// value, exactly, the Int first at equal values. Texts compare by their
   /// characters (never by symbol address), lists lexicographically.
   std::strong_ordering operator<=>(const Value& other) const;
   /// Same as `(*this <=> other) == 0` (NaN aside, DESIGN §18), in one
@@ -119,7 +121,8 @@ class Value {
   Value div(const Value& rhs) const;  ///< throws TypeError on division by zero
   Value mod(const Value& rhs) const;  ///< Int only
 
-  /// Rendering as NDlog literal text ("[n1,n2]", "\"abc\"", "17", "n3").
+  /// Rendering as NDlog literal text ("[n1,n2]", "\"abc\"", "17", "n3") that
+  /// ndlog::tokenize reads back: a string escapes `\`, `"`, newline and tab.
   std::string to_string() const;
 
   /// FNV-1a style hash, consistent with operator== (-0.0 and 0.0 hash
@@ -175,6 +178,11 @@ inline std::size_t Value::hash() const noexcept {
 struct ValueHash {
   std::size_t operator()(const Value& v) const noexcept { return v.hash(); }
 };
+
+/// The order NDlog's `<`, `<=`, `>` and `>=` read: operator<=>, except
+/// that an Int and a Double of equal value are equivalent, so `3 <= 3.0`
+/// and `3 >= 3.0` hold and `3 < 3.0` does not.
+std::weak_ordering order_by_value(const Value& lhs, const Value& rhs);
 
 /// Hash of a value sequence (tuple bodies, keys).
 std::size_t hash_values(const std::vector<Value>& values) noexcept;

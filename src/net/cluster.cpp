@@ -41,13 +41,11 @@ void add_books(obs::Registry& m, const std::string& name, const NodeStats& s) {
 
 }  // namespace
 
-Cluster::Cluster(ndlog::Program program, ClusterOptions options,
-                 const ndlog::BuiltinRegistry& builtins)
+Cluster::Cluster(ndlog::Program program, ClusterOptions options)
     : program_(runtime::localize(program)),
       catalog_(ndlog::Catalog::from_program(program_)),
       options_(options),
-      builtins_(&builtins),
-      plan_(runtime::checked_plan(program_, builtins, options.require_stratified,
+      plan_(runtime::checked_plan(program_, options.require_stratified,
                                   {options.incremental_aggregates, options.cost_order})),
       preds_(catalog_) {
   // Soft-state expiry and periodic refresh need per-node clocks and never
@@ -58,7 +56,7 @@ Cluster::Cluster(ndlog::Program program, ClusterOptions options,
                        "; the distributed runtime executes hard-state programs only — "
                        "use the simulator");
   }
-  for (const auto& fact : runtime::embedded_facts(program_, builtins)) inject(fact);
+  for (const auto& fact : runtime::embedded_facts(program_)) inject(fact);
 }
 
 void Cluster::register_addrs(const Value& value) {
@@ -103,7 +101,7 @@ ClusterStats Cluster::run() {
   // afterwards node threads only touch their own state.
   for (const auto& [name, facts] : seeds_) transport_->add_node(name);
   for (const auto& [name, facts] : seeds_) {
-    auto node = std::make_unique<Node>(name, catalog_, *builtins_, plan_, *transport_,
+    auto node = std::make_unique<Node>(name, catalog_, plan_, *transport_,
                                        &options_.tuple_events, options_.metrics != nullptr);
     for (const auto& fact : facts) node->seed(fact);
     nodes_.emplace(name, std::move(node));

@@ -116,9 +116,7 @@ struct ClusterStats {
 /// may be called once; databases are readable afterwards.
 class Cluster {
  public:
-  Cluster(ndlog::Program program, ClusterOptions options = {},
-          const ndlog::BuiltinRegistry& builtins =
-              ndlog::BuiltinRegistry::standard());
+  Cluster(ndlog::Program program, ClusterOptions options = {});
 
   /// Ensure a node exists even if no fact lives there (receive-only nodes).
   void add_node(const std::string& name);
@@ -150,7 +148,6 @@ class Cluster {
   ndlog::Program program_;
   ndlog::Catalog catalog_;
   ClusterOptions options_;
-  const ndlog::BuiltinRegistry* builtins_;
   dataflow::Plan plan_;
   runtime::PredTable preds_;
 

@@ -20,8 +20,7 @@ constexpr double kMaxBackoffMs = 50.0;
 
 }  // namespace
 
-Node::Node(std::string name, const ndlog::Catalog& catalog,
-           const ndlog::BuiltinRegistry& builtins, const dataflow::Plan& plan,
+Node::Node(std::string name, const ndlog::Catalog& catalog, const dataflow::Plan& plan,
            Transport& transport, const runtime::TupleEventHook* tuple_events,
            bool metered)
     : name_(std::move(name)),
@@ -31,7 +30,7 @@ Node::Node(std::string name, const ndlog::Catalog& catalog,
       preds_(catalog),
       // Null registry: obs::Registry is not thread-safe and the shared
       // element counters would race across node threads.
-      core_(name_, plan, preds_, builtins, nullptr,
+      core_(name_, plan, preds_, nullptr,
             [this](const runtime::NodeCore&, runtime::NodeCore::Change change,
                    const Tuple& tuple) { on_change(change, tuple); }),
       epoch_(std::chrono::steady_clock::now()) {}

@@ -101,14 +101,13 @@ struct NodeStats {
 /// owns the lifecycle.
 class Node {
  public:
-  /// `catalog`, `builtins`, `plan`, `transport` and `tuple_events` must
-  /// outlive the node. `tuple_events` (null or empty = none) is called
-  /// inline on this node's thread for every install/retract with the node
-  /// clock in seconds, before the derivations the change triggers are
-  /// shipped; nodes share it, so the callee must be internally synchronized.
+  /// `catalog`, `plan`, `transport` and `tuple_events` must outlive the
+  /// node. `tuple_events` (null or empty = none) is called inline on this
+  /// node's thread for every install/retract with the node clock in seconds,
+  /// before the derivations the change triggers are shipped; nodes share
+  /// it, so the callee must be internally synchronized.
   /// `metered` turns on the histograms and timers of NodeStats.
-  Node(std::string name, const ndlog::Catalog& catalog,
-       const ndlog::BuiltinRegistry& builtins, const dataflow::Plan& plan,
+  Node(std::string name, const ndlog::Catalog& catalog, const dataflow::Plan& plan,
        Transport& transport, const runtime::TupleEventHook* tuple_events = nullptr,
        bool metered = false);
 

@@ -22,16 +22,15 @@ LTermPtr int_const(std::int64_t v) { return LTerm::constant_of(Value::integer(v)
 
 /// One top-level rewrite step; nullptr if no rule applies.
 LTermPtr step(const LTermPtr& t) {
-  const auto& reg = ndlog::BuiltinRegistry::standard();
-
   if (t->kind == LTerm::Kind::Func) {
     // Constant folding of fully-ground applications.
     bool all_const = !t->args.empty();
     for (const auto& a : t->args) all_const = all_const && is_const(a);
-    if (all_const && reg.contains(t->name)) {
+    const ndlog::Builtin* fn = all_const ? ndlog::find_builtin(t->name) : nullptr;
+    if (fn != nullptr) {
       std::vector<Value> args;
       for (const auto& a : t->args) args.push_back(a->constant);
-      return LTerm::constant_of(reg.call(t->name, args));
+      return LTerm::constant_of(fn->call(args));
     }
     const auto& a = t->args;
     if (t->name == "f_head" && a.size() == 1) {

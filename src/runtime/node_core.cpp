@@ -10,13 +10,12 @@ namespace fvn::runtime {
 using ndlog::Tuple;
 
 NodeCore::NodeCore(std::string name, const dataflow::Plan& plan, const PredTable& preds,
-                   const ndlog::BuiltinRegistry& builtins, obs::Registry* metrics, Hook hook,
-                   LayerClock* layers)
+                   obs::Registry* metrics, Hook hook, LayerClock* layers)
     : name_(std::move(name)),
       preds_(&preds),
       hook_(std::move(hook)),
       layers_(layers),
-      engine_(plan, builtins, metrics) {}
+      engine_(plan, metrics) {}
 
 void NodeCore::on_insert(const Tuple& tuple) {
   LayerClock::Scope scope(layers_, LayerClock::Aggregate);
@@ -138,24 +137,22 @@ bool NodeCore::expire(const Tuple& tuple, double now) {
   return true;
 }
 
-dataflow::Plan checked_plan(const ndlog::Program& localized,
-                            const ndlog::BuiltinRegistry& builtins,
-                            bool require_stratified, const dataflow::PlanOptions& options) {
+dataflow::Plan checked_plan(const ndlog::Program& localized, bool require_stratified,
+                            const dataflow::PlanOptions& options) {
   ndlog::check_arities(localized);
-  ndlog::check_safety(localized, builtins);
+  ndlog::check_safety(localized);
   if (require_stratified) ndlog::stratify(localized);
   return dataflow::compile(localized, options);
 }
 
-std::vector<Tuple> embedded_facts(const ndlog::Program& program,
-                                  const ndlog::BuiltinRegistry& builtins) {
+std::vector<Tuple> embedded_facts(const ndlog::Program& program) {
   std::vector<Tuple> facts;
   for (const auto& rule : program.rules) {
     if (!rule.is_fact()) continue;
     ndlog::Bindings empty;
     std::vector<ndlog::Value> values;
     for (const auto& arg : rule.head.args) {
-      values.push_back(*ndlog::eval_term(*arg.term, empty, builtins));
+      values.push_back(*ndlog::eval_term(*arg.term, empty));
     }
     facts.emplace_back(rule.head.predicate, std::move(values));
   }

@@ -33,7 +33,6 @@
 #include "dataflow/engine.hpp"
 #include "dataflow/plan.hpp"
 #include "ndlog/ast.hpp"
-#include "ndlog/builtins.hpp"
 #include "ndlog/catalog.hpp"
 #include "ndlog/database.hpp"
 #include "obs/metrics.hpp"
@@ -118,12 +117,11 @@ class NodeCore {
   using Hook = std::function<void(const NodeCore& core, Change change,
                                   const ndlog::Tuple& tuple)>;
 
-  /// `plan`, `preds` and `builtins` must outlive the core, and `layers`
-  /// when set. `metrics` may be null (see dataflow::Engine); so may
-  /// `layers`, which then times nothing.
+  /// `plan` and `preds` must outlive the core, and `layers` when set.
+  /// `metrics` may be null (see dataflow::Engine); so may `layers`, which
+  /// then times nothing.
   NodeCore(std::string name, const dataflow::Plan& plan, const PredTable& preds,
-           const ndlog::BuiltinRegistry& builtins, obs::Registry* metrics, Hook hook,
-           LayerClock* layers = nullptr);
+           obs::Registry* metrics, Hook hook, LayerClock* layers = nullptr);
   NodeCore(const NodeCore&) = delete;
   NodeCore& operator=(const NodeCore&) = delete;
 
@@ -190,13 +188,11 @@ class NodeCore {
 /// The static checks every run needs (arities, safety, and stratification
 /// when required), then the compiled plan every node of a localized program
 /// executes.
-dataflow::Plan checked_plan(const ndlog::Program& localized,
-                            const ndlog::BuiltinRegistry& builtins,
-                            bool require_stratified, const dataflow::PlanOptions& options);
+dataflow::Plan checked_plan(const ndlog::Program& localized, bool require_stratified,
+                            const dataflow::PlanOptions& options);
 
 /// The ground facts a program embeds (rules with empty bodies), evaluated.
-std::vector<ndlog::Tuple> embedded_facts(const ndlog::Program& program,
-                                         const ndlog::BuiltinRegistry& builtins);
+std::vector<ndlog::Tuple> embedded_facts(const ndlog::Program& program);
 
 /// True when a rule body reads `periodic`.
 bool uses_periodic(const ndlog::Program& program);

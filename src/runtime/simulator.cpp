@@ -31,13 +31,11 @@ std::uint64_t derive_loss_seed(std::uint64_t x) {
 
 }  // namespace
 
-Simulator::Simulator(ndlog::Program program, SimOptions options,
-                     const ndlog::BuiltinRegistry& builtins)
+Simulator::Simulator(ndlog::Program program, SimOptions options)
     : program_(localize(program)),
       catalog_(ndlog::Catalog::from_program(program_)),
       options_(options),
-      builtins_(&builtins),
-      plan_(checked_plan(program_, builtins, options.require_stratified,
+      plan_(checked_plan(program_, options.require_stratified,
                          {options.incremental_aggregates, options.cost_order})),
       preds_(catalog_),
       layers_(options.metrics != nullptr ? std::make_unique<LayerClock>() : nullptr),
@@ -45,11 +43,11 @@ Simulator::Simulator(ndlog::Program program, SimOptions options,
       loss_rng_(derive_loss_seed(options.seed)),
       uses_periodic_(uses_periodic(program_)) {
   // Program-embedded ground facts are injected at t=0.
-  for (const auto& fact : embedded_facts(program_, builtins)) inject(fact, 0.0);
+  for (const auto& fact : embedded_facts(program_)) inject(fact, 0.0);
 }
 
 Simulator::Node::Node(Simulator& sim, const std::string& name)
-    : core(name, sim.plan_, sim.preds_, *sim.builtins_, sim.options_.metrics,
+    : core(name, sim.plan_, sim.preds_, sim.options_.metrics,
            [&sim, this](const NodeCore&, NodeCore::Change change, const Tuple& tuple) {
              sim.on_change(*this, change, tuple);
            },

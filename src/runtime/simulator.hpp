@@ -135,8 +135,7 @@ struct SimStats {
 /// Discrete-event distributed executor for one NDlog program.
 class Simulator {
  public:
-  Simulator(ndlog::Program program, SimOptions options = {},
-            const ndlog::BuiltinRegistry& builtins = ndlog::BuiltinRegistry::standard());
+  Simulator(ndlog::Program program, SimOptions options = {});
   /// Every node core's hook points back at this simulator.
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -224,7 +223,6 @@ class Simulator {
   ndlog::Program program_;
   ndlog::Catalog catalog_;
   SimOptions options_;
-  const ndlog::BuiltinRegistry* builtins_;
   dataflow::Plan plan_;
   PredTable preds_;
 

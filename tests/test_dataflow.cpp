@@ -12,6 +12,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <random>
@@ -23,6 +24,7 @@
 #include "core/protocols.hpp"
 #include "dataflow/engine.hpp"
 #include "dataflow/plan.hpp"
+#include "ndlog/builtins.hpp"
 #include "ndlog/catalog.hpp"
 #include "ndlog/eval.hpp"
 #include "ndlog/parser.hpp"
@@ -378,7 +380,7 @@ class ExecutorPair {
  private:
   struct Node {
     explicit Node(const dataflow::Plan& plan)
-        : engine(plan, ndlog::BuiltinRegistry::standard()), views(plan.aggregates.size()) {}
+        : engine(plan), views(plan.aggregates.size()) {}
     ndlog::Database db;
     dataflow::Engine engine;
     runtime::KeyIndex by_key;
@@ -592,6 +594,67 @@ TEST(Differential, EveryExampleProgramAgrees) {
     ++tested;
   }
   EXPECT_GE(tested, 6u);
+}
+
+/// Calls every builtin: p1/p2 the paper's path functions, s1/t1/g1 the rest.
+const char* kEveryBuiltin = R"(
+  materialize(link, infinity, infinity, keys(1,2)).
+  materialize(path, infinity, infinity, keys(1,2,3,4)).
+  materialize(shape, infinity, infinity, keys(1,2,3,4,5,6)).
+  materialize(turn, infinity, infinity, keys(1,2,3,4,5)).
+  materialize(gap, infinity, infinity, keys(1,2,3,4,5,6)).
+
+  p1 path(@S,D,P,C) :- link(@S,D,C), P=f_init(S,D).
+  p2 path(@S,D,P,C) :- link(@S,Z,C1), path(@Z,D,P2,C2), C=C1+C2,
+                       P=f_concatPath(S,P2), f_inPath(P2,S)=false.
+  s1 shape(@S,D,N,H,L,T) :- path(@S,D,P,_C), N=f_size(P), H=f_head(P), L=f_last(P),
+                            T=f_tail(P).
+  t1 turn(@S,D,R,A,M) :- path(@S,D,P,C), R=f_reverse(P), A=f_append(P,S),
+                         f_member(P,D)=true, M=f_list(S,D,C).
+  g1 gap(@S,D,Z,Lo,Hi,G) :- path(@S,D,_P,C), link(@S,Z,C1), Lo=f_min(C,C1),
+                            Hi=f_max(C,C1), G=f_abs(C1-C).
+)";
+
+TEST(Differential, EveryBuiltinAgrees) {
+  const auto program = ndlog::parse_program(kEveryBuiltin, "every_builtin");
+  std::set<std::string> called;
+  std::function<void(const ndlog::Term&)> collect = [&](const ndlog::Term& t) {
+    if (t.kind == ndlog::Term::Kind::Func) called.insert(t.name);
+    for (const auto& a : t.args) collect(*a);
+  };
+  for (const auto& rule : program.rules) {
+    for (const auto& arg : rule.head.args) collect(*arg.term);
+    for (const auto& elem : rule.body) {
+      if (const auto* cmp = std::get_if<ndlog::Comparison>(&elem)) {
+        collect(*cmp->lhs);
+        collect(*cmp->rhs);
+      }
+    }
+  }
+  std::set<std::string> table;
+  for (const auto& fn : ndlog::builtin_table()) table.emplace(fn.name);
+  EXPECT_EQ(called, table);
+
+  EXPECT_GT(expect_executors_agree(program, topology_workload(core::random_topology(5, 2, 7)),
+                                   "every builtin"),
+            10u);
+
+  // What each call computes, on a two-hop line a -> b -> c.
+  const auto result = ndlog::Evaluator().run(
+      program, {ndlog::parse_fact("link(@a,b,2)"), ndlog::parse_fact("link(@b,c,5)")});
+  const auto rows = [&](const char* pred) {
+    return ndlog::sorted_strings(result.database.relation(pred));
+  };
+  using Rows = std::vector<std::string>;
+  EXPECT_EQ(rows("path"),
+            (Rows{"path(a,b,[a,b],2)", "path(a,c,[a,b,c],7)", "path(b,c,[b,c],5)"}));
+  EXPECT_EQ(rows("shape"), (Rows{"shape(a,b,2,a,b,[b])", "shape(a,c,3,a,c,[b,c])",
+                                 "shape(b,c,2,b,c,[c])"}));
+  EXPECT_EQ(rows("turn"), (Rows{"turn(a,b,[b,a],[a,b,a],[a,b,2])",
+                                "turn(a,c,[c,b,a],[a,b,c,a],[a,c,7])",
+                                "turn(b,c,[c,b],[b,c,b],[b,c,5])"}));
+  EXPECT_EQ(rows("gap"),
+            (Rows{"gap(a,b,b,2,2,0)", "gap(a,c,b,2,7,5)", "gap(b,c,c,5,5,0)"}));
 }
 
 TEST(Differential, PathVectorUnderLossAndDelaySeeds) {

@@ -1,6 +1,6 @@
 // Unit tests for static analysis: safety, arity checking, dependency graph,
 // stratification (negation/aggregation placement), the catalog, and the
-// built-in function registry.
+// builtin function table.
 #include <gtest/gtest.h>
 
 #include "core/protocols.hpp"
@@ -14,27 +14,27 @@ namespace {
 
 TEST(Safety, UnboundHeadVariableRejected) {
   auto program = parse_program("a(@X,Y) :- b(@X).");
-  EXPECT_THROW(check_safety(program, BuiltinRegistry::standard()), AnalysisError);
+  EXPECT_THROW(check_safety(program), AnalysisError);
 }
 
 TEST(Safety, BoundThroughAssignmentChainAccepted) {
   auto program = parse_program("a(@X,Y) :- b(@X,Z), W = Z + 1, Y = W * 2.");
-  EXPECT_NO_THROW(check_safety(program, BuiltinRegistry::standard()));
+  EXPECT_NO_THROW(check_safety(program));
 }
 
 TEST(Safety, UnboundNegatedAtomRejected) {
   auto program = parse_program("a(@X) :- b(@X), !c(@X,Y).");
-  EXPECT_THROW(check_safety(program, BuiltinRegistry::standard()), AnalysisError);
+  EXPECT_THROW(check_safety(program), AnalysisError);
 }
 
 TEST(Safety, UnknownFunctionRejected) {
   auto program = parse_program("a(@X,Y) :- b(@X,Z), Y = f_bogus(Z).");
-  EXPECT_THROW(check_safety(program, BuiltinRegistry::standard()), AnalysisError);
+  EXPECT_THROW(check_safety(program), AnalysisError);
 }
 
 TEST(Safety, ComparisonOverUnboundVarsRejected) {
   auto program = parse_program("a(@X) :- b(@X), Y < 3.");
-  EXPECT_THROW(check_safety(program, BuiltinRegistry::standard()), AnalysisError);
+  EXPECT_THROW(check_safety(program), AnalysisError);
 }
 
 TEST(Arity, ConflictRejected) {
@@ -114,45 +114,38 @@ TEST(Catalog, ConflictingLocationPositionsRejected) {
   EXPECT_THROW(Catalog::from_program(program), AnalysisError);
 }
 
+Value call(std::string_view name, const std::vector<Value>& args) {
+  return call_builtin(name, args);
+}
+
 TEST(Builtins, PathFunctions) {
-  const auto& reg = BuiltinRegistry::standard();
   auto n1 = Value::addr("n1");
   auto n2 = Value::addr("n2");
   auto n3 = Value::addr("n3");
-  auto path = reg.call("f_init", {n1, n2});
+  auto path = call("f_init", {n1, n2});
   EXPECT_EQ(path.to_string(), "[n1,n2]");
-  auto longer = reg.call("f_concatPath", {n3, path});
+  auto longer = call("f_concatPath", {n3, path});
   EXPECT_EQ(longer.to_string(), "[n3,n1,n2]");
-  EXPECT_TRUE(reg.call("f_inPath", {longer, n1}).as_bool());
-  EXPECT_FALSE(reg.call("f_inPath", {path, n3}).as_bool());
-  EXPECT_EQ(reg.call("f_size", {longer}).as_int(), 3);
-  EXPECT_EQ(reg.call("f_head", {longer}), n3);
-  EXPECT_EQ(reg.call("f_last", {longer}), n2);
-  EXPECT_EQ(reg.call("f_tail", {longer}).as_list().size(), 2u);
-  EXPECT_EQ(reg.call("f_reverse", {path}).to_string(), "[n2,n1]");
-  EXPECT_EQ(reg.call("f_append", {path, n3}).as_list().size(), 3u);
+  EXPECT_TRUE(call("f_inPath", {longer, n1}).as_bool());
+  EXPECT_FALSE(call("f_inPath", {path, n3}).as_bool());
+  EXPECT_EQ(call("f_size", {longer}).as_int(), 3);
+  EXPECT_EQ(call("f_head", {longer}), n3);
+  EXPECT_EQ(call("f_last", {longer}), n2);
+  EXPECT_EQ(call("f_tail", {longer}).as_list().size(), 2u);
+  EXPECT_EQ(call("f_reverse", {path}).to_string(), "[n2,n1]");
+  EXPECT_EQ(call("f_append", {path, n3}).as_list().size(), 3u);
 }
 
 TEST(Builtins, MinMaxAbs) {
-  const auto& reg = BuiltinRegistry::standard();
-  EXPECT_EQ(reg.call("f_min", {Value::integer(3), Value::integer(5)}).as_int(), 3);
-  EXPECT_EQ(reg.call("f_max", {Value::integer(3), Value::integer(5)}).as_int(), 5);
-  EXPECT_EQ(reg.call("f_abs", {Value::integer(-4)}).as_int(), 4);
+  EXPECT_EQ(call("f_min", {Value::integer(3), Value::integer(5)}).as_int(), 3);
+  EXPECT_EQ(call("f_max", {Value::integer(3), Value::integer(5)}).as_int(), 5);
+  EXPECT_EQ(call("f_abs", {Value::integer(-4)}).as_int(), 4);
 }
 
 TEST(Builtins, ArityErrors) {
-  const auto& reg = BuiltinRegistry::standard();
-  EXPECT_THROW(reg.call("f_init", {Value::integer(1)}), TypeError);
-  EXPECT_THROW(reg.call("f_head", {Value::list({})}), TypeError);
-  EXPECT_THROW(reg.call("f_nope", {}), TypeError);
-}
-
-TEST(Builtins, CustomRegistration) {
-  BuiltinRegistry reg;
-  reg.register_fn("f_double", [](const std::vector<Value>& args) {
-    return args.at(0).mul(Value::integer(2));
-  });
-  EXPECT_EQ(reg.call("f_double", {Value::integer(21)}).as_int(), 42);
+  EXPECT_THROW(call("f_init", {Value::integer(1)}), TypeError);
+  EXPECT_THROW(call("f_head", {Value::list({})}), TypeError);
+  EXPECT_THROW(call("f_nope", {}), TypeError);
 }
 
 }  // namespace

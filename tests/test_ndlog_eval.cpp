@@ -240,7 +240,6 @@ TEST(SemiNaive, DoesLessJoinWorkThanNaive) {
 // ---------------------------------------------------------------------------
 
 TEST(MatchAtom, RollsBackAddedBindingsOnFailure) {
-  const auto& builtins = ndlog::BuiltinRegistry::standard();
   ndlog::Atom atom;
   atom.predicate = "p";
   atom.args = {ndlog::Term::var("X"), ndlog::Term::constant_of(Value::integer(1))};
@@ -248,14 +247,13 @@ TEST(MatchAtom, RollsBackAddedBindingsOnFailure) {
   env.emplace("Z", Value::integer(9));
   // p(7, 2): X binds to 7, then 1 != 2 fails — X must be gone afterwards.
   EXPECT_FALSE(ndlog::match_atom(atom, Tuple("p", {Value::integer(7), Value::integer(2)}),
-                                 env, builtins));
+                                 env));
   EXPECT_EQ(env.size(), 1u);
   EXPECT_EQ(env.count("X"), 0u);
   EXPECT_EQ(env.at("Z").as_int(), 9);
 }
 
 TEST(MatchAtom, ReportsAddedKeysOnSuccess) {
-  const auto& builtins = ndlog::BuiltinRegistry::standard();
   ndlog::Atom atom;
   atom.predicate = "p";
   atom.args = {ndlog::Term::var("X"), ndlog::Term::var("Y")};
@@ -263,7 +261,7 @@ TEST(MatchAtom, ReportsAddedKeysOnSuccess) {
   env.emplace("X", Value::integer(7));  // pre-bound: must NOT be reported
   std::vector<std::string> added;
   EXPECT_TRUE(ndlog::match_atom(atom, Tuple("p", {Value::integer(7), Value::integer(3)}),
-                                env, builtins, &added));
+                                env, &added));
   ASSERT_EQ(added.size(), 1u);
   EXPECT_EQ(added[0], "Y");
   EXPECT_EQ(env.at("Y").as_int(), 3);
@@ -274,14 +272,13 @@ TEST(MatchAtom, ReportsAddedKeysOnSuccess) {
 }
 
 TEST(MatchAtom, PreexistingBindingSurvivesConflict) {
-  const auto& builtins = ndlog::BuiltinRegistry::standard();
   ndlog::Atom atom;
   atom.predicate = "p";
   atom.args = {ndlog::Term::var("X")};
   ndlog::Bindings env;
   env.emplace("X", Value::integer(7));
   // X=7 conflicts with p(8): failure must leave the caller's binding intact.
-  EXPECT_FALSE(ndlog::match_atom(atom, Tuple("p", {Value::integer(8)}), env, builtins));
+  EXPECT_FALSE(ndlog::match_atom(atom, Tuple("p", {Value::integer(8)}), env));
   EXPECT_EQ(env.at("X").as_int(), 7);
 }
 

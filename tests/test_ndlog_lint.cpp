@@ -87,15 +87,21 @@ TEST(Lint, ND0003UnboundVariable) {
 }
 
 TEST(Lint, ND0004UnknownFunction) {
-  const auto diags = lint_source(
-      "materialize(b, infinity, infinity, keys(1)).\n"
-      "materialize(a, infinity, infinity, keys(1,2)).\n"
-      "r1 a(@X,Y) :- b(@X), Y=f_nosuch(X).\n");
-  const auto hits = with_code(diags, "ND0004");
-  ASSERT_EQ(hits.size(), 1u) << render_human(diags);
-  EXPECT_EQ(hits[0].severity, Severity::Error);
-  EXPECT_EQ(hits[0].span.begin.line, 3);
-  EXPECT_NE(hits[0].message.find("f_nosuch"), std::string::npos);
+  // An unknown name, and a builtin called with the wrong argument count.
+  for (const auto& [call, message] :
+       {std::pair{"f_nosuch(X)", "unknown function 'f_nosuch'"},
+        std::pair{"f_init(X)", "f_init takes 2 arguments, got 1"}}) {
+    const auto diags = lint_source(
+        std::string("materialize(b, infinity, infinity, keys(1)).\n"
+                    "materialize(a, infinity, infinity, keys(1,2)).\n"
+                    "r1 a(@X,Y) :- b(@X), Y=") +
+        call + ".\n");
+    const auto hits = with_code(diags, "ND0004");
+    ASSERT_EQ(hits.size(), 1u) << render_human(diags);
+    EXPECT_EQ(hits[0].severity, Severity::Error);
+    EXPECT_EQ(hits[0].span.begin.line, 3);
+    EXPECT_NE(hits[0].message.find(message), std::string::npos) << hits[0].message;
+  }
 }
 
 TEST(Lint, ND0005NotStratifiable) {
@@ -324,11 +330,11 @@ TEST(Lint, SyntheticRulesCarryNoLocation) {
   rule.head.args.push_back(HeadArg::plain(Term::var("X")));
   program.rules.push_back(rule);
   DiagnosticSink sink;
-  check_safety(program, BuiltinRegistry::standard(), sink);
+  check_safety(program, sink);
   ASSERT_TRUE(sink.has_errors());
   EXPECT_FALSE(sink.first_error()->span.valid());
   try {
-    check_safety(program, BuiltinRegistry::standard());
+    check_safety(program);
     FAIL() << "expected AnalysisError";
   } catch (const AnalysisError& e) {
     EXPECT_EQ(std::string(e.what()).find("line"), std::string::npos) << e.what();

@@ -207,11 +207,25 @@ TEST(ParserSpans, UnterminatedStringPointsAtOpeningQuote) {
 }
 
 TEST(ParserSpans, BadIntegerLiteralPointsAtToken) {
-  // Exceeds int64: from_chars reports out-of-range.
-  const auto [line, col] =
-      error_position("f(@n1,\n   99999999999999999999999).\n");
-  EXPECT_EQ(line, 2);
-  EXPECT_EQ(col, 4);
+  struct Case {
+    const char* source;
+    int line;
+    int column;
+  };
+  for (const Case& c : {
+           // Exceeds int64: from_chars reports out-of-range.
+           Case{"f(@n1,\n   99999999999999999999999).\n", 2, 4},
+           // A key index is a positive integer; a size a non-negative one
+           // (a double past 2^64 would not fit size_t).
+           Case{"materialize(link, infinity, infinity, keys(1.5)).", 1, 44},
+           Case{"materialize(link, infinity, infinity, keys(1,0)).", 1, 46},
+           Case{"materialize(link, infinity, 2.5, keys(1)).", 1, 29},
+           Case{"materialize(link, 10, 99999999999999999999.0, keys(1)).", 1, 23},
+       }) {
+    const auto [line, col] = error_position(c.source);
+    EXPECT_EQ(line, c.line) << c.source;
+    EXPECT_EQ(col, c.column) << c.source;
+  }
 }
 
 TEST(ParserSpans, NonConstantFactArgumentPointsAtAtom) {

@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ndlog/ast.hpp"
 #include "ndlog/database.hpp"
+#include "ndlog/parser.hpp"
 #include "ndlog/tuple.hpp"
 #include "ndlog/value.hpp"
 
@@ -43,11 +47,41 @@ TEST(Value, TextAccessorAcceptsStrAndAddr) {
 }
 
 TEST(Value, TotalOrderIsKindMajor) {
-  // Bool < Int < Double < Str < Addr < List per ValueKind order.
+  // Bool < numbers < Str < Addr < List per ValueKind order; Int and Double
+  // share a rank and order by value.
   EXPECT_LT(Value::boolean(true), Value::integer(0));
-  EXPECT_LT(Value::integer(99), Value::real(0.0));
+  EXPECT_LT(Value::real(0.0), Value::integer(99));
   EXPECT_LT(Value::str("zzz"), Value::addr("aaa"));
   EXPECT_LT(Value::addr("zzz"), Value::list({}));
+}
+
+TEST(Value, NumbersOrderByValueAcrossIntAndDouble) {
+  EXPECT_LT(Value::integer(2), Value::real(2.5));
+  EXPECT_LT(Value::real(2.5), Value::integer(3));
+  EXPECT_LT(Value::integer(-3), Value::real(-2.5));
+  EXPECT_LT(Value::real(-3.5), Value::integer(-3));
+  // Equal values stay distinct, the Int first.
+  EXPECT_LT(Value::integer(3), Value::real(3.0));
+  EXPECT_NE(Value::integer(3), Value::real(3.0));
+  // Exact: 2^53+1 is not rounded to the double 2^53.
+  EXPECT_GT(Value::integer(9007199254740993), Value::real(9007199254740992.0));
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_LT(Value::integer(kMax), Value::real(9223372036854775808.0));
+  EXPECT_LT(Value::integer(kMin), Value::real(-9223372036854775808.0));
+  EXPECT_LT(Value::real(-1e19), Value::integer(kMin));
+}
+
+TEST(Value, ComparisonsReadNumbersByValue) {
+  const Value three = Value::integer(3);
+  const Value three_d = Value::real(3.0);
+  EXPECT_TRUE(compare(CmpOp::Le, three, three_d));
+  EXPECT_TRUE(compare(CmpOp::Ge, three, three_d));
+  EXPECT_FALSE(compare(CmpOp::Lt, three, three_d));
+  EXPECT_FALSE(compare(CmpOp::Gt, three_d, three));
+  EXPECT_FALSE(compare(CmpOp::Eq, three, three_d));
+  EXPECT_TRUE(compare(CmpOp::Lt, Value::real(2.5), Value::integer(10)));
+  EXPECT_TRUE(compare(CmpOp::Gt, Value::integer(7), Value::real(2.5)));
 }
 
 TEST(Value, IntOrdering) {
@@ -94,6 +128,18 @@ TEST(Value, Rendering) {
   EXPECT_EQ(Value::str("x").to_string(), "\"x\"");
   EXPECT_EQ(Value::addr("n1").to_string(), "n1");
   EXPECT_EQ(Value::list({Value::addr("n1"), Value::addr("n2")}).to_string(), "[n1,n2]");
+}
+
+TEST(Value, StringRenderingTokenizesBack) {
+  for (const std::string text : {"a\"b", "back\\slash", "a\nb", "tab\there", "\"\\\n\t"}) {
+    const std::string rendered = Value::str(text).to_string();
+    EXPECT_EQ(rendered.find('\n'), std::string::npos) << rendered;
+    const auto tokens = tokenize(rendered);
+    ASSERT_EQ(tokens.size(), 2u) << rendered;  // the string, then End
+    EXPECT_EQ(tokens[0].kind, TokenKind::String) << rendered;
+    EXPECT_EQ(tokens[0].text, text) << rendered;
+  }
+  EXPECT_EQ(Value::str("a\"b").to_string(), "\"a\\\"b\"");
 }
 
 TEST(Value, HashConsistentWithEquality) {

@@ -188,7 +188,7 @@ std::vector<std::string> ship_frames(const ndlog::Program& program,
   net::InProcTransport transport;
   transport.add_node("n0");
   transport.add_node("n1");
-  net::Node node("n0", catalog, ndlog::BuiltinRegistry::standard(), plan, transport);
+  net::Node node("n0", catalog, plan, transport);
   for (const auto& fact : ship_seeds()) node.seed(fact);
   // Seeds are processed (and channels flushed) before the event loop starts,
   // so a pre-set stop flag gives a deterministic single-pass run.
@@ -210,7 +210,7 @@ TEST(NetStats, NodeWithoutMailboxFailsWithTransportError) {
   const auto plan = dataflow::compile(program);
   net::InProcTransport transport;
   transport.add_node("n1");  // n0 never registers a mailbox
-  net::Node node("n0", catalog, ndlog::BuiltinRegistry::standard(), plan, transport);
+  net::Node node("n0", catalog, plan, transport);
   std::atomic<bool> stop{true};
   node.run(stop);
   EXPECT_TRUE(node.failed());
@@ -306,7 +306,7 @@ TEST(NetStats, RefusedRetransmitCommitsNoBackoffOrCounters) {
   FlakyTransport transport;
   transport.add_node("n0");
   transport.add_node("n1");
-  net::Node node("n0", catalog, ndlog::BuiltinRegistry::standard(), plan, transport);
+  net::Node node("n0", catalog, plan, transport);
   for (const auto& fact : ship_seeds()) node.seed(fact);
 
   const auto spin = [&node](std::chrono::milliseconds for_ms) {

@@ -93,6 +93,31 @@ TEST(Simulator, PathVectorConvergesToCentralizedResult) {
   }
 }
 
+TEST(Simulator, NumbersCompareByValueAcrossIntAndDouble) {
+  // A Double cost among Int ones: `C < 10`, f_min and min<C> read numbers by
+  // value, in the evaluator and the simulator alike.
+  const auto program = ndlog::parse_program(R"(
+    materialize(link, infinity, infinity, keys(1,2)).
+    materialize(near, infinity, infinity, keys(1,2)).
+    materialize(capped, infinity, infinity, keys(1,2)).
+    materialize(best, infinity, infinity, keys(1)).
+    n1 near(@S,D) :- link(@S,D,C), C < 10.
+    c1 capped(@S,D,M) :- link(@S,D,C), M=f_min(C,3).
+    b1 best(@S,min<C>) :- link(@S,_D,C).
+  )",
+                                            "mixed_numbers");
+  const std::vector<Tuple> links = {ndlog::parse_fact("link(@a,b,2.5)"),
+                                    ndlog::parse_fact("link(@a,c,7)")};
+  const std::vector<std::string> expected = {
+      "best(a,2.5)",   "capped(a,b,2.5)", "capped(a,c,3)", "link(a,b,2.5)",
+      "link(a,c,7)",   "near(a,b)",       "near(a,c)"};
+  EXPECT_EQ(ndlog::Evaluator().run(program, links).database.dump(), expected);
+  Simulator sim(program, SimOptions{});
+  sim.inject_all(links);
+  EXPECT_TRUE(sim.run().quiesced);
+  EXPECT_EQ(sim.merged_database().dump(), expected);
+}
+
 TEST(Simulator, TuplesLandOnTheirLocationNode) {
   auto links = link_facts(core::line_topology(3));
   Simulator sim(core::path_vector_program(), SimOptions{});
@@ -319,10 +344,9 @@ struct CoreRig {
   explicit CoreRig(const std::string& source)
       : program(runtime::localize(ndlog::parse_program(source, "core_test"))),
         catalog(ndlog::Catalog::from_program(program)),
-        plan(runtime::checked_plan(program, ndlog::BuiltinRegistry::standard(),
-                                   /*require_stratified=*/true, {})),
+        plan(runtime::checked_plan(program, /*require_stratified=*/true, {})),
         preds(catalog),
-        core("n0", plan, preds, ndlog::BuiltinRegistry::standard(), nullptr,
+        core("n0", plan, preds, nullptr,
              [this](const runtime::NodeCore&, runtime::NodeCore::Change change,
                     const Tuple& tuple) {
                log.push_back(std::string(change_name(change)) + " " + tuple.to_string());

@@ -221,6 +221,24 @@ TEST(CrossVal, PolicyPathVectorOrderFlagWitnessed) {
   EXPECT_NE(sim_fixpoint(program, base, 1), sim_fixpoint(program, base, 2));
 }
 
+TEST(CrossVal, CallKeyOrderFlagWitnessed) {
+  // route is keyed on (1,2). r1's key f_abs(X) can equal r2's constant 3,
+  // so the two rules race into one row: only a list builder's value is
+  // disjoint from a number.
+  const auto program = parse_program(
+      "materialize(link, infinity, infinity, keys(1,2)).\n"
+      "materialize(route, infinity, infinity, keys(1,2)).\n"
+      "r1 route(@D,K,C) :- link(@S,D,X), K=f_abs(X), C=1.\n"
+      "r2 route(@D,K,C) :- link(@S,D,X), K=3, C=0.\n",
+      "callkey");
+  std::vector<Diagnostic> diags;
+  const auto report = analyze(program, &diags);
+  ASSERT_TRUE(has_code(diags, "ND0017")) << render_human(diags);
+  ASSERT_TRUE(report.order_sensitive_predicates.count("route"));
+  const auto base = facts({"link(@a,b,3)"});
+  EXPECT_NE(sim_fixpoint(program, base, 1), sim_fixpoint(program, base, 2));
+}
+
 TEST(CrossVal, NegationOverAsyncFlagWitnessed) {
   // Two sources race a block/probe pair into node t; b3's negation makes the
   // arrival order visible: accept(t,x) survives iff probe(t,x) was derived

@@ -968,6 +968,31 @@ TEST(CliExitCodes, SimulateRuntimeFailureExitsOne) {
   const auto facts = write_temp_program("ec_facts.txt", "link(@n0,n1,1)\n");
   const auto result = run_cli("simulate " + prog + " " + facts);
   EXPECT_EQ(result.exit_code, 1) << result.output;
+
+  // A builtin called with the wrong argument count is refused, located, when
+  // each command builds the program, before any delivery: with the codes an
+  // unknown function gets.
+  const auto arity = write_temp_program(
+      "ec_arity.ndlog",
+      "materialize(link, infinity, infinity, keys(1,2)).\n"
+      "materialize(p, infinity, infinity, keys(1,2)).\n"
+      "r1 p(@S,P) :- link(@S,_D,_C), P=f_init(S).\n");
+  const auto spec = write_temp_program("ec_arity.ltl", "p1: F p(@n0, n1).\n");
+  const std::string pf = arity + " " + facts;
+  for (const auto& [args, code] :
+       {std::pair{"run " + pf, 1}, std::pair{"simulate " + pf, 1}, std::pair{"dist " + pf, 1},
+        std::pair{"verify " + pf + " --ltl " + spec, 2}}) {
+    const auto refused = run_cli(args);
+    EXPECT_EQ(refused.exit_code, code) << args << ": " << refused.output;
+    EXPECT_NE(refused.output.find("error: rule r1: f_init takes 2 arguments, got 1 (line 3, "),
+              std::string::npos)
+        << args << ": " << refused.output;
+  }
+  for (const std::string cmd : {"lint ", "analyze "}) {
+    const auto flagged = run_cli(cmd + arity);
+    EXPECT_EQ(flagged.exit_code, 2) << cmd << flagged.output;
+    EXPECT_NE(flagged.output.find("ND0004"), std::string::npos) << cmd << flagged.output;
+  }
 }
 
 TEST(CliExitCodes, RunDivergenceExitsOne) {
