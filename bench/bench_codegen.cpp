@@ -24,17 +24,24 @@ using translate::AtomicComponent;
 using translate::CompositeComponent;
 using translate::PortSchema;
 
+/// `stem` followed by `i` ("s3").
+std::string numbered(std::string_view stem, std::size_t i) {
+  std::string out(stem);
+  out += std::to_string(i);
+  return out;
+}
+
 /// A chain of n "+1" components: stage_i consumes stage_{i-1}'s output.
 CompositeComponent chain(std::size_t n) {
   CompositeComponent out;
-  out.name = "chain" + std::to_string(n);
+  out.name = numbered("chain", n);
   for (std::size_t i = 0; i < n; ++i) {
     AtomicComponent c;
-    c.name = "stage" + std::to_string(i);
-    const std::string in = i == 0 ? "chain_in" : "s" + std::to_string(i - 1);
-    const std::string out_pred = i + 1 == n ? "chain_out" : "s" + std::to_string(i);
-    const std::string in_var = "X" + std::to_string(i);
-    const std::string out_var = "X" + std::to_string(i + 1);
+    c.name = numbered("stage", i);
+    const std::string in = i == 0 ? "chain_in" : numbered("s", i - 1);
+    const std::string out_pred = i + 1 == n ? "chain_out" : numbered("s", i);
+    const std::string in_var = numbered("X", i);
+    const std::string out_var = numbered("X", i + 1);
     c.inputs = {PortSchema{in, {in_var}}};
     c.outputs = {PortSchema{out_pred, {out_var}}};
     ndlog::Comparison step;

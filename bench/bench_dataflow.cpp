@@ -75,7 +75,8 @@ EngineRun run_reorder(bool cost_order, int n) {
   std::vector<ndlog::Tuple> facts;
   facts.reserve(static_cast<std::size_t>(n) * 3);
   for (int i = 0; i < n; ++i) {
-    const std::string x = "x" + std::to_string(i);
+    std::string x = "x";
+    x += std::to_string(i);
     facts.push_back(ndlog::parse_fact("a(@n0," + x + ")"));
     facts.push_back(ndlog::parse_fact("b(@n0," + x + ")"));
     facts.push_back(ndlog::parse_fact("c(@n0," + x + "," + x + ")"));

@@ -32,7 +32,8 @@ using namespace fvn;
 // The monitored property set: a liveness witness on the far end of the line
 // plus convergence — the same shape the shipped examples/ndlog/*.ltl specs use.
 ltl::Spec monitor_spec(std::size_t nodes) {
-  const std::string far = "n" + std::to_string(nodes - 1);
+  std::string far = "n";
+  far += std::to_string(nodes - 1);
   const std::string text =
       "delivers: F bestPath(@n0, " + far + ", _, _).\n" +
       "converges: F G stable(bestPath).\n";

@@ -170,12 +170,19 @@ int usage() {
         "       exit 0 success, 1 runtime failure, 2 usage or parse error)\n";
   for (const Command& c : commands()) {
     std::string head(c.name);
-    if (!c.alias.empty()) head += "|" + std::string(c.alias);
-    head += " " + std::string(c.synopsis);
+    if (!c.alias.empty()) {
+      head += '|';
+      head += c.alias;
+    }
+    head += ' ';
+    head += c.synopsis;
     os << "  " << std::left << std::setw(42) << head << " " << c.help << "\n";
     for (const Flag& f : c.flags) {
       std::string flag(f.name);
-      if (!f.value.empty()) flag += " " + std::string(f.value);
+      if (!f.value.empty()) {
+        flag += ' ';
+        flag += f.value;
+      }
       os << "      " << std::setw(38) << flag << " " << f.help << "\n";
     }
   }
@@ -393,7 +400,9 @@ int cmd_plan(const Args& args) {
   auto localized = runtime::localize(load_program(args.positional[0]));
   dataflow::PlanOptions plan_options;
   plan_options.cost_order = args.has("--cost-order");
-  auto plan = dataflow::compile(localized, plan_options);
+  // The plan `sim` runs, refused for what `sim` refuses.
+  auto plan = runtime::checked_plan(localized, runtime::SimOptions{}.require_stratified,
+                                    plan_options);
   if (dot) {
     std::cout << plan.to_dot();
   } else if (json) {

@@ -157,7 +157,11 @@ ndlog::Program policy_path_vector_program() {
   return ndlog::parse_program(policy_path_vector_source(), "policy_path_vector");
 }
 
-std::string node_name(std::size_t i) { return "n" + std::to_string(i); }
+std::string node_name(std::size_t i) {
+  std::string name = "n";
+  name += std::to_string(i);
+  return name;
+}
 
 namespace {
 void add_bidi(std::vector<Link>& out, std::size_t a, std::size_t b, std::int64_t cost) {

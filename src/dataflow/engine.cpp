@@ -44,9 +44,10 @@ Engine::StrandObs Engine::series_of(const Strand& strand) const {
 }
 
 bool Engine::match(const Element& element, const Tuple& tuple) {
-  if (tuple.arity() != element.arity) return false;
+  const std::vector<Value>& values = tuple.values();  // one load of the shared row
+  if (values.size() != element.arity) return false;
   for (const auto& step : element.steps) {
-    const Value& v = tuple.at(step.pos);
+    const Value& v = values.at(step.pos);
     switch (step.kind) {
       case ArgStep::Kind::Bind:
         regs_[static_cast<std::size_t>(step.slot)] = v;

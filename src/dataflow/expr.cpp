@@ -51,8 +51,11 @@ ndlog::Value CompiledExpr::eval(const std::vector<ndlog::Value>& regs) const {
 
 std::string CompiledExpr::to_string() const {
   switch (kind) {
-    case Kind::Slot:
-      return "$" + std::to_string(slot);
+    case Kind::Slot: {
+      std::string out = "$";
+      out += std::to_string(slot);
+      return out;
+    }
     case Kind::Const:
       return constant.to_string();
     case Kind::Func: {

@@ -5,6 +5,20 @@
 
 namespace fvn::logic {
 
+namespace {
+
+/// "(lhs op rhs)", `op` carrying its own spacing.
+std::string parenthesized(const std::string& lhs, std::string_view op, const std::string& rhs) {
+  std::string out = "(";
+  out += lhs;
+  out += op;
+  out += rhs;
+  out += ')';
+  return out;
+}
+
+}  // namespace
+
 std::string_view to_string(Sort sort) noexcept {
   switch (sort) {
     case Sort::Unknown: return "T";
@@ -113,8 +127,7 @@ std::string LTerm::to_string() const {
       return out + ")";
     }
     case Kind::Arith:
-      return "(" + args[0]->to_string() + std::string(ndlog::to_string(op)) +
-             args[1]->to_string() + ")";
+      return parenthesized(args[0]->to_string(), ndlog::to_string(op), args[1]->to_string());
   }
   return "?";
 }
@@ -309,7 +322,11 @@ std::string Formula::to_string() const {
                                                : ndlog::to_string(cmp_op);
       return terms[0]->to_string() + std::string(op) + terms[1]->to_string();
     }
-    case Kind::Not: return "NOT " + subs[0]->to_string();
+    case Kind::Not: {
+      std::string out = "NOT ";
+      out += subs[0]->to_string();
+      return out;
+    }
     case Kind::And:
     case Kind::Or: {
       const char* sep = kind == Kind::And ? " AND " : " OR ";
@@ -320,8 +337,8 @@ std::string Formula::to_string() const {
       }
       return out + ")";
     }
-    case Kind::Implies: return "(" + subs[0]->to_string() + " => " + subs[1]->to_string() + ")";
-    case Kind::Iff: return "(" + subs[0]->to_string() + " <=> " + subs[1]->to_string() + ")";
+    case Kind::Implies: return parenthesized(subs[0]->to_string(), " => ", subs[1]->to_string());
+    case Kind::Iff: return parenthesized(subs[0]->to_string(), " <=> ", subs[1]->to_string());
     case Kind::Forall:
     case Kind::Exists: {
       std::string out = kind == Kind::Forall ? "FORALL (" : "EXISTS (";

@@ -52,6 +52,29 @@ std::string Pattern::to_string() const {
 // Formula construction / rendering
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// `op` directly before `operand`.
+std::string prefixed(std::string_view op, const std::string& operand) {
+  std::string out(op);
+  out += operand;
+  return out;
+}
+
+/// "(lhs op rhs)".
+std::string infix(const std::string& lhs, std::string_view op, const std::string& rhs) {
+  std::string out = "(";
+  out += lhs;
+  out += ' ';
+  out += op;
+  out += ' ';
+  out += rhs;
+  out += ')';
+  return out;
+}
+
+}  // namespace
+
 std::string_view to_string(Op op) noexcept {
   switch (op) {
     case Op::True: return "true";
@@ -117,17 +140,16 @@ std::string Formula::to_string() const {
     case Op::False: return "false";
     case Op::Atom: return pattern.to_string();
     case Op::Stable: return "stable(" + pred + ")";
-    case Op::Not: return "!" + lhs->to_string();
-    case Op::Next: return "X " + lhs->to_string();
-    case Op::Eventually: return "F " + lhs->to_string();
-    case Op::Always: return "G " + lhs->to_string();
+    case Op::Not: return prefixed("!", lhs->to_string());
+    case Op::Next: return prefixed("X ", lhs->to_string());
+    case Op::Eventually: return prefixed("F ", lhs->to_string());
+    case Op::Always: return prefixed("G ", lhs->to_string());
     case Op::And:
     case Op::Or:
     case Op::Implies:
     case Op::Until:
     case Op::Release:
-      return "(" + lhs->to_string() + " " + std::string(ltl::to_string(op)) + " " +
-             rhs->to_string() + ")";
+      return infix(lhs->to_string(), ltl::to_string(op), rhs->to_string());
   }
   return "?";
 }
@@ -158,7 +180,8 @@ class Parser {
         prop.name = get().text;
         get();  // ':'
       } else {
-        prop.name = "p" + std::to_string(spec.properties.size() + 1);
+        prop.name = "p";
+        prop.name += std::to_string(spec.properties.size() + 1);
       }
       prop.formula = parse_formula();
       expect(TokenKind::Period, "'.' after property");
@@ -309,6 +332,19 @@ class Parser {
         arg.wildcard = false;
         arg.value = Value::addr(t.text);  // matches Addr or Str text
         return arg;
+      default:
+        arg.wildcard = false;
+        arg.value = parse_constant("expected a pattern argument");
+        return arg;
+    }
+  }
+
+  /// A number, a quoted string or a list constant `[...]`. A list reads as
+  /// a fact line reads it: its items are constants, a bare identifier is an
+  /// address and `true`/`false` a bool, and lists nest.
+  Value parse_constant(const char* expected) {
+    const Token& t = peek();
+    switch (t.kind) {
       case TokenKind::Minus:
       case TokenKind::Number: {
         // A negative constant is '-' then a number, as in an NDlog program.
@@ -316,18 +352,32 @@ class Parser {
         if (negative) get();
         const Token& n = peek();
         expect(TokenKind::Number, "number after unary minus");
-        arg.wildcard = false;
-        arg.value = n.number_is_int ? Value::integer(negative ? -n.int_value : n.int_value)
-                                    : Value::real(negative ? -n.number : n.number);
-        return arg;
+        return n.number_is_int ? Value::integer(negative ? -n.int_value : n.int_value)
+                               : Value::real(negative ? -n.number : n.number);
       }
       case TokenKind::String:
         get();
-        arg.wildcard = false;
-        arg.value = Value::str(t.text);
-        return arg;
+        return Value::str(t.text);
+      case TokenKind::LBracket: {
+        get();
+        std::vector<Value> items;
+        while (peek().kind != TokenKind::RBracket) {
+          if (!items.empty()) expect(TokenKind::Comma, "',' or ']'");
+          const Token& item = peek();
+          if (item.kind == TokenKind::Ident) {
+            get();
+            items.push_back(item.text == "true" || item.text == "false"
+                                ? Value::boolean(item.text == "true")
+                                : Value::addr(item.text));
+          } else {
+            items.push_back(parse_constant("expected a constant list item"));
+          }
+        }
+        get();  // ']'
+        return Value::list(std::move(items));
+      }
       default:
-        throw err("expected a pattern argument", t);
+        throw err(expected, t);
     }
   }
 
@@ -429,15 +479,11 @@ std::string Nnf::to_string(const ApSet& aps) const {
     case Kind::False: return "false";
     case Kind::Lit:
       return (positive ? "" : "!") + aps.aps.at(ap).text;
-    case Kind::And:
-      return "(" + lhs->to_string(aps) + " && " + rhs->to_string(aps) + ")";
-    case Kind::Or:
-      return "(" + lhs->to_string(aps) + " || " + rhs->to_string(aps) + ")";
-    case Kind::Next: return "X " + lhs->to_string(aps);
-    case Kind::Until:
-      return "(" + lhs->to_string(aps) + " U " + rhs->to_string(aps) + ")";
-    case Kind::Release:
-      return "(" + lhs->to_string(aps) + " R " + rhs->to_string(aps) + ")";
+    case Kind::And: return infix(lhs->to_string(aps), "&&", rhs->to_string(aps));
+    case Kind::Or: return infix(lhs->to_string(aps), "||", rhs->to_string(aps));
+    case Kind::Next: return prefixed("X ", lhs->to_string(aps));
+    case Kind::Until: return infix(lhs->to_string(aps), "U", rhs->to_string(aps));
+    case Kind::Release: return infix(lhs->to_string(aps), "R", rhs->to_string(aps));
   }
   return "?";
 }

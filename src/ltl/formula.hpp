@@ -51,7 +51,8 @@ struct PatternArg {
   bool wildcard = true;
   /// When !wildcard: number / quoted-string constants carry the exact Value;
   /// bare lowercase identifiers carry an Addr that also matches a Str with
-  /// the same text (patterns cannot see the catalog's column kinds).
+  /// the same text (patterns cannot see the catalog's column kinds). A list
+  /// constant (`[a,b]`, read as a fact line reads it) matches an equal list.
   ndlog::Value value;
 
   bool matches(const ndlog::Value& v) const;

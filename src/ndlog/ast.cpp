@@ -107,8 +107,12 @@ std::string Term::to_string() const {
       return out + ")";
     }
     case Kind::Binary: {
-      return "(" + args[0]->to_string() + std::string(ndlog::to_string(op)) +
-             args[1]->to_string() + ")";
+      std::string out = "(";
+      out += args[0]->to_string();
+      out += ndlog::to_string(op);
+      out += args[1]->to_string();
+      out += ')';
+      return out;
     }
   }
   return "?";
@@ -153,7 +157,9 @@ std::string HeadAtom::to_string() const {
 }
 
 std::string BodyAtom::to_string() const {
-  return (negated ? "!" : "") + atom.to_string();
+  std::string out = negated ? "!" : "";
+  out += atom.to_string();
+  return out;
 }
 
 std::string Comparison::to_string() const {

@@ -4,10 +4,22 @@
 
 namespace fvn::ndlog {
 
+constinit const Tuple::Row Tuple::kEmpty;
+
+std::size_t Tuple::first_hash() const noexcept {
+  const Row& r = row();
+  std::size_t h = hash_values(r.values);
+  for (char c : r.predicate) h = h * 131 + static_cast<unsigned char>(c);
+  r.hash.store(h, std::memory_order_relaxed);
+  return h;
+}
+
 std::string Tuple::to_string() const {
-  std::string out = predicate_ + "(";
+  const Row& r = row();
+  std::string out = r.predicate;
+  out += '(';
   bool first = true;
-  for (const auto& v : values_) {
+  for (const auto& v : r.values) {
     if (!first) out += ",";
     first = false;
     out += v.to_string();

@@ -1,8 +1,13 @@
-// NDlog tuples and relations. A Tuple is a named fact ("path(n1,n2,[n1,n2],5)").
+// NDlog tuples and relations. A Tuple is a named fact ("path(n1,n2,[n1,n2],5)"),
+// one shared immutable row.
 // Relations are duplicate-free sets of tuples with optional soft-state
 // bookkeeping (creation time + lifetime) as in P2's `materialize` declarations.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
+#include <compare>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -12,42 +17,74 @@
 
 namespace fvn::ndlog {
 
-/// A ground fact: predicate name plus attribute values.
+/// A ground fact: predicate name plus attribute values. A handle to one
+/// immutable row that every copy shares (DESIGN.md §18): a copy costs one
+/// reference count, equality compares the rows' addresses first, and the
+/// hash is computed on first use and kept in the row. `Tuple()` and a
+/// moved-from tuple are the empty tuple: no predicate, no values.
 class Tuple {
  public:
-  Tuple() = default;
+  Tuple() noexcept = default;
   Tuple(std::string predicate, std::vector<Value> values)
-      : predicate_(std::move(predicate)), values_(std::move(values)) {}
+      : row_(std::make_shared<const Row>(std::move(predicate), std::move(values))) {}
 
-  const std::string& predicate() const noexcept { return predicate_; }
-  const std::vector<Value>& values() const noexcept { return values_; }
-  std::size_t arity() const noexcept { return values_.size(); }
-  const Value& at(std::size_t i) const { return values_.at(i); }
+  const std::string& predicate() const noexcept { return row().predicate; }
+  const std::vector<Value>& values() const noexcept { return row().values; }
+  std::size_t arity() const noexcept { return row().values.size(); }
+  const Value& at(std::size_t i) const { return row().values.at(i); }
 
-  bool operator==(const Tuple& other) const {
-    return predicate_ == other.predicate_ && values_ == other.values_;
+  bool operator==(const Tuple& other) const noexcept {
+    if (row_ == other.row_) return true;
+    const Row& a = row();
+    const Row& b = other.row();
+    // Equal rows hash alike, so two hashes already known can tell them apart.
+    const std::size_t ha = a.hash.load(std::memory_order_relaxed);
+    const std::size_t hb = b.hash.load(std::memory_order_relaxed);
+    if (ha != 0 && hb != 0 && ha != hb) return false;
+    return a.predicate == b.predicate && a.values == b.values;
   }
   std::strong_ordering operator<=>(const Tuple& other) const {
-    if (auto c = predicate_ <=> other.predicate_; c != 0) return c;
-    const std::size_t n = std::min(values_.size(), other.values_.size());
+    if (row_ == other.row_) return std::strong_ordering::equal;
+    const Row& a = row();
+    const Row& b = other.row();
+    if (auto c = a.predicate <=> b.predicate; c != 0) return c;
+    const std::size_t n = std::min(a.values.size(), b.values.size());
     for (std::size_t i = 0; i < n; ++i) {
-      if (auto c = values_[i] <=> other.values_[i]; c != 0) return c;
+      if (auto c = a.values[i] <=> b.values[i]; c != 0) return c;
     }
-    return values_.size() <=> other.values_.size();
+    return a.values.size() <=> b.values.size();
   }
 
+  /// hash_values() of the values, then the predicate's characters mixed in.
   std::size_t hash() const noexcept {
-    std::size_t h = hash_values(values_);
-    for (char c : predicate_) h = h * 131 + static_cast<unsigned char>(c);
-    return h;
+    const std::size_t h = row().hash.load(std::memory_order_relaxed);
+    return h != 0 ? h : first_hash();
   }
 
   /// "path(n1,n2,[n1,n2],5)"
   std::string to_string() const;
 
  private:
-  std::string predicate_;
-  std::vector<Value> values_;
+  /// The payload every copy shares. Nothing writes it after it is built but
+  /// the hash cache, which any thread may fill: each stores the same number.
+  struct Row {
+    Row(std::string p, std::vector<Value> v) noexcept
+        : predicate(std::move(p)), values(std::move(v)) {}
+    Row() = default;
+
+    std::string predicate;
+    std::vector<Value> values;
+    /// hash(), once some thread computed it; 0 until then (a row whose hash
+    /// is 0 computes it on every call).
+    mutable std::atomic<std::size_t> hash{0};
+  };
+  static const Row kEmpty;
+
+  const Row& row() const noexcept { return row_ ? *row_ : kEmpty; }
+  /// Computes the hash and caches it in the row.
+  std::size_t first_hash() const noexcept;
+
+  std::shared_ptr<const Row> row_;
 };
 
 struct TupleHash {

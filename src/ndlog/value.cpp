@@ -155,9 +155,11 @@ const std::string& Value::as_addr() const {
   return scalar_.sym->text();
 }
 
-const std::string& Value::as_text() const {
+const std::string& Value::as_text() const { return as_symbol().text(); }
+
+const Symbol& Value::as_symbol() const {
   if (!is_str() && !is_addr()) bad_kind("str|addr", kind_);
-  return scalar_.sym->text();
+  return *scalar_.sym;
 }
 
 const std::vector<Value>& Value::as_list() const {

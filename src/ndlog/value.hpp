@@ -105,6 +105,9 @@ class Value {
 
   /// String payload of either a Str or an Addr.
   const std::string& as_text() const;
+  /// The interned symbol of either a Str or an Addr: one per text, so its
+  /// address stands for the text.
+  const Symbol& as_symbol() const;
 
   /// Total order: kind-major, then payload; an Int and a Double compare by
   /// value, exactly, the Int first at equal values. Texts compare by their

@@ -34,7 +34,10 @@ std::string Command::to_string() const {
     case Kind::Expand: return "(expand \"" + pred + "\")";
     case Kind::Inst: {
       std::string out = "(inst";
-      for (const auto& t : terms) out += " " + t->to_string();
+      for (const auto& t : terms) {
+        out += ' ';
+        out += t->to_string();
+      }
       return out + ")";
     }
     case Kind::Assert: return "(assert)";

@@ -19,13 +19,13 @@ const PredInfo& PredTable::info(const std::string& predicate) const {
   return cache_.emplace(predicate, info).first->second;
 }
 
-const std::string& PredTable::location_of(const ndlog::Tuple& tuple) const {
+const ndlog::Symbol& PredTable::location(const ndlog::Tuple& tuple) const {
   const std::size_t idx = info(tuple.predicate()).loc_index;
   if (idx >= tuple.arity() || !tuple.at(idx).is_addr()) {
     throw ndlog::AnalysisError("tuple " + tuple.to_string() +
                                " has no address at its location attribute");
   }
-  return tuple.at(idx).as_addr();
+  return tuple.at(idx).as_symbol();
 }
 
 namespace {

@@ -39,7 +39,11 @@ class PredTable {
   const PredInfo& info(const std::string& predicate) const;
   /// The address at the tuple's location attribute. Throws
   /// ndlog::AnalysisError when that attribute is missing or not an address.
-  const std::string& location_of(const ndlog::Tuple& tuple) const;
+  const std::string& location_of(const ndlog::Tuple& tuple) const {
+    return location(tuple).text();
+  }
+  /// The same address as its interned symbol.
+  const ndlog::Symbol& location(const ndlog::Tuple& tuple) const;
 
  private:
   const ndlog::Catalog* catalog_;

@@ -58,7 +58,15 @@ void Simulator::add_node(const std::string& name) { node_of(name); }
 Simulator::Node& Simulator::node_of(const std::string& name) {
   auto it = nodes_.find(name);
   if (it != nodes_.end()) return it->second;
-  return nodes_.try_emplace(name, *this, name).first->second;
+  Node& node = nodes_.try_emplace(name, *this, name).first->second;
+  by_location_.emplace(&ndlog::Symbol::intern(name), &node);
+  return node;
+}
+
+Simulator::Node& Simulator::node_at(const Tuple& tuple) {
+  const ndlog::Symbol& at = preds_.location(tuple);
+  const auto it = by_location_.find(&at);
+  return it != by_location_.end() ? *it->second : node_of(at.text());
 }
 
 void Simulator::count(const Node& node, obs::Counter*& slot, std::string_view what) {
@@ -74,10 +82,9 @@ void Simulator::set_link_delay(const std::string& from, const std::string& to,
   link_delays_[from][to] = delay;
 }
 
-void Simulator::schedule(Event event) {
+void Simulator::schedule(double time, Event::Kind kind, Tuple tuple) {
   LayerClock::Scope scope(layers_.get(), LayerClock::Queue);
-  event.sequence = ++sequence_;
-  queue_.push_back(std::move(event));
+  queue_.push_back(Event{time, ++sequence_, kind, std::move(tuple)});
   std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
 }
 
@@ -89,13 +96,8 @@ Simulator::Event Simulator::pop() {
 }
 
 void Simulator::inject(const Tuple& fact, double time) {
-  Event e;
-  e.time = time;
-  e.kind = Event::Kind::Deliver;
-  e.node = preds_.location_of(fact);
-  e.tuple = fact;
-  add_node(e.node);
-  schedule(std::move(e));
+  node_at(fact);  // a fact's node exists from its injection on
+  schedule(time, Event::Kind::Deliver, fact);
 }
 
 void Simulator::inject_all(const std::vector<Tuple>& facts, double time) {
@@ -103,12 +105,8 @@ void Simulator::inject_all(const std::vector<Tuple>& facts, double time) {
 }
 
 void Simulator::retract(const Tuple& fact, double time) {
-  Event e;
-  e.time = time;
-  e.kind = Event::Kind::Retract;
-  e.node = preds_.location_of(fact);
-  e.tuple = fact;
-  schedule(std::move(e));
+  preds_.location(fact);  // throws here, not at the pop, for a fact with no address
+  schedule(time, Event::Kind::Retract, fact);
 }
 
 void Simulator::tuple_event(std::string_view kind, const std::string& node,
@@ -129,15 +127,9 @@ void Simulator::on_change(Node& target, NodeCore::Change change, const Tuple& tu
     case NodeCore::Change::Remote:
       send(target, tuple);
       return;
-    case NodeCore::Change::Refresh: {
-      Event e;
-      e.time = target.core.expiry(tuple);
-      e.kind = Event::Kind::Expire;
-      e.node = node;
-      e.tuple = tuple;
-      schedule(std::move(e));
+    case NodeCore::Change::Refresh:
+      schedule(target.core.expiry(tuple), Event::Kind::Expire, tuple);
       return;
-    }
     case NodeCore::Change::Retract:
       stats_.last_change_time = now_;
       if (options_.record_trace) {
@@ -196,12 +188,7 @@ void Simulator::send(Node& sender, const Tuple& tuple) {
     std::uniform_real_distribution<double> j(0.0, options_.delay_jitter);
     delay *= 1.0 + j(rng_);
   }
-  Event e;
-  e.time = now_ + delay;
-  e.kind = Event::Kind::Deliver;
-  e.node = to;
-  e.tuple = tuple;
-  schedule(std::move(e));
+  schedule(now_ + delay, Event::Kind::Deliver, tuple);
 }
 
 SimStats Simulator::run() {
@@ -217,12 +204,8 @@ SimStats Simulator::run() {
     // Nodes known at start: everything referenced by queued events.
     for (const auto& name : nodes()) {
       for (std::size_t k = 1; k <= options_.max_periodic_rounds; ++k) {
-        Event e;
-        e.time = static_cast<double>(k) * options_.periodic_interval;
-        e.kind = Event::Kind::Periodic;
-        e.node = name;
-        e.tuple = Tuple("periodic", {Value::addr(name), Value::real(options_.periodic_interval)});
-        schedule(std::move(e));
+        schedule(static_cast<double>(k) * options_.periodic_interval, Event::Kind::Periodic,
+                 Tuple("periodic", {Value::addr(name), Value::real(options_.periodic_interval)}));
       }
     }
   }
@@ -249,13 +232,13 @@ SimStats Simulator::run() {
       options_.obs_trace->counter_at(sim_ts(e.time), "sim/queue_depth", "sim",
                                      static_cast<double>(queue_.size() + 1));
     }
-    Node& node = node_of(e.node);
+    Node& node = node_at(e.tuple);
     NodeCore& core = node.core;
     switch (e.kind) {
       case Event::Kind::Deliver:
         if (options_.record_trace) {
           trace_.push_back(
-              TraceEntry{e.time, TraceEntry::Kind::Deliver, e.node, e.tuple.to_string()});
+              TraceEntry{e.time, TraceEntry::Kind::Deliver, core.name(), e.tuple.to_string()});
         }
         count(node, node.received, "received");
         [[fallthrough]];
@@ -274,7 +257,7 @@ SimStats Simulator::run() {
         stats_.last_change_time = e.time;
         if (options_.record_trace) {
           trace_.push_back(
-              TraceEntry{e.time, TraceEntry::Kind::Expire, e.node, e.tuple.to_string()});
+              TraceEntry{e.time, TraceEntry::Kind::Expire, core.name(), e.tuple.to_string()});
         }
         count(node, node.expired, "expired");
         break;

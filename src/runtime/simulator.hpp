@@ -29,6 +29,7 @@
 #include <memory>
 #include <random>
 #include <string_view>
+#include <unordered_map>
 
 #include "dataflow/plan.hpp"
 #include "ndlog/catalog.hpp"
@@ -172,12 +173,12 @@ class Simulator {
   std::vector<std::string> nodes() const;
 
  private:
-  /// A min-heap entry of queue_, ordered by (time, sequence).
+  /// A min-heap entry of queue_, ordered by (time, sequence). It acts at
+  /// the node its tuple's location attribute names.
   struct Event {
     double time = 0.0;
     std::uint64_t sequence = 0;  // FIFO tie-break for determinism
     enum class Kind : std::uint8_t { Deliver, Expire, Retract, Periodic } kind = Kind::Deliver;
-    std::string node;
     ndlog::Tuple tuple;
     bool operator>(const Event& other) const {
       if (time != other.time) return time > other.time;
@@ -200,11 +201,14 @@ class Simulator {
     obs::Counter* received = nullptr;
     obs::Counter* expired = nullptr;
   };
+  /// The node named `name`, created on first use.
   Node& node_of(const std::string& name);
+  /// The node at `tuple`'s location, created on first use.
+  Node& node_at(const ndlog::Tuple& tuple);
   /// Adds one to `node`'s sim/node/<name>/<what> counter (kept in `slot`)
   /// when metrics are on.
   void count(const Node& node, obs::Counter*& slot, std::string_view what);
-  void schedule(Event event);
+  void schedule(double time, Event::Kind kind, ndlog::Tuple tuple);
   /// Take the earliest event off the queue (moved, not copied).
   Event pop();
   void send(Node& sender, const ndlog::Tuple& tuple);
@@ -231,6 +235,9 @@ class Simulator {
   std::unique_ptr<LayerClock> layers_;
   std::chrono::steady_clock::time_point run_start_;
   std::map<std::string, Node> nodes_;
+  /// nodes_ by the interned symbol of each name: how an event finds its
+  /// node when it pops.
+  std::unordered_map<const ndlog::Symbol*, Node*> by_location_;
   /// Delay overrides by sender, then receiver: a send probes with the two
   /// names it holds, copying neither.
   std::map<std::string, std::map<std::string, double>> link_delays_;

@@ -93,7 +93,9 @@ std::vector<std::string> param_names(const std::vector<const Rule*>& rules) {
   const std::size_t arity = rules.front()->head.args.size();
   std::vector<std::string> names(arity);
   for (std::size_t i = 0; i < arity; ++i) {
-    names[i] = "A" + std::to_string(i + 1);
+    std::string fallback = "A";
+    fallback += std::to_string(i + 1);
+    names[i] = std::move(fallback);
     for (const Rule* rule : rules) {
       const auto& arg = rule->head.args[i];
       if (arg.is_agg()) {

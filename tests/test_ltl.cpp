@@ -69,6 +69,24 @@ TEST(LtlParser, PatternArgsConstantsAndWildcards) {
   EXPECT_FALSE(p.args[1].wildcard);  // n2 constant
   EXPECT_TRUE(p.args[2].wildcard);   // upper-case variable
   EXPECT_TRUE(p.args[3].wildcard);   // _
+
+  // List constants read as a fact line reads them and render back, so the
+  // pattern is its own AP identity.
+  const Pattern route = parse_formula("route(@b, [a,b], 1)")->pattern;
+  ASSERT_EQ(route.args.size(), 3u);
+  EXPECT_FALSE(route.args[1].wildcard);
+  EXPECT_EQ(route.args[1].value, Value::list({Value::addr("a"), Value::addr("b")}));
+  EXPECT_EQ(route.to_string(), "route(b,[a,b],1)");
+  const Pattern nested = parse_formula("p([], [[a], [true, -2, 2.5, \"s\"]])")->pattern;
+  ASSERT_EQ(nested.args.size(), 2u);
+  EXPECT_EQ(nested.args[0].value, Value::list({}));
+  EXPECT_EQ(nested.args[1].value,
+            ndlog::parse_fact("p([[a], [true, -2, 2.5, \"s\"]])").at(0));
+  EXPECT_EQ(nested.to_string(), "p([],[[a],[true,-2,2.5,\"s\"]])");
+  EXPECT_EQ(parse_formula(nested.to_string())->pattern.to_string(), nested.to_string());
+  for (const char* bad : {"p([X])", "p([_])", "p([a,])", "p([a b])", "p([a)", "p([f(a)])"}) {
+    EXPECT_THROW(parse_formula(bad), ndlog::ParseError) << bad;
+  }
 }
 
 TEST(LtlParser, PatternMatchingSemantics) {
@@ -82,6 +100,19 @@ TEST(LtlParser, PatternMatchingSemantics) {
   EXPECT_FALSE(p.matches(Tuple("hop", {Value::addr("n0"), Value::addr("n1")})));
   // Identifier constants match both Addr and Str spellings of the same text.
   EXPECT_TRUE(p.matches(Tuple("link", {Value::str("n0"), Value::str("n1")})));
+
+  // A list constant matches an equal list only: same items, same order,
+  // same kinds.
+  const Pattern route = parse_formula("route(@b, [a,b], 1)")->pattern;
+  const auto row = [](std::vector<Value> path) {
+    return Tuple("route", {Value::addr("b"), Value::list(std::move(path)), Value::integer(1)});
+  };
+  EXPECT_TRUE(route.matches(row({Value::addr("a"), Value::addr("b")})));
+  EXPECT_FALSE(route.matches(row({Value::addr("b"), Value::addr("a")})));
+  EXPECT_FALSE(route.matches(row({Value::addr("a")})));
+  EXPECT_FALSE(route.matches(row({Value::addr("a"), Value::addr("b"), Value::addr("c")})));
+  EXPECT_FALSE(route.matches(row({Value::str("a"), Value::str("b")})));
+  EXPECT_TRUE(parse_formula("route(_, [])")->pattern.matches(row({})));
 }
 
 TEST(LtlParser, CanonicalApIdentityMergesWildcardSpellings) {

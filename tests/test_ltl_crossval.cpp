@@ -241,6 +241,23 @@ TEST(LtlCrossval, SendFilterKeepsMessagesAnOverwriteCanUndo) {
   EXPECT_FALSE(monitors.all_satisfied());
 }
 
+TEST(LtlCrossval, ListConstantPatternVerdictsAgree) {
+  // A pattern names a stored path vector by its list constant.
+  Case c;
+  c.name = "list_constant";
+  c.program = ndlog::parse_program(
+      "r1 route(@D,P,C) :- link(@S,D,_X), P=f_init(S,D), C=1.\n", "list_constant");
+  c.facts = {ndlog::parse_fact("link(@a,b,3)")};
+  c.spec = ltl::parse_spec("p1: F G route(@b,[a,b],1).\n", "route.ltl");
+
+  mc::NdlogTransitionSystem ts(c.program);
+  const auto verdict = ltl::check_ltl(ts, ts.initial(c.facts), c.spec);
+  ASSERT_EQ(verdict.properties.size(), 1u);
+  EXPECT_TRUE(verdict.properties[0].holds) << ltl::render_counterexample(verdict.properties[0]);
+  EXPECT_TRUE(verdict.exhausted());
+  expect_all_satisfied(sim_monitor_verdicts(c, c.spec), "simulator");
+}
+
 // ---------------------------------------------------------------------------
 // Tuple-event streams: folding either runtime's live stream reproduces its
 // final databases exactly, and the simulator's obs instants decode back to

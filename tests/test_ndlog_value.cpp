@@ -3,7 +3,9 @@
 // rendering, and the interned text representation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <compare>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -182,6 +184,7 @@ TEST(Value, HashNumbersAreTheParents) {
                            Value::integer(5)})
                 .hash(),
             12409120920447487538ULL);
+  EXPECT_EQ(Tuple().hash(), 11400714819323198485ULL);
 }
 
 TEST(Value, EqualTextsShareOneSymbol) {
@@ -312,6 +315,85 @@ TEST(Tuple, SortedStringsIsDeterministic) {
   ASSERT_EQ(strings.size(), 2u);
   EXPECT_EQ(strings[0], "a(1)");
   EXPECT_EQ(strings[1], "b(2)");
+}
+
+TEST(Tuple, CopiesShareOneRow) {
+  const auto build = [] {
+    return Tuple("path", {Value::addr("n0"), Value::addr("n2"),
+                          Value::list({Value::addr("n0"), Value::addr("n2")}),
+                          Value::integer(5)});
+  };
+  const Tuple row = build();
+  const Tuple copy = row;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(copy.values().data(), row.values().data());
+  EXPECT_EQ(&copy.predicate(), &row.predicate());
+  const Tuple rebuilt = build();
+  EXPECT_NE(rebuilt.values().data(), row.values().data());
+  for (const Tuple* other : {&copy, &rebuilt}) {
+    EXPECT_EQ(*other, row);
+    EXPECT_EQ(other->hash(), row.hash());
+    EXPECT_EQ(*other <=> row, std::strong_ordering::equal);
+    EXPECT_EQ(other->to_string(), "path(n0,n2,[n0,n2],5)");
+  }
+  // Both hashes known and different: unequal without comparing the values.
+  const Tuple cheaper("path", {Value::addr("n0"), Value::addr("n2"),
+                               Value::list({Value::addr("n0"), Value::addr("n2")}),
+                               Value::integer(4)});
+  EXPECT_NE(cheaper.hash(), row.hash());
+  EXPECT_NE(cheaper, row);
+  EXPECT_LT(cheaper, row);
+  // Tuple() and a moved-from tuple are the empty tuple.
+  Tuple from = row;
+  const Tuple to = std::move(from);
+  EXPECT_EQ(to, row);
+  EXPECT_EQ(from, Tuple());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(Tuple().predicate(), "");
+  EXPECT_EQ(Tuple().arity(), 0u);
+  EXPECT_EQ(Tuple().to_string(), "()");
+  EXPECT_LT(Tuple(), row);
+}
+
+TEST(Tuple, ConcurrentCopiesAndHashes) {
+  // 1,000 rows no thread has hashed yet: 4 threads race to fill each row's
+  // hash cache while they copy, compare, sort and drop copies of them.
+  constexpr int kRows = 1000;
+  constexpr int kThreads = 4;
+  std::vector<Tuple> rows;
+  std::vector<std::size_t> hashes;  // of separately built equal rows
+  for (int i = 0; i < kRows; ++i) {
+    const auto build = [i] {
+      return Tuple(i % 2 == 0 ? "even" : "odd",
+                   {Value::addr("n" + std::to_string(i % 16)), Value::integer(i),
+                    Value::list({Value::integer(i % 7)})});
+    };
+    rows.push_back(build());
+    hashes.push_back(build().hash());
+  }
+  std::vector<Tuple> sorted = rows;
+  std::sort(sorted.begin(), sorted.end());
+  std::atomic<int> ready{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      std::vector<Tuple> copies;
+      for (int k = 0; k < kRows; ++k) {
+        // Each thread starts at its own row and walks in its own direction.
+        const int i = (t % 2 == 0 ? k + t * 250 : kRows - 1 - k + t * 250) % kRows;
+        copies.push_back(rows[i]);
+        if (copies.back().hash() != hashes[i] || !(copies.back() == rows[i])) ++failures;
+      }
+      std::sort(copies.begin(), copies.end());
+      if (copies != sorted) ++failures;
+      const TupleSet set(copies.begin(), copies.end());
+      if (set.size() != static_cast<std::size_t>(kRows)) ++failures;
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  for (int i = 0; i < kRows; ++i) EXPECT_EQ(rows[i].hash(), hashes[i]);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // keyed overwrite and its key index, and the simulator's layer split.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -268,6 +269,46 @@ TEST(Simulator, RetractRefreshesAggregate) {
   auto stats = sim.run();
   EXPECT_TRUE(stats.quiesced);
   EXPECT_EQ(sim.database("a").dump(), (std::vector<std::string>{"e(a,2)", "m(a,2)"}));
+}
+
+TEST(Simulator, NodesComeIntoBeingWhenTheirFirstEventPops) {
+  // Injecting a fact creates its node; scheduling a retraction or a send
+  // does not: the node appears when its first event pops. So `periodic`
+  // pre-scheduling covers only the nodes injected before run(), a
+  // retraction at a node with no facts leaves it empty, and a message still
+  // in flight when the run stops creates nothing.
+  auto program = ndlog::parse_program(R"(
+    materialize(link, infinity, infinity, keys(1,2)).
+    materialize(hello, infinity, infinity, keys(1,2)).
+    materialize(tick, 0.5, infinity, keys(1)).
+    h1 hello(@D,S) :- link(@S,D,_C).
+    t1 tick(@N,I) :- periodic(@N,I).
+  )",
+                                      "node_timing");
+  const auto link = [](const char* s, const char* d) {
+    return Tuple("link", {Value::addr(s), Value::addr(d), Value::integer(1)});
+  };
+  std::map<std::string, int> ticks;  // tick installs, one per periodic delivery
+  SimOptions options;
+  options.max_periodic_rounds = 3;
+  options.periodic_interval = 1.0;
+  options.max_time = 50.0;
+  options.tuple_events = [&ticks](std::string_view kind, const std::string& node,
+                                  const Tuple& tuple, double) {
+    if (kind == "install" && tuple.predicate() == "tick") ++ticks[node];
+  };
+  Simulator sim(program, options);
+  sim.set_link_delay("a", "d", 100.0);  // hello(@d,a) lands after max_time
+  sim.inject_all({link("a", "b"), link("b", "a"), link("a", "d")});
+  sim.retract(link("c", "a"), 0.5);
+  EXPECT_EQ(sim.nodes(), (std::vector<std::string>{"a", "b"}));
+  const auto stats = sim.run();
+  EXPECT_FALSE(stats.quiesced);  // stopped at the message to d
+  EXPECT_EQ(sim.nodes(), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(sim.database("c").dump(), std::vector<std::string>{});
+  EXPECT_EQ(ticks, (std::map<std::string, int>{{"a", 3}, {"b", 3}}));
+  EXPECT_EQ(sim.database("a").dump(),
+            (std::vector<std::string>{"hello(a,b)", "link(a,b,1)", "link(a,d,1)"}));
 }
 
 TEST(Simulator, DeterministicUnderSeed) {

@@ -981,7 +981,7 @@ TEST(CliExitCodes, SimulateRuntimeFailureExitsOne) {
   const std::string pf = arity + " " + facts;
   for (const auto& [args, code] :
        {std::pair{"run " + pf, 1}, std::pair{"simulate " + pf, 1}, std::pair{"dist " + pf, 1},
-        std::pair{"verify " + pf + " --ltl " + spec, 2}}) {
+        std::pair{"verify " + pf + " --ltl " + spec, 2}, std::pair{"plan " + arity, 1}}) {
     const auto refused = run_cli(args);
     EXPECT_EQ(refused.exit_code, code) << args << ": " << refused.output;
     EXPECT_NE(refused.output.find("error: rule r1: f_init takes 2 arguments, got 1 (line 3, "),
